@@ -15,7 +15,6 @@ witness for all of it.
 
 from .affine import AffineMap, Triangle, UNIT_TRIANGLE, apply_point, apply_slope, invert, map_to_unit
 from .boundary import Side, SidePoint, param_from_tangencies, side_point
-from .config import DEFAULT_TOL, Tolerances
 from .conic import (
     ConicCoeffs,
     conic_center,
@@ -67,7 +66,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineMap",
     "ConicCoeffs",
-    "DEFAULT_TOL",
     "EllipseParam",
     "NoSolution",
     "PairCase",
@@ -81,7 +79,6 @@ __all__ = [
     "Slope",
     "SolveReport",
     "TangencyTriple",
-    "Tolerances",
     "Triangle",
     "TwoPointSolution",
     "UNIT_TRIANGLE",

@@ -71,9 +71,6 @@ class AffineMap:
         return d
 
 
-IDENTITY_MAP = AffineMap(1.0, 0.0, 0.0, 1.0)
-
-
 def apply_point(m: AffineMap, p: Point) -> Point:
     return Point(m.m11 * p.x + m.m12 * p.y + m.tx, m.m21 * p.x + m.m22 * p.y + m.ty)
 
@@ -83,18 +80,6 @@ def invert(m: AffineMap) -> AffineMap:
     i11, i12 = m.m22 / d, -m.m12 / d
     i21, i22 = -m.m21 / d, m.m11 / d
     return AffineMap(i11, i12, i21, i22, -(i11 * m.tx + i12 * m.ty), -(i21 * m.tx + i22 * m.ty))
-
-
-def compose(outer: AffineMap, inner: AffineMap) -> AffineMap:
-    """Map equal to applying ``inner`` first, then ``outer``."""
-    return AffineMap(
-        outer.m11 * inner.m11 + outer.m12 * inner.m21,
-        outer.m11 * inner.m12 + outer.m12 * inner.m22,
-        outer.m21 * inner.m11 + outer.m22 * inner.m21,
-        outer.m21 * inner.m12 + outer.m22 * inner.m22,
-        outer.m11 * inner.tx + outer.m12 * inner.ty + outer.tx,
-        outer.m21 * inner.tx + outer.m22 * inner.ty + outer.ty,
-    )
 
 
 def apply_slope(m: AffineMap, s: Slope) -> Slope:

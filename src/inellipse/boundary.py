@@ -17,12 +17,15 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .config import DEFAULT_TOL, Tolerances
 from .errors import NotOnSide, OutOfDomain, SameSide, VertexPoint
 from .geom import Point, as_point
 from .kernel import EllipseParam
 
 _UNIT_VERTICES = (Point(0.0, 0.0), Point(1.0, 0.0), Point(0.0, 1.0))
+# Boundary points within this distance of a vertex are rejected.
+_VERTEX_EXCLUSION = 1e-8
+# Absolute band on a side's linear form for membership in that side.
+_SIDE_MEMBERSHIP = 1e-10
 
 
 class Side(Enum):
@@ -37,23 +40,23 @@ class SidePoint:
     point: Point
 
 
-def side_point(p: Point, tol: Tolerances = DEFAULT_TOL) -> SidePoint:
+def side_point(p: Point) -> SidePoint:
     """Classify a boundary point onto its open side.
 
-    Raises :class:`VertexPoint` within ``tol.vertex_exclusion`` of a vertex
+    Raises :class:`VertexPoint` within ``_VERTEX_EXCLUSION`` of a vertex
     and :class:`NotOnSide` when no side's linear form vanishes within
-    ``tol.side_membership`` (absolute) or the point falls off the segment.
+    ``_SIDE_MEMBERSHIP`` (absolute) or the point falls off the segment.
     """
     p = as_point(p)
     for v in _UNIT_VERTICES:
-        if math.hypot(p.x - v.x, p.y - v.y) <= tol.vertex_exclusion:
+        if math.hypot(p.x - v.x, p.y - v.y) <= _VERTEX_EXCLUSION:
             raise VertexPoint(f"{tuple(p)} coincides with triangle vertex {tuple(v)}")
     forms = (
         (Side.BOTTOM, p.y),
         (Side.LEFT, p.x),
         (Side.HYPOTENUSE, p.x + p.y - 1.0),
     )
-    on = [side for side, value in forms if abs(value) < tol.side_membership]
+    on = [side for side, value in forms if abs(value) < _SIDE_MEMBERSHIP]
     if len(on) != 1:
         raise NotOnSide(f"{tuple(p)} does not lie on exactly one open side")
     side = on[0]
@@ -63,9 +66,7 @@ def side_point(p: Point, tol: Tolerances = DEFAULT_TOL) -> SidePoint:
     return SidePoint(side, p)
 
 
-def param_from_tangencies(
-    s1: SidePoint, s2: SidePoint, tol: Tolerances = DEFAULT_TOL
-) -> EllipseParam:
+def param_from_tangencies(s1: SidePoint, s2: SidePoint) -> EllipseParam:
     """The unique (w, t) whose contact points include both given side points."""
     if s1.side is s2.side:
         raise SameSide(f"both tangency points lie on the {s1.side.value} side")

@@ -11,7 +11,9 @@ document (positional file path, or ``-`` for stdin)::
 
 Exactly one of ``two_points`` / ``point_slope`` / ``boundary_tangency`` must
 be present and must match the subcommand.  ``point_slope.slope`` is a number
-or the string ``"vertical"``.  Reported coefficients are in world
+or the string ``"vertical"``.  ``tolerance`` (or ``--tol``) is the residual
+gate every two-point solution must pass at both points; point-slope and
+tangency queries accept it and ignore it.  Reported coefficients are in world
 coordinates, ordered [A, B, 2C, D, E, F] with the full (printed) xy
 coefficient, normalized so the largest-magnitude entry is +-1 unless
 ``--raw``.  Exit codes: 0 solved, 2 a certified no-solution outcome, 1 input
@@ -27,7 +29,6 @@ import sys
 
 from . import oracle, svgfig, world
 from .affine import Triangle, map_to_unit, apply_point
-from .config import DEFAULT_TOL
 from .errors import GeometryError
 from .geom import Point, Slope, as_point
 from .conic import full_coefficients
@@ -194,7 +195,10 @@ def run(argv=None) -> int:
         s.add_argument("--svg", metavar="PATH", help="also write an SVG figure")
         s.add_argument("--check", action="store_true", help="embed an oracle comparison")
         s.add_argument("--grid", type=int, default=None, help="oracle grid size (default 256)")
-        s.add_argument("--tol", type=float, default=None, help="residual tolerance (default 1e-9)")
+        s.add_argument(
+            "--tol", type=float, default=None,
+            help="two-point residual gate (default 1e-9); other queries ignore it",
+        )
         s.add_argument("--raw", action="store_true", help="emit unnormalized coefficients")
 
     try:
@@ -214,21 +218,21 @@ def run(argv=None) -> int:
             raise InputError("'options' must be an object")
 
         tol_value = args.tol if args.tol is not None else options.get("tolerance")
-        tol = DEFAULT_TOL if tol_value is None else DEFAULT_TOL.with_residual(float(tol_value))
+        gate = {} if tol_value is None else {"tol": float(tol_value)}
         grid_n = args.grid if args.grid is not None else int(options.get("grid_n", _DEFAULT_GRID))
         svg_path = args.svg if args.svg is not None else options.get("svg")
 
         if kind == "two_points":
             p1, p2 = _point_field(payload, "p1"), _point_field(payload, "p2")
-            report = world.solve_two_points(tri, p1, p2, tol)
+            report = world.solve_two_points(tri, p1, p2, **gate)
             markers = [p1, p2]
         elif kind == "point_slope":
             p = _point_field(payload, "p")
-            report = world.solve_point_slope(tri, p, _parse_slope(payload.get("slope")), tol)
+            report = world.solve_point_slope(tri, p, _parse_slope(payload.get("slope")))
             markers = [p]
         else:
             q1, q2 = _point_field(payload, "p1"), _point_field(payload, "p2")
-            report = world.solve_tangency(tri, q1, q2, tol)
+            report = world.solve_tangency(tri, q1, q2)
             markers = [q1, q2]
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

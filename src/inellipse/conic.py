@@ -14,8 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .affine import AffineMap, apply_point, invert
-from .errors import DegenerateConic, SingularMap, SingularPoint
+from .affine import AffineMap, invert
+from .errors import DegenerateConic, SingularPoint
 from .geom import Point, Slope
 
 # Vertical-tangent gate: the slope denominator must vanish at this relative
@@ -113,10 +113,7 @@ def transform_conic(conic: ConicCoeffs, m: AffineMap) -> ConicCoeffs:
     Implemented as a congruence of the homogeneous symmetric matrix by the
     inverse map, so scale equivalence is preserved.
     """
-    try:
-        minv = invert(m)
-    except SingularMap:
-        raise
+    minv = invert(m)
     h = np.array(
         [
             [minv.m11, minv.m12, minv.tx],
@@ -147,7 +144,3 @@ def full_coefficients(conic: ConicCoeffs) -> tuple[float, float, float, float, f
     a, b, c, d, e, f = conic
     return (a, b, 2.0 * c, d, e, f)
 
-
-def pushforward_point(m: AffineMap, p: Point) -> Point:
-    """Convenience alias used alongside transform_conic."""
-    return apply_point(m, p)

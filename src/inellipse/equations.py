@@ -1,0 +1,65 @@
+"""The three defining equations of the inscribed family, written once.
+
+With Q(x, y) the inscribed conic of parameters (w, t) (see
+:func:`inellipse.kernel.inscribed_conic`), the query families rest on
+
+    through_point   Q(x, y) = 0                    the ellipse passes through (x, y),
+    slope           -(Q_x + r Q_y) / 2 = 0         its tangent there has slope r,
+    vertical        -Q_y / 2 = 0                   its tangent there is vertical,
+
+each written as a polynomial in (w, t) for a fixed point (and slope).  Every
+function returns ``(value, d/dw, d/dt, magnitudes)``, where ``magnitudes`` is
+the triple of the equation's monomial magnitudes grouped by power of w.
+The largest of them normalizes the value into the componentwise backward
+error of Oettli & Prager (Numer. Math. 6, 1964); the triple is returned
+unreduced so that the closed-form solvers take ``max`` on floats and the
+oracle takes ``np.maximum`` on arrays.  The arithmetic works on floats and on
+ndarrays alike, and the module imports nothing from the package, so the
+oracle can share it without importing a solver.
+"""
+
+from __future__ import annotations
+
+
+def through_point(x, y, w, t):
+    """Q(x, y) = q(t) w^2 + 2ty((2x - 1)t - x) w + t^2 y^2, with q(t) = (x - t)^2 + 4xyt(1 - t)."""
+    q = (1.0 - 4.0 * x * y) * t * t - 2.0 * x * (1.0 - 2.0 * y) * t + x * x
+    dq = 2.0 * (1.0 - 4.0 * x * y) * t - 2.0 * x * (1.0 - 2.0 * y)
+    lin = 2.0 * t * y * ((2.0 * x - 1.0) * t - x)
+    dlin = 2.0 * y * (2.0 * (2.0 * x - 1.0) * t - x)
+    value = q * w * w + lin * w + t * t * y * y
+    d_w = 2.0 * q * w + lin
+    d_t = dq * w * w + dlin * w + 2.0 * t * y * y
+    qmag = abs(1.0 - 4.0 * x * y) * t * t + 2.0 * x * abs(1.0 - 2.0 * y) * t + x * x
+    return value, d_w, d_t, (qmag * w * w, abs(lin) * w, t * t * y * y)
+
+
+def slope(x, y, r, w, t):
+    """-(Q_x + r Q_y)/2 at (x, y): the tangent of the ellipse there has finite slope r."""
+    lead = (2.0 * r * t * t - 2.0 * r * t - 1.0) * x + 2.0 * t * (t - 1.0) * y + t
+    dlead = (4.0 * r * t - 2.0 * r) * x + (4.0 * t - 2.0) * y + 1.0
+    mid = (2.0 * t - 1.0) * y + r * (2.0 * t - 1.0) * x - r * t
+    dmid = 2.0 * y + 2.0 * r * x - r
+    value = lead * w * w - t * mid * w - r * y * t * t
+    d_w = 2.0 * lead * w - t * mid
+    d_t = dlead * w * w - (mid + t * dmid) * w - 2.0 * r * y * t
+    lead_mag = (2.0 * abs(r) * (t * t + t) + 1.0) * x + 2.0 * (t * t + t) * y + t
+    mid_mag = abs(2.0 * t - 1.0) * (y + abs(r) * x) + abs(r) * t
+    return value, d_w, d_t, (lead_mag * w * w, mid_mag * t * w, abs(r) * y * t * t)
+
+
+def vertical(x, y, w, t):
+    """-Q_y/2 at (x, y): the r -> infinity limit of :func:`slope`, a vertical tangent."""
+    lead = 2.0 * x * (t * t - t)
+    mid = 2.0 * t * t * x - t * x - t * t
+    value = lead * w * w - mid * w - y * t * t
+    d_w = 2.0 * lead * w - mid
+    d_t = 2.0 * x * (2.0 * t - 1.0) * w * w - (4.0 * t * x - x - 2.0 * t) * w - 2.0 * y * t
+    mags = (2.0 * x * (t * t + t) * w * w, (2.0 * t * t * x + t * x + t * t) * w, y * t * t)
+    return value, d_w, d_t, mags
+
+
+def backward_error(equation) -> float:
+    """|value| over the largest monomial magnitude, for one float evaluation."""
+    value, _, _, mags = equation
+    return abs(value) / max(*mags, 1e-300)

@@ -63,7 +63,3 @@ class ZeroPolynomial(GeometryError):
 
 class NotAnEllipse(GeometryError):
     """A conic expected to be a real ellipse fails the ellipse test."""
-
-
-class NoConvergence(GeometryError):
-    """A numerical refinement failed to converge (recorded per basin)."""

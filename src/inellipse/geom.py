@@ -79,7 +79,11 @@ def require_interior(*points: Point) -> None:
             raise NotInterior(f"point {tuple(p)} is not interior to the unit triangle")
 
 
-def require_distinct(p1: Point, p2: Point, band: float = 1e-14) -> None:
+# Two points closer than this, relative to their coordinate size, coincide.
+_COINCIDENT_BAND = 1e-14
+
+
+def require_distinct(p1: Point, p2: Point) -> None:
     scale = max(abs(p1.x), abs(p1.y), abs(p2.x), abs(p2.y), 1e-300)
-    if max(abs(p1.x - p2.x), abs(p1.y - p2.y)) <= band * scale:
+    if max(abs(p1.x - p2.x), abs(p1.y - p2.y)) <= _COINCIDENT_BAND * scale:
         raise CoincidentPoints(f"points {tuple(p1)} and {tuple(p2)} coincide")

@@ -21,14 +21,16 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .config import DEFAULT_TOL, Tolerances
-from .conic import ConicCoeffs, evaluate
+from .conic import ConicCoeffs
 from .errors import OutOfDomain, ZeroPolynomial
 from .geom import Point, require_distinct, require_interior
 
 # Radicands of the interior-point square roots are clamped at zero when they
 # round slightly negative near the boundary.
 _RADICAND_CLAMP = 1e-14
+# The shared contact parameter t0 is reported absent when its denominator is
+# below this fraction of the denominator's term scale.
+_T0_GATE = 1e-12
 
 
 class EllipseParam(NamedTuple):
@@ -164,9 +166,9 @@ def w_quadratic_at(p: Point, t: float) -> QuadraticPoly:
     return QuadraticPoly(q(t), 2.0 * t * y * ((2.0 * x - 1.0) * t - x), t * t * y * y)
 
 
-def pair_invariants(p1: Point, p2: Point, tol: Tolerances = DEFAULT_TOL) -> PairInvariants:
+def pair_invariants(p1: Point, p2: Point) -> PairInvariants:
     require_interior(p1, p2)
-    require_distinct(p1, p2, tol.coincident)
+    require_distinct(p1, p2)
     x1, y1 = p1
     x2, y2 = p2
     d_origin = x2 * y1 - x1 * y2
@@ -177,7 +179,7 @@ def pair_invariants(p1: Point, p2: Point, tol: Tolerances = DEFAULT_TOL) -> Pair
     a2 = math.sqrt(_clamped_radicand(x2 * (1.0 - x2 - y2)))
     den = 2.0 * x2 * y1 - 2.0 * x1 * y2 + y2 - y1
     den_scale = max(abs(2.0 * x2 * y1), abs(2.0 * x1 * y2), abs(y2), abs(y1), 1e-300)
-    t0 = None if abs(den) < tol.t0_gate * den_scale else d_origin / den
+    t0 = None if abs(den) < _T0_GATE * den_scale else d_origin / den
     return PairInvariants(d_origin, d_vertex10, d_vertex01, j, a1, a2, t0)
 
 
@@ -315,9 +317,3 @@ def eval_system_residual(p: Point, param: EllipseParam) -> float:
     denom = max(abs(v) for v in terms)
     return abs(sum(terms)) / max(denom, 1e-300)
 
-
-def conic_value_at_tangencies(param: EllipseParam) -> tuple[float, float, float]:
-    """Diagnostic: conic evaluated at its own three contact points."""
-    conic = inscribed_conic(param)
-    pts = tangency_points(param)
-    return tuple(evaluate(conic, p) for p in pts)  # type: ignore[return-value]

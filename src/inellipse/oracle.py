@@ -11,9 +11,11 @@ Two facilities:
   dense residual grid over the parameter square followed by damped Newton
   refinement of every local basin.
 
-This module deliberately never imports the closed-form solver modules; it
-evaluates the defining systems from scratch so it can serve as an
-independent witness.
+The defining equations come from :mod:`inellipse.equations`, which the
+solvers share; ``tests/test_equations.py`` derives each of them symbolically
+from the inscribed conic, so a transcription error there cannot hide behind
+the sharing.  The oracle stays independent in method (grid plus Newton, no
+closed form) and never imports a closed-form solver module.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import equations
 from .affine import Triangle, UNIT_TRIANGLE
 from .conic import ConicCoeffs, is_real_ellipse
 from .errors import NotAnEllipse
@@ -98,97 +101,57 @@ def verify_inscribed(
 
 
 # ---------------------------------------------------------------------------
-# Residual systems, evaluated directly from the defining equations.
+# The defining systems, from the shared equations.
 # ---------------------------------------------------------------------------
 
 
-def _through_point_terms(x, y, w, t):
-    """Terms of q(t) w^2 + 2ty((2x-1)t - x) w + t^2 y^2 with magnitudes."""
-    q = (1.0 - 4.0 * x * y) * t * t - 2.0 * x * (1.0 - 2.0 * y) * t + x * x
-    qmag = abs(1.0 - 4.0 * x * y) * t * t + 2.0 * x * abs(1.0 - 2.0 * y) * t + x * x
-    lin = 2.0 * t * y * ((2.0 * x - 1.0) * t - x)
-    t1, t2, t3 = q * w * w, lin * w, t * t * y * y
-    mag = np.maximum(qmag * w * w, np.maximum(np.abs(lin) * w, t3))
-    return t1 + t2 + t3, np.maximum(mag, 1e-300)
-
-
-def _slope_terms(x, y, r, w, t):
-    """Terms of the prescribed-slope equation, finite r."""
-    lead = (2.0 * r * t * t - 2.0 * r * t - 1.0) * x + 2.0 * t * (t - 1.0) * y + t
-    mid = (2.0 * t - 1.0) * y + r * (2.0 * t - 1.0) * x - r * t
-    val = lead * w * w - t * mid * w - r * y * t * t
-    magl = (2.0 * abs(r) * (t * t + t) + 1.0) * x + 2.0 * (t * t + t) * y + t
-    magm = np.abs(2.0 * t - 1.0) * (y + abs(r) * x) + abs(r) * t
-    mag = np.maximum(magl * w * w, np.maximum(magm * t * w, abs(r) * y * t * t))
-    return val, np.maximum(mag, 1e-300)
-
-
-def _vertical_terms(x, y, w, t):
-    """Limit of the slope equation as the slope becomes vertical."""
-    val = 2.0 * x * (t * t - t) * w * w - (2.0 * t * t * x - t * x - t * t) * w - y * t * t
-    mag = np.maximum(
-        2.0 * x * (t * t + t) * w * w,
-        np.maximum((2.0 * t * t * x + t * x + t * t) * w, y * t * t),
+def _backward_errors(system):
+    """Elementwise |value| over the largest monomial magnitude of each equation."""
+    return tuple(
+        np.abs(value) / np.maximum(np.maximum(np.maximum(m0, m1), m2), 1e-300)
+        for value, _, _, (m0, m1, m2) in system
     )
-    return val, np.maximum(mag, 1e-300)
+
+
+def _two_point_system(p1, p2):
+    def system(w, t):
+        return (
+            equations.through_point(p1.x, p1.y, w, t),
+            equations.through_point(p2.x, p2.y, w, t),
+        )
+
+    return system
+
+
+def _point_slope_system(p, slope):
+    x, y = p
+    if slope.is_vertical:
+        def system(w, t):
+            return equations.through_point(x, y, w, t), equations.vertical(x, y, w, t)
+    else:
+        r = slope.value
+
+        def system(w, t):
+            return equations.through_point(x, y, w, t), equations.slope(x, y, r, w, t)
+
+    return system
 
 
 def _two_point_residuals(p1, p2, w, t):
-    f1, m1 = _through_point_terms(p1.x, p1.y, w, t)
-    f2, m2 = _through_point_terms(p2.x, p2.y, w, t)
-    return np.abs(f1) / m1, np.abs(f2) / m2
+    return _backward_errors(_two_point_system(p1, p2)(w, t))
 
 
 def _point_slope_residuals(p, slope, w, t):
-    f1, m1 = _through_point_terms(p.x, p.y, w, t)
-    if slope.is_vertical:
-        f2, m2 = _vertical_terms(p.x, p.y, w, t)
-    else:
-        f2, m2 = _slope_terms(p.x, p.y, slope.value, w, t)
-    return np.abs(f1) / m1, np.abs(f2) / m2
+    return _backward_errors(_point_slope_system(p, slope)(w, t))
 
 
-# ---------------------------------------------------------------------------
-# Raw values and Jacobians for Newton refinement.
-# ---------------------------------------------------------------------------
-
-
-def _through_point_fj(x, y, w, t):
-    q = (1.0 - 4.0 * x * y) * t * t - 2.0 * x * (1.0 - 2.0 * y) * t + x * x
-    dq = 2.0 * (1.0 - 4.0 * x * y) * t - 2.0 * x * (1.0 - 2.0 * y)
-    lin = 2.0 * t * y * ((2.0 * x - 1.0) * t - x)
-    dlin = 2.0 * y * (2.0 * (2.0 * x - 1.0) * t - x)
-    f = q * w * w + lin * w + t * t * y * y
-    fw = 2.0 * q * w + lin
-    ft = dq * w * w + dlin * w + 2.0 * t * y * y
-    return f, fw, ft
-
-
-def _slope_fj(x, y, r, w, t):
-    lead = (2.0 * r * t * t - 2.0 * r * t - 1.0) * x + 2.0 * t * (t - 1.0) * y + t
-    dlead = (4.0 * r * t - 2.0 * r) * x + (4.0 * t - 2.0) * y + 1.0
-    mid = (2.0 * t - 1.0) * y + r * (2.0 * t - 1.0) * x - r * t
-    dmid = 2.0 * y + 2.0 * r * x - r
-    f = lead * w * w - t * mid * w - r * y * t * t
-    fw = 2.0 * lead * w - t * mid
-    ft = dlead * w * w - (mid + t * dmid) * w - 2.0 * r * y * t
-    return f, fw, ft
-
-
-def _vertical_fj(x, y, w, t):
-    f = 2.0 * x * (t * t - t) * w * w - (2.0 * t * t * x - t * x - t * t) * w - y * t * t
-    fw = 4.0 * x * (t * t - t) * w - (2.0 * t * t * x - t * x - t * t)
-    ft = 2.0 * x * (2.0 * t - 1.0) * w * w - (4.0 * t * x - x - 2.0 * t) * w - 2.0 * y * t
-    return f, fw, ft
-
-
-def _newton(residual_fn, fj_fn, w, t):
+def _newton(system, w, t):
     """Damped Newton on the raw 2x2 system; returns (w, t) or None."""
     for _ in range(_NEWTON_ITERS):
-        r1, r2 = residual_fn(w, t)
-        if max(float(r1), float(r2)) < _NEWTON_TARGET:
+        eqs = system(w, t)
+        if max(_backward_errors(eqs)) < _NEWTON_TARGET:
             return w, t
-        (f1, a, b), (f2, c, d) = fj_fn(w, t)
+        (f1, a, b, _), (f2, c, d, _) = eqs
         det = a * d - b * c
         if det == 0.0 or not np.isfinite(det):
             return None
@@ -197,8 +160,7 @@ def _newton(residual_fn, fj_fn, w, t):
         base = f1 * f1 + f2 * f2
         lam = 1.0
         for _ in range(30):
-            g1 = fj_fn(w + lam * dw, t + lam * dt)[0][0]
-            g2 = fj_fn(w + lam * dw, t + lam * dt)[1][0]
+            (g1, *_), (g2, *_) = system(w + lam * dw, t + lam * dt)
             if g1 * g1 + g2 * g2 < base:
                 break
             lam *= 0.5
@@ -209,8 +171,7 @@ def _newton(residual_fn, fj_fn, w, t):
             return None
         if not (-0.5 < w < 1.5 and -0.5 < t < 1.5):
             return None
-    r1, r2 = residual_fn(w, t)
-    if max(float(r1), float(r2)) < _NEWTON_TARGET:
+    if max(_backward_errors(system(w, t))) < _NEWTON_TARGET:
         return w, t
     return None
 
@@ -233,22 +194,22 @@ _SUBGRID = 24
 _STRIP_DEPTH = 16
 
 
-def _box_minima(residual_fn, w_lo, w_hi, t_lo, t_hi, nw, nt):
+def _box_minima(system, w_lo, w_hi, t_lo, t_hi, nw, nt):
     """Strict local minima of the residual on a rectangular sub-grid."""
     ws = w_lo + (np.arange(nw) + 0.5) * (w_hi - w_lo) / nw
     ts = t_lo + (np.arange(nt) + 0.5) * (t_hi - t_lo) / nt
     w_grid, t_grid = np.meshgrid(ws, ts, indexing="ij")
-    r1, r2 = residual_fn(w_grid, t_grid)
+    r1, r2 = _backward_errors(system(w_grid, t_grid))
     g = r1 * r1 + r2 * r2
     return [
         (float(ws[i]), float(ts[j]), float(g[i, j])) for i, j in _strict_minima(g)
     ]
 
 
-def _run_grid(residual_fn, fj_fn, grid_n):
+def _run_grid(system, grid_n):
     axis = (np.arange(grid_n) + 0.5) / grid_n
     w_grid, t_grid = np.meshgrid(axis, axis, indexing="ij")
-    r1, r2 = residual_fn(w_grid, t_grid)
+    r1, r2 = _backward_errors(system(w_grid, t_grid))
     g = r1 * r1 + r2 * r2
     threshold = 10.0 * np.median(g)
 
@@ -267,7 +228,7 @@ def _run_grid(residual_fn, fj_fn, grid_n):
         seeds.extend(
             (w, t)
             for w, t, _ in _box_minima(
-                residual_fn,
+                system,
                 max(w0 - 1.5 * h, 0.0), min(w0 + 1.5 * h, 1.0),
                 max(t0 - 1.5 * h, 0.0), min(t0 + 1.5 * h, 1.0),
                 _SUBGRID, _SUBGRID,
@@ -282,12 +243,12 @@ def _run_grid(residual_fn, fj_fn, grid_n):
     )
     for box in strips:
         seeds.extend(
-            (w, t) for w, t, val in _box_minima(residual_fn, *box) if val < threshold
+            (w, t) for w, t, val in _box_minima(system, *box) if val < threshold
         )
 
     found = []
     for w0, t0 in seeds:
-        refined = _newton(residual_fn, fj_fn, w0, t0)
+        refined = _newton(system, w0, t0)
         if refined is None:
             log.debug("seed at (w=%.4f, t=%.4f) did not converge", w0, t0)
             continue
@@ -297,8 +258,7 @@ def _run_grid(residual_fn, fj_fn, grid_n):
             and _INTERIOR_MARGIN < t < 1.0 - _INTERIOR_MARGIN
         ):
             continue
-        rr1, rr2 = residual_fn(w, t)
-        if max(float(rr1), float(rr2)) > _HONESTY:
+        if max(_backward_errors(system(w, t))) > _HONESTY:
             continue
         if any(max(abs(w - u), abs(t - v)) < _DEDUPE for u, v in found):
             continue
@@ -319,13 +279,7 @@ def brute_force_two_points(p1: Point, p2: Point, grid_n: int = 256) -> list[tupl
     if grid_n < 64:
         raise ValueError(f"grid_n must be at least 64, got {grid_n}")
 
-    def residuals(w, t):
-        return _two_point_residuals(p1, p2, w, t)
-
-    def fj(w, t):
-        return (_through_point_fj(p1.x, p1.y, w, t), _through_point_fj(p2.x, p2.y, w, t))
-
-    return _run_grid(residuals, fj, grid_n)
+    return _run_grid(_two_point_system(p1, p2), grid_n)
 
 
 def brute_force_point_slope(
@@ -338,17 +292,4 @@ def brute_force_point_slope(
     if grid_n < 64:
         raise ValueError(f"grid_n must be at least 64, got {grid_n}")
 
-    def residuals(w, t):
-        return _point_slope_residuals(p, slope, w, t)
-
-    if slope.is_vertical:
-        def fj(w, t):
-            return (_through_point_fj(p.x, p.y, w, t), _vertical_fj(p.x, p.y, w, t))
-    else:
-        def fj(w, t):
-            return (
-                _through_point_fj(p.x, p.y, w, t),
-                _slope_fj(p.x, p.y, slope.value, w, t),
-            )
-
-    return _run_grid(residuals, fj, grid_n)
+    return _run_grid(_point_slope_system(p, slope), grid_n)

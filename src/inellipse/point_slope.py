@@ -17,9 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .config import DEFAULT_TOL, Tolerances
+from . import equations
 from .geom import Point, Slope, Vertex, as_point, require_interior
-from .kernel import EllipseParam, w_quadratic_at
+from .kernel import EllipseParam
+
+# |r - vertex slope| below this fraction of (1 + |r|) means the slope aims at
+# that vertex, and no inscribed ellipse attains it.
+_SLOPE_EXCLUSION = 1e-9
 
 
 @dataclass(frozen=True)
@@ -75,9 +79,7 @@ def slope_rationals(p: Point, r: float) -> SlopeRationals:
     return SlopeRationals(qw, qt, r0)
 
 
-def solve_point_slope_unit(
-    query: PointSlopeQuery, tol: Tolerances = DEFAULT_TOL
-) -> Union[EllipseParam, NoSolution]:
+def solve_point_slope_unit(query: PointSlopeQuery) -> Union[EllipseParam, NoSolution]:
     """Closed-form parameters, or :class:`NoSolution` on an excluded slope."""
     p = as_point(query.p)
     require_interior(p)
@@ -88,7 +90,7 @@ def solve_point_slope_unit(
         return EllipseParam(w, t)
     r = query.slope.value
     for vertex, vs in zip((Vertex.ORIGIN, Vertex.RIGHT, Vertex.TOP), vertex_slopes(p)):
-        if abs(r - vs.value) < tol.slope_exclusion * (1.0 + abs(r)):
+        if abs(r - vs.value) < _SLOPE_EXCLUSION * (1.0 + abs(r)):
             return NoSolution(vertex)
     sr = slope_rationals(p, r)
     shared = (1.0 - x - y) * (r * x - y) ** 2
@@ -96,42 +98,19 @@ def solve_point_slope_unit(
 
 
 def residual_system13(p: Point, slope: Slope, param: EllipseParam) -> tuple[float, float]:
-    """Term-normalized residuals of the through-point and slope conditions.
+    """Backward errors of the through-point and slope conditions.
 
-    Each residual divides by the largest monomial magnitude of its equation,
-    so the values are scale-free and safe against internal cancellation.
+    Each residual divides by the largest monomial magnitude of its equation
+    (:func:`inellipse.equations.backward_error`), so the values are
+    scale-free and safe against internal cancellation.
     """
-    p = as_point(p)
-    x, y = p
+    x, y = as_point(p)
     w, t = param
-
-    poly = w_quadratic_at(p, t)
-    f1 = poly.c2 * w * w + poly.c1 * w + poly.c0
-    mag1 = max(
-        (abs(1.0 - 4.0 * x * y) * t * t + 2.0 * x * abs(1.0 - 2.0 * y) * t + x * x)
-        * w * w,
-        abs(poly.c1) * w,
-        abs(poly.c0),
-        1e-300,
-    )
-
     if slope.is_vertical:
-        f2 = 2.0 * x * (t * t - t) * w * w - (2.0 * t * t * x - t * x - t * t) * w - y * t * t
-        mag2 = max(
-            2.0 * x * (t * t + t) * w * w,
-            (2.0 * t * t * x + t * x + t * t) * w,
-            y * t * t,
-            1e-300,
-        )
+        tangent = equations.vertical(x, y, w, t)
     else:
-        r = slope.value
-        lead = (2.0 * r * t * t - 2.0 * r * t - 1.0) * x + 2.0 * t * (t - 1.0) * y + t
-        mid = (2.0 * t - 1.0) * y + r * (2.0 * t - 1.0) * x - r * t
-        f2 = lead * w * w - t * mid * w - r * y * t * t
-        mag2 = max(
-            ((2.0 * abs(r) * (t * t + t) + 1.0) * x + 2.0 * (t * t + t) * y + t) * w * w,
-            (abs(2.0 * t - 1.0) * (y + abs(r) * x) + abs(r) * t) * t * w,
-            abs(r) * y * t * t,
-            1e-300,
-        )
-    return (abs(f1) / mag1, abs(f2) / mag2)
+        tangent = equations.slope(x, y, slope.value, w, t)
+    return (
+        equations.backward_error(equations.through_point(x, y, w, t)),
+        equations.backward_error(tangent),
+    )

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from . import affine, boundary
-from .config import DEFAULT_TOL, Tolerances
 from .conic import ConicCoeffs
+from .equations import backward_error, through_point
 from .errors import AmbiguousClassification, SolutionCountMismatch
 from .geom import Point, Vertex, as_point, require_distinct, require_interior
 from .kernel import (
@@ -31,12 +30,17 @@ from .kernel import (
     poly_C,
     poly_R,
     poly_S,
-    poly_q,
     solve_quadratic_clamped,
     tangency_points,
     w_quadratic_at,
 )
 
+# Relative bands under which a vertex-line determinant, or the pair invariant
+# j, counts as zero.
+_CLASSIFY_BAND = 1e-10
+_J_ZERO_BAND = 1e-10
+# Discriminants below (band * coefficient scale)^2 are clamped to a double root.
+_DOUBLE_ROOT_BAND = 1e-8
 # Candidate roots closer than this to a known spurious contact parameter are
 # discarded before any division by C(t).
 _SPURIOUS_BAND = 1e-6
@@ -45,8 +49,6 @@ _SPURIOUS_BAND = 1e-6
 _RATIO_SAFE_BAND = 1e-6
 # Strict open-square margin applied to accepted parameters.
 _SQUARE_MARGIN = 1e-9
-# Coordinate collisions below this relative band trigger the self-map detour.
-_COLLISION_BAND = 1e-9
 _DEDUPE = 1e-10
 
 
@@ -75,10 +77,10 @@ class TwoPointSolution:
     residuals: tuple[float, float]
 
 
-def classify_pair(p1: Point, p2: Point, tol: Tolerances = DEFAULT_TOL) -> PairCase:
+def classify_pair(p1: Point, p2: Point) -> PairCase:
     """Vertex-line / degenerate / generic classification of an interior pair."""
     p1, p2 = as_point(p1), as_point(p2)
-    inv = pair_invariants(p1, p2, tol)
+    inv = pair_invariants(p1, p2)
     x1, y1 = p1
     x2, y2 = p2
     checks = (
@@ -86,7 +88,7 @@ def classify_pair(p1: Point, p2: Point, tol: Tolerances = DEFAULT_TOL) -> PairCa
         (Vertex.RIGHT, inv.d_vertex10, max(abs((1 - x2) * y1), abs((1 - x1) * y2))),
         (Vertex.TOP, inv.d_vertex01, max(abs(x2 * (1 - y1)), abs(x1 * (1 - y2)))),
     )
-    vanished = [v for v, det, scale in checks if abs(det) < tol.classify * scale]
+    vanished = [v for v, det, scale in checks if abs(det) < _CLASSIFY_BAND * scale]
     if len(vanished) > 1:
         raise AmbiguousClassification(
             f"points {tuple(p1)}, {tuple(p2)} sit on {len(vanished)} vertex lines at once"
@@ -96,7 +98,7 @@ def classify_pair(p1: Point, p2: Point, tol: Tolerances = DEFAULT_TOL) -> PairCa
     j_scale = max(
         abs(x2 * (1 - x2 - y2) * y1 * y1), abs(x1 * (1 - x1 - y1) * y2 * y2)
     )
-    if abs(inv.j) < tol.j_zero * j_scale:
+    if abs(inv.j) < _J_ZERO_BAND * j_scale:
         return PairCase(PairKind.GENERIC_J_ZERO)
     return PairCase(PairKind.GENERIC)
 
@@ -112,28 +114,11 @@ def _newton_polish(p1: Point, p2: Point, w: float, t: float, iters: int = 4):
     Candidates arrive within the quadratic-convergence basin, so undamped
     steps with a step-size cap are enough to pin residuals at round-off.
     """
-    q1, q2 = poly_q(p1), poly_q(p2)
-
-    def f_and_jac(w, t):
-        rows = []
-        vals = []
-        for (x, y), q in ((p1, q1), (p2, q2)):
-            lin = 2.0 * t * y * ((2.0 * x - 1.0) * t - x)
-            f = q(t) * w * w + lin * w + t * t * y * y
-            fw = 2.0 * q(t) * w + lin
-            dq = 2.0 * q.c2 * t + q.c1
-            ft = dq * w * w + 2.0 * y * (2.0 * (2.0 * x - 1.0) * t - x) * w + 2.0 * t * y * y
-            vals.append(f)
-            rows.append((fw, ft))
-        return vals, rows
-
     for _ in range(iters):
-        (f1, f2), ((a, b), (c, d)) = f_and_jac(w, t)
-        if max(
-            eval_system_residual(p1, EllipseParam(w, t)),
-            eval_system_residual(p2, EllipseParam(w, t)),
-        ) < 1e-15:
+        eq1, eq2 = through_point(*p1, w, t), through_point(*p2, w, t)
+        if max(backward_error(eq1), backward_error(eq2)) < 1e-15:
             break
+        (f1, a, b, _), (f2, c, d, _) = eq1, eq2
         det = a * d - b * c
         if det == 0.0 or not math.isfinite(det):
             break
@@ -154,8 +139,8 @@ def _w_from_ratio(p1, p2, t):
     return 0.5 * t * b(t) / cv
 
 
-def _candidate_params(p1: Point, p2: Point, case: PairCase, tol: Tolerances):
-    inv = pair_invariants(p1, p2, tol)
+def _candidate_params(p1: Point, p2: Point, case: PairCase):
+    inv = pair_invariants(p1, p2)
     r_poly = poly_R(p1, p2)
     s_poly = poly_S(p1, p2)
 
@@ -164,7 +149,7 @@ def _candidate_params(p1: Point, p2: Point, case: PairCase, tol: Tolerances):
         # contact parameter t0 inside (0,1) and keeps the w-quadratic stable.
         if inv.d_origin < 0.0:
             p1, p2 = p2, p1
-            inv = pair_invariants(p1, p2, tol)
+            inv = pair_invariants(p1, p2)
             s_poly = poly_S(p1, p2)
         if inv.t0 is None:
             raise SolutionCountMismatch(
@@ -172,12 +157,12 @@ def _candidate_params(p1: Point, p2: Point, case: PairCase, tol: Tolerances):
             )
         t0 = inv.t0
         out = []
-        for t, _ in solve_quadratic_clamped(s_poly, tol.double_root):
+        for t, _ in solve_quadratic_clamped(s_poly, _DOUBLE_ROOT_BAND):
             w = _w_from_ratio(p1, p2, t)
             if w is not None:
                 out.append((w, t))
         g = w_quadratic_at(p1, t0)
-        for w, _ in solve_quadratic_clamped(g, tol.double_root):
+        for w, _ in solve_quadratic_clamped(g, _DOUBLE_ROOT_BAND):
             out.append((w, t0))
         return out, 4
 
@@ -189,10 +174,10 @@ def _candidate_params(p1: Point, p2: Point, case: PairCase, tol: Tolerances):
             # exact (both its roots are tried, the residual gate and the
             # dedupe pass sort out the pairing).
             near_double = poly.discriminant < (_RATIO_SAFE_BAND * poly.scale) ** 2
-            for t, _ in solve_quadratic_clamped(poly, tol.double_root):
+            for t, _ in solve_quadratic_clamped(poly, _DOUBLE_ROOT_BAND):
                 if near_double:
                     for w, _ in solve_quadratic_clamped(
-                        w_quadratic_at(p1, t), tol.double_root
+                        w_quadratic_at(p1, t), _DOUBLE_ROOT_BAND
                     ):
                         out.append((w, t))
                 else:
@@ -212,7 +197,7 @@ def _candidate_params(p1: Point, p2: Point, case: PairCase, tol: Tolerances):
         spurious = 1.0
     out = []
     for poly in (r_poly, s_poly):
-        for t, _ in solve_quadratic_clamped(poly, tol.double_root):
+        for t, _ in solve_quadratic_clamped(poly, _DOUBLE_ROOT_BAND):
             if abs(t - spurious) < _SPURIOUS_BAND:
                 continue
             if not (_SQUARE_MARGIN < t < 1.0 - _SQUARE_MARGIN):
@@ -235,7 +220,7 @@ def _assemble(p1, p2, raw_params, expected, tol):
         ):
             continue
         param = EllipseParam(w, t)
-        if max(residual_system3(p1, p2, param)) >= tol.residual:
+        if max(residual_system3(p1, p2, param)) >= tol:
             continue
         if any(
             max(abs(param.w - k.w), abs(param.t - k.t)) < _DEDUPE for k in kept
@@ -259,71 +244,19 @@ def _assemble(p1, p2, raw_params, expected, tol):
     ]
 
 
-# The six affine self-maps of the unit triangle (vertex permutations).
-_SELF_MAPS = (
-    affine.IDENTITY_MAP,
-    affine.AffineMap(0.0, 1.0, 1.0, 0.0),                  # swap x and y
-    affine.AffineMap(-1.0, -1.0, 0.0, 1.0, 1.0, 0.0),      # (1-x-y, y)
-    affine.AffineMap(1.0, 0.0, -1.0, -1.0, 0.0, 1.0),      # (x, 1-x-y)
-    affine.AffineMap(0.0, 1.0, -1.0, -1.0, 0.0, 1.0),      # (y, 1-x-y)
-    affine.AffineMap(-1.0, -1.0, 1.0, 0.0, 1.0, 0.0),      # (1-x-y, x)
-)
-
-
-def _separation(p1: Point, p2: Point) -> float:
-    return min(abs(p1.x - p2.x), abs(p1.y - p2.y))
-
-
-def _solve_by_self_map(p1, p2, sigma, expected, tol):
-    """Solve a conjugated copy of the pair, then pull parameters back.
-
-    Parameters are recovered through the contact points: the images of the
-    horizontal and vertical contacts land on two sides of the triangle, and
-    inverting the tangency map reads (w, t) off them.
-    """
-    q1, q2 = affine.apply_point(sigma, p1), affine.apply_point(sigma, p2)
-    _, conj = solve_two_points_unit(q1, q2, tol, _allow_self_map=False)
-    back = affine.invert(sigma)
-    params = []
-    for sol in conj:
-        tps = tangency_points(sol.param)
-        s1 = boundary.side_point(affine.apply_point(back, tps.t1), tol)
-        s2 = boundary.side_point(affine.apply_point(back, tps.t2), tol)
-        p = boundary.param_from_tangencies(s1, s2, tol)
-        params.append((p.w, p.t))
-    return _assemble(p1, p2, params, expected, tol)
-
-
 def solve_two_points_unit(
-    p1: Point,
-    p2: Point,
-    tol: Tolerances = DEFAULT_TOL,
-    _allow_self_map: bool = True,
+    p1: Point, p2: Point, tol: float = 1e-9
 ) -> tuple[PairCase, list[TwoPointSolution]]:
     """Classify the pair and return every inscribed ellipse through both points.
 
     Four solutions in the generic cases, two in the vertex-line cases; all
     returned parameters sit strictly inside the open unit square, pass the
-    through-point residual gate for both points, and arrive sorted by (t, w).
+    through-point residual gate ``tol`` for both points, and arrive sorted by
+    (t, w).
     """
     p1, p2 = as_point(p1), as_point(p2)
     require_interior(p1, p2)
-    require_distinct(p1, p2, tol.coincident)
-    case = classify_pair(p1, p2, tol)
-    expected = 2 if case.kind is PairKind.VERTEX_LINE else 4
-
-    scale = max(abs(v) for p in (p1, p2) for v in p)
-    if _allow_self_map and _separation(p1, p2) < _COLLISION_BAND * scale:
-        # Equal x or equal y coordinates: conjugate by the vertex permutation
-        # that best separates both coordinates, then map the answers back.
-        best = max(
-            _SELF_MAPS,
-            key=lambda m: _separation(
-                affine.apply_point(m, p1), affine.apply_point(m, p2)
-            ),
-        )
-        if best is not affine.IDENTITY_MAP:
-            return case, _solve_by_self_map(p1, p2, best, expected, tol)
-
-    raw, expected = _candidate_params(p1, p2, case, tol)
+    require_distinct(p1, p2)
+    case = classify_pair(p1, p2)
+    raw, expected = _candidate_params(p1, p2, case)
     return case, _assemble(p1, p2, raw, expected, tol)

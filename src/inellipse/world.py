@@ -10,11 +10,8 @@ unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
-
 from . import boundary, point_slope, two_points
 from .affine import AffineMap, Triangle, apply_point, apply_slope, invert, map_to_unit
-from .config import DEFAULT_TOL, Tolerances
 from .conic import ConicCoeffs, conic_center, transform_conic
 from .geom import Point, Slope, as_point
 from .kernel import EllipseParam, inscribed_conic, tangency_points
@@ -48,10 +45,11 @@ def _to_world(param: EllipseParam, back: AffineMap, residuals) -> WorldSolution:
     )
 
 
-def solve_two_points(
-    tri: Triangle, p1: Point, p2: Point, tol: Tolerances = DEFAULT_TOL
-) -> SolveReport:
-    """Every inscribed ellipse of ``tri`` through the two world points."""
+def solve_two_points(tri: Triangle, p1: Point, p2: Point, tol: float = 1e-9) -> SolveReport:
+    """Every inscribed ellipse of ``tri`` through the two world points.
+
+    ``tol`` is the residual gate each solution must pass at both points.
+    """
     fwd = map_to_unit(tri)
     back = invert(fwd)
     u1, u2 = apply_point(fwd, as_point(p1)), apply_point(fwd, as_point(p2))
@@ -62,9 +60,7 @@ def solve_two_points(
     )
 
 
-def solve_point_slope(
-    tri: Triangle, p: Point, slope: Slope, tol: Tolerances = DEFAULT_TOL
-) -> SolveReport:
+def solve_point_slope(tri: Triangle, p: Point, slope: Slope) -> SolveReport:
     """The unique inscribed ellipse through a world point with a world slope.
 
     Slopes aiming at a vertex yield an empty report with a
@@ -76,22 +72,20 @@ def solve_point_slope(
     query = point_slope.PointSlopeQuery(
         apply_point(fwd, as_point(p)), apply_slope(fwd, slope)
     )
-    outcome = point_slope.solve_point_slope_unit(query, tol)
+    outcome = point_slope.solve_point_slope_unit(query)
     if isinstance(outcome, point_slope.NoSolution):
         return SolveReport(case=f"no_solution:{outcome.vertex.value}", solutions=())
     residuals = point_slope.residual_system13(query.p, query.slope, outcome)
     return SolveReport(case="unique", solutions=(_to_world(outcome, back, residuals),))
 
 
-def solve_tangency(
-    tri: Triangle, q1: Point, q2: Point, tol: Tolerances = DEFAULT_TOL
-) -> SolveReport:
+def solve_tangency(tri: Triangle, q1: Point, q2: Point) -> SolveReport:
     """The unique inscribed ellipse tangent to ``tri`` at two boundary points."""
     fwd = map_to_unit(tri)
     back = invert(fwd)
-    s1 = boundary.side_point(apply_point(fwd, as_point(q1)), tol)
-    s2 = boundary.side_point(apply_point(fwd, as_point(q2)), tol)
-    param = boundary.param_from_tangencies(s1, s2, tol)
+    s1 = boundary.side_point(apply_point(fwd, as_point(q1)))
+    s2 = boundary.side_point(apply_point(fwd, as_point(q2)))
+    param = boundary.param_from_tangencies(s1, s2)
     tps = tangency_points(param)
     produced = {
         boundary.Side.BOTTOM: tps.t1,

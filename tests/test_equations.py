@@ -1,0 +1,95 @@
+"""The shared defining equations, derived symbolically from the inscribed conic.
+
+The solvers and the oracle both evaluate :mod:`inellipse.equations`, so the
+oracle cannot catch a transcription error in it.  These tests are that
+check: each equation must equal the expression obtained from
+``inscribed_conic(w, t)`` written with symbols.
+"""
+
+import numpy as np
+import pytest
+
+from inellipse import equations
+from inellipse.geom import Point
+from inellipse.kernel import w_quadratic_at
+
+from helpers import random_interior, random_param
+
+sp = pytest.importorskip("sympy")
+
+x, y, w, t, r = sp.symbols("x y w t r")
+
+
+def conic_q():
+    """Q(x, y) of the inscribed family, with the coefficients of kernel.inscribed_conic."""
+    a, b = w * w, t * t
+    c = -w * t * (2 * w * t - 2 * w - 2 * t + 1)
+    d, e, f = -2 * w * w * t, -2 * t * t * w, t * t * w * w
+    return a * x * x + b * y * y + 2 * c * x * y + d * x + e * y + f
+
+
+Q = conic_q()
+EXPECTED = {
+    "through_point": (Q, (x, y, w, t)),
+    "slope": (-(sp.diff(Q, x) + r * sp.diff(Q, y)) / 2, (x, y, r, w, t)),
+    "vertical": (-sp.diff(Q, y) / 2, (x, y, w, t)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+class TestSymbolic:
+    def test_value_matches_the_conic(self, name):
+        expected, args = EXPECTED[name]
+        value, _, _, _ = getattr(equations, name)(*args)
+        assert sp.expand(value - expected) == 0
+
+    def test_partials_match_differentiation(self, name):
+        expected, args = EXPECTED[name]
+        _, d_w, d_t, _ = getattr(equations, name)(*args)
+        assert sp.expand(d_w - sp.diff(expected, w)) == 0
+        assert sp.expand(d_t - sp.diff(expected, t)) == 0
+
+
+def test_w_quadratic_coefficients_match_through_point():
+    rng = np.random.default_rng(60)
+    for _ in range(50):
+        p = random_interior(rng)
+        wv, tv = random_param(rng)
+        poly = w_quadratic_at(p, tv)
+        value = equations.through_point(p.x, p.y, wv, tv)[0]
+        assert poly.c2 * wv * wv + poly.c1 * wv + poly.c0 == pytest.approx(value, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_magnitudes_bracket_each_power_of_w(name):
+    """|w^k group| <= magnitudes[2 - k] <= sum of that group's monomial magnitudes."""
+    expected, args = EXPECTED[name]
+    groups = sp.Poly(sp.expand(expected), w).all_coeffs()  # w^2, w^1, w^0
+    rng = np.random.default_rng(61)
+    for _ in range(50):
+        p = random_interior(rng)
+        wv, tv = random_param(rng)
+        rv = float(np.tan(np.pi * (rng.random() - 0.5)))
+        at = {x: p.x, y: p.y, w: wv, t: tv, r: rv}
+        mags = getattr(equations, name)(*(at[s] for s in args))[3]
+        for k, group in enumerate(groups):
+            power = wv ** (2 - k)
+            exact = abs(float(group.subs(at))) * power
+            bound = sum(
+                abs(float(c)) * float(sp.Mul(*(abs(at[s]) ** e for s, e in zip((x, y, t, r), m))))
+                for m, c in sp.Poly(group, x, y, t, r).terms()
+            ) * power
+            assert exact * (1 - 1e-12) <= mags[k] <= bound * (1 + 1e-12)
+
+
+def test_floats_and_arrays_agree():
+    ws = np.linspace(0.05, 0.95, 7)
+    ts = np.linspace(0.1, 0.9, 7)
+    p = Point(0.3, 0.25)
+    for name, extra in (("through_point", ()), ("slope", (-1.7,)), ("vertical", ())):
+        fn = getattr(equations, name)
+        value, d_w, d_t, mags = fn(p.x, p.y, *extra, ws, ts)
+        for i in range(len(ws)):
+            v, dw, dt, m = fn(p.x, p.y, *extra, float(ws[i]), float(ts[i]))
+            assert (value[i], d_w[i], d_t[i]) == (v, dw, dt)
+            assert tuple(mm[i] for mm in mags) == m

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from inellipse.config import Tolerances
 from inellipse.conic import evaluate, membership_residual
 from inellipse.errors import AmbiguousClassification, CoincidentPoints, NotInterior
 from inellipse.geom import Point, Vertex
@@ -46,9 +45,11 @@ class TestClassify:
     def test_degenerate_branch(self):
         assert classify_pair(*EX2).kind is PairKind.GENERIC_J_ZERO
 
-    def test_ambiguous_with_absurd_tolerance(self):
+    def test_ambiguous_when_points_nearly_coincide(self):
+        # 1e-11 apart, the pair sits within the classification band of all
+        # three vertex lines at once.
         with pytest.raises(AmbiguousClassification):
-            classify_pair(*EX1, Tolerances(classify=1.0))
+            classify_pair(Point(0.3, 0.2), Point(0.30000000001, 0.2))
 
 
 class TestGenericExample:
@@ -182,8 +183,33 @@ class TestCountsAndQuality:
                 assert abs(w1 - w2) < 1e-6
 
 
+def assert_matches_oracle(p1, p2, sols):
+    closed = sorted_tw(sols)
+    basins = [(t, w) for w, t in brute_force_two_points(p1, p2)]
+    assert len(basins) == len(closed)
+    for (t1, w1), (t2, w2) in zip(closed, basins):
+        assert abs(t1 - t2) < 1e-6
+        assert abs(w1 - w2) < 1e-6
+
+
+def collision_pair(rng, kind):
+    """Two interior points sharing x, y, or 1 - x - y, at least 1e-3 apart."""
+    while True:
+        p1 = random_interior(rng)
+        u = 0.02 + 0.96 * rng.random()
+        if kind == "x":
+            p2 = Point(p1.x, u * (1.0 - p1.x))
+        elif kind == "y":
+            p2 = Point(u * (1.0 - p1.y), p1.y)
+        else:
+            s = p1.x + p1.y
+            p2 = Point(u * s, s - u * s)
+        if min(p2) > 0.02 and max(abs(p1.x - p2.x), abs(p1.y - p2.y)) > 1e-3:
+            return p1, p2
+
+
 class TestCoordinateCollisions:
-    """Pairs sharing an x or y coordinate route through a triangle self-map."""
+    """Pairs sharing an x, y or 1 - x - y coordinate are solved directly."""
 
     def test_equal_x(self):
         p1, p2 = Point(0.3, 0.2), Point(0.3, 0.5)
@@ -199,11 +225,23 @@ class TestCoordinateCollisions:
         p1, p2 = Point(0.2, 0.3), Point(0.55, 0.3)
         case, sols = solve_two_points_unit(p1, p2)
         assert len(sols) == 4
-        closed = sorted_tw(sols)
-        basins = [(t, w) for w, t in brute_force_two_points(p1, p2)]
-        for (t1, w1), (t2, w2) in zip(closed, basins):
-            assert abs(t1 - t2) < 1e-6
-            assert abs(w1 - w2) < 1e-6
+        assert_matches_oracle(p1, p2, sols)
+
+    def test_equal_third_coordinate(self):
+        p1, p2 = Point(0.2, 0.5), Point(0.45, 0.25)
+        case, sols = solve_two_points_unit(p1, p2)
+        assert case.kind is PairKind.GENERIC
+        assert len(sols) == 4
+        assert_matches_oracle(p1, p2, sols)
+
+    @pytest.mark.parametrize("kind", ["x", "y", "third"])
+    def test_seeded_collisions_match_oracle(self, kind):
+        rng = np.random.default_rng({"x": 50, "y": 51, "third": 52}[kind])
+        for _ in range(20):
+            p1, p2 = collision_pair(rng, kind)
+            case, sols = solve_two_points_unit(p1, p2)
+            assert len(sols) == (2 if case.kind is PairKind.VERTEX_LINE else 4)
+            assert_matches_oracle(p1, p2, sols)
 
     def test_equal_x_collinear_with_vertex(self):
         # The vertical line x = 1/2 does not pass through a vertex, but a
