@@ -10,7 +10,8 @@ Three query families on any non-degenerate triangle:
 
 Everything is solved in closed form on the unit triangle and transported by
 affine maps; :mod:`inellipse.oracle` provides an independent numerical
-witness for all of it.
+witness for all of it.  The closed-form path imports no numpy; the oracle
+names below load :mod:`inellipse.oracle` (and numpy) on first use.
 """
 
 from .affine import AffineMap, Triangle, UNIT_TRIANGLE, apply_point, apply_slope, invert, map_to_unit
@@ -44,12 +45,6 @@ from .kernel import (
     solve_quadratic,
     tangency_points,
 )
-from .oracle import (
-    VerificationReport,
-    brute_force_point_slope,
-    brute_force_two_points,
-    verify_inscribed,
-)
 from .point_slope import NoSolution, PointSlopeQuery, solve_point_slope_unit, vertex_slopes
 from .two_points import (
     PairCase,
@@ -62,6 +57,20 @@ from .two_points import (
 from .world import SolveReport, WorldSolution, solve_point_slope, solve_tangency, solve_two_points
 
 __version__ = "0.1.0"
+
+_ORACLE_NAMES = frozenset(
+    {"VerificationReport", "brute_force_point_slope", "brute_force_two_points", "verify_inscribed"}
+)
+
+
+def __getattr__(name):
+    # PEP 562: resolve the oracle names lazily, so importing the package does
+    # not import numpy.
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AffineMap",

@@ -27,8 +27,8 @@ import json
 import math
 import sys
 
-from . import oracle, svgfig, world
-from .affine import Triangle, map_to_unit, apply_point
+from . import world
+from .affine import Triangle, apply_point, apply_slope, map_to_unit
 from .errors import GeometryError
 from .geom import Point, Slope, as_point
 from .conic import full_coefficients
@@ -148,6 +148,8 @@ def _solution_dict(sol: world.WorldSolution, raw: bool) -> dict:
 
 
 def _oracle_check(kind: str, tri: Triangle, args_ns, payload, report, grid_n: int) -> dict:
+    from . import oracle  # imports numpy, so only --check loads it
+
     fwd = map_to_unit(tri)
     solved = [(s.param.w, s.param.t) for s in report.solutions]
     if kind == "boundary_tangency":
@@ -163,8 +165,6 @@ def _oracle_check(kind: str, tri: Triangle, args_ns, payload, report, grid_n: in
         basins = oracle.brute_force_two_points(u1, u2, grid_n)
     else:
         u = apply_point(fwd, _point_field(payload, "p"))
-        from .affine import apply_slope
-
         basins = oracle.brute_force_point_slope(
             u, apply_slope(fwd, _parse_slope(payload.get("slope"))), grid_n
         )
@@ -250,6 +250,8 @@ def run(argv=None) -> int:
     print(_canonical(out))
 
     if svg_path:
+        from . import svgfig  # imports numpy, so only --svg loads it
+
         tangent_points = [p for s in report.solutions for p in s.tangent_points]
         text = svgfig.render_svg(tri, [s.conic for s in report.solutions], markers, tangent_points)
         with open(svg_path, "w", encoding="utf-8") as fh:

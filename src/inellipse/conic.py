@@ -10,9 +10,8 @@ the same curve, and all comparisons here are up to scale.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import NamedTuple
-
-import numpy as np
 
 from .affine import AffineMap, invert
 from .errors import DegenerateConic, SingularPoint
@@ -49,16 +48,41 @@ def membership_residual(conic: ConicCoeffs, p: Point) -> float:
     return abs(sum(terms)) / max(denom, 1e-300)
 
 
+def _positive(terms_of, conic: ConicCoeffs) -> bool:
+    """Whether sum(terms_of(*conic)) > 0 in exact arithmetic.
+
+    The float sum decides unless it lies within its rounding bound of zero;
+    then the terms are summed again on the coefficients as fractions.
+    """
+    terms = terms_of(*conic)
+    total = sum(terms)
+    if abs(total) > 1e-14 * sum(abs(v) for v in terms) + 1e-300:
+        return total > 0.0
+    return sum(terms_of(*map(Fraction, conic))) > 0
+
+
 def is_real_ellipse(conic: ConicCoeffs) -> bool:
-    """True iff the coefficients describe a real, non-degenerate ellipse."""
-    a, b, c, d, e, f = conic
-    if a == 0.0:
+    """True iff the coefficients describe a real, non-degenerate ellipse.
+
+    The signs of AB - C^2 and of the 3x3 determinant are exact
+    (:func:`_positive`): for a small ellipse far from the origin the 3x3
+    determinant cancels far below the rounding of its terms, where a float sum
+    decides by chance.
+    """
+    if not all(math.isfinite(v) for v in conic):
         return False
-    if a < 0.0:
-        a, b, c, d, e, f = -a, -b, -c, -d, -e, -f
-    if b <= 0.0 or a * b - c * c <= 0.0:
-        return False
-    return a * e * e + b * d * d + 4.0 * f * c * c - 2.0 * c * d * e - 4.0 * a * b * f > 0.0
+    if conic[0] < 0.0:
+        conic = ConicCoeffs(*(-v for v in conic))
+    return (
+        conic[0] > 0.0
+        and conic[1] > 0.0
+        and _positive(lambda a, b, c, d, e, f: (a * b, -c * c), conic)
+        # -4 times the 3x3 determinant.
+        and _positive(
+            lambda a, b, c, d, e, f: (a * e * e, b * d * d, 4 * f * c * c, -2 * c * d * e, -4 * a * b * f),
+            conic,
+        )
+    )
 
 
 def _gradient(conic: ConicCoeffs, p: Point) -> tuple[float, float, float]:
@@ -87,42 +111,62 @@ def slope_at(conic: ConicCoeffs, p: Point) -> Slope:
     return Slope.finite(-gx / gy)
 
 
-def conic_center(conic: ConicCoeffs) -> Point:
-    """The unique stationary point of the quadratic form."""
-    a, b, c, d, e, _ = conic
+def require_center(conic: ConicCoeffs) -> float:
+    """The determinant AB - C^2; raises :class:`DegenerateConic` when it is
+    negligible against the quadratic part, i.e. the conic has no unique center.
+    """
+    a, b, c, _, _, _ = conic
     det = a * b - c * c
     scale = max(abs(a), abs(b), abs(c), 1e-300)
     if abs(det) <= _CENTER_BAND * scale * scale:
         raise DegenerateConic("quadratic part has no unique center")
+    return det
+
+
+def conic_center(conic: ConicCoeffs) -> Point:
+    """The unique stationary point of the quadratic form."""
+    a, b, c, d, e, _ = conic
+    det = require_center(conic)
     # Solve [2a 2c; 2c 2b] (x, y) = (-d, -e).
     x = (c * e - b * d) / (2.0 * det)
     y = (c * d - a * e) / (2.0 * det)
     return Point(x, y)
 
 
-def _homogeneous(conic: ConicCoeffs) -> np.ndarray:
+def pull_back(conic: ConicCoeffs, h: AffineMap) -> ConicCoeffs:
+    """The conic through p iff h(p) lies on the input: Q(h(p)) as a conic in p.
+
+    This is the congruence H^T Q H of the homogeneous symmetric matrix by
+    H = [[m11, m12, tx], [m21, m22, ty], [0, 0, 1]], written out in floats in
+    the nested order H^T (Q H), which measured more accurate than expanding
+    each coefficient into monomials.
+    """
     a, b, c, d, e, f = conic
-    return np.array(
-        [[a, c, d / 2.0], [c, b, e / 2.0], [d / 2.0, e / 2.0, f]], dtype=float
+    u1, v1, x0 = h.m11, h.m12, h.tx
+    u2, v2, y0 = h.m21, h.m22, h.ty
+    # The quadratic part applied to the columns u = (u1, u2) and v = (v1, v2).
+    qu1, qu2 = a * u1 + c * u2, c * u1 + b * u2
+    qv1, qv2 = a * v1 + c * v2, c * v1 + b * v2
+    # Q's gradient at h(0) = (x0, y0).
+    gx = 2.0 * (a * x0 + c * y0) + d
+    gy = 2.0 * (c * x0 + b * y0) + e
+    return ConicCoeffs(
+        u1 * qu1 + u2 * qu2,
+        v1 * qv1 + v2 * qv2,
+        u1 * qv1 + u2 * qv2,
+        gx * u1 + gy * u2,
+        gx * v1 + gy * v2,
+        0.5 * (x0 * (gx + d) + y0 * (gy + e)) + f,
     )
 
 
 def transform_conic(conic: ConicCoeffs, m: AffineMap) -> ConicCoeffs:
     """Push the conic forward: p lies on the result iff m^-1(p) lies on the input.
 
-    Implemented as a congruence of the homogeneous symmetric matrix by the
-    inverse map, so scale equivalence is preserved.
+    The :func:`pull_back` congruence by the inverse map, written out in floats
+    (no numpy), so scale equivalence is preserved.
     """
-    minv = invert(m)
-    h = np.array(
-        [
-            [minv.m11, minv.m12, minv.tx],
-            [minv.m21, minv.m22, minv.ty],
-            [0.0, 0.0, 1.0],
-        ]
-    )
-    q = h.T @ _homogeneous(conic) @ h
-    return ConicCoeffs(q[0, 0], q[1, 1], q[0, 1], 2.0 * q[0, 2], 2.0 * q[1, 2], q[2, 2])
+    return pull_back(conic, invert(m))
 
 
 def normalize_conic(conic: ConicCoeffs) -> ConicCoeffs:

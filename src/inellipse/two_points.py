@@ -130,27 +130,27 @@ def _newton_polish(p1: Point, p2: Point, w: float, t: float, iters: int = 4):
     return w, t
 
 
-def _w_from_ratio(p1, p2, t):
-    b = poly_B(p1, p2)
-    c = poly_C(p1, p2)
-    cv = c(t)
+def _w_from_ratio(b_poly, c_poly, t):
+    cv = c_poly(t)
     if cv == 0.0:
         return None
-    return 0.5 * t * b(t) / cv
+    return 0.5 * t * b_poly(t) / cv
 
 
 def _candidate_params(p1: Point, p2: Point, case: PairCase):
     inv = pair_invariants(p1, p2)
     r_poly = poly_R(p1, p2)
     s_poly = poly_S(p1, p2)
+    # Reorder a j_zero pair so the origin determinant is positive; this pins
+    # the shared contact parameter t0 inside (0,1) and keeps the w-quadratic
+    # stable.
+    if case.kind is PairKind.GENERIC_J_ZERO and inv.d_origin < 0.0:
+        p1, p2 = p2, p1
+        inv = pair_invariants(p1, p2)
+        s_poly = poly_S(p1, p2)
+    b_poly, c_poly = poly_B(p1, p2), poly_C(p1, p2)
 
     if case.kind is PairKind.GENERIC_J_ZERO:
-        # Reorder so the origin determinant is positive; this pins the shared
-        # contact parameter t0 inside (0,1) and keeps the w-quadratic stable.
-        if inv.d_origin < 0.0:
-            p1, p2 = p2, p1
-            inv = pair_invariants(p1, p2)
-            s_poly = poly_S(p1, p2)
         if inv.t0 is None:
             raise SolutionCountMismatch(
                 "degenerate pair lost its shared contact parameter; tolerance bands disagree"
@@ -158,7 +158,7 @@ def _candidate_params(p1: Point, p2: Point, case: PairCase):
         t0 = inv.t0
         out = []
         for t, _ in solve_quadratic_clamped(s_poly, _DOUBLE_ROOT_BAND):
-            w = _w_from_ratio(p1, p2, t)
+            w = _w_from_ratio(b_poly, c_poly, t)
             if w is not None:
                 out.append((w, t))
         g = w_quadratic_at(p1, t0)
@@ -181,7 +181,7 @@ def _candidate_params(p1: Point, p2: Point, case: PairCase):
                     ):
                         out.append((w, t))
                 else:
-                    w = _w_from_ratio(p1, p2, t)
+                    w = _w_from_ratio(b_poly, c_poly, t)
                     if w is not None:
                         out.append((w, t))
         return out, 4
@@ -202,14 +202,14 @@ def _candidate_params(p1: Point, p2: Point, case: PairCase):
                 continue
             if not (_SQUARE_MARGIN < t < 1.0 - _SQUARE_MARGIN):
                 continue
-            w = _w_from_ratio(p1, p2, t)
+            w = _w_from_ratio(b_poly, c_poly, t)
             if w is not None:
                 out.append((w, t))
     return out, 2
 
 
 def _assemble(p1, p2, raw_params, expected, tol):
-    kept: list[EllipseParam] = []
+    kept: list[tuple[EllipseParam, tuple[float, float]]] = []
     for w, t in raw_params:
         if not (math.isfinite(w) and math.isfinite(t)):
             continue
@@ -220,27 +220,28 @@ def _assemble(p1, p2, raw_params, expected, tol):
         ):
             continue
         param = EllipseParam(w, t)
-        if max(residual_system3(p1, p2, param)) >= tol:
+        residuals = residual_system3(p1, p2, param)
+        if max(residuals) >= tol:
             continue
         if any(
-            max(abs(param.w - k.w), abs(param.t - k.t)) < _DEDUPE for k in kept
+            max(abs(param.w - k.w), abs(param.t - k.t)) < _DEDUPE for k, _ in kept
         ):
             continue
-        kept.append(param)
+        kept.append((param, residuals))
     if len(kept) != expected:
         raise SolutionCountMismatch(
             f"expected {expected} inscribed ellipses, kept {len(kept)}: "
-            f"{[(round(k.t, 6), round(k.w, 6)) for k in kept]}"
+            f"{[(round(k.t, 6), round(k.w, 6)) for k, _ in kept]}"
         )
-    kept.sort(key=lambda k: (k.t, k.w))
+    kept.sort(key=lambda kr: (kr[0].t, kr[0].w))
     return [
         TwoPointSolution(
             param=k,
             conic=inscribed_conic(k),
             tangency=tangency_points(k),
-            residuals=residual_system3(p1, p2, k),
+            residuals=residuals,
         )
-        for k in kept
+        for k, residuals in kept
     ]
 
 

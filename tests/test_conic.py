@@ -1,6 +1,7 @@
 """Conic representation: evaluation, ellipse test, slopes, centers, transport."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from inellipse.conic import (
     full_coefficients,
     is_real_ellipse,
     normalize_conic,
+    pull_back,
     slope_at,
     transform_conic,
 )
@@ -27,6 +29,21 @@ from helpers import random_param
 UNIT_CIRCLE = ConicCoeffs(1.0, 1.0, 0.0, 0.0, 0.0, -1.0)
 # Inscribed-family member for w = t = 1/2 (contact at the side midpoints).
 STEINER_RAW = ConicCoeffs(0.25, 0.25, 0.125, -0.25, -0.25, 0.0625)
+
+
+def exact_det3_sign(conic) -> int:
+    """Sign of the homogeneous 3x3 determinant, on the floats as fractions."""
+    a, b, c, d, e, f = map(Fraction, conic)
+    det = a * b * f + 2 * c * (e / 2) * (d / 2) - a * (e / 2) ** 2 - b * (d / 2) ** 2 - f * c * c
+    return (det > 0) - (det < 0)
+
+
+def random_map(rng) -> AffineMap:
+    """A seeded affine map with entries in [-2, 2] and |det| >= 0.1."""
+    while True:
+        m = AffineMap(*rng.uniform(-2.0, 2.0, size=6))
+        if abs(m.det()) >= 0.1:
+            return m
 
 
 class TestEvaluate:
@@ -65,6 +82,32 @@ class TestIsRealEllipse:
         for _ in range(100):
             w, t = random_param(rng)
             assert is_real_ellipse(inscribed_conic(EllipseParam(w, t)))
+
+    def test_small_ellipse_far_from_the_origin(self):
+        # The inscribed ellipse (w, t) = (1.8e-8, 7.7e-8) carried to a world
+        # triangle.  The 3x3 determinant of these floats is about -2.7e-60,
+        # while its expanded terms are about 1e-44 and round it to 0.
+        conic = ConicCoeffs(
+            2.0376585033985034e-15, 2.8397403143611495e-15, -2.4054980495869076e-15,
+            -3.6944645757237235e-15, 4.361392145442012e-15, 1.6746022350200012e-15,
+        )
+        # Raising f by 1.2e-8 (relative) moves the center value, about -2e-23,
+        # through 0.
+        imaginary = conic._replace(f=conic.f * (1.0 + 1e-7))
+        assert exact_det3_sign(conic) < 0 < exact_det3_sign(imaginary)
+        assert is_real_ellipse(conic)
+        assert not is_real_ellipse(imaginary)
+
+    def test_small_transported_inscribed_ellipses_are_real(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            m = random_map(rng)
+            w, t = 10.0 ** rng.uniform(-9.0, -3.0, size=2)
+            assert is_real_ellipse(transform_conic(inscribed_conic(EllipseParam(w, t)), m))
+
+    def test_non_finite(self):
+        assert not is_real_ellipse(UNIT_CIRCLE._replace(f=math.nan))
+        assert not is_real_ellipse(UNIT_CIRCLE._replace(a=math.inf))
 
 
 class TestSlopeAt:
@@ -140,6 +183,31 @@ class TestTransformConic:
             den = evaluate(UNIT_CIRCLE, p)
             ratios.append(num / den)
         assert max(ratios) - min(ratios) < 1e-9 * max(abs(r) for r in ratios)
+
+    def test_matches_the_matrix_congruence(self):
+        rng = np.random.default_rng(17)
+        for _ in range(500):
+            conic = ConicCoeffs(*rng.uniform(-2.0, 2.0, size=6))
+            m = random_map(rng)
+            h = invert(m)
+            hm = np.array([[h.m11, h.m12, h.tx], [h.m21, h.m22, h.ty], [0.0, 0.0, 1.0]])
+            a, b, c, d, e, f = conic
+            q = np.array([[a, c, d / 2.0], [c, b, e / 2.0], [d / 2.0, e / 2.0, f]])
+            r = hm.T @ q @ hm
+            want = (r[0, 0], r[1, 1], r[0, 1], 2.0 * r[0, 2], 2.0 * r[1, 2], r[2, 2])
+            got = transform_conic(conic, m)
+            scale = max(abs(v) for v in want)
+            assert max(abs(u - v) for u, v in zip(got, want)) <= 1e-13 * scale
+            assert got == pull_back(conic, h)
+
+    def test_round_trip(self):
+        rng = np.random.default_rng(19)
+        for _ in range(500):
+            conic = ConicCoeffs(*rng.uniform(-2.0, 2.0, size=6))
+            m = random_map(rng)
+            back = transform_conic(transform_conic(conic, m), invert(m))
+            scale = max(abs(v) for v in conic)
+            assert max(abs(u - v) for u, v in zip(back, conic)) <= 1e-12 * scale
 
     def test_center_covariance(self):
         rng = np.random.default_rng(5)

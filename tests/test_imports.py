@@ -1,0 +1,84 @@
+"""The closed-form path imports no numpy; the oracle and figures still load it.
+
+Each check runs in a fresh interpreter, because this test process has long
+since imported numpy.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+DOC = json.dumps(
+    {"triangle": [[0, 0], [1, 0], [0, 1]], "query": {"two_points": {"p1": [0.25, 0.125], "p2": [0.5, 0.1667]}}}
+)
+
+
+def run_python(code: str, stdin: str = "") -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], input=stdin, capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("module", ["inellipse", "inellipse.world", "inellipse.cli"])
+def test_import_leaves_numpy_out(module):
+    out = run_python(f"import sys, {module}; print('numpy' in sys.modules)")
+    assert out.split() == ["False"]
+
+
+def test_plain_cli_query_leaves_numpy_out():
+    out = run_python(
+        "import sys\n"
+        "from inellipse import cli\n"
+        "code = cli.run(['two-points', '-'])\n"
+        "print(code, 'numpy' in sys.modules)\n",
+        stdin=DOC,
+    )
+    report, tail = out.strip().splitlines()
+    assert json.loads(report)["case"] == "generic_4"
+    assert tail.split() == ["0", "False"]
+
+
+def test_check_and_svg_still_work(tmp_path):
+    svg = tmp_path / "out.svg"
+    out = run_python(
+        "import sys\n"
+        "from inellipse import cli\n"
+        f"code = cli.run(['two-points', '-', '--check', '--grid', '64', '--svg', {str(svg)!r}])\n"
+        "print(code, 'numpy' in sys.modules)\n",
+        stdin=DOC,
+    )
+    report, tail = out.strip().splitlines()
+    assert json.loads(report)["oracle_check"]["count_match"] is True
+    assert tail.split() == ["0", "True"]
+    assert "<svg" in svg.read_text()
+
+
+def test_oracle_names_resolve_lazily():
+    out = run_python(
+        "import sys\n"
+        "import inellipse as ie\n"
+        "print('numpy' in sys.modules)\n"
+        "from inellipse import oracle\n"
+        "assert ie.verify_inscribed is oracle.verify_inscribed\n"
+        "assert ie.brute_force_two_points is oracle.brute_force_two_points\n"
+        "ns = {}\n"
+        "exec('from inellipse import *', ns)\n"
+        "assert all(name in ns for name in ie.__all__)\n"
+        "print(ns['verify_inscribed'](ns['inscribed_conic'](ns['EllipseParam'](0.5, 0.5))).passed)\n"
+    )
+    assert out.split() == ["False", "True"]
+
+
+def test_unknown_attribute_still_raises():
+    import inellipse
+
+    with pytest.raises(AttributeError):
+        inellipse.no_such_name

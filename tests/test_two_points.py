@@ -1,5 +1,6 @@
 """Two interior points: classification, counts, and solution quality."""
 
+import collections
 import math
 
 import numpy as np
@@ -170,6 +171,26 @@ class TestCountsAndQuality:
             for (t1, w1), (t2, w2) in zip(a, b):
                 assert abs(t1 - t2) < 1e-9
                 assert abs(w1 - w2) < 1e-9
+
+    def test_ratio_polynomials_are_built_once_per_solve(self, monkeypatch):
+        from inellipse import two_points
+
+        calls = collections.Counter()
+        for name in ("poly_B", "poly_C"):
+            def counted(*args, _name=name, _fn=getattr(two_points, name)):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(two_points, name, counted)
+        rng = np.random.default_rng(46)
+        p1, p2 = j_zero_pair(rng)
+        # Both orders of the j_zero pair, so one of them takes the swap.
+        for pair in (random_generic_pair(rng), (p1, p2), (p2, p1), random_vertex_pair(rng, Vertex.TOP)):
+            calls.clear()
+            _, sols = solve_two_points_unit(*pair)
+            assert dict(calls) == {"poly_B": 1, "poly_C": 1}
+            for s in sols:
+                assert s.residuals == residual_system3(*pair, s.param)
 
     def test_matches_oracle_on_random_pairs(self):
         rng = np.random.default_rng(44)
