@@ -29,11 +29,12 @@ class Triangle:
         object.__setattr__(self, "a", as_point(self.a))
         object.__setattr__(self, "b", as_point(self.b))
         object.__setattr__(self, "c", as_point(self.c))
-        scale = max(
-            abs(v) for p in (self.a, self.b, self.c) for v in p
+        # Twice the area over the longest squared edge: the relative height, free of scale.
+        (ax, ay), (bx, by), (cx, cy) = self.a, self.b, self.c
+        longest2 = max(
+            (bx - ax) ** 2 + (by - ay) ** 2, (cx - ax) ** 2 + (cy - ay) ** 2, (cx - bx) ** 2 + (cy - by) ** 2
         )
-        scale = max(scale, 1.0)
-        if abs(self.signed_area2()) <= _COLLINEAR_BAND * scale * scale:
+        if abs(self.signed_area2()) <= _COLLINEAR_BAND * longest2:
             raise DegenerateTriangle(f"collinear vertices {self.a}, {self.b}, {self.c}")
 
     def signed_area2(self) -> float:

@@ -12,7 +12,9 @@ quadratic in w whose coefficients are polynomials in t; the two-point solver
 works entirely with those polynomials, built here.
 
 Polynomial conventions: dense coefficient records, highest degree first in
-the field names (c2, c1, c0), evaluated by Horner.
+the field names (c2, c1, c0), evaluated by Horner.  Public functions validate
+their points through :func:`poly_q` or :func:`pair_invariants`; the private
+helpers that take a point with its ``poly_q`` expect it validated already.
 """
 
 from __future__ import annotations
@@ -161,9 +163,12 @@ def w_quadratic_at(p: Point, t: float) -> QuadraticPoly:
     An inscribed ellipse with parameters (w, t) passes through p iff w is a
     root of this quadratic.
     """
+    return QuadraticPoly(*_w_coeffs(p, poly_q(p), t))
+
+
+def _w_coeffs(p: Point, q: QuadraticPoly, t: float) -> tuple[float, float, float]:
     x, y = p
-    q = poly_q(p)
-    return QuadraticPoly(q(t), 2.0 * t * y * ((2.0 * x - 1.0) * t - x), t * t * y * y)
+    return q(t), 2.0 * t * y * ((2.0 * x - 1.0) * t - x), t * t * y * y
 
 
 def pair_invariants(p1: Point, p2: Point) -> PairInvariants:
@@ -192,8 +197,7 @@ def _clamped_radicand(v: float) -> float:
 
 
 def poly_B(p1: Point, p2: Point) -> QuadraticPoly:
-    """y1^2 q2(t) - y2^2 q1(t)."""
-    require_interior(p1, p2)
+    """y1^2 q2(t) - y2^2 q1(t); poly_q checks p1, then p2."""
     q1, q2 = poly_q(p1), poly_q(p2)
     s1, s2 = p1.y * p1.y, p2.y * p2.y
     return QuadraticPoly(
@@ -204,8 +208,7 @@ def poly_B(p1: Point, p2: Point) -> QuadraticPoly:
 
 
 def poly_C(p1: Point, p2: Point) -> CubicPoly:
-    """y1 (x1 + (1-2x1) t) q2(t) - y2 (x2 + (1-2x2) t) q1(t)."""
-    require_interior(p1, p2)
+    """y1 (x1 + (1-2x1) t) q2(t) - y2 (x2 + (1-2x2) t) q1(t); poly_q checks p1, then p2."""
     q1, q2 = poly_q(p1), poly_q(p2)
 
     def _lin_times_quad(y, x, q):
@@ -311,9 +314,12 @@ def solve_quadratic_clamped(q: QuadraticPoly, band: float) -> list[tuple[float, 
 
 def eval_system_residual(p: Point, param: EllipseParam) -> float:
     """Term-normalized residual of the through-point condition at one point."""
+    return _through_residual(p, poly_q(p), param)
+
+
+def _through_residual(p: Point, q: QuadraticPoly, param: EllipseParam) -> float:
     w, t = param
-    poly = w_quadratic_at(p, t)
-    terms = (poly.c2 * w * w, poly.c1 * w, poly.c0)
-    denom = max(abs(v) for v in terms)
-    return abs(sum(terms)) / max(denom, 1e-300)
+    c2, c1, c0 = _w_coeffs(p, q, t)
+    terms = (c2 * w * w, c1 * w, c0)
+    return abs(sum(terms)) / max(abs(terms[0]), abs(terms[1]), abs(terms[2]), 1e-300)
 

@@ -19,20 +19,23 @@ from typing import Optional
 from .conic import ConicCoeffs
 from .equations import backward_error, through_point
 from .errors import AmbiguousClassification, SolutionCountMismatch
-from .geom import Point, Vertex, as_point, require_distinct, require_interior
+from .geom import Point, Vertex, as_point, require_distinct
 from .kernel import (
     EllipseParam,
+    QuadraticPoly,
     TangencyTriple,
+    _through_residual,
+    _w_coeffs,
     eval_system_residual,
     inscribed_conic,
     pair_invariants,
     poly_B,
     poly_C,
+    poly_q,
     poly_R,
     poly_S,
     solve_quadratic_clamped,
     tangency_points,
-    w_quadratic_at,
 )
 
 # Relative bands under which a vertex-line determinant, or the pair invariant
@@ -50,6 +53,7 @@ _RATIO_SAFE_BAND = 1e-6
 # Strict open-square margin applied to accepted parameters.
 _SQUARE_MARGIN = 1e-9
 _DEDUPE = 1e-10
+_POLISH_ITERS = 4  # Newton steps on each candidate (w, t)
 
 
 class PairKind(Enum):
@@ -108,13 +112,13 @@ def residual_system3(p1: Point, p2: Point, param: EllipseParam) -> tuple[float, 
     return (eval_system_residual(p1, param), eval_system_residual(p2, param))
 
 
-def _newton_polish(p1: Point, p2: Point, w: float, t: float, iters: int = 4):
+def _newton_polish(p1: Point, p2: Point, w: float, t: float):
     """A few Newton steps on the raw through-point system; returns (w, t).
 
     Candidates arrive within the quadratic-convergence basin, so undamped
     steps with a step-size cap are enough to pin residuals at round-off.
     """
-    for _ in range(iters):
+    for _ in range(_POLISH_ITERS):
         eq1, eq2 = through_point(*p1, w, t), through_point(*p2, w, t)
         if max(backward_error(eq1), backward_error(eq2)) < 1e-15:
             break
@@ -137,7 +141,7 @@ def _w_from_ratio(b_poly, c_poly, t):
     return 0.5 * t * b_poly(t) / cv
 
 
-def _candidate_params(p1: Point, p2: Point, case: PairCase):
+def _candidate_params(p1: Point, p2: Point, q1: QuadraticPoly, q2: QuadraticPoly, case: PairCase):
     inv = pair_invariants(p1, p2)
     r_poly = poly_R(p1, p2)
     s_poly = poly_S(p1, p2)
@@ -145,7 +149,7 @@ def _candidate_params(p1: Point, p2: Point, case: PairCase):
     # the shared contact parameter t0 inside (0,1) and keeps the w-quadratic
     # stable.
     if case.kind is PairKind.GENERIC_J_ZERO and inv.d_origin < 0.0:
-        p1, p2 = p2, p1
+        p1, p2, q1, q2 = p2, p1, q2, q1
         inv = pair_invariants(p1, p2)
         s_poly = poly_S(p1, p2)
     b_poly, c_poly = poly_B(p1, p2), poly_C(p1, p2)
@@ -161,7 +165,7 @@ def _candidate_params(p1: Point, p2: Point, case: PairCase):
             w = _w_from_ratio(b_poly, c_poly, t)
             if w is not None:
                 out.append((w, t))
-        g = w_quadratic_at(p1, t0)
+        g = QuadraticPoly(*_w_coeffs(p1, q1, t0))
         for w, _ in solve_quadratic_clamped(g, _DOUBLE_ROOT_BAND):
             out.append((w, t0))
         return out, 4
@@ -177,7 +181,7 @@ def _candidate_params(p1: Point, p2: Point, case: PairCase):
             for t, _ in solve_quadratic_clamped(poly, _DOUBLE_ROOT_BAND):
                 if near_double:
                     for w, _ in solve_quadratic_clamped(
-                        w_quadratic_at(p1, t), _DOUBLE_ROOT_BAND
+                        QuadraticPoly(*_w_coeffs(p1, q1, t)), _DOUBLE_ROOT_BAND
                     ):
                         out.append((w, t))
                 else:
@@ -208,7 +212,7 @@ def _candidate_params(p1: Point, p2: Point, case: PairCase):
     return out, 2
 
 
-def _assemble(p1, p2, raw_params, expected, tol):
+def _assemble(p1, p2, q1, q2, raw_params, expected, tol):
     kept: list[tuple[EllipseParam, tuple[float, float]]] = []
     for w, t in raw_params:
         if not (math.isfinite(w) and math.isfinite(t)):
@@ -220,7 +224,8 @@ def _assemble(p1, p2, raw_params, expected, tol):
         ):
             continue
         param = EllipseParam(w, t)
-        residuals = residual_system3(p1, p2, param)
+        # residual_system3 from the points' quadratics q1, q2.
+        residuals = (_through_residual(p1, q1, param), _through_residual(p2, q2, param))
         if max(residuals) >= tol:
             continue
         if any(
@@ -256,8 +261,9 @@ def solve_two_points_unit(
     (t, w).
     """
     p1, p2 = as_point(p1), as_point(p2)
-    require_interior(p1, p2)
+    # Built once per solve; poly_q also checks that p1, then p2, is interior.
+    q1, q2 = poly_q(p1), poly_q(p2)
     require_distinct(p1, p2)
     case = classify_pair(p1, p2)
-    raw, expected = _candidate_params(p1, p2, case)
-    return case, _assemble(p1, p2, raw, expected, tol)
+    raw, expected = _candidate_params(p1, p2, q1, q2, case)
+    return case, _assemble(p1, p2, q1, q2, raw, expected, tol)

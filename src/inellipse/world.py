@@ -4,8 +4,9 @@ Each query family maps its data through the triangle's unit map ``fwd`` and
 solves there.  Conics travel back as the pull-back by ``fwd``; contact points
 and centers are carried over from the unit frame through the inverse map, the
 center from :func:`~inellipse.kernel.inscribed_center`, which is exact, so a
-thin triangle cannot make it ill-conditioned.  A conic with no unique center
-is refused in the unit frame.  The (w, t) parameters themselves are affine
+thin triangle cannot make it ill-conditioned; the two-point solver hands over
+the unit conics and contacts it has built.  A conic with no unique center is
+refused in the unit frame.  The (w, t) parameters themselves are affine
 invariants of the solution (contact abscissae on the unit triangle), so they
 are reported unchanged.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import boundary, point_slope, two_points
-from .affine import AffineMap, Triangle, apply_point, apply_slope, invert, map_to_unit
+from .affine import Triangle, apply_point, apply_slope, invert, map_to_unit
 from .conic import ConicCoeffs, pull_back, require_center
 from .geom import Point, Slope, as_point
 from .kernel import EllipseParam, inscribed_center, inscribed_conic, tangency_points
@@ -36,13 +37,12 @@ class SolveReport:
     solutions: tuple[WorldSolution, ...]
 
 
-def _to_world(param: EllipseParam, fwd: AffineMap, back: AffineMap, residuals) -> WorldSolution:
-    unit_conic = inscribed_conic(param)
+def _to_world(param, unit_conic, tangency, fwd, back, residuals) -> WorldSolution:
     require_center(unit_conic)
     return WorldSolution(
         param=param,
         conic=pull_back(unit_conic, fwd),
-        tangent_points=tuple(apply_point(back, p) for p in tangency_points(param)),
+        tangent_points=tuple([apply_point(back, p) for p in tangency]),
         center=apply_point(back, inscribed_center(param)),
         residuals=tuple(residuals),
     )
@@ -59,7 +59,7 @@ def solve_two_points(tri: Triangle, p1: Point, p2: Point, tol: float = 1e-9) -> 
     case, sols = two_points.solve_two_points_unit(u1, u2, tol)
     return SolveReport(
         case=str(case),
-        solutions=tuple(_to_world(s.param, fwd, back, s.residuals) for s in sols),
+        solutions=tuple(_to_world(s.param, s.conic, s.tangency, fwd, back, s.residuals) for s in sols),
     )
 
 
@@ -79,7 +79,8 @@ def solve_point_slope(tri: Triangle, p: Point, slope: Slope) -> SolveReport:
     if isinstance(outcome, point_slope.NoSolution):
         return SolveReport(case=f"no_solution:{outcome.vertex.value}", solutions=())
     residuals = point_slope.residual_system13(query.p, query.slope, outcome)
-    return SolveReport(case="unique", solutions=(_to_world(outcome, fwd, back, residuals),))
+    conic, tps = inscribed_conic(outcome), tangency_points(outcome)
+    return SolveReport(case="unique", solutions=(_to_world(outcome, conic, tps, fwd, back, residuals),))
 
 
 def solve_tangency(tri: Triangle, q1: Point, q2: Point) -> SolveReport:
@@ -99,4 +100,5 @@ def solve_tangency(tri: Triangle, q1: Point, q2: Point) -> SolveReport:
         max(abs(produced[s.side].x - s.point.x), abs(produced[s.side].y - s.point.y))
         for s in (s1, s2)
     )
-    return SolveReport(case="boundary_unique", solutions=(_to_world(param, fwd, back, residuals),))
+    solution = _to_world(param, inscribed_conic(param), tps, fwd, back, residuals)
+    return SolveReport(case="boundary_unique", solutions=(solution,))

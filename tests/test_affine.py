@@ -53,6 +53,19 @@ class TestMapToUnit:
         with pytest.raises(DegenerateTriangle):
             Triangle(Point(0, 0), Point(1, 1), Point(2, 2))
 
+    @pytest.mark.parametrize(
+        "vertices",
+        [((s, s), (s + 1.0, s), (s, s + 1.0)) for s in (1e6, 1e7, 8e7)]
+        + [((0.0, 0.0), (1.0, 0.0), (0.5, 1e-6))],
+        ids=["unit+1e6", "unit+1e7", "unit+8e7", "thin"],
+    )
+    def test_far_or_thin_triangle_is_not_collinear(self, vertices):
+        tri = Triangle(*(Point(*v) for v in vertices))
+        m = map_to_unit(tri)
+        assert apply_point(m, tri.a) == pytest.approx((0.0, 0.0), abs=1e-9)
+        assert apply_point(m, tri.b) == pytest.approx((1.0, 0.0), abs=1e-9)
+        assert apply_point(m, tri.c) == pytest.approx((0.0, 1.0), abs=1e-9)
+
 
 class TestPointMaps:
     def test_identity_and_scale(self):

@@ -11,6 +11,7 @@ from inellipse.geom import Point
 from inellipse.kernel import (
     EllipseParam,
     QuadraticPoly,
+    eval_system_residual,
     inscribed_center,
     inscribed_conic,
     pair_invariants,
@@ -156,6 +157,13 @@ class TestPolyQ:
 
 
 class TestPolyBC:
+    @pytest.mark.parametrize("build", [poly_B, poly_C])
+    def test_interior_enforced(self, build):
+        outside = Point(0.6, 0.6)
+        for pair in ((outside, EX1[1]), (EX1[0], outside)):
+            with pytest.raises(NotInterior, match=r"\(0\.6, 0\.6\)"):
+                build(*pair)
+
     def test_values_at_zero(self):
         p1, p2 = EX1
         assert poly_B(p1, p2)(0.0) == pytest.approx(
@@ -282,6 +290,21 @@ class TestWQuadratic:
                     conic = inscribed_conic(EllipseParam(w, t))
                     scale = max(abs(v) for v in conic)
                     assert abs(evaluate(conic, p)) < 1e-12 * scale
+
+    def test_residual_is_term_normalized(self):
+        # |c2 w^2 + c1 w + c0| over the largest of the three terms, with the
+        # coefficients expanded here rather than taken from the package.
+        rng = np.random.default_rng(25)
+        for _ in range(200):
+            x, y = random_interior(rng)
+            w, t = random_param(rng)
+            terms = (
+                ((x - t) ** 2 + 4.0 * x * y * t * (1.0 - t)) * w * w,
+                2.0 * t * y * ((2.0 * x - 1.0) * t - x) * w,
+                t * t * y * y,
+            )
+            expected = abs(sum(terms)) / max(abs(v) for v in terms)
+            assert eval_system_residual(Point(x, y), EllipseParam(w, t)) == pytest.approx(expected, rel=1e-9)
 
 
 class TestSolveQuadratic:

@@ -9,7 +9,7 @@ import pytest
 from inellipse.conic import evaluate, membership_residual
 from inellipse.errors import AmbiguousClassification, CoincidentPoints, NotInterior
 from inellipse.geom import Point, Vertex
-from inellipse.kernel import EllipseParam, pair_invariants, w_quadratic_at
+from inellipse.kernel import EllipseParam, pair_invariants, poly_R, w_quadratic_at
 from inellipse.oracle import brute_force_two_points, verify_inscribed
 from inellipse.two_points import (
     PairKind,
@@ -105,6 +105,22 @@ class TestDegenerateBranchExample:
             for u, v in zip((g1.c2, g1.c1, g1.c0), (g2.c2, g2.c1, g2.c0)):
                 assert v == pytest.approx(k * u, rel=1e-9)
 
+    def test_pairs_just_off_the_branch_solve_through_the_w_quadratic(self):
+        # 1e-8 off the branch the pair is generic, but R sits so close to a
+        # double root that w comes from the through-point quadratic, not B/C.
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            p1, p2 = j_zero_pair(rng)
+            p2 = Point(p2.x, p2.y * (1.0 + 1e-8))
+            assert classify_pair(p1, p2).kind is PairKind.GENERIC
+            r = poly_R(p1, p2)
+            assert r.discriminant < (1e-6 * r.scale) ** 2
+            _, sols = solve_two_points_unit(p1, p2)
+            assert len(sols) == 4
+            for s in sols:
+                assert membership_residual(s.conic, p1) < 1e-9
+                assert membership_residual(s.conic, p2) < 1e-9
+
 
 class TestVertexLineExample:
     def test_two_solutions(self):
@@ -191,6 +207,41 @@ class TestCountsAndQuality:
             assert dict(calls) == {"poly_B": 1, "poly_C": 1}
             for s in sols:
                 assert s.residuals == residual_system3(*pair, s.param)
+
+    def test_world_solve_builds_each_quadratic_and_conic_once(self, monkeypatch):
+        from inellipse import kernel, two_points, world
+        from inellipse.affine import UNIT_TRIANGLE
+
+        names = ("poly_q", "eval_system_residual", "w_quadratic_at", "inscribed_conic", "tangency_points")
+        calls = collections.Counter()
+        for name in names:
+            fn = getattr(kernel, name)
+
+            def counted(*args, _name=name, _fn=fn):
+                calls[_name] += 1
+                return _fn(*args)
+
+            # Every binding, so calls from inside kernel count too.
+            for module in (kernel, two_points, world):
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, counted)
+        rng = np.random.default_rng(47)
+        p1, p2 = j_zero_pair(rng)
+        # Both orders of the j_zero pair, so one of them takes the swap.
+        pairs = [random_generic_pair(rng), (p1, p2), (p2, p1), random_vertex_pair(rng, Vertex.RIGHT)]
+        cases = []
+        for pair in pairs:
+            calls.clear()
+            report = world.solve_two_points(UNIT_TRIANGLE, *pair)
+            cases.append(report.case)
+            n = len(report.solutions)
+            # Two from the pair's own quadratics, two inside each of poly_B and poly_C.
+            assert calls["poly_q"] <= 6
+            assert calls["eval_system_residual"] == 0
+            assert calls["w_quadratic_at"] == 0
+            assert calls["inscribed_conic"] == n
+            assert calls["tangency_points"] == n
+        assert cases == ["generic_4", "generic_j_zero", "generic_j_zero", "vertex_line:right"]
 
     def test_matches_oracle_on_random_pairs(self):
         rng = np.random.default_rng(44)

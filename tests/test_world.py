@@ -5,10 +5,13 @@ import pytest
 
 from inellipse import world
 from inellipse.affine import Triangle, UNIT_TRIANGLE, apply_point, apply_slope, invert, map_to_unit
+from inellipse.conic import pull_back
 from inellipse.errors import DegenerateConic
-from inellipse.geom import Point, Slope
+from inellipse.geom import Point, Slope, Vertex
+from inellipse.kernel import inscribed_center, inscribed_conic, tangency_points
+from inellipse.two_points import residual_system3
 
-from helpers import random_interior
+from helpers import j_zero_pair, random_generic_pair, random_interior, random_triangle, random_vertex_pair
 
 # Apex height 1e-6 over a unit base: the world conics of this triangle have a
 # quadratic part whose determinant is ~1e-24 of its squared scale.
@@ -64,3 +67,42 @@ def test_inscribed_conic_near_the_corner_is_still_refused(tri):
     slope = apply_slope(back, Slope.finite((2.0 / 3.0) * (1.0 + 1e-6)))
     with pytest.raises(DegenerateConic):
         world.solve_point_slope(tri, apply_point(back, u), slope)
+
+
+
+def pixel_triangle(rng) -> Triangle:
+    """Vertices uniform in [0, 1000]^2, redrawn while the area is under a pixel."""
+    while True:
+        a, b, c = (Point(*rng.uniform(0.0, 1000.0, size=2)) for _ in range(3))
+        if abs((b.x - a.x) * (c.y - a.y) - (c.x - a.x) * (b.y - a.y)) >= 2.0:
+            return Triangle(a, b, c)
+
+
+@pytest.mark.parametrize("kind", ["unit", "box", "pixel"])
+def test_two_point_solutions_equal_a_fresh_transport(kind):
+    # world reuses the conics and contacts the unit solve built; they must be
+    # exactly what a fresh build from (w, t) and transport gives.
+    rng = np.random.default_rng({"unit": 4101, "box": 4102, "pixel": 4103}[kind])
+    make_triangle = {
+        "unit": lambda: UNIT_TRIANGLE,
+        "box": lambda: random_triangle(rng),
+        "pixel": lambda: pixel_triangle(rng),
+    }[kind]
+    pairs = [random_generic_pair(rng) for _ in range(4)] + [j_zero_pair(rng) for _ in range(4)]
+    pairs += [random_vertex_pair(rng, v) for v in Vertex]
+    cases = set()
+    for u1, u2 in pairs:
+        tri = make_triangle()
+        fwd = map_to_unit(tri)
+        back = invert(fwd)
+        p1, p2 = apply_point(back, u1), apply_point(back, u2)
+        report = world.solve_two_points(tri, p1, p2)
+        cases.add(report.case.split(":")[0])
+        v1, v2 = apply_point(fwd, p1), apply_point(fwd, p2)
+        for sol in report.solutions:
+            param = sol.param
+            assert sol.conic == pull_back(inscribed_conic(param), fwd)
+            assert sol.tangent_points == tuple(apply_point(back, p) for p in tangency_points(param))
+            assert sol.center == apply_point(back, inscribed_center(param))
+            assert sol.residuals == residual_system3(v1, v2, param)
+    assert cases == {"generic_4", "generic_j_zero", "vertex_line"}
