@@ -8,52 +8,27 @@ Three query families on any non-degenerate triangle:
   a certified no-solution when the slope aims at a vertex;
 * tangency points prescribed on two different sides -> a unique ellipse.
 
-Everything is solved in closed form on the unit triangle and transported by
-affine maps; :mod:`inellipse.oracle` provides an independent numerical
-witness for all of it.  The closed-form path imports no numpy; the oracle
-names below load :mod:`inellipse.oracle` (and numpy) on first use.
+The package namespace is the query API: the world queries
+:func:`solve_two_points`, :func:`solve_point_slope` and
+:func:`solve_tangency` with their report types, the triangle, the three
+unit-triangle solvers with their outcome types, the value types, and the
+oracle.  Everything is solved in closed form on the unit triangle and
+transported by affine maps; the internals stay in their modules
+(:mod:`~inellipse.kernel` for the polynomials, :mod:`~inellipse.affine` and
+:mod:`~inellipse.conic` for the maps and conics, :mod:`~inellipse.equations`
+for the defining equations).  :mod:`inellipse.oracle` provides an independent
+numerical witness for all of it.  The closed-form path imports no numpy; the
+oracle names load :mod:`inellipse.oracle` (and numpy) on first use, which
+``from inellipse import *`` is.
 """
 
-from .affine import AffineMap, Triangle, UNIT_TRIANGLE, apply_point, apply_slope, invert, map_to_unit
+from .affine import Triangle, UNIT_TRIANGLE
 from .boundary import Side, SidePoint, param_from_tangencies, side_point
-from .conic import (
-    ConicCoeffs,
-    conic_center,
-    conic_close,
-    evaluate,
-    full_coefficients,
-    is_real_ellipse,
-    membership_residual,
-    normalize_conic,
-    slope_at,
-    transform_conic,
-)
+from .conic import ConicCoeffs
 from .geom import Point, Slope, Vertex
-from .kernel import (
-    EllipseParam,
-    PairInvariants,
-    QuadraticPoly,
-    TangencyTriple,
-    inscribed_center,
-    inscribed_conic,
-    pair_invariants,
-    poly_B,
-    poly_C,
-    poly_q,
-    poly_R,
-    poly_S,
-    solve_quadratic,
-    tangency_points,
-)
-from .point_slope import NoSolution, PointSlopeQuery, solve_point_slope_unit, vertex_slopes
-from .two_points import (
-    PairCase,
-    PairKind,
-    TwoPointSolution,
-    classify_pair,
-    residual_system3,
-    solve_two_points_unit,
-)
+from .kernel import EllipseParam, TangencyTriple, inscribed_conic, tangency_points
+from .point_slope import NoSolution, solve_point_slope_unit, vertex_slopes
+from .two_points import PairCase, PairKind, TwoPointSolution, classify_pair, solve_two_points_unit
 from .world import SolveReport, WorldSolution, solve_point_slope, solve_tangency, solve_two_points
 
 __version__ = "0.1.0"
@@ -73,61 +48,36 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "AffineMap",
-    "ConicCoeffs",
-    "EllipseParam",
-    "NoSolution",
+    # World queries and their reports.
+    "solve_two_points",
+    "solve_point_slope",
+    "solve_tangency",
+    "SolveReport",
+    "WorldSolution",
+    "Triangle",
+    "UNIT_TRIANGLE",
+    # Unit-triangle solvers and their outcome types.
+    "solve_two_points_unit",
+    "classify_pair",
     "PairCase",
-    "PairInvariants",
     "PairKind",
-    "Point",
-    "PointSlopeQuery",
-    "QuadraticPoly",
+    "TwoPointSolution",
+    "solve_point_slope_unit",
+    "NoSolution",
+    "vertex_slopes",
+    "side_point",
+    "param_from_tangencies",
     "Side",
     "SidePoint",
+    # Value types.
+    "Point",
     "Slope",
-    "SolveReport",
-    "TangencyTriple",
-    "Triangle",
-    "TwoPointSolution",
-    "UNIT_TRIANGLE",
-    "VerificationReport",
     "Vertex",
-    "WorldSolution",
-    "apply_point",
-    "apply_slope",
-    "brute_force_point_slope",
-    "brute_force_two_points",
-    "classify_pair",
-    "conic_center",
-    "conic_close",
-    "evaluate",
-    "full_coefficients",
-    "inscribed_center",
+    "EllipseParam",
+    "ConicCoeffs",
+    "TangencyTriple",
     "inscribed_conic",
-    "invert",
-    "is_real_ellipse",
-    "map_to_unit",
-    "membership_residual",
-    "normalize_conic",
-    "pair_invariants",
-    "param_from_tangencies",
-    "poly_B",
-    "poly_C",
-    "poly_R",
-    "poly_S",
-    "poly_q",
-    "residual_system3",
-    "side_point",
-    "slope_at",
-    "solve_point_slope",
-    "solve_point_slope_unit",
-    "solve_quadratic",
-    "solve_tangency",
-    "solve_two_points",
-    "solve_two_points_unit",
     "tangency_points",
-    "transform_conic",
-    "verify_inscribed",
-    "vertex_slopes",
+    # The oracle, loaded on first use.
+    *sorted(_ORACLE_NAMES),
 ]

@@ -12,12 +12,14 @@ document (positional file path, or ``-`` for stdin)::
 Exactly one of ``two_points`` / ``point_slope`` / ``boundary_tangency`` must
 be present and must match the subcommand.  ``point_slope.slope`` is a number
 or the string ``"vertical"``.  ``tolerance`` (or ``--tol``) is the residual
-gate every two-point solution must pass at both points; point-slope and
-tangency queries accept it and ignore it.  Reported coefficients are in world
-coordinates, ordered [A, B, 2C, D, E, F] with the full (printed) xy
-coefficient, normalized so the largest-magnitude entry is +-1 unless
-``--raw``.  Exit codes: 0 solved, 2 a certified no-solution outcome, 1 input
-error.
+gate every two-point solution must pass at both points; it must be a finite
+positive number, and point-slope and tangency queries accept it and ignore
+it.  ``grid_n`` (or ``--grid``) is the oracle's grid size for ``--check``, an
+integer of at least 64; ``svg`` (or ``--svg``) is a path string.  Reported
+coefficients are in world coordinates, ordered [A, B, 2C, D, E, F] with the
+full (printed) xy coefficient, normalized so the largest-magnitude entry is
++-1 unless ``--raw``.  Exit codes: 0 solved, 2 a certified no-solution
+outcome, 1 input error (one ``error:`` line on stderr, nothing on stdout).
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import sys
 
 from . import world
 from .affine import Triangle, apply_point, apply_slope, map_to_unit
-from .errors import GeometryError
 from .geom import Point, Slope, as_point
 from .conic import full_coefficients
 
@@ -80,7 +81,11 @@ class InputError(Exception):
 
 def _load_document(path: str):
     try:
-        text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
@@ -125,6 +130,16 @@ def _parse_slope(raw) -> Slope:
     raise InputError("'slope' must be a number or the string \"vertical\"")
 
 
+def _option(options: dict, key: str, kind, default):
+    """``options[key]``, which must be of type ``kind`` (not a boolean), or ``default``."""
+    if key not in options:
+        return default
+    value = options[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise InputError(f"option '{key}' has the wrong type: {value!r}")
+    return value
+
+
 def _point_field(obj, key) -> Point:
     try:
         return as_point(obj[key])
@@ -147,7 +162,7 @@ def _solution_dict(sol: world.WorldSolution, raw: bool) -> dict:
     }
 
 
-def _oracle_check(kind: str, tri: Triangle, args_ns, payload, report, grid_n: int) -> dict:
+def _oracle_check(kind: str, tri: Triangle, payload, report, grid_n: int) -> dict:
     from . import oracle  # imports numpy, so only --check loads it
 
     fwd = map_to_unit(tri)
@@ -209,18 +224,20 @@ def run(argv=None) -> int:
     kind = {"two-points": "two_points", "point-slope": "point_slope", "tangency": "boundary_tangency"}[
         args.command
     ]
+    # Every error below, from parsing the document to writing the SVG, is
+    # reported as one line on stderr before anything reaches stdout.
     try:
         doc = _load_document(args.input)
         tri = _parse_triangle(doc)
         payload = _parse_query(doc, kind)
-        options = doc.get("options") or {}
+        options = doc.get("options", {})
         if not isinstance(options, dict):
             raise InputError("'options' must be an object")
 
-        tol_value = args.tol if args.tol is not None else options.get("tolerance")
-        gate = {} if tol_value is None else {"tol": float(tol_value)}
-        grid_n = args.grid if args.grid is not None else int(options.get("grid_n", _DEFAULT_GRID))
-        svg_path = args.svg if args.svg is not None else options.get("svg")
+        tol = args.tol if args.tol is not None else _option(options, "tolerance", (int, float), None)
+        gate = {} if tol is None else {"tol": float(tol)}
+        grid_n = args.grid if args.grid is not None else _option(options, "grid_n", int, _DEFAULT_GRID)
+        svg_path = args.svg if args.svg is not None else _option(options, "svg", str, None)
 
         if kind == "two_points":
             p1, p2 = _point_field(payload, "p1"), _point_field(payload, "p2")
@@ -234,29 +251,26 @@ def run(argv=None) -> int:
             q1, q2 = _point_field(payload, "p1"), _point_field(payload, "p2")
             report = world.solve_tangency(tri, q1, q2)
             markers = [q1, q2]
-    except InputError as exc:
+
+        out = {
+            "case": report.case,
+            "ellipses": [_solution_dict(s, args.raw) for s in report.solutions],
+        }
+        if args.check:
+            out["oracle_check"] = _oracle_check(kind, tri, payload, report, grid_n)
+        if svg_path:
+            from . import svgfig  # imports numpy, so only --svg loads it
+
+            tangent_points = [p for s in report.solutions for p in s.tangent_points]
+            figure = svgfig.render_svg(tri, [s.conic for s in report.solutions], markers, tangent_points)
+            with open(svg_path, "w", encoding="utf-8") as fh:
+                fh.write(figure)
+        text = _canonical(out)
+    except (InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except GeometryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
-    out = {
-        "case": report.case,
-        "ellipses": [_solution_dict(s, args.raw) for s in report.solutions],
-    }
-    if args.check:
-        out["oracle_check"] = _oracle_check(kind, tri, args, payload, report, grid_n)
-    print(_canonical(out))
-
-    if svg_path:
-        from . import svgfig  # imports numpy, so only --svg loads it
-
-        tangent_points = [p for s in report.solutions for p in s.tangent_points]
-        text = svgfig.render_svg(tri, [s.conic for s in report.solutions], markers, tangent_points)
-        with open(svg_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
+    print(text)
     return 2 if report.case.startswith("no_solution") else 0
 
 

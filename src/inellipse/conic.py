@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .affine import AffineMap, invert
+from .affine import AffineMap
 from .errors import DegenerateConic, SingularPoint
 from .geom import Point, Slope
 
@@ -158,15 +158,6 @@ def pull_back(conic: ConicCoeffs, h: AffineMap) -> ConicCoeffs:
         gx * v1 + gy * v2,
         0.5 * (x0 * (gx + d) + y0 * (gy + e)) + f,
     )
-
-
-def transform_conic(conic: ConicCoeffs, m: AffineMap) -> ConicCoeffs:
-    """Push the conic forward: p lies on the result iff m^-1(p) lies on the input.
-
-    The :func:`pull_back` congruence by the inverse map, written out in floats
-    (no numpy), so scale equivalence is preserved.
-    """
-    return pull_back(conic, invert(m))
 
 
 def normalize_conic(conic: ConicCoeffs) -> ConicCoeffs:

@@ -27,10 +27,6 @@ class Vertex(Enum):
     RIGHT = "right"
     TOP = "top"
 
-    @property
-    def point(self) -> "Point":
-        return _VERTEX_POINTS[self]
-
 
 class Slope(NamedTuple):
     """Tangent direction: ``value`` is the finite slope, or None for vertical."""
@@ -53,13 +49,6 @@ class Slope(NamedTuple):
         return self.value is None
 
 
-_VERTEX_POINTS = {
-    Vertex.ORIGIN: Point(0.0, 0.0),
-    Vertex.RIGHT: Point(1.0, 0.0),
-    Vertex.TOP: Point(0.0, 1.0),
-}
-
-
 def as_point(obj) -> Point:
     """Coerce a 2-sequence into a finite-coordinate Point."""
     x, y = float(obj[0]), float(obj[1])
@@ -68,14 +57,10 @@ def as_point(obj) -> Point:
     return Point(x, y)
 
 
-def in_unit_interior(p: Point) -> bool:
-    """Strict membership in the open unit triangle 0<x, 0<y, x+y<1."""
-    return 0.0 < p.x and 0.0 < p.y and p.x + p.y < 1.0
-
-
 def require_interior(*points: Point) -> None:
+    """Strict membership in the open unit triangle 0<x, 0<y, x+y<1."""
     for p in points:
-        if not in_unit_interior(p):
+        if not (0.0 < p.x and 0.0 < p.y and p.x + p.y < 1.0):
             raise NotInterior(f"point {tuple(p)} is not interior to the unit triangle")
 
 

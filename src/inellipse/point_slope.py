@@ -15,7 +15,7 @@ ordinary outcome, not an error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from . import equations
 from .geom import Point, Slope, Vertex, as_point, require_interior
@@ -27,30 +27,10 @@ _SLOPE_EXCLUSION = 1e-9
 
 
 @dataclass(frozen=True)
-class PointSlopeQuery:
-    p: Point
-    slope: Slope
-
-
-@dataclass(frozen=True)
 class NoSolution:
     """The slope aims from the point at this triangle vertex."""
 
     vertex: Vertex
-
-
-@dataclass(frozen=True)
-class SlopeRationals:
-    """Values of the two positive denominators q_w(r), q_t(r).
-
-    ``r0`` is the one slope at which the elimination route through the
-    system degenerates; the closed form still covers it, so it is exposed
-    only as a diagnostic.
-    """
-
-    qw: float
-    qt: float
-    r0: Optional[float] = None
 
 
 def vertex_slopes(p: Point) -> tuple[Slope, Slope, Slope]:
@@ -69,32 +49,23 @@ def vertex_slopes(p: Point) -> tuple[Slope, Slope, Slope]:
     )
 
 
-def slope_rationals(p: Point, r: float) -> SlopeRationals:
+def solve_point_slope_unit(p: Point, slope: Slope) -> Union[EllipseParam, NoSolution]:
+    """Closed-form parameters, or :class:`NoSolution` on an excluded slope."""
     p = as_point(p)
     require_interior(p)
     x, y = p
-    qw = (x * x - x * x * x) * r * r + 2.0 * y * x * x * r + y - y * y - x * y * y
-    qt = (x - x * x * y - x * x) * r * r + 2.0 * x * y * y * r + y * y - y * y * y
-    r0 = y * (2.0 * x + y - 1.0) / (x * (2.0 * x + y - 2.0))
-    return SlopeRationals(qw, qt, r0)
-
-
-def solve_point_slope_unit(query: PointSlopeQuery) -> Union[EllipseParam, NoSolution]:
-    """Closed-form parameters, or :class:`NoSolution` on an excluded slope."""
-    p = as_point(query.p)
-    require_interior(p)
-    x, y = p
-    if query.slope.is_vertical:
+    if slope.is_vertical:
         w = (1.0 - x - y) / (1.0 - x)
         t = x * (1.0 - x - y) / (1.0 - x * (1.0 + y))
         return EllipseParam(w, t)
-    r = query.slope.value
+    r = slope.value
     for vertex, vs in zip((Vertex.ORIGIN, Vertex.RIGHT, Vertex.TOP), vertex_slopes(p)):
         if abs(r - vs.value) < _SLOPE_EXCLUSION * (1.0 + abs(r)):
             return NoSolution(vertex)
-    sr = slope_rationals(p, r)
+    qw = (x * x - x * x * x) * r * r + 2.0 * y * x * x * r + y - y * y - x * y * y
+    qt = (x - x * x * y - x * x) * r * r + 2.0 * x * y * y * r + y * y - y * y * y
     shared = (1.0 - x - y) * (r * x - y) ** 2
-    return EllipseParam(shared / sr.qw, shared / sr.qt)
+    return EllipseParam(shared / qw, shared / qt)
 
 
 def residual_system13(p: Point, slope: Slope, param: EllipseParam) -> tuple[float, float]:

@@ -134,82 +134,55 @@ def _newton_polish(p1: Point, p2: Point, w: float, t: float):
     return w, t
 
 
-def _w_from_ratio(b_poly, c_poly, t):
-    cv = c_poly(t)
-    if cv == 0.0:
-        return None
-    return 0.5 * t * b_poly(t) / cv
-
-
 def _candidate_params(p1: Point, p2: Point, q1: QuadraticPoly, q2: QuadraticPoly, case: PairCase):
     inv = pair_invariants(p1, p2)
     r_poly = poly_R(p1, p2)
     s_poly = poly_S(p1, p2)
+    j_zero = case.kind is PairKind.GENERIC_J_ZERO
     # Reorder a j_zero pair so the origin determinant is positive; this pins
     # the shared contact parameter t0 inside (0,1) and keeps the w-quadratic
     # stable.
-    if case.kind is PairKind.GENERIC_J_ZERO and inv.d_origin < 0.0:
+    if j_zero and inv.d_origin < 0.0:
         p1, p2, q1, q2 = p2, p1, q2, q1
         inv = pair_invariants(p1, p2)
         s_poly = poly_S(p1, p2)
+    if j_zero and inv.t0 is None:
+        raise SolutionCountMismatch(
+            "degenerate pair lost its shared contact parameter; tolerance bands disagree"
+        )
     b_poly, c_poly = poly_B(p1, p2), poly_C(p1, p2)
+    if case.vertex is not None:
+        # Each vertex line plants one known spurious root of R(t) S(t): the
+        # parameter that would force w onto the square boundary.
+        spurious = {Vertex.ORIGIN: 0.0, Vertex.RIGHT: 1.0, Vertex.TOP: p1.x / (1.0 - p1.y)}[case.vertex]
 
-    if case.kind is PairKind.GENERIC_J_ZERO:
-        if inv.t0 is None:
-            raise SolutionCountMismatch(
-                "degenerate pair lost its shared contact parameter; tolerance bands disagree"
-            )
-        t0 = inv.t0
-        out = []
-        for t, _ in solve_quadratic_clamped(s_poly, _DOUBLE_ROOT_BAND):
-            w = _w_from_ratio(b_poly, c_poly, t)
-            if w is not None:
-                out.append((w, t))
-        g = QuadraticPoly(*_w_coeffs(p1, q1, t0))
-        for w, _ in solve_quadratic_clamped(g, _DOUBLE_ROOT_BAND):
-            out.append((w, t0))
-        return out, 4
-
-    if case.kind is PairKind.GENERIC:
-        out = []
-        for poly in (r_poly, s_poly):
-            # Near a double root the ratio B/C approaches 0/0 and loses all
-            # accuracy; the through-point quadratic in w at each root stays
-            # exact (both its roots are tried, the residual gate and the
-            # dedupe pass sort out the pairing).
-            near_double = poly.discriminant < (_RATIO_SAFE_BAND * poly.scale) ** 2
-            for t, _ in solve_quadratic_clamped(poly, _DOUBLE_ROOT_BAND):
-                if near_double:
-                    for w, _ in solve_quadratic_clamped(
-                        QuadraticPoly(*_w_coeffs(p1, q1, t)), _DOUBLE_ROOT_BAND
-                    ):
-                        out.append((w, t))
-                else:
-                    w = _w_from_ratio(b_poly, c_poly, t)
-                    if w is not None:
-                        out.append((w, t))
-        return out, 4
-
-    # Vertex-line branch: each sub-case plants one known spurious root of
-    # R(t) S(t) -- the parameter that would force w onto the square boundary.
-    x1, y1 = p1
-    if case.vertex is Vertex.TOP:
-        spurious = x1 / (1.0 - y1)
-    elif case.vertex is Vertex.ORIGIN:
-        spurious = 0.0
-    else:
-        spurious = 1.0
     out = []
-    for poly in (r_poly, s_poly):
+    # On the j_zero branch R has the double root t0, which the w-quadratic
+    # at t0 covers below.
+    for poly in (s_poly,) if j_zero else (r_poly, s_poly):
+        # Near a double root the ratio B/C approaches 0/0 and loses all
+        # accuracy; the through-point quadratic in w at each root stays exact
+        # (both its roots are tried, the residual gate and the dedupe pass
+        # sort out the pairing).
+        near_double = poly.discriminant < (_RATIO_SAFE_BAND * poly.scale) ** 2
         for t, _ in solve_quadratic_clamped(poly, _DOUBLE_ROOT_BAND):
-            if abs(t - spurious) < _SPURIOUS_BAND:
+            if case.vertex is not None and abs(t - spurious) < _SPURIOUS_BAND:
                 continue
-            if not (_SQUARE_MARGIN < t < 1.0 - _SQUARE_MARGIN):
-                continue
-            w = _w_from_ratio(b_poly, c_poly, t)
-            if w is not None:
-                out.append((w, t))
-    return out, 2
+            if near_double:
+                out += _w_roots(p1, q1, t)
+            else:
+                cv = c_poly(t)
+                if cv != 0.0:
+                    out.append((0.5 * t * b_poly(t) / cv, t))
+    if j_zero:
+        out += _w_roots(p1, q1, inv.t0)
+    return out, 4 if case.vertex is None else 2
+
+
+def _w_roots(p: Point, q: QuadraticPoly, t: float) -> list[tuple[float, float]]:
+    """Both (w, t) candidates from the through-point quadratic in w at t."""
+    g = QuadraticPoly(*_w_coeffs(p, q, t))
+    return [(w, t) for w, _ in solve_quadratic_clamped(g, _DOUBLE_ROOT_BAND)]
 
 
 def _assemble(p1, p2, q1, q2, raw_params, expected, tol):
@@ -258,8 +231,11 @@ def solve_two_points_unit(
     Four solutions in the generic cases, two in the vertex-line cases; all
     returned parameters sit strictly inside the open unit square, pass the
     through-point residual gate ``tol`` for both points, and arrive sorted by
-    (t, w).
+    (t, w).  ``tol`` must be finite and positive: a NaN would pass every
+    candidate through the gate.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
     p1, p2 = as_point(p1), as_point(p2)
     # Built once per solve; poly_q also checks that p1, then p2, is interior.
     q1, q2 = poly_q(p1), poly_q(p2)

@@ -72,13 +72,11 @@ def solve_point_slope(tri: Triangle, p: Point, slope: Slope) -> SolveReport:
     """
     fwd = map_to_unit(tri)
     back = invert(fwd)
-    query = point_slope.PointSlopeQuery(
-        apply_point(fwd, as_point(p)), apply_slope(fwd, slope)
-    )
-    outcome = point_slope.solve_point_slope_unit(query)
+    u, u_slope = apply_point(fwd, as_point(p)), apply_slope(fwd, slope)
+    outcome = point_slope.solve_point_slope_unit(u, u_slope)
     if isinstance(outcome, point_slope.NoSolution):
         return SolveReport(case=f"no_solution:{outcome.vertex.value}", solutions=())
-    residuals = point_slope.residual_system13(query.p, query.slope, outcome)
+    residuals = point_slope.residual_system13(u, u_slope, outcome)
     conic, tps = inscribed_conic(outcome), tangency_points(outcome)
     return SolveReport(case="unique", solutions=(_to_world(outcome, conic, tps, fwd, back, residuals),))
 

@@ -11,6 +11,8 @@ from inellipse.affine import Triangle
 from inellipse.geom import Point, Vertex
 from inellipse.two_points import PairKind, classify_pair
 
+VERTEX_POINTS = {Vertex.ORIGIN: Point(0.0, 0.0), Vertex.RIGHT: Point(1.0, 0.0), Vertex.TOP: Point(0.0, 1.0)}
+
 
 def random_interior(rng: np.random.Generator, margin: float = 0.02) -> Point:
     """Uniform point in the unit triangle, kept ``margin`` away from the boundary."""
@@ -39,7 +41,7 @@ def random_generic_pair(rng: np.random.Generator) -> tuple[Point, Point]:
 
 def random_vertex_pair(rng: np.random.Generator, vertex: Vertex) -> tuple[Point, Point]:
     """Two interior points exactly collinear with the given triangle vertex."""
-    v = vertex.point
+    v = VERTEX_POINTS[vertex]
     while True:
         p1 = random_interior(rng, margin=0.05)
         s = 0.4 + 0.5 * rng.random()  # stay strictly between vertex and p1

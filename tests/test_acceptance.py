@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 
 import inellipse as ie
+from inellipse.affine import apply_point, invert, map_to_unit
+from inellipse.conic import conic_close, membership_residual, normalize_conic
 from inellipse.geom import Point, Slope, Vertex
-from inellipse.kernel import EllipseParam
+from inellipse.kernel import EllipseParam, pair_invariants, poly_B, poly_C, poly_q, poly_R, poly_S
 from inellipse.oracle import _two_point_residuals
 
 from helpers import (
@@ -54,7 +56,7 @@ def match_sorted_tw(solutions, expected, tol=0.01):
 
 def test_01_generic_two_point_regression():
     with criterion(1, "generic two-point example"):
-        inv = ie.pair_invariants(*EX1)
+        inv = pair_invariants(*EX1)
         assert abs(inv.j - (-1 / 576)) < 1e-15
         solve_start = time.perf_counter()
         case, sols = ie.solve_two_points_unit(*EX1)
@@ -69,7 +71,7 @@ def test_01_generic_two_point_regression():
 
 def test_02_degenerate_branch_regression():
     with criterion(2, "shared-contact (double-root) example"):
-        inv = ie.pair_invariants(*EX2)
+        inv = pair_invariants(*EX2)
         t0 = math.sqrt(2) / 4
         assert abs(inv.t0 - t0) < 1e-12
         case, sols = ie.solve_two_points_unit(*EX2)
@@ -85,7 +87,7 @@ def test_03_vertex_line_regression():
         case = ie.classify_pair(*EX_TOP)
         assert case.kind is ie.PairKind.VERTEX_LINE
         assert case.vertex is Vertex.TOP
-        r = ie.poly_R(*EX_TOP)
+        r = poly_R(*EX_TOP)
         assert abs(r.vertex - 5 / 12) < 1e-12
         _, sols = ie.solve_two_points_unit(*EX_TOP)
         assert len(sols) == 2
@@ -99,10 +101,10 @@ def test_04_point_slope_regression():
         sol = report.solutions[0]
         assert abs(sol.param.w - 9 / 58) < 1e-12
         assert abs(sol.param.t - 9 / 59) < 1e-12
-        printed = ie.normalize_conic(
+        printed = normalize_conic(
             ie.ConicCoeffs(281961.0, 272484.0, -119718.0, -86022.0, -84564.0, 6561.0)
         )
-        got = ie.normalize_conic(sol.conic)
+        got = normalize_conic(sol.conic)
         for u, v in zip(got, printed):
             assert u == pytest.approx(v, rel=1e-9, abs=1e-12)
 
@@ -113,7 +115,7 @@ def test_05_vertical_tangent_regression():
         sol = report.solutions[0]
         assert abs(sol.param.w - 0.5) < 1e-12
         assert abs(sol.param.t - 0.2) < 1e-12
-        assert ie.conic_close(sol.conic, ie.ConicCoeffs(25.0, 4.0, 2.0, -10.0, -4.0, 1.0))
+        assert conic_close(sol.conic, ie.ConicCoeffs(25.0, 4.0, 2.0, -10.0, -4.0, 1.0))
 
 
 def test_06_excluded_slope_nonexistence():
@@ -122,7 +124,7 @@ def test_06_excluded_slope_nonexistence():
         for _ in range(100):
             p = random_interior(rng)
             for vs in ie.vertex_slopes(p):
-                out = ie.solve_point_slope_unit(ie.PointSlopeQuery(p, vs))
+                out = ie.solve_point_slope_unit(p, vs)
                 assert isinstance(out, ie.NoSolution)
                 assert ie.brute_force_point_slope(p, vs) == []
 
@@ -134,7 +136,7 @@ def test_07_boundary_regression_and_round_trip():
         param = ie.param_from_tangencies(s1, s2)
         assert abs(param.w - 6 / 7) < 1e-12
         assert abs(param.t - 2 / 3) < 1e-12
-        assert ie.conic_close(
+        assert conic_close(
             ie.inscribed_conic(param),
             ie.ConicCoeffs(324.0, 196.0, 228.0, -432.0, -336.0, 144.0),
         )
@@ -157,21 +159,21 @@ def test_08_affine_counting_property():
         rng = np.random.default_rng(104)
         for _ in range(50):
             tri = random_triangle(rng)
-            back = ie.invert(ie.map_to_unit(tri))
+            back = invert(map_to_unit(tri))
             for _ in range(20):
                 u1, u2 = random_generic_pair(rng)
-                w1, w2 = ie.apply_point(back, u1), ie.apply_point(back, u2)
+                w1, w2 = apply_point(back, u1), apply_point(back, u2)
                 report = ie.solve_two_points(tri, w1, w2)
                 assert len(report.solutions) == 4
                 for sol in report.solutions:
-                    assert ie.membership_residual(sol.conic, w1) < 1e-9
-                    assert ie.membership_residual(sol.conic, w2) < 1e-9
+                    assert membership_residual(sol.conic, w1) < 1e-9
+                    assert membership_residual(sol.conic, w2) < 1e-9
                     assert ie.verify_inscribed(sol.conic, tri).passed
         for i in range(50):
             tri = random_triangle(rng)
-            back = ie.invert(ie.map_to_unit(tri))
+            back = invert(map_to_unit(tri))
             u1, u2 = random_vertex_pair(rng, list(Vertex)[i % 3])
-            report = ie.solve_two_points(tri, ie.apply_point(back, u1), ie.apply_point(back, u2))
+            report = ie.solve_two_points(tri, apply_point(back, u1), apply_point(back, u2))
             assert len(report.solutions) == 2
 
 
@@ -181,9 +183,9 @@ def test_09_identity_suite():
         rng = np.random.default_rng(106)
         for _ in range(100):
             p1, p2 = random_generic_pair(rng)
-            inv = ie.pair_invariants(p1, p2)
-            r, s = ie.poly_R(p1, p2), ie.poly_S(p1, p2)
-            b, c = ie.poly_B(p1, p2), ie.poly_C(p1, p2)
+            inv = pair_invariants(p1, p2)
+            r, s = poly_R(p1, p2), poly_S(p1, p2)
+            b, c = poly_B(p1, p2), poly_C(p1, p2)
 
             # separation: R - S = -16 a1 a2 y1 y2 t (1 - t), coefficientwise
             k = 16.0 * inv.a1 * inv.a2 * p1.y * p2.y
@@ -203,7 +205,7 @@ def test_09_identity_suite():
             assert r.discriminant > -1e-9 * r.scale ** 2
 
             # q positivity
-            q1, q2 = ie.poly_q(p1), ie.poly_q(p2)
+            q1, q2 = poly_q(p1), poly_q(p2)
             for t in rng.random(2):
                 assert q1(t) > 0.0 and q2(t) > 0.0
 
@@ -212,7 +214,7 @@ def test_09_identity_suite():
             for t in rng.random(2):
                 bt, ct, gt = b(t), c(t), r(t) * s(t)
                 for (x, y) in (p1, p2):
-                    q = ie.poly_q(Point(x, y))(t)
+                    q = poly_q(Point(x, y))(t)
                     terms = (
                         q * bt * bt,
                         4.0 * y * ((2.0 * x - 1.0) * t - x) * bt * ct,
@@ -239,7 +241,7 @@ def test_10_oracle_concordance():
         for _ in range(20):
             p = random_interior(rng)
             r = 3.0 * rng.standard_cauchy()
-            out = ie.solve_point_slope_unit(ie.PointSlopeQuery(p, Slope.finite(r)))
+            out = ie.solve_point_slope_unit(p, Slope.finite(r))
             basins = ie.brute_force_point_slope(p, Slope.finite(r), 256)
             if isinstance(out, ie.NoSolution):
                 assert basins == []

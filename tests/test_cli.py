@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -223,3 +226,55 @@ class TestInputContract:
         tps = report["ellipses"][0]["tangent_points"]
         assert any(math.dist(p, [1.9, 1.3]) < 1e-9 for p in tps)
         assert any(math.dist(p, [2.8, 3.8]) < 1e-9 for p in tps)
+
+
+def run_cli_process(argv, stdin):
+    """The CLI in a fresh interpreter (``-X dev`` shows unclosed files)."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "inellipse.cli", *argv],
+        input=stdin, capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+GOOD_PAIR = '"query": {"two_points": {"p1": [0.25, 0.125], "p2": [0.5, 0.1667]}}'
+
+
+class TestMalformedInput:
+    """Each case is one ``error:`` line on stderr, nothing on stdout, exit 1."""
+
+    CASES = {
+        "grid_n_not_a_number": ([], '"options": {"grid_n": "abc"}'),
+        "tolerance_not_a_number": ([], '"options": {"tolerance": "x"}'),
+        "tolerance_nan_literal": ([], '"options": {"tolerance": NaN}'),
+        "tolerance_nan_flag": (["--tol", "nan"], '"options": {}'),
+        "svg_not_a_path": ([], '"options": {"svg": true}'),
+        "options_not_an_object": ([], '"options": []'),
+        "grid_below_oracle_minimum": (["--check", "--grid", "10"], '"options": {}'),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_two_point_document(self, case):
+        flags, options = self.CASES[case]
+        doc = f'{{"triangle": [[0, 0], [1, 0], [0, 1]], {GOOD_PAIR}, {options}}}'
+        proc = run_cli_process(["two-points", "-", *flags], doc)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+
+    def test_slope_overflowing_to_infinity(self):
+        doc = '{"triangle": [[0, 0], [1, 0], [0, 1]], "query": {"point_slope": {"p": [0.3, 0.3], "slope": 1e400}}}'
+        proc = run_cli_process(["point-slope", "-"], doc)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+
+    def test_document_file_is_closed(self, tmp_path):
+        path = tmp_path / "query.json"
+        path.write_text(f'{{"triangle": [[0, 0], [1, 0], [0, 1]], {GOOD_PAIR}}}')
+        proc = run_cli_process(["two-points", str(path)], "")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["case"] == "generic_4"
+        assert proc.stderr == ""

@@ -82,3 +82,32 @@ def test_unknown_attribute_still_raises():
 
     with pytest.raises(AttributeError):
         inellipse.no_such_name
+
+
+ORACLE_NAMES = ["VerificationReport", "brute_force_point_slope", "brute_force_two_points", "verify_inscribed"]
+QUERY_API = sorted([
+    "solve_two_points", "solve_point_slope", "solve_tangency", "SolveReport", "WorldSolution",
+    "Triangle", "UNIT_TRIANGLE",
+    "solve_two_points_unit", "classify_pair", "PairCase", "PairKind", "TwoPointSolution",
+    "solve_point_slope_unit", "NoSolution", "vertex_slopes",
+    "side_point", "param_from_tangencies", "Side", "SidePoint",
+    "Point", "Slope", "Vertex", "EllipseParam", "ConicCoeffs", "TangencyTriple",
+    "inscribed_conic", "tangency_points",
+    *ORACLE_NAMES,
+])
+
+
+def test_package_namespace_is_the_query_api():
+    import inellipse
+
+    assert sorted(inellipse.__all__) == QUERY_API
+    assert len(QUERY_API) == 31
+    for name in QUERY_API:
+        assert getattr(inellipse, name) is not None
+
+
+def test_closed_form_names_import_without_numpy():
+    # Only the four oracle names load numpy; a star import resolves them too.
+    names = ", ".join(n for n in QUERY_API if n not in ORACLE_NAMES)
+    out = run_python(f"import sys\nfrom inellipse import {names}\nprint('numpy' in sys.modules)")
+    assert out.split() == ["False"]

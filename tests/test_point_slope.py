@@ -11,9 +11,7 @@ from inellipse.kernel import EllipseParam, inscribed_conic
 from inellipse.conic import slope_at
 from inellipse.point_slope import (
     NoSolution,
-    PointSlopeQuery,
     residual_system13,
-    slope_rationals,
     solve_point_slope_unit,
     vertex_slopes,
 )
@@ -21,41 +19,37 @@ from inellipse.point_slope import (
 from helpers import random_interior
 
 
-def solve(p, slope):
-    return solve_point_slope_unit(PointSlopeQuery(p, slope))
-
-
 class TestClosedForm:
     def test_finite_slope_regression(self):
-        param = solve(Point(0.5, 0.25), Slope.finite(2.0))
+        param = solve_point_slope_unit(Point(0.5, 0.25), Slope.finite(2.0))
         assert param.w == pytest.approx(9 / 58, abs=1e-12)
         assert param.t == pytest.approx(9 / 59, abs=1e-12)
 
     def test_vertical_regression(self):
-        param = solve(Point(1 / 3, 1 / 3), Slope.vertical())
+        param = solve_point_slope_unit(Point(1 / 3, 1 / 3), Slope.vertical())
         assert param.w == pytest.approx(0.5, abs=1e-12)
         assert param.t == pytest.approx(0.2, abs=1e-12)
 
     def test_slope_aiming_at_origin(self):
-        out = solve(Point(0.5, 0.25), Slope.finite(0.5))
+        out = solve_point_slope_unit(Point(0.5, 0.25), Slope.finite(0.5))
         assert isinstance(out, NoSolution)
         assert out.vertex is Vertex.ORIGIN
 
     def test_slope_aiming_at_right_vertex(self):
-        out = solve(Point(0.5, 0.25), Slope.finite(-0.5))
+        out = solve_point_slope_unit(Point(0.5, 0.25), Slope.finite(-0.5))
         assert isinstance(out, NoSolution) and out.vertex is Vertex.RIGHT
 
     def test_slope_aiming_at_top_vertex(self):
-        out = solve(Point(0.5, 0.25), Slope.finite(-1.5))
+        out = solve_point_slope_unit(Point(0.5, 0.25), Slope.finite(-1.5))
         assert isinstance(out, NoSolution) and out.vertex is Vertex.TOP
 
     def test_band_around_excluded_slope(self):
-        out = solve(Point(0.5, 0.25), Slope.finite(0.5 + 1e-11))
+        out = solve_point_slope_unit(Point(0.5, 0.25), Slope.finite(0.5 + 1e-11))
         assert isinstance(out, NoSolution)
 
     def test_interior_required(self):
         with pytest.raises(NotInterior):
-            solve(Point(0.7, 0.5), Slope.finite(1.0))
+            solve_point_slope_unit(Point(0.7, 0.5), Slope.finite(1.0))
 
 
 class TestVertexSlopes:
@@ -72,18 +66,22 @@ class TestVertexSlopes:
         for _ in range(30):
             p = random_interior(rng)
             for vs in vertex_slopes(p):
-                assert isinstance(solve(p, vs), NoSolution)
+                assert isinstance(solve_point_slope_unit(p, vs), NoSolution)
 
 
 class TestRationals:
     def test_positivity(self):
+        # q_w and q_t are positive definite, so every slope that does not aim
+        # at a vertex gives positive w and t.
         rng = np.random.default_rng(52)
         for _ in range(1000):
             p = random_interior(rng)
             r = 3.0 * rng.standard_cauchy()
-            sr = slope_rationals(p, r)
-            assert sr.qw > 0.0
-            assert sr.qt > 0.0
+            out = solve_point_slope_unit(p, Slope.finite(r))
+            if isinstance(out, NoSolution):
+                continue
+            assert out.w > 0.0
+            assert out.t > 0.0
 
     def test_special_slope_needs_no_branch(self):
         # At the slope where the elimination degenerates, the closed form
@@ -91,8 +89,9 @@ class TestRationals:
         rng = np.random.default_rng(54)
         for _ in range(50):
             p = random_interior(rng)
-            r0 = slope_rationals(p, 0.0).r0
-            param = solve(p, Slope.finite(r0))
+            x, y = p
+            r0 = y * (2.0 * x + y - 1.0) / (x * (2.0 * x + y - 2.0))
+            param = solve_point_slope_unit(p, Slope.finite(r0))
             assert isinstance(param, EllipseParam)
             assert param.t == pytest.approx(p.x / (1.0 - p.y), rel=1e-9)
             assert max(residual_system13(p, Slope.finite(r0), param)) < 1e-10
@@ -104,7 +103,7 @@ class TestSolutionQuality:
         for _ in range(100):
             p = random_interior(rng)
             r = math.tan(math.pi * (rng.random() - 0.5) * 0.98)
-            out = solve(p, Slope.finite(r))
+            out = solve_point_slope_unit(p, Slope.finite(r))
             if isinstance(out, NoSolution):
                 continue
             assert max(residual_system13(p, Slope.finite(r), out)) < 1e-10
@@ -113,7 +112,7 @@ class TestSolutionQuality:
         rng = np.random.default_rng(58)
         for _ in range(100):
             p = random_interior(rng)
-            out = solve(p, Slope.vertical())
+            out = solve_point_slope_unit(p, Slope.vertical())
             assert max(residual_system13(p, Slope.vertical(), out)) < 1e-10
 
     def test_conic_attains_requested_slope(self):
@@ -121,7 +120,7 @@ class TestSolutionQuality:
         for _ in range(100):
             p = random_interior(rng)
             r = 2.0 * rng.standard_normal()
-            out = solve(p, Slope.finite(r))
+            out = solve_point_slope_unit(p, Slope.finite(r))
             if isinstance(out, NoSolution):
                 continue
             got = slope_at(inscribed_conic(out), p)
@@ -132,16 +131,16 @@ class TestSolutionQuality:
         rng = np.random.default_rng(62)
         for _ in range(50):
             p = random_interior(rng)
-            out = solve(p, Slope.vertical())
+            out = solve_point_slope_unit(p, Slope.vertical())
             assert slope_at(inscribed_conic(out), p).is_vertical
 
     def test_finite_formula_approaches_vertical_limit(self):
         rng = np.random.default_rng(64)
         for _ in range(25):
             p = random_interior(rng)
-            limit = solve(p, Slope.vertical())
+            limit = solve_point_slope_unit(p, Slope.vertical())
             for r in (1e8, -1e8):
-                param = solve(p, Slope.finite(r))
+                param = solve_point_slope_unit(p, Slope.finite(r))
                 assert param.w == pytest.approx(limit.w, abs=1e-6)
                 assert param.t == pytest.approx(limit.t, abs=1e-6)
 
@@ -150,7 +149,7 @@ class TestSolutionQuality:
         for _ in range(200):
             p = random_interior(rng)
             r = 3.0 * rng.standard_cauchy()
-            out = solve(p, Slope.finite(r))
+            out = solve_point_slope_unit(p, Slope.finite(r))
             if isinstance(out, NoSolution):
                 continue
             assert 0.0 < out.w < 1.0

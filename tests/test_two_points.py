@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from inellipse.conic import evaluate, membership_residual
-from inellipse.errors import AmbiguousClassification, CoincidentPoints, NotInterior
+from inellipse.errors import AmbiguousClassification, CoincidentPoints, NotInterior, SolutionCountMismatch
 from inellipse.geom import Point, Vertex
 from inellipse.kernel import EllipseParam, pair_invariants, poly_R, w_quadratic_at
 from inellipse.oracle import brute_force_two_points, verify_inscribed
@@ -120,6 +120,21 @@ class TestDegenerateBranchExample:
             for s in sols:
                 assert membership_residual(s.conic, p1) < 1e-9
                 assert membership_residual(s.conic, p2) < 1e-9
+
+
+    @pytest.mark.xfail(
+        strict=True, raises=SolutionCountMismatch,
+        reason="just off the j_zero branch the R discriminant clears the ratio band "
+        "while B/C is still near its 0/0, and a solution is lost (ROADMAP 4(a))",
+    )
+    def test_pairs_near_the_branch_keep_four_solutions(self):
+        # 17 of these 1,000 solves keep 3 solutions.
+        rng = np.random.default_rng(5)
+        pairs = [j_zero_pair(rng) for _ in range(250)]
+        for eps in (1e-10, 1e-9, 1e-8, 1e-7):
+            for p1, p2 in pairs:
+                _, sols = solve_two_points_unit(p1, Point(p2.x, p2.y * (1.0 + eps)))
+                assert len(sols) == 4
 
 
 class TestVertexLineExample:
@@ -334,12 +349,16 @@ class TestErrors:
         with pytest.raises(CoincidentPoints):
             solve_two_points_unit(Point(0.25, 0.25), Point(0.25, 0.25))
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_gate_must_be_finite_and_positive(self, tol):
+        # A NaN gate would let every candidate through (max(r) >= nan is false).
+        with pytest.raises(ValueError, match="tol"):
+            solve_two_points_unit(*EX1, tol=tol)
+
     def test_unresolvable_near_degenerate_pair_is_reported(self):
         # A pair 1e-6 off a vertex line classifies as generic, but two of its
         # four solutions sit ~1e-12 from the square boundary, beyond double
         # precision: the solver must report the count failure, not fake it.
-        from inellipse.errors import SolutionCountMismatch
-
         p1 = Point(0.3, 0.15)
         p2 = Point(0.6, 0.3 + 1e-6)  # almost collinear with the origin
         with pytest.raises(SolutionCountMismatch):
