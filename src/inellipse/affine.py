@@ -86,18 +86,14 @@ def invert(m: AffineMap) -> AffineMap:
 def apply_slope(m: AffineMap, s: Slope) -> Slope:
     """Transport a tangent direction through the linear part.
 
-    A finite slope r rides on the direction (1, r); vertical rides on (0, 1).
-    The image direction (dx, dy) yields dy/dx, or vertical when dx vanishes.
+    The slope's :attr:`~inellipse.geom.Slope.direction` (a, b) maps to
+    (dx, dy), which yields dy/dx, or vertical when dx vanishes.
     """
     m._require_invertible()
-    if s.is_vertical:
-        dx, dy = m.m12, m.m22
-    else:
-        dx = m.m11 + m.m12 * s.value
-        dy = m.m21 + m.m22 * s.value
-    scale = max(abs(m.m11), abs(m.m12), abs(m.m21), abs(m.m22)) * max(
-        1.0, abs(s.value) if s.value is not None else 1.0
-    )
+    a, b = s.direction
+    dx = m.m11 * a + m.m12 * b
+    dy = m.m21 * a + m.m22 * b
+    scale = max(abs(m.m11), abs(m.m12), abs(m.m21), abs(m.m22)) * max(abs(a), abs(b))
     if abs(dx) <= 1e-14 * scale:
         return Slope.vertical()
     return Slope.finite(dy / dx)

@@ -111,22 +111,17 @@ def slope_at(conic: ConicCoeffs, p: Point) -> Slope:
     return Slope.finite(-gx / gy)
 
 
-def require_center(conic: ConicCoeffs) -> float:
-    """The determinant AB - C^2; raises :class:`DegenerateConic` when it is
-    negligible against the quadratic part, i.e. the conic has no unique center.
+def conic_center(conic: ConicCoeffs) -> Point:
+    """The unique stationary point of the quadratic form.
+
+    Raises :class:`DegenerateConic` when AB - C^2 is negligible against the
+    quadratic part, i.e. the conic has no unique center.
     """
-    a, b, c, _, _, _ = conic
+    a, b, c, d, e, _ = conic
     det = a * b - c * c
     scale = max(abs(a), abs(b), abs(c), 1e-300)
     if abs(det) <= _CENTER_BAND * scale * scale:
         raise DegenerateConic("quadratic part has no unique center")
-    return det
-
-
-def conic_center(conic: ConicCoeffs) -> Point:
-    """The unique stationary point of the quadratic form."""
-    a, b, c, d, e, _ = conic
-    det = require_center(conic)
     # Solve [2a 2c; 2c 2b] (x, y) = (-d, -e).
     x = (c * e - b * d) / (2.0 * det)
     y = (c * d - a * e) / (2.0 * det)

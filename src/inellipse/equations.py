@@ -1,13 +1,14 @@
-"""The three defining equations of the inscribed family, written once.
+"""The two defining equations of the inscribed family, written once.
 
 With Q(x, y) the inscribed conic of parameters (w, t) (see
 :func:`inellipse.kernel.inscribed_conic`), the query families rest on
 
     through_point   Q(x, y) = 0                    the ellipse passes through (x, y),
-    slope           -(Q_x + r Q_y) / 2 = 0         its tangent there has slope r,
-    vertical        -Q_y / 2 = 0                   its tangent there is vertical,
+    tangent         -(a Q_x + b Q_y) / 2 = 0       its tangent there runs along (a, b),
 
-each written as a polynomial in (w, t) for a fixed point (and slope).  Every
+each written as a polynomial in (w, t) for a fixed point (and direction).  A
+finite slope r is the direction (1, r) and a vertical tangent is (0, 1)
+(:attr:`inellipse.geom.Slope.direction`), so one equation serves both.  Every
 function returns ``(value, d/dw, d/dt, magnitudes)``, where ``magnitudes`` is
 the triple of the equation's monomial magnitudes grouped by power of w.
 The largest of them normalizes the value into the componentwise backward
@@ -34,29 +35,18 @@ def through_point(x, y, w, t):
     return value, d_w, d_t, (qmag * w * w, abs(lin) * w, t * t * y * y)
 
 
-def slope(x, y, r, w, t):
-    """-(Q_x + r Q_y)/2 at (x, y): the tangent of the ellipse there has finite slope r."""
-    lead = (2.0 * r * t * t - 2.0 * r * t - 1.0) * x + 2.0 * t * (t - 1.0) * y + t
-    dlead = (4.0 * r * t - 2.0 * r) * x + (4.0 * t - 2.0) * y + 1.0
-    mid = (2.0 * t - 1.0) * y + r * (2.0 * t - 1.0) * x - r * t
-    dmid = 2.0 * y + 2.0 * r * x - r
-    value = lead * w * w - t * mid * w - r * y * t * t
+def tangent(x, y, a, b, w, t):
+    """-(a Q_x + b Q_y)/2 at (x, y): the tangent of the ellipse there runs along (a, b)."""
+    lead = (2.0 * b * t * t - 2.0 * b * t - a) * x + 2.0 * a * t * (t - 1.0) * y + a * t
+    dlead = (4.0 * b * t - 2.0 * b) * x + a * (4.0 * t - 2.0) * y + a
+    mid = a * (2.0 * t - 1.0) * y + b * (2.0 * t - 1.0) * x - b * t
+    dmid = 2.0 * a * y + 2.0 * b * x - b
+    value = lead * w * w - t * mid * w - b * y * t * t
     d_w = 2.0 * lead * w - t * mid
-    d_t = dlead * w * w - (mid + t * dmid) * w - 2.0 * r * y * t
-    lead_mag = (2.0 * abs(r) * (t * t + t) + 1.0) * x + 2.0 * (t * t + t) * y + t
-    mid_mag = abs(2.0 * t - 1.0) * (y + abs(r) * x) + abs(r) * t
-    return value, d_w, d_t, (lead_mag * w * w, mid_mag * t * w, abs(r) * y * t * t)
-
-
-def vertical(x, y, w, t):
-    """-Q_y/2 at (x, y): the r -> infinity limit of :func:`slope`, a vertical tangent."""
-    lead = 2.0 * x * (t * t - t)
-    mid = 2.0 * t * t * x - t * x - t * t
-    value = lead * w * w - mid * w - y * t * t
-    d_w = 2.0 * lead * w - mid
-    d_t = 2.0 * x * (2.0 * t - 1.0) * w * w - (4.0 * t * x - x - 2.0 * t) * w - 2.0 * y * t
-    mags = (2.0 * x * (t * t + t) * w * w, (2.0 * t * t * x + t * x + t * t) * w, y * t * t)
-    return value, d_w, d_t, mags
+    d_t = dlead * w * w - (mid + t * dmid) * w - 2.0 * b * y * t
+    lead_mag = (2.0 * abs(b) * (t * t + t) + abs(a)) * x + 2.0 * abs(a) * (t * t + t) * y + abs(a) * t
+    mid_mag = abs(2.0 * t - 1.0) * (abs(a) * y + abs(b) * x) + abs(b) * t
+    return value, d_w, d_t, (lead_mag * w * w, mid_mag * t * w, abs(b) * y * t * t)
 
 
 def backward_error(equation) -> float:

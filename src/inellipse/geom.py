@@ -48,6 +48,11 @@ class Slope(NamedTuple):
     def is_vertical(self) -> bool:
         return self.value is None
 
+    @property
+    def direction(self) -> tuple[float, float]:
+        """A tangent vector (a, b): (1, r) for a finite slope r, (0, 1) for vertical."""
+        return (0.0, 1.0) if self.value is None else (1.0, self.value)
+
 
 def as_point(obj) -> Point:
     """Coerce a 2-sequence into a finite-coordinate Point."""

@@ -125,14 +125,10 @@ def _two_point_system(p1, p2):
 
 def _point_slope_system(p, slope):
     x, y = p
-    if slope.is_vertical:
-        def system(w, t):
-            return equations.through_point(x, y, w, t), equations.vertical(x, y, w, t)
-    else:
-        r = slope.value
+    a, b = slope.direction
 
-        def system(w, t):
-            return equations.through_point(x, y, w, t), equations.slope(x, y, r, w, t)
+    def system(w, t):
+        return equations.through_point(x, y, w, t), equations.tangent(x, y, a, b, w, t)
 
     return system
 

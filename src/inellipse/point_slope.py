@@ -1,19 +1,27 @@
-"""The unique inscribed ellipse through a point with a prescribed tangent slope.
+"""The unique inscribed ellipse through a point with a prescribed tangent direction.
 
-For an interior point (x0, y0) and a finite slope r not aiming at a triangle
-vertex, the unique parameters are
+A slope travels as its direction (a, b): (1, r) for a finite slope r and
+(0, 1) for a vertical one (:attr:`inellipse.geom.Slope.direction`).  For an
+interior point (x, y), each vertex v of the unit triangle gives the linear
+form
 
-    w = (1 - x0 - y0)(r x0 - y0)^2 / q_w(r),
-    t = (1 - x0 - y0)(r x0 - y0)^2 / q_t(r),
+    L_v = a (v_y - y) - b (v_x - x),
 
-where q_w and q_t are positive-definite quadratics in r.  A vertical tangent
-has its own closed form (the r -> infinity limit).  When r does aim at a
-vertex no inscribed ellipse attains it, and the solver reports that as an
-ordinary outcome, not an error.
+which vanishes exactly when (a, b) aims from (x, y) at v.  With the sums
+
+    S = (1 - x - y) L_origin^2,    Y = y L_top^2,    X = x L_right^2,
+
+the unique parameters are w = S / (S + Y) and t = S / (S + X), so that
+1 - w = Y / (S + Y) and 1 - t = X / (S + X).  Every term is non-negative, so
+nothing cancels as the direction nears a vertex, and one formula serves
+finite and vertical slopes alike.  When (a, b) aims at a vertex no inscribed
+ellipse attains it, and the solver reports that as an ordinary outcome, not
+an error.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -21,9 +29,11 @@ from . import equations
 from .geom import Point, Slope, Vertex, as_point, require_interior
 from .kernel import EllipseParam
 
-# |r - vertex slope| below this fraction of (1 + |r|) means the slope aims at
-# that vertex, and no inscribed ellipse attains it.
+# |L_v| below this fraction of (|a| + |b|) |v_x - x| means the direction aims
+# at vertex v, and no inscribed ellipse attains it.  For (1, r) that is
+# |r - vertex slope| < _SLOPE_EXCLUSION (1 + |r|); it never holds for (0, 1).
 _SLOPE_EXCLUSION = 1e-9
+_VERTICES = ((Vertex.ORIGIN, 0.0, 0.0), (Vertex.RIGHT, 1.0, 0.0), (Vertex.TOP, 0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -42,11 +52,7 @@ def vertex_slopes(p: Point) -> tuple[Slope, Slope, Slope]:
     p = as_point(p)
     require_interior(p)
     x, y = p
-    return (
-        Slope.finite(y / x),
-        Slope.finite(y / (x - 1.0)),
-        Slope.finite((y - 1.0) / x),
-    )
+    return tuple(Slope.finite((vy - y) / (vx - x)) for _, vx, vy in _VERTICES)
 
 
 def solve_point_slope_unit(p: Point, slope: Slope) -> Union[EllipseParam, NoSolution]:
@@ -54,22 +60,33 @@ def solve_point_slope_unit(p: Point, slope: Slope) -> Union[EllipseParam, NoSolu
     p = as_point(p)
     require_interior(p)
     x, y = p
-    if slope.is_vertical:
-        w = (1.0 - x - y) / (1.0 - x)
-        t = x * (1.0 - x - y) / (1.0 - x * (1.0 + y))
-        return EllipseParam(w, t)
-    r = slope.value
-    for vertex, vs in zip((Vertex.ORIGIN, Vertex.RIGHT, Vertex.TOP), vertex_slopes(p)):
-        if abs(r - vs.value) < _SLOPE_EXCLUSION * (1.0 + abs(r)):
+    a, b = slope.direction
+    band = _SLOPE_EXCLUSION * (abs(a) + abs(b))
+    forms = []
+    for vertex, vx, vy in _VERTICES:
+        form = a * (vy - y) - b * (vx - x)
+        if abs(form) < band * abs(vx - x):
             return NoSolution(vertex)
-    qw = (x * x - x * x * x) * r * r + 2.0 * y * x * x * r + y - y * y - x * y * y
-    qt = (x - x * x * y - x * x) * r * r + 2.0 * x * y * y * r + y * y - y * y * y
-    shared = (1.0 - x - y) * (r * x - y) ** 2
-    return EllipseParam(shared / qw, shared / qt)
+        forms.append(form)
+    l_origin, l_right, l_top = forms
+    inside = 1.0 - x - y
+    return EllipseParam(_share(inside, l_origin, y, l_top), _share(inside, l_origin, x, l_right))
+
+
+def _share(weight: float, form: float, other_weight: float, other_form: float) -> float:
+    """weight form^2 / (weight form^2 + other_weight other_form^2).
+
+    The forms are first scaled by one power of two, which is exact, so that
+    two tiny forms (a point next to a side) cannot both square to zero.
+    """
+    e = -math.frexp(max(abs(form), abs(other_form)))[1]
+    form, other_form = math.ldexp(form, e), math.ldexp(other_form, e)
+    s = weight * form * form
+    return s / (s + other_weight * other_form * other_form)
 
 
 def residual_system13(p: Point, slope: Slope, param: EllipseParam) -> tuple[float, float]:
-    """Backward errors of the through-point and slope conditions.
+    """Backward errors of the through-point and tangent conditions.
 
     Each residual divides by the largest monomial magnitude of its equation
     (:func:`inellipse.equations.backward_error`), so the values are
@@ -77,11 +94,7 @@ def residual_system13(p: Point, slope: Slope, param: EllipseParam) -> tuple[floa
     """
     x, y = as_point(p)
     w, t = param
-    if slope.is_vertical:
-        tangent = equations.vertical(x, y, w, t)
-    else:
-        tangent = equations.slope(x, y, slope.value, w, t)
     return (
         equations.backward_error(equations.through_point(x, y, w, t)),
-        equations.backward_error(tangent),
+        equations.backward_error(equations.tangent(x, y, *slope.direction, w, t)),
     )

@@ -5,10 +5,9 @@ solves there.  Conics travel back as the pull-back by ``fwd``; contact points
 and centers are carried over from the unit frame through the inverse map, the
 center from :func:`~inellipse.kernel.inscribed_center`, which is exact, so a
 thin triangle cannot make it ill-conditioned; the two-point solver hands over
-the unit conics and contacts it has built.  A conic with no unique center is
-refused in the unit frame.  The (w, t) parameters themselves are affine
-invariants of the solution (contact abscissae on the unit triangle), so they
-are reported unchanged.
+the unit conics and contacts it has built.  The (w, t) parameters themselves
+are affine invariants of the solution (contact abscissae on the unit
+triangle), so they are reported unchanged.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 
 from . import boundary, point_slope, two_points
 from .affine import Triangle, apply_point, apply_slope, invert, map_to_unit
-from .conic import ConicCoeffs, pull_back, require_center
+from .conic import ConicCoeffs, pull_back
 from .geom import Point, Slope, as_point
 from .kernel import EllipseParam, inscribed_center, inscribed_conic, tangency_points
 
@@ -38,7 +37,6 @@ class SolveReport:
 
 
 def _to_world(param, unit_conic, tangency, fwd, back, residuals) -> WorldSolution:
-    require_center(unit_conic)
     return WorldSolution(
         param=param,
         conic=pull_back(unit_conic, fwd),

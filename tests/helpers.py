@@ -103,3 +103,13 @@ def interior_in_triangle(rng: np.random.Generator, tri: Triangle) -> Point:
         a.x + u.x * (b.x - a.x) + u.y * (c.x - a.x),
         a.y + u.x * (b.y - a.y) + u.y * (c.y - a.y),
     )
+
+
+def point_slope_reference(p: Point, r: float) -> tuple[float, float]:
+    """(w, t) for the finite slope r at p, as S/(S+Y) and S/(S+X) in 50-digit mpmath."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        x, y, r = mp.mpf(p.x), mp.mpf(p.y), mp.mpf(r)
+        s = (1 - x - y) * (r * x - y) ** 2
+        return float(s / (s + y * (r * x - y + 1) ** 2)), float(s / (s + x * (r * x - r - y) ** 2))

@@ -17,7 +17,7 @@ from helpers import random_interior, random_param
 
 sp = pytest.importorskip("sympy")
 
-x, y, w, t, r = sp.symbols("x y w t r")
+x, y, w, t, a, b, r = sp.symbols("x y w t a b r")
 
 
 def conic_q():
@@ -31,20 +31,31 @@ def conic_q():
 Q = conic_q()
 EXPECTED = {
     "through_point": (Q, (x, y, w, t)),
-    "slope": (-(sp.diff(Q, x) + r * sp.diff(Q, y)) / 2, (x, y, r, w, t)),
-    "vertical": (-sp.diff(Q, y) / 2, (x, y, w, t)),
+    "tangent": (-(a * sp.diff(Q, x) + b * sp.diff(Q, y)) / 2, (x, y, a, b, w, t)),
 }
 
 
-@pytest.mark.parametrize("name", sorted(EXPECTED))
+TANGENT, TANGENT_ARGS = EXPECTED["tangent"]
+# Each case: (equation, expected expression, arguments).  Besides the general
+# direction (a, b), the tangent is checked along (1, r) for a finite slope r
+# and along (0, 1) for a vertical one, the two directions the solvers use.
+CASES = {
+    "through_point": ("through_point", *EXPECTED["through_point"]),
+    "tangent": ("tangent", TANGENT, TANGENT_ARGS),
+    "slope": ("tangent", TANGENT.subs({a: 1, b: r}), (x, y, 1, r, w, t)),
+    "vertical": ("tangent", TANGENT.subs({a: 0, b: 1}), (x, y, 0, 1, w, t)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
 class TestSymbolic:
-    def test_value_matches_the_conic(self, name):
-        expected, args = EXPECTED[name]
+    def test_value_matches_the_conic(self, case):
+        name, expected, args = CASES[case]
         value, _, _, _ = getattr(equations, name)(*args)
         assert sp.expand(value - expected) == 0
 
-    def test_partials_match_differentiation(self, name):
-        expected, args = EXPECTED[name]
+    def test_partials_match_differentiation(self, case):
+        name, expected, args = CASES[case]
         _, d_w, d_t, _ = getattr(equations, name)(*args)
         assert sp.expand(d_w - sp.diff(expected, w)) == 0
         assert sp.expand(d_t - sp.diff(expected, t)) == 0
@@ -60,9 +71,14 @@ def test_w_quadratic_coefficients_match_through_point():
         assert poly.c2 * wv * wv + poly.c1 * wv + poly.c0 == pytest.approx(value, rel=1e-12, abs=1e-15)
 
 
-@pytest.mark.parametrize("name", sorted(EXPECTED))
-def test_magnitudes_bracket_each_power_of_w(name):
-    """|w^k group| <= magnitudes[2 - k] <= sum of that group's monomial magnitudes."""
+@pytest.mark.parametrize("case", ["slope", "through_point", "vertical"])
+def test_magnitudes_bracket_each_power_of_w(case):
+    """|w^k group| <= magnitudes[2 - k] <= sum of that group's monomial magnitudes.
+
+    The tangent is drawn along (1, r) for a finite slope r and along (0, 1)
+    for a vertical one.
+    """
+    name = "through_point" if case == "through_point" else "tangent"
     expected, args = EXPECTED[name]
     groups = sp.Poly(sp.expand(expected), w).all_coeffs()  # w^2, w^1, w^0
     rng = np.random.default_rng(61)
@@ -70,14 +86,15 @@ def test_magnitudes_bracket_each_power_of_w(name):
         p = random_interior(rng)
         wv, tv = random_param(rng)
         rv = float(np.tan(np.pi * (rng.random() - 0.5)))
-        at = {x: p.x, y: p.y, w: wv, t: tv, r: rv}
+        av, bv = (0.0, 1.0) if case == "vertical" else (1.0, rv)
+        at = {x: p.x, y: p.y, w: wv, t: tv, a: av, b: bv}
         mags = getattr(equations, name)(*(at[s] for s in args))[3]
         for k, group in enumerate(groups):
             power = wv ** (2 - k)
             exact = abs(float(group.subs(at))) * power
             bound = sum(
-                abs(float(c)) * float(sp.Mul(*(abs(at[s]) ** e for s, e in zip((x, y, t, r), m))))
-                for m, c in sp.Poly(group, x, y, t, r).terms()
+                abs(float(c)) * float(sp.Mul(*(abs(at[s]) ** e for s, e in zip((x, y, t, a, b), m))))
+                for m, c in sp.Poly(group, x, y, t, a, b).terms()
             ) * power
             assert exact * (1 - 1e-12) <= mags[k] <= bound * (1 + 1e-12)
 
@@ -86,7 +103,7 @@ def test_floats_and_arrays_agree():
     ws = np.linspace(0.05, 0.95, 7)
     ts = np.linspace(0.1, 0.9, 7)
     p = Point(0.3, 0.25)
-    for name, extra in (("through_point", ()), ("slope", (-1.7,)), ("vertical", ())):
+    for name, extra in (("through_point", ()), ("tangent", (1.0, -1.7)), ("tangent", (0.0, 1.0))):
         fn = getattr(equations, name)
         value, d_w, d_t, mags = fn(p.x, p.y, *extra, ws, ts)
         for i in range(len(ws)):

@@ -16,7 +16,7 @@ from inellipse.point_slope import (
     vertex_slopes,
 )
 
-from helpers import random_interior
+from helpers import point_slope_reference, random_interior
 
 
 class TestClosedForm:
@@ -47,6 +47,33 @@ class TestClosedForm:
         out = solve_point_slope_unit(Point(0.5, 0.25), Slope.finite(0.5 + 1e-11))
         assert isinstance(out, NoSolution)
 
+    @pytest.mark.parametrize("vertex", list(Vertex))
+    def test_band_edges_for_every_vertex(self, vertex):
+        # The band is |r - vertex slope| < 1e-9 (1 + |r|): half of it is
+        # excluded, twice it is solved.
+        rng = np.random.default_rng(48)
+        for _ in range(200):
+            p = random_interior(rng)
+            vs = dict(zip(Vertex, vertex_slopes(p)))[vertex].value
+            for sign in (1.0, -1.0):
+                near = solve_point_slope_unit(p, Slope.finite(vs + sign * 0.5e-9 * (1.0 + abs(vs))))
+                assert near == NoSolution(vertex)
+                far = solve_point_slope_unit(p, Slope.finite(vs + sign * 2e-9 * (1.0 + abs(vs))))
+                assert isinstance(far, EllipseParam)
+
+    def test_vertical_is_never_excluded(self):
+        rng = np.random.default_rng(49)
+        edges = [Point(1e-12, 0.5), Point(1.0 - 1e-9, 5e-10), Point(0.5, 0.5 - 1e-12)]
+        for p in edges + [random_interior(rng, margin=0.0) for _ in range(500)]:
+            assert isinstance(solve_point_slope_unit(p, Slope.vertical()), EllipseParam)
+
+    @pytest.mark.parametrize("p", [Point(1e-300, 0.5), Point(1e-300, 1e-300)])
+    def test_vertical_next_to_the_left_side(self, p):
+        # Along (0, 1) both vertex forms of w equal x, and x^2 underflows
+        # unless the forms are scaled first.
+        param = solve_point_slope_unit(p, Slope.vertical())
+        assert param.w == pytest.approx((1.0 - p.x - p.y) / (1.0 - p.x), rel=1e-15)
+
     def test_interior_required(self):
         with pytest.raises(NotInterior):
             solve_point_slope_unit(Point(0.7, 0.5), Slope.finite(1.0))
@@ -71,8 +98,9 @@ class TestVertexSlopes:
 
 class TestRationals:
     def test_positivity(self):
-        # q_w and q_t are positive definite, so every slope that does not aim
-        # at a vertex gives positive w and t.
+        # w = S/(S + Y) and t = S/(S + X) with S, X, Y > 0 off the vertex
+        # slopes, so every slope that does not aim at a vertex gives positive
+        # w and t.
         rng = np.random.default_rng(52)
         for _ in range(1000):
             p = random_interior(rng)
@@ -154,3 +182,27 @@ class TestSolutionQuality:
                 continue
             assert 0.0 < out.w < 1.0
             assert 0.0 < out.t < 1.0
+
+
+class TestAccuracy:
+    @pytest.mark.parametrize("vertex", [Vertex.RIGHT, Vertex.TOP])
+    @pytest.mark.parametrize("offset", [1e-6, 1e-8])
+    def test_near_a_vertex_slope_within_8_ulp(self, vertex, offset):
+        # The quadratics in r that the sum forms replaced cancel here; they
+        # were up to 36 ulp off on these draws.
+        pytest.importorskip("mpmath")
+        rng = np.random.default_rng(68)
+        checked = 0
+        for _ in range(1000):
+            p = random_interior(rng)
+            vs = dict(zip(Vertex, vertex_slopes(p)))[vertex].value
+            r = vs * (1.0 + offset)
+            out = solve_point_slope_unit(p, Slope.finite(r))
+            if isinstance(out, NoSolution):
+                continue  # |vs| 1e-8 is inside the band 1e-9 (1 + |r|)
+            if not (0.0 < out.w < 1.0 and 0.0 < out.t < 1.0):
+                continue  # the true 1 - w or 1 - t is below half an ulp of 1
+            checked += 1
+            for got, ref in zip(out, point_slope_reference(p, r)):
+                assert abs(got - ref) <= 8 * math.ulp(ref), (p, r)
+        assert checked >= 200

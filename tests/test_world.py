@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
-from inellipse import world
+from inellipse import kernel, world
 from inellipse.affine import Triangle, UNIT_TRIANGLE, apply_point, apply_slope, invert, map_to_unit
-from inellipse.conic import pull_back
-from inellipse.errors import DegenerateConic
+from inellipse.conic import is_real_ellipse, pull_back
 from inellipse.geom import Point, Slope, Vertex
-from inellipse.kernel import inscribed_center, inscribed_conic, tangency_points
+from inellipse.kernel import EllipseParam, inscribed_center, inscribed_conic, tangency_points
 from inellipse.two_points import residual_system3
 
-from helpers import j_zero_pair, random_generic_pair, random_interior, random_triangle, random_vertex_pair
+from helpers import j_zero_pair, point_slope_reference, random_generic_pair, random_interior, random_triangle, random_vertex_pair
 
 # Apex height 1e-6 over a unit base: the world conics of this triangle have a
 # quadratic part whose determinant is ~1e-24 of its squared scale.
@@ -58,16 +57,33 @@ def test_thin_triangle_two_points_solve_and_carry_exact_centers():
     [UNIT_TRIANGLE, Triangle(Point(1.0, 2.0), Point(7.0, 1.0), Point(3.0, 6.5)), THIN],
     ids=["unit", "box", "thin"],
 )
-def test_inscribed_conic_near_the_corner_is_still_refused(tri):
+def test_inscribed_conic_near_the_corner_is_solved(tri):
     # A slope 1e-6 (relative) off the slope towards the origin yields
-    # (w, t) ~ 1e-13: a conic with no numerically unique center in the unit
-    # frame, whatever the world triangle.
+    # (w, t) ~ 1e-13: an ellipse tucked into the corner, which exists and has
+    # a unique center (test_every_inscribed_conic_has_a_unique_center).
+    pytest.importorskip("mpmath")
     back = invert(map_to_unit(tri))
     u = Point(0.3, 0.2)
-    slope = apply_slope(back, Slope.finite((2.0 / 3.0) * (1.0 + 1e-6)))
-    with pytest.raises(DegenerateConic):
-        world.solve_point_slope(tri, apply_point(back, u), slope)
+    r = (2.0 / 3.0) * (1.0 + 1e-6)
+    report = world.solve_point_slope(tri, apply_point(back, u), apply_slope(back, Slope.finite(r)))
+    assert report.case == "unique"
+    (sol,) = report.solutions
+    assert is_real_ellipse(sol.conic)
+    assert max(sol.residuals) < 1e-12
+    for got, ref in zip(sol.param, point_slope_reference(u, r)):
+        assert abs(got - ref) < 1e-9 * ref
 
+
+def test_every_inscribed_conic_has_a_unique_center():
+    # AB - C^2 > 0 on the whole open square, so world needs no centre check.
+    sp = pytest.importorskip("sympy")
+    w, t = sp.symbols("w t")
+    # The domain check compares floats; the coefficients are polynomials in (w, t).
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "_check_param", lambda w, t: None)
+        a, b, c, _, _, _ = inscribed_conic(EllipseParam(w, t))
+    det = sp.nsimplify(a * b - c * c)
+    assert sp.expand(det - 4 * w**2 * t**2 * (1 - w) * (1 - t) * (w + t - w * t)) == 0
 
 
 def pixel_triangle(rng) -> Triangle:
