@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .conic import ConicCoeffs
 from .errors import OutOfDomain, ZeroPolynomial
@@ -30,9 +30,6 @@ from .geom import Point, require_distinct, require_interior
 # Radicands of the interior-point square roots are clamped at zero when they
 # round slightly negative near the boundary.
 _RADICAND_CLAMP = 1e-14
-# The shared contact parameter t0 is reported absent when its denominator is
-# below this fraction of the denominator's term scale.
-_T0_GATE = 1e-12
 
 
 class EllipseParam(NamedTuple):
@@ -74,28 +71,15 @@ class QuadraticPoly:
 
 
 @dataclass(frozen=True)
-class CubicPoly:
-    """c3*t^3 + c2*t^2 + c1*t + c0."""
-
-    c3: float
-    c2: float
-    c1: float
-    c0: float
-
-    def __call__(self, t: float) -> float:
-        return ((self.c3 * t + self.c2) * t + self.c1) * t + self.c0
-
-
-@dataclass(frozen=True)
 class PairInvariants:
     """Classification data for a pair of interior points.
 
     d_origin, d_vertex10, d_vertex01 are the determinants that vanish exactly
     when the two points are collinear with the vertex (0,0), (1,0), (0,1)
     respectively.  j vanishes exactly when y1/y2 equals a1/a2, the branch on
-    which the root structure of the two-point system degenerates; t0 is the
-    shared contact parameter of that branch (absent when its denominator
-    vanishes).
+    which R acquires a double root.  a1, a2 are sqrt(x (1 - x - y)) of each
+    point, the square roots in the factorizations of :func:`poly_q`,
+    :func:`poly_R` and :func:`poly_S`.
     """
 
     d_origin: float
@@ -104,7 +88,6 @@ class PairInvariants:
     j: float
     a1: float
     a2: float
-    t0: Optional[float]
 
 
 def _check_param(w: float, t: float) -> None:
@@ -151,6 +134,10 @@ def poly_q(p: Point) -> QuadraticPoly:
 
     Its discriminant is 16 x^2 y (x + y - 1) < 0 inside the triangle, so the
     quadratic has no real roots and keeps the sign of its value at 0 (x^2 > 0).
+    With u = x(1-2t) + t and a = sqrt(x(1-x-y)) it factors as
+    q = u^2 - 4a^2 t(1-t) = (u - 2a s)(u + 2a s), s = sqrt(t(1-t)), so the two
+    roots of the through-point quadratic in w are t y/(u + 2a s) and
+    t y (u + 2a s)/q, neither of which cancels.
     """
     require_interior(p)
     x, y = p
@@ -182,10 +169,7 @@ def pair_invariants(p1: Point, p2: Point) -> PairInvariants:
     j = x2 * (1.0 - x2 - y2) * y1 * y1 - x1 * (1.0 - x1 - y1) * y2 * y2
     a1 = math.sqrt(_clamped_radicand(x1 * (1.0 - x1 - y1)))
     a2 = math.sqrt(_clamped_radicand(x2 * (1.0 - x2 - y2)))
-    den = 2.0 * x2 * y1 - 2.0 * x1 * y2 + y2 - y1
-    den_scale = max(abs(2.0 * x2 * y1), abs(2.0 * x1 * y2), abs(y2), abs(y1), 1e-300)
-    t0 = None if abs(den) < _T0_GATE * den_scale else d_origin / den
-    return PairInvariants(d_origin, d_vertex10, d_vertex01, j, a1, a2, t0)
+    return PairInvariants(d_origin, d_vertex10, d_vertex01, j, a1, a2)
 
 
 def _clamped_radicand(v: float) -> float:
@@ -194,36 +178,6 @@ def _clamped_radicand(v: float) -> float:
             return 0.0
         raise ValueError(f"negative radicand {v} for an interior point")
     return v
-
-
-def poly_B(p1: Point, p2: Point) -> QuadraticPoly:
-    """y1^2 q2(t) - y2^2 q1(t); poly_q checks p1, then p2."""
-    q1, q2 = poly_q(p1), poly_q(p2)
-    s1, s2 = p1.y * p1.y, p2.y * p2.y
-    return QuadraticPoly(
-        s1 * q2.c2 - s2 * q1.c2,
-        s1 * q2.c1 - s2 * q1.c1,
-        s1 * q2.c0 - s2 * q1.c0,
-    )
-
-
-def poly_C(p1: Point, p2: Point) -> CubicPoly:
-    """y1 (x1 + (1-2x1) t) q2(t) - y2 (x2 + (1-2x2) t) q1(t); poly_q checks p1, then p2."""
-    q1, q2 = poly_q(p1), poly_q(p2)
-
-    def _lin_times_quad(y, x, q):
-        # y * (x + l t) * (c2 t^2 + c1 t + c0), l = 1 - 2x
-        l = 1.0 - 2.0 * x
-        return (
-            y * l * q.c2,
-            y * (x * q.c2 + l * q.c1),
-            y * (x * q.c1 + l * q.c0),
-            y * x * q.c0,
-        )
-
-    u = _lin_times_quad(p1.y, p1.x, q2)
-    v = _lin_times_quad(p2.y, p2.x, q1)
-    return CubicPoly(u[0] - v[0], u[1] - v[1], u[2] - v[2], u[3] - v[3])
 
 
 def _rs_pieces(p1: Point, p2: Point):
@@ -248,6 +202,13 @@ def poly_R(p1: Point, p2: Point) -> QuadraticPoly:
     R and its sibling S factor the two-point system: the sought t values are
     exactly the roots of R(t) S(t) in the open interval (spurious roots on the
     vertex-line branches excepted).  R carries the +8 y1 y2 a1 a2 coupling.
+    With L(t) = d_origin (1-2t) + t (y1 - y2) it factors as
+
+        R(t) = 4t(1-t) (y2 a1 - y1 a2)^2 - L(t)^2,
+
+    so at a root 2 sqrt(t(1-t)) (y2 a1 - y1 a2) = +-L(t); the sign says which
+    through-point root of p1 is shared with p2.  On the branch j = 0 the
+    coupling term vanishes and R = -L^2 has the double root L(t0) = 0.
     """
     yy, aa, lead, lin, const = _rs_pieces(p1, p2)
     return QuadraticPoly(lead + 8.0 * yy * aa, 2.0 * (lin - 4.0 * yy * aa), const)
@@ -257,7 +218,8 @@ def poly_S(p1: Point, p2: Point) -> QuadraticPoly:
     """Sibling of :func:`poly_R` with the opposite coupling sign.
 
     S(t) - R(t) = 16 a1 a2 y1 y2 t(1-t), so R and S never share a root inside
-    (0,1); both equal -d_origin^2 at t=0 and -d_vertex10^2 at t=1.
+    (0,1); both equal -d_origin^2 at t=0 and -d_vertex10^2 at t=1.  With L as
+    in :func:`poly_R`, S(t) = 4t(1-t) (y2 a1 + y1 a2)^2 - L(t)^2.
     """
     yy, aa, lead, lin, const = _rs_pieces(p1, p2)
     return QuadraticPoly(lead - 8.0 * yy * aa, 2.0 * (lin + 4.0 * yy * aa), const)

@@ -3,10 +3,12 @@
 A pair of interior points admits exactly four inscribed ellipses through
 both, except when the points are collinear with a triangle vertex, in which
 case exactly two.  The contact parameters t of the solutions are roots of
-the concave-down quadratics R and S from :mod:`inellipse.kernel`; each root
-maps to its partner w through w = (t/2) B(t)/C(t).  On the degenerate branch
-where the pair invariant j vanishes, R acquires a double root t0 and the two
-missing solutions come from the through-point quadratic in w at t0.
+the concave-down quadratics R and S from :mod:`inellipse.kernel`.  At each
+root the partner w is one of the two roots of p1's through-point quadratic
+in w, both in closed forms that do not cancel; the factorizations
+R, S = 4t(1-t) D^2 - L(t)^2 give the sign of L(t) D that says which one p2
+shares.  Where the sign is lost (a double root of R, on the branch j = 0)
+both are kept and the residual gate keeps the ones that pass through p2.
 """
 
 from __future__ import annotations
@@ -25,12 +27,9 @@ from .kernel import (
     QuadraticPoly,
     TangencyTriple,
     _through_residual,
-    _w_coeffs,
     eval_system_residual,
     inscribed_conic,
     pair_invariants,
-    poly_B,
-    poly_C,
     poly_q,
     poly_R,
     poly_S,
@@ -44,13 +43,9 @@ _CLASSIFY_BAND = 1e-10
 _J_ZERO_BAND = 1e-10
 # Discriminants below (band * coefficient scale)^2 are clamped to a double root.
 _DOUBLE_ROOT_BAND = 1e-8
-# Candidate roots closer than this to a known spurious contact parameter are
-# discarded before any division by C(t).
-_SPURIOUS_BAND = 1e-6
-# The ratio B/C loses roughly 1e-16 * scale^2 / disc relative accuracy near a
-# double root; switch the w-candidate source well above the clamping gate.
-_RATIO_SAFE_BAND = 1e-6
-# Strict open-square margin applied to accepted parameters.
+# Strict open-square margin applied to accepted parameters; it also rejects
+# the spurious root each vertex line plants in R S, whose w or t sits on the
+# square's edge.
 _SQUARE_MARGIN = 1e-9
 _DEDUPE = 1e-10
 _POLISH_ITERS = 4  # Newton steps on each candidate (w, t)
@@ -134,62 +129,33 @@ def _newton_polish(p1: Point, p2: Point, w: float, t: float):
     return w, t
 
 
-def _candidate_params(p1: Point, p2: Point, q1: QuadraticPoly, q2: QuadraticPoly, case: PairCase):
+def _candidate_params(p1: Point, p2: Point, q1: QuadraticPoly, case: PairCase):
     inv = pair_invariants(p1, p2)
-    r_poly = poly_R(p1, p2)
-    s_poly = poly_S(p1, p2)
-    j_zero = case.kind is PairKind.GENERIC_J_ZERO
-    # Reorder a j_zero pair so the origin determinant is positive; this pins
-    # the shared contact parameter t0 inside (0,1) and keeps the w-quadratic
-    # stable.
-    if j_zero and inv.d_origin < 0.0:
-        p1, p2, q1, q2 = p2, p1, q2, q1
-        inv = pair_invariants(p1, p2)
-        s_poly = poly_S(p1, p2)
-    if j_zero and inv.t0 is None:
-        raise SolutionCountMismatch(
-            "degenerate pair lost its shared contact parameter; tolerance bands disagree"
-        )
-    b_poly, c_poly = poly_B(p1, p2), poly_C(p1, p2)
-    if case.vertex is not None:
-        # Each vertex line plants one known spurious root of R(t) S(t): the
-        # parameter that would force w onto the square boundary.
-        spurious = {Vertex.ORIGIN: 0.0, Vertex.RIGHT: 1.0, Vertex.TOP: p1.x / (1.0 - p1.y)}[case.vertex]
-
+    x1, y1 = p1
+    y2 = p2.y
     out = []
-    # On the j_zero branch R has the double root t0, which the w-quadratic
-    # at t0 covers below.
-    for poly in (s_poly,) if j_zero else (r_poly, s_poly):
-        # Near a double root the ratio B/C approaches 0/0 and loses all
-        # accuracy; the through-point quadratic in w at each root stays exact
-        # (both its roots are tried, the residual gate and the dedupe pass
-        # sort out the pairing).
-        near_double = poly.discriminant < (_RATIO_SAFE_BAND * poly.scale) ** 2
-        for t, _ in solve_quadratic_clamped(poly, _DOUBLE_ROOT_BAND):
-            if case.vertex is not None and abs(t - spurious) < _SPURIOUS_BAND:
+    # At a root of R (or S), 2 sqrt(t(1-t)) D = +-L(t) with D = y2 a1 -+ y1 a2:
+    # p2 shares p1's near w-root when L D > 0 and its far one when L D < 0.
+    for poly, d in (
+        (poly_R(p1, p2), y2 * inv.a1 - y1 * inv.a2),
+        (poly_S(p1, p2), y2 * inv.a1 + y1 * inv.a2),
+    ):
+        for t, multiplicity in solve_quadratic_clamped(poly, _DOUBLE_ROOT_BAND):
+            if not 0.0 < t < 1.0:
                 continue
-            if near_double:
-                out += _w_roots(p1, q1, t)
+            k = x1 * (1.0 - 2.0 * t) + t + 2.0 * inv.a1 * math.sqrt(t * (1.0 - t))
+            near, far = t * y1 / k, t * y1 * k / q1(t)
+            side = (inv.d_origin * (1.0 - 2.0 * t) + t * (y1 - y2)) * d
+            if multiplicity == 2 or side == 0.0:
+                out += [(near, t), (far, t)]
             else:
-                cv = c_poly(t)
-                if cv != 0.0:
-                    out.append((0.5 * t * b_poly(t) / cv, t))
-    if j_zero:
-        out += _w_roots(p1, q1, inv.t0)
+                out.append((near, t) if side > 0.0 else (far, t))
     return out, 4 if case.vertex is None else 2
-
-
-def _w_roots(p: Point, q: QuadraticPoly, t: float) -> list[tuple[float, float]]:
-    """Both (w, t) candidates from the through-point quadratic in w at t."""
-    g = QuadraticPoly(*_w_coeffs(p, q, t))
-    return [(w, t) for w, _ in solve_quadratic_clamped(g, _DOUBLE_ROOT_BAND)]
 
 
 def _assemble(p1, p2, q1, q2, raw_params, expected, tol):
     kept: list[tuple[EllipseParam, tuple[float, float]]] = []
     for w, t in raw_params:
-        if not (math.isfinite(w) and math.isfinite(t)):
-            continue
         w, t = _newton_polish(p1, p2, w, t)
         if not (
             _SQUARE_MARGIN < w < 1.0 - _SQUARE_MARGIN
@@ -241,5 +207,5 @@ def solve_two_points_unit(
     q1, q2 = poly_q(p1), poly_q(p2)
     require_distinct(p1, p2)
     case = classify_pair(p1, p2)
-    raw, expected = _candidate_params(p1, p2, q1, q2, case)
+    raw, expected = _candidate_params(p1, p2, q1, case)
     return case, _assemble(p1, p2, q1, q2, raw, expected, tol)

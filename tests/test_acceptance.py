@@ -17,7 +17,7 @@ import inellipse as ie
 from inellipse.affine import apply_point, invert, map_to_unit
 from inellipse.conic import conic_close, membership_residual, normalize_conic
 from inellipse.geom import Point, Slope, Vertex
-from inellipse.kernel import EllipseParam, pair_invariants, poly_B, poly_C, poly_q, poly_R, poly_S
+from inellipse.kernel import EllipseParam, pair_invariants, poly_q, poly_R, poly_S
 from inellipse.oracle import _two_point_residuals
 
 from helpers import (
@@ -71,9 +71,7 @@ def test_01_generic_two_point_regression():
 
 def test_02_degenerate_branch_regression():
     with criterion(2, "shared-contact (double-root) example"):
-        inv = pair_invariants(*EX2)
         t0 = math.sqrt(2) / 4
-        assert abs(inv.t0 - t0) < 1e-12
         case, sols = ie.solve_two_points_unit(*EX2)
         assert case.kind is ie.PairKind.GENERIC_J_ZERO
         assert len(sols) == 4
@@ -185,7 +183,6 @@ def test_09_identity_suite():
             p1, p2 = random_generic_pair(rng)
             inv = pair_invariants(p1, p2)
             r, s = poly_R(p1, p2), poly_S(p1, p2)
-            b, c = poly_B(p1, p2), poly_C(p1, p2)
 
             # separation: R - S = -16 a1 a2 y1 y2 t (1 - t), coefficientwise
             k = 16.0 * inv.a1 * inv.a2 * p1.y * p2.y
@@ -209,20 +206,18 @@ def test_09_identity_suite():
             for t in rng.random(2):
                 assert q1(t) > 0.0 and q2(t) > 0.0
 
-            # the product identity tying B, C to R S; both sides vanish at
-            # solution roots, so normalize by the term magnitudes
+            # the factorizations R, S = 4t(1-t) D^2 - L^2 and
+            # q1 = u^2 - 4 a1^2 t(1-t); both sides of R and S vanish at the
+            # roots, so normalize by the term magnitudes
+            (x1, y1), y2 = p1, p2.y
             for t in rng.random(2):
-                bt, ct, gt = b(t), c(t), r(t) * s(t)
-                for (x, y) in (p1, p2):
-                    q = poly_q(Point(x, y))(t)
-                    terms = (
-                        q * bt * bt,
-                        4.0 * y * ((2.0 * x - 1.0) * t - x) * bt * ct,
-                        4.0 * y * y * ct * ct,
-                    )
-                    rhs = q * gt
-                    scale = max(*(abs(v) for v in terms), abs(rhs), 1e-300)
-                    assert abs(sum(terms) - rhs) / scale < 1e-9
+                st = 4.0 * t * (1.0 - t)
+                lin = inv.d_origin * (1.0 - 2.0 * t) + t * (y1 - y2)
+                for poly, d in ((r, y2 * inv.a1 - y1 * inv.a2), (s, y2 * inv.a1 + y1 * inv.a2)):
+                    scale = max(abs(poly.c2) * t * t, abs(poly.c1) * t, abs(poly.c0), st * d * d, lin * lin)
+                    assert abs(poly(t) - (st * d * d - lin * lin)) < 1e-9 * scale
+                u = x1 * (1.0 - 2.0 * t) + t
+                assert q1(t) == pytest.approx(u * u - inv.a1 ** 2 * st, rel=1e-9)
         assert time.perf_counter() - start < 5.0
 
 

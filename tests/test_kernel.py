@@ -1,11 +1,14 @@
 """Parametrization, pair invariants, and the polynomial identity suite."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from inellipse import kernel
 from inellipse.conic import ConicCoeffs, conic_center, conic_close, evaluate
+from inellipse.equations import through_point
 from inellipse.errors import NotInterior, OutOfDomain, ZeroPolynomial
 from inellipse.geom import Point
 from inellipse.kernel import (
@@ -15,8 +18,6 @@ from inellipse.kernel import (
     inscribed_center,
     inscribed_conic,
     pair_invariants,
-    poly_B,
-    poly_C,
     poly_q,
     poly_R,
     poly_S,
@@ -113,7 +114,7 @@ class TestPairInvariants:
         p2 = Point(0.25, 0.5)
         inv = pair_invariants(p1, p2)
         assert abs(inv.j) < 1e-15
-        assert inv.t0 == pytest.approx(math.sqrt(2) / 4, abs=1e-12)
+        assert poly_R(p1, p2).vertex == pytest.approx(math.sqrt(2) / 4, abs=1e-12)
 
     def test_top_vertex_example(self):
         inv = pair_invariants(Point(1 / 3, 0.2), Point(0.25, 0.4))
@@ -154,32 +155,6 @@ class TestPolyQ:
             q = poly_q(random_interior(rng))
             for t in rng.random(100):
                 assert q(t) > 0.0
-
-
-class TestPolyBC:
-    @pytest.mark.parametrize("build", [poly_B, poly_C])
-    def test_interior_enforced(self, build):
-        outside = Point(0.6, 0.6)
-        for pair in ((outside, EX1[1]), (EX1[0], outside)):
-            with pytest.raises(NotInterior, match=r"\(0\.6, 0\.6\)"):
-                build(*pair)
-
-    def test_values_at_zero(self):
-        p1, p2 = EX1
-        assert poly_B(p1, p2)(0.0) == pytest.approx(
-            p1.y ** 2 * p2.x ** 2 - p2.y ** 2 * p1.x ** 2, rel=1e-14
-        )
-        inv = pair_invariants(p1, p2)
-        assert poly_C(p1, p2)(0.0) == pytest.approx(p1.x * p2.x * inv.d_origin, rel=1e-14)
-
-    def test_ratio_gives_partner_parameter(self):
-        # At the larger root of R for the generic example, (t/2) B/C ~ 0.74.
-        p1, p2 = EX1
-        roots = [r for r, _ in solve_quadratic(poly_R(p1, p2))]
-        t = max(roots)
-        w = 0.5 * t * poly_B(p1, p2)(t) / poly_C(p1, p2)(t)
-        assert t == pytest.approx(0.43, abs=0.01)
-        assert w == pytest.approx(0.74, abs=0.01)
 
 
 class TestPolyRS:
@@ -256,27 +231,37 @@ class TestPolyRS:
             r = poly_R(p1, p2)
             assert abs(r.discriminant) < 1e-10 * r.scale ** 2
 
-    def test_bcg_identity(self):
-        # q_j B^2 + 4 y_j ((2x_j - 1)t - x_j) B C + 4 y_j^2 C^2 = q_j R S.
-        rng = np.random.default_rng(22)
-        for _ in range(100):
-            p1, p2 = random_generic_pair(rng)
-            b, c = poly_B(p1, p2), poly_C(p1, p2)
-            r, s = poly_R(p1, p2), poly_S(p1, p2)
-            for t in rng.random(3):
-                bt, ct, gt = b(t), c(t), r(t) * s(t)
-                for (x, y) in (p1, p2):
-                    q = poly_q(Point(x, y))(t)
-                    terms = (
-                        q * bt * bt,
-                        4.0 * y * ((2.0 * x - 1.0) * t - x) * bt * ct,
-                        4.0 * y * y * ct * ct,
-                    )
-                    rhs = q * gt
-                    # Both sides vanish at solution roots; measure against
-                    # the term magnitudes, not the cancelled value.
-                    scale = max(*(abs(v) for v in terms), abs(rhs), 1e-300)
-                    assert abs(sum(terms) - rhs) / scale < 1e-9
+    def test_factorizations(self, monkeypatch):
+        # R, S = 4t(1-t) D^2 - L^2 with L = d_origin (1-2t) + t (y1 - y2) and
+        # D = y2 a1 -+ y1 a2, and q = u^2 - 4a^2 t(1-t) with u = x(1-2t) + t:
+        # the kernel's own coefficients, built from symbols.
+        sp = pytest.importorskip("sympy")
+        x1, y1, x2, y2, t = sp.symbols("x1 y1 x2 y2 t", positive=True)
+        a1, a2 = sp.sqrt(x1 * (1 - x1 - y1)), sp.sqrt(x2 * (1 - x2 - y2))
+        d_origin = x2 * y1 - x1 * y2
+        monkeypatch.setattr(kernel, "require_interior", lambda *points: None)
+        monkeypatch.setattr(
+            kernel, "pair_invariants",
+            lambda p1, p2: SimpleNamespace(a1=a1, a2=a2, d_origin=d_origin),
+        )
+        p1, p2 = Point(x1, y1), Point(x2, y2)
+        lin = d_origin * (1 - 2 * t) + t * (y1 - y2)
+        for build, d in ((kernel.poly_R, y2 * a1 - y1 * a2), (kernel.poly_S, y2 * a1 + y1 * a2)):
+            assert sp.expand(build(p1, p2)(t) - (4 * t * (1 - t) * d ** 2 - lin ** 2)) == 0
+        u = x1 * (1 - 2 * t) + t
+        assert sp.expand(kernel.poly_q(p1)(t) - (u * u - 4 * a1 ** 2 * t * (1 - t))) == 0
+
+    def test_through_point_roots_in_closed_form(self, monkeypatch):
+        # With k = u + 2a sqrt(t(1-t)), both t y/k and t y k/q solve the
+        # through-point equation in w.
+        sp = pytest.importorskip("sympy")
+        x, y, t = sp.symbols("x y t", positive=True)
+        monkeypatch.setattr(kernel, "require_interior", lambda *points: None)
+        q = kernel.poly_q(Point(x, y))(t)
+        k = x * (1 - 2 * t) + t + 2 * sp.sqrt(x * (1 - x - y)) * sp.sqrt(t * (1 - t))
+        for w, den in ((t * y / k, k), (t * y * k / q, q)):
+            value, _, _, _ = through_point(x, y, w, t)
+            assert sp.expand(sp.cancel(value * den ** 2)) == 0
 
 
 class TestWQuadratic:

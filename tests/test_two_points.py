@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from inellipse import two_points
 from inellipse.conic import evaluate, membership_residual
 from inellipse.errors import AmbiguousClassification, CoincidentPoints, NotInterior, SolutionCountMismatch
 from inellipse.geom import Point, Vertex
-from inellipse.kernel import EllipseParam, pair_invariants, poly_R, w_quadratic_at
+from inellipse.kernel import EllipseParam, eval_system_residual, poly_q, poly_R, w_quadratic_at
 from inellipse.oracle import brute_force_two_points, verify_inscribed
 from inellipse.two_points import (
     PairKind,
@@ -96,9 +97,7 @@ class TestDegenerateBranchExample:
         rng = np.random.default_rng(30)
         for _ in range(25):
             p1, p2 = j_zero_pair(rng)
-            if pair_invariants(p1, p2).d_origin < 0.0:
-                p1, p2 = p2, p1
-            t0 = pair_invariants(p1, p2).t0
+            t0 = poly_R(p1, p2).vertex
             g1 = w_quadratic_at(p1, t0)
             g2 = w_quadratic_at(p2, t0)
             k = (p2.y / p1.y) ** 2
@@ -106,8 +105,9 @@ class TestDegenerateBranchExample:
                 assert v == pytest.approx(k * u, rel=1e-9)
 
     def test_pairs_just_off_the_branch_solve_through_the_w_quadratic(self):
-        # 1e-8 off the branch the pair is generic, but R sits so close to a
-        # double root that w comes from the through-point quadratic, not B/C.
+        # 1e-8 off the branch the pair is generic, but R sits close to a
+        # double root: its D = y2 a1 - y1 a2 is nearly 0, and the sign of
+        # L(t) D still picks each root's partner among the w-quadratic's roots.
         rng = np.random.default_rng(31)
         for _ in range(20):
             p1, p2 = j_zero_pair(rng)
@@ -121,20 +121,32 @@ class TestDegenerateBranchExample:
                 assert membership_residual(s.conic, p1) < 1e-9
                 assert membership_residual(s.conic, p2) < 1e-9
 
-
-    @pytest.mark.xfail(
-        strict=True, raises=SolutionCountMismatch,
-        reason="just off the j_zero branch the R discriminant clears the ratio band "
-        "while B/C is still near its 0/0, and a solution is lost (ROADMAP 4(a))",
-    )
     def test_pairs_near_the_branch_keep_four_solutions(self):
-        # 17 of these 1,000 solves keep 3 solutions.
         rng = np.random.default_rng(5)
         pairs = [j_zero_pair(rng) for _ in range(250)]
         for eps in (1e-10, 1e-9, 1e-8, 1e-7):
             for p1, p2 in pairs:
                 _, sols = solve_two_points_unit(p1, Point(p2.x, p2.y * (1.0 + eps)))
                 assert len(sols) == 4
+
+    def test_sweep_across_the_branch_keeps_four_solutions(self):
+        # From on the branch to 1e-6 off it on either side, in both point
+        # orders; no band switches the partner's formula anywhere on the way.
+        rng = np.random.default_rng(9)
+        pairs = [j_zero_pair(rng) for _ in range(500)]
+        epsilons = [0.0] + [10.0 ** k for k in range(-14, -5)] + [-1e-9, -1e-7]
+        lost = []
+        for eps in epsilons:
+            for p1, p2 in pairs:
+                p2 = Point(p2.x, p2.y * (1.0 + eps))
+                for pair in ((p1, p2), (p2, p1)):
+                    try:
+                        _, sols = solve_two_points_unit(*pair)
+                    except SolutionCountMismatch:
+                        sols = ()
+                    if len(sols) != 4:
+                        lost.append((eps, pair))
+        assert lost == []
 
 
 class TestVertexLineExample:
@@ -203,28 +215,28 @@ class TestCountsAndQuality:
                 assert abs(t1 - t2) < 1e-9
                 assert abs(w1 - w2) < 1e-9
 
-    def test_ratio_polynomials_are_built_once_per_solve(self, monkeypatch):
-        from inellipse import two_points
-
-        calls = collections.Counter()
-        for name in ("poly_B", "poly_C"):
-            def counted(*args, _name=name, _fn=getattr(two_points, name)):
-                calls[_name] += 1
-                return _fn(*args)
-
-            monkeypatch.setattr(two_points, name, counted)
+    def test_solution_residuals_match_residual_system3(self):
         rng = np.random.default_rng(46)
         p1, p2 = j_zero_pair(rng)
-        # Both orders of the j_zero pair, so one of them takes the swap.
         for pair in (random_generic_pair(rng), (p1, p2), (p2, p1), random_vertex_pair(rng, Vertex.TOP)):
-            calls.clear()
             _, sols = solve_two_points_unit(*pair)
-            assert dict(calls) == {"poly_B": 1, "poly_C": 1}
             for s in sols:
                 assert s.residuals == residual_system3(*pair, s.param)
 
+    def test_sign_rule_picks_the_partner_at_every_root(self):
+        # Before any polish, each root of R and S in (0, 1) of a generic pair
+        # yields one candidate, and it already passes through p2.
+        rng = np.random.default_rng(48)
+        for _ in range(500):
+            p1, p2 = random_generic_pair(rng)
+            case = classify_pair(p1, p2)
+            raw, expected = two_points._candidate_params(p1, p2, poly_q(p1), case)
+            assert len(raw) == expected == 4
+            for w, t in raw:
+                assert eval_system_residual(p2, EllipseParam(w, t)) < 1e-9
+
     def test_world_solve_builds_each_quadratic_and_conic_once(self, monkeypatch):
-        from inellipse import kernel, two_points, world
+        from inellipse import kernel, world
         from inellipse.affine import UNIT_TRIANGLE
 
         names = ("poly_q", "eval_system_residual", "w_quadratic_at", "inscribed_conic", "tangency_points")
@@ -242,7 +254,6 @@ class TestCountsAndQuality:
                     monkeypatch.setattr(module, name, counted)
         rng = np.random.default_rng(47)
         p1, p2 = j_zero_pair(rng)
-        # Both orders of the j_zero pair, so one of them takes the swap.
         pairs = [random_generic_pair(rng), (p1, p2), (p2, p1), random_vertex_pair(rng, Vertex.RIGHT)]
         cases = []
         for pair in pairs:
@@ -250,8 +261,8 @@ class TestCountsAndQuality:
             report = world.solve_two_points(UNIT_TRIANGLE, *pair)
             cases.append(report.case)
             n = len(report.solutions)
-            # Two from the pair's own quadratics, two inside each of poly_B and poly_C.
-            assert calls["poly_q"] <= 6
+            # One quadratic for each point of the pair.
+            assert calls["poly_q"] == 2
             assert calls["eval_system_residual"] == 0
             assert calls["w_quadratic_at"] == 0
             assert calls["inscribed_conic"] == n
