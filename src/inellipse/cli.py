@@ -6,20 +6,19 @@ document (positional file path, or ``-`` for stdin)::
     {
       "triangle": [[0,0], [1,0], [0,1]],
       "query": {"two_points": {"p1": [0.25, 0.125], "p2": [0.5, 0.1667]}},
-      "options": {"tolerance": 1e-9, "grid_n": 256, "svg": "out.svg"}
+      "options": {"grid_n": 256, "svg": "out.svg"}
     }
 
 Exactly one of ``two_points`` / ``point_slope`` / ``boundary_tangency`` must
 be present and must match the subcommand.  ``point_slope.slope`` is a number
-or the string ``"vertical"``.  ``tolerance`` (or ``--tol``) is the residual
-gate every two-point solution must pass at both points; it must be a finite
-positive number, and point-slope and tangency queries accept it and ignore
-it.  ``grid_n`` (or ``--grid``) is the oracle's grid size for ``--check``, an
-integer of at least 64; ``svg`` (or ``--svg``) is a path string.  Reported
-coefficients are in world coordinates, ordered [A, B, 2C, D, E, F] with the
-full (printed) xy coefficient, normalized so the largest-magnitude entry is
-+-1 unless ``--raw``.  Exit codes: 0 solved, 2 a certified no-solution
-outcome, 1 input error (one ``error:`` line on stderr, nothing on stdout).
+or the string ``"vertical"``.  The options are only ``grid_n`` (or
+``--grid``), the oracle's grid size for ``--check``, an integer of at least
+64, and ``svg`` (or ``--svg``), a path string; any other key is an input
+error.  Reported coefficients are in world coordinates, ordered
+[A, B, 2C, D, E, F] with the full (printed) xy coefficient, normalized so the
+largest-magnitude entry is +-1 unless ``--raw``.  Exit codes: 0 solved, 2 a
+certified no-solution outcome, 1 input error, command-line usage errors
+included (one ``error:`` line on stderr, nothing on stdout).
 """
 
 from __future__ import annotations
@@ -79,6 +78,13 @@ class InputError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as :class:`InputError` instead of printing usage and exiting."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def _load_document(path: str):
     try:
         if path == "-":
@@ -108,6 +114,7 @@ def _parse_triangle(doc) -> Triangle:
 
 
 _VARIANTS = ("two_points", "point_slope", "boundary_tangency")
+_OPTIONS = ("grid_n", "svg")
 
 
 def _parse_query(doc, expected: str):
@@ -199,7 +206,7 @@ def _oracle_check(kind: str, tri: Triangle, payload, report, grid_n: int) -> dic
 
 
 def run(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="inellipse",
         description="Ellipses inscribed in a triangle through prescribed data.",
     )
@@ -210,38 +217,34 @@ def run(argv=None) -> int:
         s.add_argument("--svg", metavar="PATH", help="also write an SVG figure")
         s.add_argument("--check", action="store_true", help="embed an oracle comparison")
         s.add_argument("--grid", type=int, default=None, help="oracle grid size (default 256)")
-        s.add_argument(
-            "--tol", type=float, default=None,
-            help="two-point residual gate (default 1e-9); other queries ignore it",
-        )
         s.add_argument("--raw", action="store_true", help="emit unnormalized coefficients")
 
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-
-    kind = {"two-points": "two_points", "point-slope": "point_slope", "tangency": "boundary_tangency"}[
-        args.command
-    ]
-    # Every error below, from parsing the document to writing the SVG, is
+    # Every error below, from the command line to writing the SVG, is
     # reported as one line on stderr before anything reaches stdout.
     try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:  # --help printed the usage
+            return 0
+        kind = {"two-points": "two_points", "point-slope": "point_slope", "tangency": "boundary_tangency"}[
+            args.command
+        ]
         doc = _load_document(args.input)
         tri = _parse_triangle(doc)
         payload = _parse_query(doc, kind)
         options = doc.get("options", {})
         if not isinstance(options, dict):
             raise InputError("'options' must be an object")
+        unknown = sorted(set(options) - set(_OPTIONS))
+        if unknown:
+            raise InputError(f"unknown options {unknown}; the options are {list(_OPTIONS)}")
 
-        tol = args.tol if args.tol is not None else _option(options, "tolerance", (int, float), None)
-        gate = {} if tol is None else {"tol": float(tol)}
         grid_n = args.grid if args.grid is not None else _option(options, "grid_n", int, _DEFAULT_GRID)
         svg_path = args.svg if args.svg is not None else _option(options, "svg", str, None)
 
         if kind == "two_points":
             p1, p2 = _point_field(payload, "p1"), _point_field(payload, "p2")
-            report = world.solve_two_points(tri, p1, p2, **gate)
+            report = world.solve_two_points(tri, p1, p2)
             markers = [p1, p2]
         elif kind == "point_slope":
             p = _point_field(payload, "p")

@@ -10,13 +10,15 @@ each written as a polynomial in (w, t) for a fixed point (and direction).  A
 finite slope r is the direction (1, r) and a vertical tangent is (0, 1)
 (:attr:`inellipse.geom.Slope.direction`), so one equation serves both.  Every
 function returns ``(value, d/dw, d/dt, magnitudes)``, where ``magnitudes`` is
-the triple of the equation's monomial magnitudes grouped by power of w.
-The largest of them normalizes the value into the componentwise backward
-error of Oettli & Prager (Numer. Math. 6, 1964); the triple is returned
-unreduced so that the closed-form solvers take ``max`` on floats and the
-oracle takes ``np.maximum`` on arrays.  The arithmetic works on floats and on
-ndarrays alike, and the module imports nothing from the package, so the
-oracle can share it without importing a solver.
+the triple of the equation's term magnitudes grouped by power of w; the
+through-point q(t) = (x - t)^2 + 4xy t(1 - t) is a sum of two terms that are
+non-negative on [0, 1], so its magnitude there is q itself.  The largest
+normalizes the value into the componentwise backward error of Oettli &
+Prager (Numer. Math. 6, 1964); the triple is returned unreduced so that the
+closed-form solvers take ``max`` on floats and the oracle takes
+``np.maximum`` on arrays.  The arithmetic works on floats and on ndarrays
+alike, and the module imports nothing from the package, so the oracle can
+share it without importing a solver.
 """
 
 from __future__ import annotations
@@ -24,14 +26,15 @@ from __future__ import annotations
 
 def through_point(x, y, w, t):
     """Q(x, y) = q(t) w^2 + 2ty((2x - 1)t - x) w + t^2 y^2, with q(t) = (x - t)^2 + 4xyt(1 - t)."""
-    q = (1.0 - 4.0 * x * y) * t * t - 2.0 * x * (1.0 - 2.0 * y) * t + x * x
-    dq = 2.0 * (1.0 - 4.0 * x * y) * t - 2.0 * x * (1.0 - 2.0 * y)
+    xy4 = 4.0 * x * y
+    q = (x - t) * (x - t) + xy4 * t * (1.0 - t)
+    dq = 2.0 * (t - x) + xy4 * (1.0 - 2.0 * t)
     lin = 2.0 * t * y * ((2.0 * x - 1.0) * t - x)
     dlin = 2.0 * y * (2.0 * (2.0 * x - 1.0) * t - x)
     value = q * w * w + lin * w + t * t * y * y
     d_w = 2.0 * q * w + lin
     d_t = dq * w * w + dlin * w + 2.0 * t * y * y
-    qmag = abs(1.0 - 4.0 * x * y) * t * t + 2.0 * x * abs(1.0 - 2.0 * y) * t + x * x
+    qmag = (x - t) * (x - t) + xy4 * abs(t * (1.0 - t))
     return value, d_w, d_t, (qmag * w * w, abs(lin) * w, t * t * y * y)
 
 

@@ -13,8 +13,7 @@ works entirely with those polynomials, built here.
 
 Polynomial conventions: dense coefficient records, highest degree first in
 the field names (c2, c1, c0), evaluated by Horner.  Public functions validate
-their points through :func:`poly_q` or :func:`pair_invariants`; the private
-helpers that take a point with its ``poly_q`` expect it validated already.
+their points through :func:`poly_q` or :func:`pair_invariants`.
 """
 
 from __future__ import annotations
@@ -150,12 +149,9 @@ def w_quadratic_at(p: Point, t: float) -> QuadraticPoly:
     An inscribed ellipse with parameters (w, t) passes through p iff w is a
     root of this quadratic.
     """
-    return QuadraticPoly(*_w_coeffs(p, poly_q(p), t))
-
-
-def _w_coeffs(p: Point, q: QuadraticPoly, t: float) -> tuple[float, float, float]:
+    q = poly_q(p)
     x, y = p
-    return q(t), 2.0 * t * y * ((2.0 * x - 1.0) * t - x), t * t * y * y
+    return QuadraticPoly(q(t), 2.0 * t * y * ((2.0 * x - 1.0) * t - x), t * t * y * y)
 
 
 def pair_invariants(p1: Point, p2: Point) -> PairInvariants:
@@ -272,16 +268,4 @@ def solve_quadratic_clamped(q: QuadraticPoly, band: float) -> list[tuple[float, 
     half = 0.5 * math.sqrt(disc) / abs(q.c2)
     v = q.vertex
     return [(v - half, 1), (v + half, 1)]
-
-
-def eval_system_residual(p: Point, param: EllipseParam) -> float:
-    """Term-normalized residual of the through-point condition at one point."""
-    return _through_residual(p, poly_q(p), param)
-
-
-def _through_residual(p: Point, q: QuadraticPoly, param: EllipseParam) -> float:
-    w, t = param
-    c2, c1, c0 = _w_coeffs(p, q, t)
-    terms = (c2 * w * w, c1 * w, c0)
-    return abs(sum(terms)) / max(abs(terms[0]), abs(terms[1]), abs(terms[2]), 1e-300)
 

@@ -88,7 +88,7 @@ def _share(weight: float, form: float, other_weight: float, other_form: float) -
 def residual_system13(p: Point, slope: Slope, param: EllipseParam) -> tuple[float, float]:
     """Backward errors of the through-point and tangent conditions.
 
-    Each residual divides by the largest monomial magnitude of its equation
+    Each residual divides by the largest term magnitude of its equation
     (:func:`inellipse.equations.backward_error`), so the values are
     scale-free and safe against internal cancellation.
     """

@@ -9,6 +9,9 @@ in w, both in closed forms that do not cancel; the factorizations
 R, S = 4t(1-t) D^2 - L(t)^2 give the sign of L(t) D that says which one p2
 shares.  Where the sign is lost (a double root of R, on the branch j = 0)
 both are kept and the residual gate keeps the ones that pass through p2.
+One residual per point, the backward error of
+:func:`inellipse.equations.through_point`, stops the Newton polish, gates
+each candidate and is reported with each solution.
 """
 
 from __future__ import annotations
@@ -21,13 +24,11 @@ from typing import Optional
 from .conic import ConicCoeffs
 from .equations import backward_error, through_point
 from .errors import AmbiguousClassification, SolutionCountMismatch
-from .geom import Point, Vertex, as_point, require_distinct
+from .geom import Point, Vertex, as_point, require_distinct, require_interior
 from .kernel import (
     EllipseParam,
     QuadraticPoly,
     TangencyTriple,
-    _through_residual,
-    eval_system_residual,
     inscribed_conic,
     pair_invariants,
     poly_q,
@@ -49,6 +50,10 @@ _DOUBLE_ROOT_BAND = 1e-8
 _SQUARE_MARGIN = 1e-9
 _DEDUPE = 1e-10
 _POLISH_ITERS = 4  # Newton steps on each candidate (w, t)
+# Backward-error gate at both points.  Polished solutions sit below 1e-15 and
+# rejected candidates above 1e-3 (tests/test_two_points.py pins the gap), so
+# any gate in between keeps the same solutions.
+_GATE = 1e-9
 
 
 class PairKind(Enum):
@@ -103,19 +108,23 @@ def classify_pair(p1: Point, p2: Point) -> PairCase:
 
 
 def residual_system3(p1: Point, p2: Point, param: EllipseParam) -> tuple[float, float]:
-    """Term-normalized residuals of the two through-point conditions."""
-    return (eval_system_residual(p1, param), eval_system_residual(p2, param))
+    """Backward errors of the two through-point conditions."""
+    require_interior(p1, p2)
+    return tuple(backward_error(through_point(*p, *param)) for p in (p1, p2))
 
 
 def _newton_polish(p1: Point, p2: Point, w: float, t: float):
-    """A few Newton steps on the raw through-point system; returns (w, t).
+    """A few Newton steps on the through-point system; returns (w, t, residuals).
 
-    Candidates arrive within the quadratic-convergence basin, so undamped
-    steps with a step-size cap are enough to pin residuals at round-off.
+    ``residuals`` are the backward errors of the last evaluation, which is at
+    the returned (w, t).  Candidates arrive within the quadratic-convergence
+    basin, so undamped steps with a step-size cap are enough to pin residuals
+    at round-off.
     """
-    for _ in range(_POLISH_ITERS):
+    for step in range(_POLISH_ITERS + 1):
         eq1, eq2 = through_point(*p1, w, t), through_point(*p2, w, t)
-        if max(backward_error(eq1), backward_error(eq2)) < 1e-15:
+        residuals = (backward_error(eq1), backward_error(eq2))
+        if max(residuals) < 1e-15 or step == _POLISH_ITERS:
             break
         (f1, a, b, _), (f2, c, d, _) = eq1, eq2
         det = a * d - b * c
@@ -126,7 +135,7 @@ def _newton_polish(p1: Point, p2: Point, w: float, t: float):
         if max(abs(dw), abs(dt)) > 0.1:
             break
         w, t = w + dw, t + dt
-    return w, t
+    return w, t, residuals
 
 
 def _candidate_params(p1: Point, p2: Point, q1: QuadraticPoly, case: PairCase):
@@ -153,20 +162,14 @@ def _candidate_params(p1: Point, p2: Point, q1: QuadraticPoly, case: PairCase):
     return out, 4 if case.vertex is None else 2
 
 
-def _assemble(p1, p2, q1, q2, raw_params, expected, tol):
+def _assemble(p1, p2, raw_params, expected):
     kept: list[tuple[EllipseParam, tuple[float, float]]] = []
     for w, t in raw_params:
-        w, t = _newton_polish(p1, p2, w, t)
-        if not (
-            _SQUARE_MARGIN < w < 1.0 - _SQUARE_MARGIN
-            and _SQUARE_MARGIN < t < 1.0 - _SQUARE_MARGIN
-        ):
+        w, t, residuals = _newton_polish(p1, p2, w, t)
+        inside = _SQUARE_MARGIN < w < 1.0 - _SQUARE_MARGIN and _SQUARE_MARGIN < t < 1.0 - _SQUARE_MARGIN
+        if not inside or max(residuals) >= _GATE:
             continue
         param = EllipseParam(w, t)
-        # residual_system3 from the points' quadratics q1, q2.
-        residuals = (_through_residual(p1, q1, param), _through_residual(p2, q2, param))
-        if max(residuals) >= tol:
-            continue
         if any(
             max(abs(param.w - k.w), abs(param.t - k.t)) < _DEDUPE for k, _ in kept
         ):
@@ -189,23 +192,17 @@ def _assemble(p1, p2, q1, q2, raw_params, expected, tol):
     ]
 
 
-def solve_two_points_unit(
-    p1: Point, p2: Point, tol: float = 1e-9
-) -> tuple[PairCase, list[TwoPointSolution]]:
+def solve_two_points_unit(p1: Point, p2: Point) -> tuple[PairCase, list[TwoPointSolution]]:
     """Classify the pair and return every inscribed ellipse through both points.
 
     Four solutions in the generic cases, two in the vertex-line cases; all
-    returned parameters sit strictly inside the open unit square, pass the
-    through-point residual gate ``tol`` for both points, and arrive sorted by
-    (t, w).  ``tol`` must be finite and positive: a NaN would pass every
-    candidate through the gate.
+    returned parameters sit strictly inside the open unit square, have a
+    through-point backward error below ``_GATE`` at both points (reported as
+    ``residuals``), and arrive sorted by (t, w).
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
     p1, p2 = as_point(p1), as_point(p2)
-    # Built once per solve; poly_q also checks that p1, then p2, is interior.
-    q1, q2 = poly_q(p1), poly_q(p2)
+    require_interior(p1, p2)
     require_distinct(p1, p2)
     case = classify_pair(p1, p2)
-    raw, expected = _candidate_params(p1, p2, q1, case)
-    return case, _assemble(p1, p2, q1, q2, raw, expected, tol)
+    raw, expected = _candidate_params(p1, p2, poly_q(p1), case)
+    return case, _assemble(p1, p2, raw, expected)

@@ -27,7 +27,9 @@ class WorldSolution:
     conic: ConicCoeffs                     # world coordinates
     tangent_points: tuple[Point, Point, Point]
     center: Point
-    residuals: tuple[float, ...]           # unit-coordinate residuals
+    # Unit frame: backward errors of the defining equations for the two-point
+    # and point-slope families, contact distances for tangency.
+    residuals: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -46,15 +48,12 @@ def _to_world(param, unit_conic, tangency, fwd, back, residuals) -> WorldSolutio
     )
 
 
-def solve_two_points(tri: Triangle, p1: Point, p2: Point, tol: float = 1e-9) -> SolveReport:
-    """Every inscribed ellipse of ``tri`` through the two world points.
-
-    ``tol`` is the residual gate each solution must pass at both points.
-    """
+def solve_two_points(tri: Triangle, p1: Point, p2: Point) -> SolveReport:
+    """Every inscribed ellipse of ``tri`` through the two world points."""
     fwd = map_to_unit(tri)
     back = invert(fwd)
     u1, u2 = apply_point(fwd, as_point(p1)), apply_point(fwd, as_point(p2))
-    case, sols = two_points.solve_two_points_unit(u1, u2, tol)
+    case, sols = two_points.solve_two_points_unit(u1, u2)
     return SolveReport(
         case=str(case),
         solutions=tuple(_to_world(s.param, s.conic, s.tangency, fwd, back, s.residuals) for s in sols),

@@ -113,3 +113,26 @@ def point_slope_reference(p: Point, r: float) -> tuple[float, float]:
         x, y, r = mp.mpf(p.x), mp.mpf(p.y), mp.mpf(r)
         s = (1 - x - y) * (r * x - y) ** 2
         return float(s / (s + y * (r * x - y + 1) ** 2)), float(s / (s + x * (r * x - r - y) ** 2))
+
+
+def two_point_reference(p1: Point, p2: Point, w: float, t: float) -> tuple[float, float]:
+    """(w, t) through p1 and p2, refined by 50-digit mpmath Newton from the float (w, t).
+
+    The through-point equations are written here from the inscribed conic
+    w^2 x^2 + t^2 y^2 - 2wt(2wt - 2w - 2t + 1) xy - 2w^2 t x - 2t^2 w y + t^2 w^2,
+    not taken from the package.
+    """
+    import mpmath as mp
+
+    def conic(x, y, w, t):
+        return (
+            w * w * x * x + t * t * y * y - 2 * w * t * (2 * w * t - 2 * w - 2 * t + 1) * x * y
+            - 2 * w * w * t * x - 2 * t * t * w * y + t * t * w * w
+        )
+
+    with mp.workdps(50):
+        (x1, y1), (x2, y2) = [(mp.mpf(p.x), mp.mpf(p.y)) for p in (p1, p2)]
+        root = mp.findroot(
+            lambda w, t: [conic(x1, y1, w, t), conic(x2, y2, w, t)], (mp.mpf(w), mp.mpf(t))
+        )
+        return float(root[0]), float(root[1])

@@ -199,7 +199,7 @@ class TestInputContract:
         doc = {
             "triangle": UNIT,
             "query": {"two_points": {"p1": [0.25, 0.125], "p2": [0.5, 1 / 6]}},
-            "options": {"svg": str(svg), "tolerance": 1e-8},
+            "options": {"svg": str(svg), "grid_n": 64},
         }
         code, _ = run_and_parse(capsys, ["two-points", write_doc(tmp_path, doc)])
         assert code == 0
@@ -250,6 +250,9 @@ class TestMalformedInput:
         "tolerance_not_a_number": ([], '"options": {"tolerance": "x"}'),
         "tolerance_nan_literal": ([], '"options": {"tolerance": NaN}'),
         "tolerance_nan_flag": (["--tol", "nan"], '"options": {}'),
+        "option_key_typo": ([], '"options": {"tolerence": 1e-9}'),
+        "grid_flag_not_an_integer": (["--grid", "abc"], '"options": {}'),
+        "unknown_flag": (["--frobnicate"], '"options": {}'),
         "svg_not_a_path": ([], '"options": {"svg": true}'),
         "options_not_an_object": ([], '"options": []'),
         "grid_below_oracle_minimum": (["--check", "--grid", "10"], '"options": {}'),
@@ -263,6 +266,19 @@ class TestMalformedInput:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+
+    def test_missing_subcommand(self):
+        proc = run_cli_process([], "")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+
+    @pytest.mark.parametrize("argv", [["--help"], ["two-points", "--help"]])
+    def test_help_exits_zero(self, argv):
+        proc = run_cli_process(argv, "")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage:")
+        assert proc.stderr == ""
 
     def test_slope_overflowing_to_infinity(self):
         doc = '{"triangle": [[0, 0], [1, 0], [0, 1]], "query": {"point_slope": {"p": [0.3, 0.3], "slope": 1e400}}}'

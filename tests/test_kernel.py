@@ -8,13 +8,12 @@ import pytest
 
 from inellipse import kernel
 from inellipse.conic import ConicCoeffs, conic_center, conic_close, evaluate
-from inellipse.equations import through_point
+from inellipse.equations import backward_error, through_point
 from inellipse.errors import NotInterior, OutOfDomain, ZeroPolynomial
 from inellipse.geom import Point
 from inellipse.kernel import (
     EllipseParam,
     QuadraticPoly,
-    eval_system_residual,
     inscribed_center,
     inscribed_conic,
     pair_invariants,
@@ -289,7 +288,7 @@ class TestWQuadratic:
                 t * t * y * y,
             )
             expected = abs(sum(terms)) / max(abs(v) for v in terms)
-            assert eval_system_residual(Point(x, y), EllipseParam(w, t)) == pytest.approx(expected, rel=1e-9)
+            assert backward_error(through_point(x, y, w, t)) == pytest.approx(expected, rel=1e-9)
 
 
 class TestSolveQuadratic:

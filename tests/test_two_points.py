@@ -10,7 +10,7 @@ from inellipse import two_points
 from inellipse.conic import evaluate, membership_residual
 from inellipse.errors import AmbiguousClassification, CoincidentPoints, NotInterior, SolutionCountMismatch
 from inellipse.geom import Point, Vertex
-from inellipse.kernel import EllipseParam, eval_system_residual, poly_q, poly_R, w_quadratic_at
+from inellipse.kernel import EllipseParam, poly_q, poly_R, w_quadratic_at
 from inellipse.oracle import brute_force_two_points, verify_inscribed
 from inellipse.two_points import (
     PairKind,
@@ -19,7 +19,13 @@ from inellipse.two_points import (
     solve_two_points_unit,
 )
 
-from helpers import j_zero_pair, random_generic_pair, random_interior, random_vertex_pair
+from helpers import (
+    j_zero_pair,
+    random_generic_pair,
+    random_interior,
+    random_vertex_pair,
+    two_point_reference,
+)
 
 EX1 = (Point(0.25, 0.125), Point(0.5, 1 / 6))
 EX2 = (Point(1 / 8, -0.25 + 1 / math.sqrt(2)), Point(0.25, 0.5))
@@ -233,13 +239,35 @@ class TestCountsAndQuality:
             raw, expected = two_points._candidate_params(p1, p2, poly_q(p1), case)
             assert len(raw) == expected == 4
             for w, t in raw:
-                assert eval_system_residual(p2, EllipseParam(w, t)) < 1e-9
+                assert residual_system3(p1, p2, EllipseParam(w, t))[1] < 1e-9
+
+    def test_gate_sits_in_a_wide_gap(self):
+        # The residual gate is one constant: every polished candidate inside
+        # the square margin is either at round-off or orders of magnitude off,
+        # so any gate between the two keeps the same solutions.
+        rng = np.random.default_rng(70)
+        draws = [random_generic_pair, j_zero_pair] + [
+            lambda rng, v=v: random_vertex_pair(rng, v) for v in Vertex
+        ]
+        margin = two_points._SQUARE_MARGIN
+        kept, rejected = [], []
+        for i in range(1500):
+            p1, p2 = draws[i % len(draws)](rng)
+            raw, _ = two_points._candidate_params(p1, p2, poly_q(p1), classify_pair(p1, p2))
+            for w, t in raw:
+                w, t, residuals = two_points._newton_polish(p1, p2, w, t)
+                if margin < w < 1.0 - margin and margin < t < 1.0 - margin:
+                    r = max(residuals)
+                    (kept if r < two_points._GATE else rejected).append(r)
+        assert kept and rejected
+        assert max(kept) < 1e-14
+        assert min(rejected) > 1e-3
 
     def test_world_solve_builds_each_quadratic_and_conic_once(self, monkeypatch):
         from inellipse import kernel, world
         from inellipse.affine import UNIT_TRIANGLE
 
-        names = ("poly_q", "eval_system_residual", "w_quadratic_at", "inscribed_conic", "tangency_points")
+        names = ("poly_q", "w_quadratic_at", "inscribed_conic", "tangency_points")
         calls = collections.Counter()
         for name in names:
             fn = getattr(kernel, name)
@@ -261,9 +289,8 @@ class TestCountsAndQuality:
             report = world.solve_two_points(UNIT_TRIANGLE, *pair)
             cases.append(report.case)
             n = len(report.solutions)
-            # One quadratic for each point of the pair.
-            assert calls["poly_q"] == 2
-            assert calls["eval_system_residual"] == 0
+            # One quadratic, p1's; the residuals come from the polish.
+            assert calls["poly_q"] == 1
             assert calls["w_quadratic_at"] == 0
             assert calls["inscribed_conic"] == n
             assert calls["tangency_points"] == n
@@ -304,6 +331,18 @@ def collision_pair(rng, kind):
             p2 = Point(u * s, s - u * s)
         if min(p2) > 0.02 and max(abs(p1.x - p2.x), abs(p1.y - p2.y)) > 1e-3:
             return p1, p2
+
+
+class TestAccuracy:
+    @pytest.mark.parametrize("draw", [random_generic_pair, j_zero_pair])
+    def test_solutions_match_a_50_digit_reference(self, draw):
+        pytest.importorskip("mpmath")
+        rng = np.random.default_rng(71)
+        for _ in range(100):
+            p1, p2 = draw(rng)
+            for s in solve_two_points_unit(p1, p2)[1]:
+                w, t = two_point_reference(p1, p2, *s.param)
+                assert max(abs(s.param.w - w), abs(s.param.t - t)) < 1e-11
 
 
 class TestCoordinateCollisions:
@@ -359,12 +398,6 @@ class TestErrors:
     def test_coincident(self):
         with pytest.raises(CoincidentPoints):
             solve_two_points_unit(Point(0.25, 0.25), Point(0.25, 0.25))
-
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
-    def test_gate_must_be_finite_and_positive(self, tol):
-        # A NaN gate would let every candidate through (max(r) >= nan is false).
-        with pytest.raises(ValueError, match="tol"):
-            solve_two_points_unit(*EX1, tol=tol)
 
     def test_unresolvable_near_degenerate_pair_is_reported(self):
         # A pair 1e-6 off a vertex line classifies as generic, but two of its
