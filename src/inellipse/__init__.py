@@ -20,6 +20,11 @@ for the defining equations).  :mod:`inellipse.oracle` provides an independent
 numerical witness for all of it.  The closed-form path imports no numpy; the
 oracle names load :mod:`inellipse.oracle` (and numpy) on first use, which
 ``from inellipse import *`` is.
+
+Every value and result type is an immutable NamedTuple: read its fields by
+name or unpack it, and derive a changed copy with ``_replace``.  Equality is
+tuple equality, so ``PairCase(PairKind.GENERIC) == (PairKind.GENERIC, None)``.
+They are not data classes: the ``replace`` and ``asdict`` helpers do not apply.
 """
 
 from .affine import Triangle, UNIT_TRIANGLE

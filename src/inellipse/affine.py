@@ -8,7 +8,7 @@ through ``apply_point`` / ``apply_slope``, and conic transport lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegenerateTriangle, SingularMap
 from .geom import Point, Slope, as_point
@@ -17,25 +17,32 @@ _COLLINEAR_BAND = 1e-12
 _SINGULAR_BAND = 1e-14
 
 
-@dataclass(frozen=True)
-class Triangle:
-    """Three non-collinear vertices, in user order."""
-
+class _Vertices(NamedTuple):
     a: Point
     b: Point
     c: Point
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_point(self.a))
-        object.__setattr__(self, "b", as_point(self.b))
-        object.__setattr__(self, "c", as_point(self.c))
+
+class Triangle(_Vertices):
+    """Three non-collinear vertices, in user order, validated on every path that
+    builds one: the constructor, ``_make`` (so ``_replace``), pickle and copy."""
+
+    __slots__ = ()
+
+    def __new__(cls, a, b, c):
+        tri = super().__new__(cls, as_point(a), as_point(b), as_point(c))
         # Twice the area over the longest squared edge: the relative height, free of scale.
-        (ax, ay), (bx, by), (cx, cy) = self.a, self.b, self.c
+        (ax, ay), (bx, by), (cx, cy) = tri
         longest2 = max(
             (bx - ax) ** 2 + (by - ay) ** 2, (cx - ax) ** 2 + (cy - ay) ** 2, (cx - bx) ** 2 + (cy - by) ** 2
         )
-        if abs(self.signed_area2()) <= _COLLINEAR_BAND * longest2:
-            raise DegenerateTriangle(f"collinear vertices {self.a}, {self.b}, {self.c}")
+        if abs(tri.signed_area2()) <= _COLLINEAR_BAND * longest2:
+            raise DegenerateTriangle(f"collinear vertices {tri.a}, {tri.b}, {tri.c}")
+        return tri
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def signed_area2(self) -> float:
         """Twice the signed area."""
@@ -50,8 +57,7 @@ class Triangle:
 UNIT_TRIANGLE = Triangle(Point(0.0, 0.0), Point(1.0, 0.0), Point(0.0, 1.0))
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(NamedTuple):
     """p -> (m11*x + m12*y + tx, m21*x + m22*y + ty)."""
 
     m11: float
@@ -104,7 +110,7 @@ def map_to_unit(tri: Triangle) -> AffineMap:
     ux, uy = tri.b.x - tri.a.x, tri.b.y - tri.a.y
     vx, vy = tri.c.x - tri.a.x, tri.c.y - tri.a.y
     d = ux * vy - vx * uy
-    # Triangle.__post_init__ already guards |d|; recompute the inverse of the
+    # Triangle.__new__ already guards |d|; recompute the inverse of the
     # column matrix [u v] directly.
     m11, m12 = vy / d, -vx / d
     m21, m22 = -uy / d, ux / d

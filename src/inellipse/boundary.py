@@ -14,8 +14,8 @@ whose denominators are positive throughout the open square.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import NotOnSide, OutOfDomain, SameSide, VertexPoint
 from .geom import Point, as_point
@@ -34,8 +34,7 @@ class Side(Enum):
     HYPOTENUSE = "hypotenuse"  # x + y = 1, 0 < x < 1
 
 
-@dataclass(frozen=True)
-class SidePoint:
+class SidePoint(NamedTuple):
     side: Side
     point: Point
 

@@ -10,7 +10,6 @@ the same curve, and all comparisons here are up to scale.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 from .affine import AffineMap
@@ -58,6 +57,9 @@ def _positive(terms_of, conic: ConicCoeffs) -> bool:
     total = sum(terms)
     if abs(total) > 1e-14 * sum(abs(v) for v in terms) + 1e-300:
         return total > 0.0
+    # Imported here, not at the top: fractions and the decimal module it loads
+    # add about 2.5 ms to a cold start, and only a near-zero sum needs them.
+    from fractions import Fraction
     return sum(terms_of(*map(Fraction, conic))) > 0
 
 

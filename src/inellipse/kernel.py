@@ -19,7 +19,6 @@ their points through :func:`poly_q` or :func:`pair_invariants`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .conic import ConicCoeffs
@@ -44,8 +43,7 @@ class TangencyTriple(NamedTuple):
     t3: Point  # on the hypotenuse x + y = 1
 
 
-@dataclass(frozen=True)
-class QuadraticPoly:
+class QuadraticPoly(NamedTuple):
     """c2*t^2 + c1*t + c0."""
 
     c2: float
@@ -69,8 +67,7 @@ class QuadraticPoly:
         return max(abs(self.c2), abs(self.c1), abs(self.c0))
 
 
-@dataclass(frozen=True)
-class PairInvariants:
+class PairInvariants(NamedTuple):
     """Classification data for a pair of interior points.
 
     d_origin, d_vertex10, d_vertex01 are the determinants that vanish exactly

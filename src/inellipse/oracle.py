@@ -21,8 +21,7 @@ closed form) and never imports a closed-form solver module.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -39,13 +38,14 @@ _INTERIOR_MARGIN = 1e-9
 # Honesty gate: a returned parameter pair must satisfy both normalized
 # residuals below this bound.
 _HONESTY = 1e-12
+# Tangency certificate: each side's normalized discriminant must fall below this.
+_TANGENCY = 1e-9
 _DEDUPE = 1e-8
 _NEWTON_ITERS = 50
 _NEWTON_TARGET = 1e-13
 
 
-@dataclass(frozen=True)
-class SideReport:
+class SideReport(NamedTuple):
     """Tangency certificate for one triangle side."""
 
     residual: float          # normalized |discriminant| of the restricted quadratic
@@ -53,15 +53,12 @@ class SideReport:
     inside: bool             # contact strictly between the side's endpoints
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     sides: tuple[SideReport, SideReport, SideReport]
     passed: bool
 
 
-def verify_inscribed(
-    conic: ConicCoeffs, tri: Triangle = UNIT_TRIANGLE, tol: float = 1e-9
-) -> VerificationReport:
+def verify_inscribed(conic: ConicCoeffs, tri: Triangle = UNIT_TRIANGLE) -> VerificationReport:
     """Check that an ellipse is tangent to all three sides, from first principles."""
     if not is_real_ellipse(conic):
         raise NotAnEllipse(f"{conic} is not a real ellipse")
@@ -96,7 +93,7 @@ def verify_inscribed(
         else:
             contact, inside = None, False
         reports.append(SideReport(residual, contact, inside))
-    passed = all(r.residual < tol and r.inside for r in reports)
+    passed = all(r.residual < _TANGENCY and r.inside for r in reports)
     return VerificationReport(tuple(reports), passed)
 
 

@@ -22,8 +22,7 @@ an error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from . import equations
 from .geom import Point, Slope, Vertex, as_point, require_interior
@@ -36,8 +35,7 @@ _SLOPE_EXCLUSION = 1e-9
 _VERTICES = ((Vertex.ORIGIN, 0.0, 0.0), (Vertex.RIGHT, 1.0, 0.0), (Vertex.TOP, 0.0, 1.0))
 
 
-@dataclass(frozen=True)
-class NoSolution:
+class NoSolution(NamedTuple):
     """The slope aims from the point at this triangle vertex."""
 
     vertex: Vertex

@@ -17,9 +17,8 @@ each candidate and is reported with each solution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .conic import ConicCoeffs
 from .equations import backward_error, through_point
@@ -62,8 +61,7 @@ class PairKind(Enum):
     VERTEX_LINE = "vertex_line"
 
 
-@dataclass(frozen=True)
-class PairCase:
+class PairCase(NamedTuple):
     kind: PairKind
     vertex: Optional[Vertex] = None
 
@@ -73,8 +71,7 @@ class PairCase:
         return "generic_4" if self.kind is PairKind.GENERIC else "generic_j_zero"
 
 
-@dataclass(frozen=True)
-class TwoPointSolution:
+class TwoPointSolution(NamedTuple):
     param: EllipseParam
     conic: ConicCoeffs
     tangency: TangencyTriple

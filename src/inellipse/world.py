@@ -12,7 +12,7 @@ triangle), so they are reported unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import boundary, point_slope, two_points
 from .affine import Triangle, apply_point, apply_slope, invert, map_to_unit
@@ -21,8 +21,7 @@ from .geom import Point, Slope, as_point
 from .kernel import EllipseParam, inscribed_center, inscribed_conic, tangency_points
 
 
-@dataclass(frozen=True)
-class WorldSolution:
+class WorldSolution(NamedTuple):
     param: EllipseParam
     conic: ConicCoeffs                     # world coordinates
     tangent_points: tuple[Point, Point, Point]
@@ -32,8 +31,7 @@ class WorldSolution:
     residuals: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(NamedTuple):
     case: str
     solutions: tuple[WorldSolution, ...]
 

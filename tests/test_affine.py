@@ -1,6 +1,8 @@
 """Affine conjugation: maps, slope transport, and invariance of the solvers."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -14,11 +16,14 @@ from inellipse.affine import (
     invert,
     map_to_unit,
 )
+from inellipse.boundary import side_point
 from inellipse.conic import conic_close, pull_back, slope_at
 from inellipse.errors import DegenerateTriangle, SingularMap
 from inellipse.geom import Point, Slope
-from inellipse.kernel import EllipseParam, inscribed_conic, tangency_points
+from inellipse.kernel import EllipseParam, inscribed_conic, pair_invariants, poly_q, tangency_points
 from inellipse.oracle import verify_inscribed
+from inellipse.point_slope import solve_point_slope_unit
+from inellipse.two_points import solve_two_points_unit
 from inellipse.world import solve_two_points
 
 from helpers import interior_in_triangle, random_generic_pair, random_param, random_triangle
@@ -169,3 +174,69 @@ class TestSolverInvariance:
                 conic_close(sol.conic, cand.conic, rtol=1e-7)
                 for cand in other.solutions
             )
+
+
+def _records():
+    """One instance of each result and value record, built by the code that returns it."""
+    p1, p2 = Point(0.25, 0.125), Point(0.5, 0.1667)
+    case, (solution, *_) = solve_two_points_unit(p1, p2)
+    report = solve_two_points(UNIT_TRIANGLE, p1, p2)
+    certificate = verify_inscribed(solution.conic)
+    return {
+        "PairInvariants": pair_invariants(p1, p2),
+        "QuadraticPoly": poly_q(p1),
+        "AffineMap": map_to_unit(Triangle(Point(1, 1), Point(4, 2), Point(2, 5))),
+        "Triangle": UNIT_TRIANGLE,
+        "PairCase": case,
+        "TwoPointSolution": solution,
+        "WorldSolution": report.solutions[0],
+        "SolveReport": report,
+        "NoSolution": solve_point_slope_unit(Point(0.5, 0.25), Slope.finite(0.5)),
+        "SidePoint": side_point(Point(0.5, 0.0)),
+        "SideReport": certificate.sides[0],
+        "VerificationReport": certificate,
+    }
+
+
+RECORDS = _records()
+
+
+class TestRecords:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda c: Triangle(Point(0, 0), Point(1, 0), c),
+            lambda c: Triangle._make([(0, 0), (1, 0), c]),
+            lambda c: UNIT_TRIANGLE._replace(c=c),
+        ],
+        ids=["constructor", "make", "replace"],
+    )
+    def test_no_path_builds_a_collinear_triangle(self, build):
+        assert build([0, 2]).c == Point(0.0, 2.0)
+        with pytest.raises(DegenerateTriangle):
+            build([2, 0])
+
+    def test_vertices_are_coerced_to_points_on_every_path(self):
+        built = (
+            Triangle([0, 0], [1, 0], [0, 1]),
+            Triangle(a=[0, 0], b=[1, 0], c=[0, 1]),
+            Triangle._make([[0, 0], [1, 0], [0, 1]]),
+            UNIT_TRIANGLE._replace(c=[0, 1]),
+        )
+        for tri in built:
+            assert tri == UNIT_TRIANGLE
+            assert all(type(v) is Point and type(v.x) is float for v in tri.vertices)
+
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_pickle_and_deepcopy_round_trip(self, name):
+        record = RECORDS[name]
+        for clone in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+            assert type(clone) is type(record)
+            assert clone == record
+
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_fields_are_frozen(self, name):
+        record = RECORDS[name]
+        field = record._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))

@@ -1,5 +1,8 @@
 """The closed-form path imports no numpy; the oracle and figures still load it.
 
+Nor does importing the package load ``dataclasses``, ``inspect`` or
+``fractions``, which no solve needs.
+
 Each check runs in a fresh interpreter, because this test process has long
 since imported numpy.
 """
@@ -31,6 +34,14 @@ def run_python(code: str, stdin: str = "") -> str:
 def test_import_leaves_numpy_out(module):
     out = run_python(f"import sys, {module}; print('numpy' in sys.modules)")
     assert out.split() == ["False"]
+
+
+@pytest.mark.parametrize("module", ["inellipse", "inellipse.world", "inellipse.cli"])
+def test_import_leaves_record_machinery_out(module):
+    # The records are NamedTuples and Fraction loads only for an exact sign,
+    # so a cold import needs none of these.
+    out = run_python(f"import sys, {module}; print(*(m in sys.modules for m in ('dataclasses', 'inspect', 'fractions')))")
+    assert out.split() == ["False", "False", "False"]
 
 
 def test_plain_cli_query_leaves_numpy_out():
