@@ -205,21 +205,18 @@ class TestRecords:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda c: Triangle(Point(0, 0), Point(1, 0), c),
             lambda c: Triangle._make([(0, 0), (1, 0), c]),
             lambda c: UNIT_TRIANGLE._replace(c=c),
         ],
-        ids=["constructor", "make", "replace"],
+        ids=["make", "replace"],
     )
-    def test_no_path_builds_a_collinear_triangle(self, build):
+    def test_make_and_replace_refuse_a_collinear_triangle(self, build):
         assert build([0, 2]).c == Point(0.0, 2.0)
         with pytest.raises(DegenerateTriangle):
             build([2, 0])
 
-    def test_vertices_are_coerced_to_points_on_every_path(self):
+    def test_make_and_replace_coerce_vertices_to_points(self):
         built = (
-            Triangle([0, 0], [1, 0], [0, 1]),
-            Triangle(a=[0, 0], b=[1, 0], c=[0, 1]),
             Triangle._make([[0, 0], [1, 0], [0, 1]]),
             UNIT_TRIANGLE._replace(c=[0, 1]),
         )
