@@ -160,33 +160,26 @@ def _candidate_params(p1: Point, p2: Point, q1: QuadraticPoly, case: PairCase):
 
 
 def _assemble(p1, p2, raw_params, expected):
-    kept: list[tuple[EllipseParam, tuple[float, float]]] = []
+    kept: list[tuple[float, float, tuple[float, float]]] = []  # (t, w, residuals)
     for w, t in raw_params:
         w, t, residuals = _newton_polish(p1, p2, w, t)
         inside = _SQUARE_MARGIN < w < 1.0 - _SQUARE_MARGIN and _SQUARE_MARGIN < t < 1.0 - _SQUARE_MARGIN
         if not inside or max(residuals) >= _GATE:
             continue
-        param = EllipseParam(w, t)
-        if any(
-            max(abs(param.w - k.w), abs(param.t - k.t)) < _DEDUPE for k, _ in kept
-        ):
+        if any(max(abs(w - kw), abs(t - kt)) < _DEDUPE for kt, kw, _ in kept):
             continue
-        kept.append((param, residuals))
+        kept.append((t, w, residuals))
     if len(kept) != expected:
         raise SolutionCountMismatch(
             f"expected {expected} inscribed ellipses, kept {len(kept)}: "
-            f"{[(round(k.t, 6), round(k.w, 6)) for k, _ in kept]}"
+            f"{[(round(t, 6), round(w, 6)) for t, w, _ in kept]}"
         )
-    kept.sort(key=lambda kr: (kr[0].t, kr[0].w))
-    return [
-        TwoPointSolution(
-            param=k,
-            conic=inscribed_conic(k),
-            tangency=tangency_points(k),
-            residuals=residuals,
-        )
-        for k, residuals in kept
-    ]
+    kept.sort()
+    solutions = []
+    for t, w, residuals in kept:
+        param = EllipseParam(w, t)
+        solutions.append(TwoPointSolution(param, inscribed_conic(param), tangency_points(param), residuals))
+    return solutions
 
 
 def solve_two_points_unit(p1: Point, p2: Point) -> tuple[PairCase, list[TwoPointSolution]]:

@@ -1,5 +1,7 @@
 """World layer: transport of conics and centers from the unit triangle."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from inellipse.affine import Triangle, UNIT_TRIANGLE, apply_point, apply_slope, 
 from inellipse.conic import is_real_ellipse, pull_back
 from inellipse.geom import Point, Slope, Vertex
 from inellipse.kernel import EllipseParam, inscribed_center, inscribed_conic, tangency_points
+from inellipse.point_slope import residual_system13
 from inellipse.two_points import residual_system3
 
 from helpers import j_zero_pair, point_slope_reference, random_generic_pair, random_interior, random_triangle, random_vertex_pair
@@ -94,31 +97,111 @@ def pixel_triangle(rng) -> Triangle:
             return Triangle(a, b, c)
 
 
+SIDE_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def side_point_of(tri: Triangle, side: int, s: float) -> Point:
+    """The point s of the way along side ``side``, which runs from vertex side to side + 1."""
+    a, b = tri[side], tri[(side + 1) % 3]
+    return Point(a.x + s * (b.x - a.x), a.y + s * (b.y - a.y))
+
+
+def transport_queries(family, rng, make_triangle):
+    """(triangle, world report, fresh unit residuals of a param or None) per query."""
+    if family == "two_points":
+        pairs = [random_generic_pair(rng) for _ in range(4)] + [j_zero_pair(rng) for _ in range(4)]
+        pairs += [random_vertex_pair(rng, v) for v in Vertex]
+        for u1, u2 in pairs:
+            tri = make_triangle()
+            fwd = map_to_unit(tri)
+            back = invert(fwd)
+            p1, p2 = apply_point(back, u1), apply_point(back, u2)
+            v1, v2 = apply_point(fwd, p1), apply_point(fwd, p2)
+            report = world.solve_two_points(tri, p1, p2)
+            yield tri, report, lambda param, v1=v1, v2=v2: residual_system3(v1, v2, param)
+    elif family == "point_slope":
+        for i in range(8):
+            tri = make_triangle()
+            fwd = map_to_unit(tri)
+            back = invert(fwd)
+            u = random_interior(rng)
+            s = Slope.vertical() if i % 4 == 0 else Slope.finite(np.tan(np.pi * (rng.random() - 0.5)))
+            p, slope = apply_point(back, u), apply_slope(back, s)
+            v, v_slope = apply_point(fwd, p), apply_slope(fwd, slope)
+            report = world.solve_point_slope(tri, p, slope)
+            yield tri, report, lambda param, v=v, s=v_slope: residual_system13(v, s, param)
+    else:
+        for i in range(9):
+            tri = make_triangle()
+            q1, q2 = (side_point_of(tri, side, 0.15 + 0.7 * rng.random()) for side in SIDE_PAIRS[i % 3])
+            yield tri, world.solve_tangency(tri, q1, q2), None
+
+
 @pytest.mark.parametrize("kind", ["unit", "box", "pixel"])
-def test_two_point_solutions_equal_a_fresh_transport(kind):
-    # world reuses the conics and contacts the unit solve built; they must be
-    # exactly what a fresh build from (w, t) and transport gives.
+@pytest.mark.parametrize("family", ["two_points", "point_slope", "tangency"])
+def test_solutions_equal_a_fresh_transport(family, kind):
+    # One _to_world serves every family.  Conics must be exactly the pull-back
+    # of a fresh build from (w, t); contacts and centres exactly the fresh unit
+    # points written as vertex combinations of the triangle.
     rng = np.random.default_rng({"unit": 4101, "box": 4102, "pixel": 4103}[kind])
     make_triangle = {
         "unit": lambda: UNIT_TRIANGLE,
         "box": lambda: random_triangle(rng),
         "pixel": lambda: pixel_triangle(rng),
     }[kind]
-    pairs = [random_generic_pair(rng) for _ in range(4)] + [j_zero_pair(rng) for _ in range(4)]
-    pairs += [random_vertex_pair(rng, v) for v in Vertex]
     cases = set()
-    for u1, u2 in pairs:
-        tri = make_triangle()
-        fwd = map_to_unit(tri)
-        back = invert(fwd)
-        p1, p2 = apply_point(back, u1), apply_point(back, u2)
-        report = world.solve_two_points(tri, p1, p2)
+    for tri, report, fresh_residuals in transport_queries(family, rng, make_triangle):
         cases.add(report.case.split(":")[0])
-        v1, v2 = apply_point(fwd, p1), apply_point(fwd, p2)
+        fwd = map_to_unit(tri)
         for sol in report.solutions:
             param = sol.param
             assert sol.conic == pull_back(inscribed_conic(param), fwd)
-            assert sol.tangent_points == tuple(apply_point(back, p) for p in tangency_points(param))
-            assert sol.center == apply_point(back, inscribed_center(param))
-            assert sol.residuals == residual_system3(v1, v2, param)
-    assert cases == {"generic_4", "generic_j_zero", "vertex_line"}
+            assert sol.tangent_points == tuple(Point(*unit_to_world(tri, p)) for p in tangency_points(param))
+            assert sol.center == Point(*unit_to_world(tri, inscribed_center(param)))
+            if fresh_residuals is not None:
+                assert sol.residuals == fresh_residuals(param)
+    assert cases == {
+        "two_points": {"generic_4", "generic_j_zero", "vertex_line"},
+        "point_slope": {"unique"},
+        "tangency": {"boundary_unique"},
+    }[family]
+
+
+def exact_vertex_combination(tri: Triangle, u) -> tuple[Fraction, Fraction]:
+    """a + x (b - a) + y (c - a) in exact rationals, for the float unit point u = (x, y)."""
+    (ax, ay), (bx, by), (cx, cy) = ((Fraction(p.x), Fraction(p.y)) for p in tri)
+    x, y = Fraction(u[0]), Fraction(u[1])
+    return ax + x * (bx - ax) + y * (cx - ax), ay + x * (by - ay) + y * (cy - ay)
+
+
+@pytest.mark.parametrize("kind", ["box", "pixel", "thin"])
+def test_contacts_and_centers_match_the_exact_vertex_combination(kind):
+    # Every world contact and centre sits within 2e-15 of the coordinate scale
+    # from the exact image of the unit point the kernel returned.
+    rng = np.random.default_rng({"box": 4201, "pixel": 4202, "thin": 4203}[kind])
+    make_triangle = {
+        "box": lambda: random_triangle(rng),
+        "pixel": lambda: pixel_triangle(rng),
+        "thin": lambda: THIN,
+    }[kind]
+    worst, checked = 0.0, 0
+    for i in range(200):
+        tri = make_triangle()
+        scale = max(abs(v) for p in tri for v in p)
+        p1, p2 = (Point(*unit_to_world(tri, u)) for u in random_generic_pair(rng))
+        p, q = (Point(*unit_to_world(tri, random_interior(rng))) for _ in range(2))
+        q1, q2 = (side_point_of(tri, side, 0.15 + 0.7 * rng.random()) for side in SIDE_PAIRS[i % 3])
+        reports = (
+            world.solve_two_points(tri, p1, p2),
+            world.solve_point_slope(tri, p, Slope.finite((q.y - p.y) / (q.x - p.x))),
+            world.solve_tangency(tri, q1, q2),
+        )
+        for report in reports:
+            for sol in report.solutions:
+                units = (*tangency_points(sol.param), inscribed_center(sol.param))
+                for got, u in zip((*sol.tangent_points, sol.center), units):
+                    exact = exact_vertex_combination(tri, u)
+                    worst = max(worst, max(float(abs(Fraction(g) - e)) for g, e in zip(got, exact)) / scale)
+                    checked += 1
+    assert checked == 200 * (4 + 1 + 1) * 4  # every query solved, generic pairs to 4 ellipses
+    assert worst <= 2e-15
