@@ -25,20 +25,21 @@ class _Vertices(NamedTuple):
 
 class Triangle(_Vertices):
     """Three non-collinear vertices, in user order, validated on every path that
-    builds one: the constructor, ``_make`` (so ``_replace``), pickle and copy."""
+    builds one: the constructor, ``_make`` (so ``_replace``), pickle and copy.  Each
+    vertex passes ``as_point`` (``ValueError`` unless finite), and twice the area within
+    ``_COLLINEAR_BAND`` of the longest squared edge raises :class:`DegenerateTriangle`."""
 
     __slots__ = ()
 
     def __new__(cls, a, b, c):
-        tri = super().__new__(cls, as_point(a), as_point(b), as_point(c))
-        # Twice the area over the longest squared edge: the relative height, free of scale.
-        (ax, ay), (bx, by), (cx, cy) = tri
-        longest2 = max(
-            (bx - ax) ** 2 + (by - ay) ** 2, (cx - ax) ** 2 + (cy - ay) ** 2, (cx - bx) ** 2 + (cy - by) ** 2
-        )
-        if abs(tri.signed_area2()) <= _COLLINEAR_BAND * longest2:
-            raise DegenerateTriangle(f"collinear vertices {tri.a}, {tri.b}, {tri.c}")
-        return tri
+        a, b, c = as_point(a), as_point(b), as_point(c)
+        (ax, ay), (bx, by), (cx, cy) = a, b, c
+        ux, uy, vx, vy = bx - ax, by - ay, cx - ax, cy - ay
+        # signed_area2 over the longest squared edge: the relative height, free of scale.
+        longest2 = max(ux ** 2 + uy ** 2, vx ** 2 + vy ** 2, (cx - bx) ** 2 + (cy - by) ** 2)
+        if abs(ux * vy - vx * uy) <= _COLLINEAR_BAND * longest2:
+            raise DegenerateTriangle(f"collinear vertices {a}, {b}, {c}")
+        return tuple.__new__(cls, (a, b, c))
 
     @classmethod
     def _make(cls, iterable):
@@ -70,20 +71,24 @@ class AffineMap(NamedTuple):
     def det(self) -> float:
         return self.m11 * self.m22 - self.m12 * self.m21
 
-    def _require_invertible(self) -> float:
-        d = self.det()
-        scale = max(abs(self.m11), abs(self.m12), abs(self.m21), abs(self.m22), 1e-300)
+    def _require_invertible(self) -> tuple[float, float]:
+        """(det, largest entry magnitude) of the linear part; SingularMap when det is in the band."""
+        m11, m12, m21, m22, _, _ = self
+        d = m11 * m22 - m12 * m21
+        scale = max(abs(m11), abs(m12), abs(m21), abs(m22), 1e-300)
         if abs(d) <= _SINGULAR_BAND * scale * scale:
             raise SingularMap(f"linear part of {self} is singular")
-        return d
+        return d, scale
 
 
 def apply_point(m: AffineMap, p: Point) -> Point:
-    return Point(m.m11 * p.x + m.m12 * p.y + m.tx, m.m21 * p.x + m.m22 * p.y + m.ty)
+    m11, m12, m21, m22, tx, ty = m
+    x, y = p
+    return Point(m11 * x + m12 * y + tx, m21 * x + m22 * y + ty)
 
 
 def invert(m: AffineMap) -> AffineMap:
-    d = m._require_invertible()
+    d, _ = m._require_invertible()
     i11, i12 = m.m22 / d, -m.m12 / d
     i21, i22 = -m.m21 / d, m.m11 / d
     return AffineMap(i11, i12, i21, i22, -(i11 * m.tx + i12 * m.ty), -(i21 * m.tx + i22 * m.ty))
@@ -93,29 +98,27 @@ def apply_slope(m: AffineMap, s: Slope) -> Slope:
     """Transport a tangent direction through the linear part.
 
     The slope's :attr:`~inellipse.geom.Slope.direction` (a, b) maps to
-    (dx, dy), which yields dy/dx, or vertical when dx vanishes.
+    (dx, dy), which yields dy/dx, or vertical when dx vanishes.  A singular
+    linear part, possible in a map built by hand, raises :class:`SingularMap`.
     """
-    m._require_invertible()
+    _, scale = m._require_invertible()
+    m11, m12, m21, m22, _, _ = m
     a, b = s.direction
-    dx = m.m11 * a + m.m12 * b
-    dy = m.m21 * a + m.m22 * b
-    scale = max(abs(m.m11), abs(m.m12), abs(m.m21), abs(m.m22)) * max(abs(a), abs(b))
-    if abs(dx) <= 1e-14 * scale:
+    dx = m11 * a + m12 * b
+    dy = m21 * a + m22 * b
+    if abs(dx) <= 1e-14 * (scale * max(abs(a), abs(b))):
         return Slope.vertical()
     return Slope.finite(dy / dx)
 
 
 def map_to_unit(tri: Triangle) -> AffineMap:
     """The unique affine map sending a->(0,0), b->(1,0), c->(0,1)."""
-    ux, uy = tri.b.x - tri.a.x, tri.b.y - tri.a.y
-    vx, vy = tri.c.x - tri.a.x, tri.c.y - tri.a.y
+    (ax, ay), (bx, by), (cx, cy) = tri.a, tri.b, tri.c
+    ux, uy = bx - ax, by - ay
+    vx, vy = cx - ax, cy - ay
     d = ux * vy - vx * uy
     # Triangle.__new__ already guards |d|; recompute the inverse of the
     # column matrix [u v] directly.
     m11, m12 = vy / d, -vx / d
     m21, m22 = -uy / d, ux / d
-    return AffineMap(
-        m11, m12, m21, m22,
-        -(m11 * tri.a.x + m12 * tri.a.y),
-        -(m21 * tri.a.x + m22 * tri.a.y),
-    )
+    return AffineMap(m11, m12, m21, m22, -(m11 * ax + m12 * ay), -(m21 * ax + m22 * ay))

@@ -47,19 +47,19 @@ def side_point(p: Point) -> SidePoint:
     ``_SIDE_MEMBERSHIP`` (absolute) or the point falls off the segment.
     """
     p = as_point(p)
-    for v in _UNIT_VERTICES:
-        if math.hypot(p.x - v.x, p.y - v.y) <= _VERTEX_EXCLUSION:
-            raise VertexPoint(f"{tuple(p)} coincides with triangle vertex {tuple(v)}")
-    forms = (
-        (Side.BOTTOM, p.y),
-        (Side.LEFT, p.x),
-        (Side.HYPOTENUSE, p.x + p.y - 1.0),
-    )
-    on = [side for side, value in forms if abs(value) < _SIDE_MEMBERSHIP]
-    if len(on) != 1:
+    x, y = p
+    for vx, vy in _UNIT_VERTICES:
+        if math.hypot(x - vx, y - vy) <= _VERTEX_EXCLUSION:
+            raise VertexPoint(f"{tuple(p)} coincides with triangle vertex {(vx, vy)}")
+    # Two side forms within the band would put p within 3e-10 of a vertex: one holds at most.
+    if abs(y) < _SIDE_MEMBERSHIP:
+        side, along = Side.BOTTOM, x
+    elif abs(x) < _SIDE_MEMBERSHIP:
+        side, along = Side.LEFT, y
+    elif abs(x + y - 1.0) < _SIDE_MEMBERSHIP:
+        side, along = Side.HYPOTENUSE, x
+    else:
         raise NotOnSide(f"{tuple(p)} does not lie on exactly one open side")
-    side = on[0]
-    along = p.y if side is Side.LEFT else p.x
     if not (0.0 < along < 1.0):
         raise NotOnSide(f"{tuple(p)} lies outside its side segment")
     return SidePoint(side, p)
@@ -69,21 +69,19 @@ def param_from_tangencies(s1: SidePoint, s2: SidePoint) -> EllipseParam:
     """The unique (w, t) whose contact points include both given side points."""
     if s1.side is s2.side:
         raise SameSide(f"both tangency points lie on the {s1.side.value} side")
-    by_side = {s1.side: s1.point, s2.side: s2.point}
-
-    if Side.BOTTOM in by_side and Side.LEFT in by_side:
-        return _checked(by_side[Side.LEFT].y, by_side[Side.BOTTOM].x)
-
-    if Side.BOTTOM in by_side:
-        t = by_side[Side.BOTTOM].x
-        x3 = by_side[Side.HYPOTENUSE].x
-        w = t * (1.0 - x3) / (x3 * (1.0 - 2.0 * t) + t)
-        return _checked(w, t)
-
-    w = by_side[Side.LEFT].y
-    y3 = by_side[Side.HYPOTENUSE].y
-    t = w * (1.0 - y3) / (y3 + w - 2.0 * y3 * w)
-    return _checked(w, t)
+    # Order the pair bottom, left, hypotenuse.
+    if s1.side is Side.HYPOTENUSE or s2.side is Side.BOTTOM:
+        s1, s2 = s2, s1
+    (side1, q1), (side2, q2) = s1, s2
+    if side1 is Side.BOTTOM and side2 is Side.LEFT:
+        return _checked(q2.y, q1.x)
+    if side1 is Side.BOTTOM and side2 is Side.HYPOTENUSE:
+        t, x3 = q1.x, q2.x
+        return _checked(t * (1.0 - x3) / (x3 * (1.0 - 2.0 * t) + t), t)
+    if side1 is Side.LEFT and side2 is Side.HYPOTENUSE:
+        w, y3 = q1.y, q2.y
+        return _checked(w, w * (1.0 - y3) / (y3 + w - 2.0 * y3 * w))
+    raise TypeError(f"side points must carry a Side, got {side1!r} and {side2!r}")
 
 
 def _checked(w: float, t: float) -> EllipseParam:

@@ -55,11 +55,11 @@ class Slope(NamedTuple):
 
 
 def as_point(obj) -> Point:
-    """Coerce a 2-sequence into a finite-coordinate Point."""
+    """Coerce a 2-sequence into a finite-coordinate Point (without a ``Point.__new__`` frame)."""
     x, y = float(obj[0]), float(obj[1])
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"point coordinates must be finite, got {(x, y)}")
-    return Point(x, y)
+    return tuple.__new__(Point, (x, y))
 
 
 def require_interior(*points: Point) -> None:

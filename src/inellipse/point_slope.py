@@ -32,7 +32,6 @@ from .kernel import EllipseParam
 # at vertex v, and no inscribed ellipse attains it.  For (1, r) that is
 # |r - vertex slope| < _SLOPE_EXCLUSION (1 + |r|); it never holds for (0, 1).
 _SLOPE_EXCLUSION = 1e-9
-_VERTICES = ((Vertex.ORIGIN, 0.0, 0.0), (Vertex.RIGHT, 1.0, 0.0), (Vertex.TOP, 0.0, 1.0))
 
 
 class NoSolution(NamedTuple):
@@ -50,7 +49,7 @@ def vertex_slopes(p: Point) -> tuple[Slope, Slope, Slope]:
     p = as_point(p)
     require_interior(p)
     x, y = p
-    return tuple(Slope.finite((vy - y) / (vx - x)) for _, vx, vy in _VERTICES)
+    return (Slope.finite(y / x), Slope.finite(-y / (1.0 - x)), Slope.finite((1.0 - y) / -x))
 
 
 def solve_point_slope_unit(p: Point, slope: Slope) -> Union[EllipseParam, NoSolution]:
@@ -60,13 +59,16 @@ def solve_point_slope_unit(p: Point, slope: Slope) -> Union[EllipseParam, NoSolu
     x, y = p
     a, b = slope.direction
     band = _SLOPE_EXCLUSION * (abs(a) + abs(b))
-    forms = []
-    for vertex, vx, vy in _VERTICES:
-        form = a * (vy - y) - b * (vx - x)
-        if abs(form) < band * abs(vx - x):
-            return NoSolution(vertex)
-        forms.append(form)
-    l_origin, l_right, l_top = forms
+    # L_v and its band at v = origin, right, top, in that order (|v_x - x| = x, 1 - x, x).
+    l_origin = b * x - a * y
+    if abs(l_origin) < band * x:
+        return NoSolution(Vertex.ORIGIN)
+    l_right = -a * y - b * (1.0 - x)
+    if abs(l_right) < band * (1.0 - x):
+        return NoSolution(Vertex.RIGHT)
+    l_top = a * (1.0 - y) + b * x
+    if abs(l_top) < band * x:
+        return NoSolution(Vertex.TOP)
     inside = 1.0 - x - y
     return EllipseParam(_share(inside, l_origin, y, l_top), _share(inside, l_origin, x, l_right))
 
@@ -88,11 +90,10 @@ def residual_system13(p: Point, slope: Slope, param: EllipseParam) -> tuple[floa
 
     Each residual divides by the largest term magnitude of its equation
     (:func:`inellipse.equations.backward_error`), so the values are
-    scale-free and safe against internal cancellation.
+    scale-free and safe against internal cancellation.  ``p`` is not checked.
     """
-    x, y = as_point(p)
-    w, t = param
+    (x, y), (w, t), (a, b) = p, param, slope.direction
     return (
         equations.backward_error(equations.through_point(x, y, w, t)),
-        equations.backward_error(equations.tangent(x, y, *slope.direction, w, t)),
+        equations.backward_error(equations.tangent(x, y, a, b, w, t)),
     )

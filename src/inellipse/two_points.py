@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional
 from .conic import ConicCoeffs
 from .equations import backward_error, through_point
 from .errors import AmbiguousClassification, SolutionCountMismatch
-from .geom import Point, Vertex, as_point, require_distinct, require_interior
+from .geom import Point, Vertex, as_point, require_interior
 from .kernel import (
     EllipseParam,
     QuadraticPoly,
@@ -191,8 +191,6 @@ def solve_two_points_unit(p1: Point, p2: Point) -> tuple[PairCase, list[TwoPoint
     ``residuals``), and arrive sorted by (t, w).
     """
     p1, p2 = as_point(p1), as_point(p2)
-    require_interior(p1, p2)
-    require_distinct(p1, p2)
     case = classify_pair(p1, p2)
     raw, expected = _candidate_params(p1, p2, poly_q(p1), case)
     return case, _assemble(p1, p2, raw, expected)

@@ -10,6 +10,10 @@ carries them to within a few ulps of the coordinate scale.  The two-point
 solver hands over the unit conics and contacts it has built.  The (w, t)
 parameters themselves are affine invariants of the solution (contact
 abscissae on the unit triangle), so they are reported unchanged.
+
+Checks: :class:`~inellipse.affine.Triangle` when it is built, ``as_point`` on
+each world point here, then each unit solver's own (interior, coincident,
+excluded slope, side and vertex bands) and the kernel's (w, t) domain.
 """
 
 from __future__ import annotations
@@ -38,26 +42,28 @@ class SolveReport(NamedTuple):
     solutions: tuple[WorldSolution, ...]
 
 
-def _to_world(param, unit_conic, tangency, tri, fwd, residuals) -> WorldSolution:
-    # Each unit point (x, y) lands on a + x (b - a) + y (c - a), summed left
-    # to right: the same expression as tests/test_world.py::unit_to_world.
-    # Written out per point: a loop over the four took 0.5-0.8 us more per
-    # solution (CPython 3.11).
+def _to_world(tri, fwd, unit_solutions) -> tuple[WorldSolution, ...]:
+    # Per (param, unit conic, unit contacts, residuals): each unit point (x, y) lands on
+    # a + x (b - a) + y (c - a), left to right as tests/test_world.py::unit_to_world.  The
+    # points written out and the records built by tuple.__new__, without NamedTuple __new__
+    # frames, save 0.5-0.8 and 0.6 us per solution (CPython 3.11).
     (ax, ay), (bx, by), (cx, cy) = tri
     ux, uy, vx, vy = bx - ax, by - ay, cx - ax, cy - ay
-    (x1, y1), (x2, y2), (x3, y3) = tangency
-    x4, y4 = inscribed_center(param)
-    return WorldSolution(
-        param=param,
-        conic=pull_back(unit_conic, fwd),
-        tangent_points=(
-            Point(ax + x1 * ux + y1 * vx, ay + x1 * uy + y1 * vy),
-            Point(ax + x2 * ux + y2 * vx, ay + x2 * uy + y2 * vy),
-            Point(ax + x3 * ux + y3 * vx, ay + x3 * uy + y3 * vy),
-        ),
-        center=Point(ax + x4 * ux + y4 * vx, ay + x4 * uy + y4 * vy),
-        residuals=tuple(residuals),
-    )
+    out = []
+    for param, unit_conic, ((x1, y1), (x2, y2), (x3, y3)), residuals in unit_solutions:
+        x4, y4 = inscribed_center(param)
+        out.append(tuple.__new__(WorldSolution, (
+            param,
+            pull_back(unit_conic, fwd),
+            (
+                tuple.__new__(Point, (ax + x1 * ux + y1 * vx, ay + x1 * uy + y1 * vy)),
+                tuple.__new__(Point, (ax + x2 * ux + y2 * vx, ay + x2 * uy + y2 * vy)),
+                tuple.__new__(Point, (ax + x3 * ux + y3 * vx, ay + x3 * uy + y3 * vy)),
+            ),
+            tuple.__new__(Point, (ax + x4 * ux + y4 * vx, ay + x4 * uy + y4 * vy)),
+            residuals,
+        )))
+    return tuple(out)
 
 
 def solve_two_points(tri: Triangle, p1: Point, p2: Point) -> SolveReport:
@@ -65,10 +71,7 @@ def solve_two_points(tri: Triangle, p1: Point, p2: Point) -> SolveReport:
     fwd = map_to_unit(tri)
     u1, u2 = apply_point(fwd, as_point(p1)), apply_point(fwd, as_point(p2))
     case, sols = two_points.solve_two_points_unit(u1, u2)
-    return SolveReport(
-        case=str(case),
-        solutions=tuple(_to_world(s.param, s.conic, s.tangency, tri, fwd, s.residuals) for s in sols),
-    )
+    return SolveReport(str(case), _to_world(tri, fwd, sols))
 
 
 def solve_point_slope(tri: Triangle, p: Point, slope: Slope) -> SolveReport:
@@ -82,10 +85,15 @@ def solve_point_slope(tri: Triangle, p: Point, slope: Slope) -> SolveReport:
     u, u_slope = apply_point(fwd, as_point(p)), apply_slope(fwd, slope)
     outcome = point_slope.solve_point_slope_unit(u, u_slope)
     if isinstance(outcome, point_slope.NoSolution):
-        return SolveReport(case=f"no_solution:{outcome.vertex.value}", solutions=())
+        return SolveReport(f"no_solution:{outcome.vertex.value}", ())
     residuals = point_slope.residual_system13(u, u_slope, outcome)
-    conic, tps = inscribed_conic(outcome), tangency_points(outcome)
-    return SolveReport(case="unique", solutions=(_to_world(outcome, conic, tps, tri, fwd, residuals),))
+    unit = (outcome, inscribed_conic(outcome), tangency_points(outcome), residuals)
+    return SolveReport("unique", _to_world(tri, fwd, (unit,)))
+
+
+def _contact_distance(tps, s: boundary.SidePoint) -> float:
+    c = tps.t1 if s.side is boundary.Side.BOTTOM else tps.t2 if s.side is boundary.Side.LEFT else tps.t3
+    return max(abs(c.x - s.point.x), abs(c.y - s.point.y))
 
 
 def solve_tangency(tri: Triangle, q1: Point, q2: Point) -> SolveReport:
@@ -95,14 +103,5 @@ def solve_tangency(tri: Triangle, q1: Point, q2: Point) -> SolveReport:
     s2 = boundary.side_point(apply_point(fwd, as_point(q2)))
     param = boundary.param_from_tangencies(s1, s2)
     tps = tangency_points(param)
-    produced = {
-        boundary.Side.BOTTOM: tps.t1,
-        boundary.Side.LEFT: tps.t2,
-        boundary.Side.HYPOTENUSE: tps.t3,
-    }
-    residuals = tuple(
-        max(abs(produced[s.side].x - s.point.x), abs(produced[s.side].y - s.point.y))
-        for s in (s1, s2)
-    )
-    solution = _to_world(param, inscribed_conic(param), tps, tri, fwd, residuals)
-    return SolveReport(case="boundary_unique", solutions=(solution,))
+    residuals = (_contact_distance(tps, s1), _contact_distance(tps, s2))
+    return SolveReport("boundary_unique", _to_world(tri, fwd, ((param, inscribed_conic(param), tps, residuals),)))

@@ -3,11 +3,13 @@
 import copy
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from inellipse.affine import (
+    _COLLINEAR_BAND,
     AffineMap,
     Triangle,
     UNIT_TRIANGLE,
@@ -72,6 +74,49 @@ class TestMapToUnit:
         assert apply_point(m, tri.c) == pytest.approx((0.0, 1.0), abs=1e-9)
 
 
+class TestTriangleInput:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_non_finite_vertex_raises_value_error(self, index, bad):
+        vertices = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        vertices[index][index % 2] = bad
+        with pytest.raises(ValueError, match="finite") as info:
+            Triangle(*vertices)
+        assert type(info.value) is ValueError
+
+    @pytest.mark.parametrize("kind", ["box", "pixel"])
+    def test_near_collinear_verdict_follows_the_exact_relative_height(self, kind):
+        # The apex sits at relative height 0.95 or 1.05 band off the base line;
+        # the verdict must match twice the exact area over the exact longest
+        # squared edge of the float vertices.
+        rng = np.random.default_rng(101 if kind == "box" else 102)
+        lo, hi, min_edge = (-3.0, 3.0, 1.0) if kind == "box" else (0.0, 1000.0, 100.0)
+        band = Fraction(_COLLINEAR_BAND)
+        verdicts = []
+        while len(verdicts) < 400:
+            a, b = rng.uniform(lo, hi, size=2), rng.uniform(lo, hi, size=2)
+            ux, uy = b - a
+            if math.hypot(ux, uy) < min_edge:
+                continue
+            s = rng.uniform(0.2, 0.8)
+            k = _COLLINEAR_BAND * rng.choice([0.95, 1.05]) * rng.choice([-1.0, 1.0])
+            c = (float(a[0] + s * ux - k * uy), float(a[1] + s * uy + k * ux))
+            (ax, ay), (bx, by), (cx, cy) = (tuple(map(Fraction, v)) for v in (a, b, c))
+            area2 = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay)
+            longest2 = max((bx - ax) ** 2 + (by - ay) ** 2, (cx - ax) ** 2 + (cy - ay) ** 2,
+                           (cx - bx) ** 2 + (cy - by) ** 2)
+            height = abs(area2) / longest2 / band
+            assert abs(height - 1) > Fraction(1, 100)
+            accepted = height > 1
+            if accepted:
+                assert Triangle(a, b, c).c == Point(*c)
+            else:
+                with pytest.raises(DegenerateTriangle):
+                    Triangle(a, b, c)
+            verdicts.append(accepted)
+        assert 150 < sum(verdicts) < 250
+
+
 class TestPointMaps:
     def test_identity_and_scale(self):
         ident = AffineMap(1.0, 0.0, 0.0, 1.0)
@@ -101,6 +146,21 @@ class TestSlopeTransport:
     def test_x_stretch_halves_slope(self):
         out = apply_slope(AffineMap(2.0, 0.0, 0.0, 1.0), Slope.finite(3.0))
         assert out.value == pytest.approx(1.5)
+
+    @pytest.mark.parametrize("slope", [Slope.finite(0.5), Slope.vertical()], ids=["finite", "vertical"])
+    def test_singular_map(self, slope):
+        with pytest.raises(SingularMap):
+            apply_slope(AffineMap(1.0, 2.0, 0.5, 1.0), slope)
+        # Either side of the band, at several scales, it refuses what invert refuses.
+        for scale in (1e-3, 1.0, 1e3):
+            inside = AffineMap(scale, scale, 0.0, 0.5e-14 * scale)
+            with pytest.raises(SingularMap):
+                invert(inside)
+            with pytest.raises(SingularMap):
+                apply_slope(inside, slope)
+            outside = AffineMap(scale, scale, 0.0, 2e-14 * scale)
+            invert(outside)
+            apply_slope(outside, slope)
 
     def test_rotation_sends_flat_to_vertical(self):
         quarter = AffineMap(0.0, -1.0, 1.0, 0.0)

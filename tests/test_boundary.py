@@ -74,6 +74,22 @@ class TestParamFromTangencies:
                 assert abs(back.w - param.w) < 1e-12
                 assert abs(back.t - param.t) < 1e-12
 
+    def test_either_order_gives_the_same_param(self):
+        rng = np.random.default_rng(74)
+        for _ in range(50):
+            contacts = tangency_points(EllipseParam(*random_param(rng)))
+            points = [SidePoint(side, c) for side, c in zip(Side, contacts)]
+            for s1, s2 in itertools.combinations(points, 2):
+                assert param_from_tangencies(s1, s2) == param_from_tangencies(s2, s1)
+
+    def test_side_must_be_a_side_member(self):
+        hypotenuse = side_point(Point(0.5, 0.5))
+        for side in ("left", None):
+            odd = SidePoint(side, Point(0.0, 0.3))
+            for pair in ((odd, hypotenuse), (hypotenuse, odd)):
+                with pytest.raises(TypeError):
+                    param_from_tangencies(*pair)
+
     def test_reproduces_inputs_and_touches_third_side(self):
         rng = np.random.default_rng(72)
         for _ in range(25):
