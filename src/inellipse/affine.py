@@ -84,7 +84,7 @@ class AffineMap(NamedTuple):
 def apply_point(m: AffineMap, p: Point) -> Point:
     m11, m12, m21, m22, tx, ty = m
     x, y = p
-    return Point(m11 * x + m12 * y + tx, m21 * x + m22 * y + ty)
+    return tuple.__new__(Point, (m11 * x + m12 * y + tx, m21 * x + m22 * y + ty))
 
 
 def invert(m: AffineMap) -> AffineMap:
@@ -113,12 +113,11 @@ def apply_slope(m: AffineMap, s: Slope) -> Slope:
 
 def map_to_unit(tri: Triangle) -> AffineMap:
     """The unique affine map sending a->(0,0), b->(1,0), c->(0,1)."""
-    (ax, ay), (bx, by), (cx, cy) = tri.a, tri.b, tri.c
-    ux, uy = bx - ax, by - ay
-    vx, vy = cx - ax, cy - ay
+    (ax, ay), (bx, by), (cx, cy) = tri
+    ux, uy, vx, vy = bx - ax, by - ay, cx - ax, cy - ay
     d = ux * vy - vx * uy
     # Triangle.__new__ already guards |d|; recompute the inverse of the
     # column matrix [u v] directly.
     m11, m12 = vy / d, -vx / d
     m21, m22 = -uy / d, ux / d
-    return AffineMap(m11, m12, m21, m22, -(m11 * ax + m12 * ay), -(m21 * ax + m22 * ay))
+    return tuple.__new__(AffineMap, (m11, m12, m21, m22, -(m11 * ax + m12 * ay), -(m21 * ax + m22 * ay)))

@@ -139,22 +139,21 @@ def pull_back(conic: ConicCoeffs, h: AffineMap) -> ConicCoeffs:
     each coefficient into monomials.
     """
     a, b, c, d, e, f = conic
-    u1, v1, x0 = h.m11, h.m12, h.tx
-    u2, v2, y0 = h.m21, h.m22, h.ty
+    u1, v1, u2, v2, x0, y0 = h
     # The quadratic part applied to the columns u = (u1, u2) and v = (v1, v2).
     qu1, qu2 = a * u1 + c * u2, c * u1 + b * u2
     qv1, qv2 = a * v1 + c * v2, c * v1 + b * v2
     # Q's gradient at h(0) = (x0, y0).
     gx = 2.0 * (a * x0 + c * y0) + d
     gy = 2.0 * (c * x0 + b * y0) + e
-    return ConicCoeffs(
+    return tuple.__new__(ConicCoeffs, (
         u1 * qu1 + u2 * qu2,
         v1 * qv1 + v2 * qv2,
         u1 * qv1 + u2 * qv2,
         gx * u1 + gy * u2,
         gx * v1 + gy * v2,
         0.5 * (x0 * (gx + d) + y0 * (gy + e)) + f,
-    )
+    ))
 
 
 def normalize_conic(conic: ConicCoeffs) -> ConicCoeffs:

@@ -38,11 +38,11 @@ class Slope(NamedTuple):
         r = float(r)
         if not math.isfinite(r):
             raise ValueError("finite slope required; use Slope.vertical()")
-        return Slope(r)
+        return tuple.__new__(Slope, (r,))
 
     @staticmethod
     def vertical() -> "Slope":
-        return Slope(None)
+        return tuple.__new__(Slope, (None,))
 
     @property
     def is_vertical(self) -> bool:
@@ -64,9 +64,9 @@ def as_point(obj) -> Point:
 
 def require_interior(*points: Point) -> None:
     """Strict membership in the open unit triangle 0<x, 0<y, x+y<1."""
-    for p in points:
-        if not (0.0 < p.x and 0.0 < p.y and p.x + p.y < 1.0):
-            raise NotInterior(f"point {tuple(p)} is not interior to the unit triangle")
+    for x, y in points:
+        if not (0.0 < x and 0.0 < y and x + y < 1.0):
+            raise NotInterior(f"point {(x, y)} is not interior to the unit triangle")
 
 
 # Two points closer than this, relative to their coordinate size, coincide.
@@ -74,6 +74,7 @@ _COINCIDENT_BAND = 1e-14
 
 
 def require_distinct(p1: Point, p2: Point) -> None:
-    scale = max(abs(p1.x), abs(p1.y), abs(p2.x), abs(p2.y), 1e-300)
-    if max(abs(p1.x - p2.x), abs(p1.y - p2.y)) <= _COINCIDENT_BAND * scale:
+    (x1, y1), (x2, y2) = p1, p2
+    scale = max(abs(x1), abs(y1), abs(x2), abs(y2), 1e-300)
+    if max(abs(x1 - x2), abs(y1 - y2)) <= _COINCIDENT_BAND * scale:
         raise CoincidentPoints(f"points {tuple(p1)} and {tuple(p2)} coincide")

@@ -51,7 +51,8 @@ class QuadraticPoly(NamedTuple):
     c0: float
 
     def __call__(self, t: float) -> float:
-        return (self.c2 * t + self.c1) * t + self.c0
+        c2, c1, c0 = self
+        return (c2 * t + c1) * t + c0
 
     @property
     def discriminant(self) -> float:
@@ -95,14 +96,14 @@ def inscribed_conic(param: EllipseParam) -> ConicCoeffs:
     """Coefficients (half-cross convention) of the inscribed ellipse for (w, t)."""
     w, t = param
     _check_param(w, t)
-    return ConicCoeffs(
+    return tuple.__new__(ConicCoeffs, (
         w * w,
         t * t,
         -w * t * (2.0 * w * t - 2.0 * w - 2.0 * t + 1.0),
         -2.0 * w * w * t,
         -2.0 * t * t * w,
         t * t * w * w,
-    )
+    ))
 
 
 def tangency_points(param: EllipseParam) -> TangencyTriple:
@@ -110,11 +111,11 @@ def tangency_points(param: EllipseParam) -> TangencyTriple:
     w, t = param
     _check_param(w, t)
     den = t + (1.0 - 2.0 * t) * w  # = t(1-w) + w(1-t) > 0 on the open square
-    return TangencyTriple(
-        Point(t, 0.0),
-        Point(0.0, w),
-        Point(t * (1.0 - w) / den, w * (1.0 - t) / den),
-    )
+    return tuple.__new__(TangencyTriple, (
+        tuple.__new__(Point, (t, 0.0)),
+        tuple.__new__(Point, (0.0, w)),
+        tuple.__new__(Point, (t * (1.0 - w) / den, w * (1.0 - t) / den)),
+    ))
 
 
 def inscribed_center(param: EllipseParam) -> Point:
@@ -122,7 +123,7 @@ def inscribed_center(param: EllipseParam) -> Point:
     w, t = param
     _check_param(w, t)
     den = 2.0 * (w + (1.0 - w) * t)
-    return Point(t / den, w / den)
+    return tuple.__new__(Point, (t / den, w / den))
 
 
 def poly_q(p: Point) -> QuadraticPoly:
@@ -137,7 +138,7 @@ def poly_q(p: Point) -> QuadraticPoly:
     """
     require_interior(p)
     x, y = p
-    return QuadraticPoly(1.0 - 4.0 * x * y, -2.0 * x * (1.0 - 2.0 * y), x * x)
+    return tuple.__new__(QuadraticPoly, (1.0 - 4.0 * x * y, -2.0 * x * (1.0 - 2.0 * y), x * x))
 
 
 def w_quadratic_at(p: Point, t: float) -> QuadraticPoly:
@@ -162,7 +163,7 @@ def pair_invariants(p1: Point, p2: Point) -> PairInvariants:
     j = x2 * (1.0 - x2 - y2) * y1 * y1 - x1 * (1.0 - x1 - y1) * y2 * y2
     a1 = math.sqrt(_clamped_radicand(x1 * (1.0 - x1 - y1)))
     a2 = math.sqrt(_clamped_radicand(x2 * (1.0 - x2 - y2)))
-    return PairInvariants(d_origin, d_vertex10, d_vertex01, j, a1, a2)
+    return tuple.__new__(PairInvariants, (d_origin, d_vertex10, d_vertex01, j, a1, a2))
 
 
 def _clamped_radicand(v: float) -> float:
@@ -204,7 +205,7 @@ def poly_R(p1: Point, p2: Point) -> QuadraticPoly:
     coupling term vanishes and R = -L^2 has the double root L(t0) = 0.
     """
     yy, aa, lead, lin, const = _rs_pieces(p1, p2)
-    return QuadraticPoly(lead + 8.0 * yy * aa, 2.0 * (lin - 4.0 * yy * aa), const)
+    return tuple.__new__(QuadraticPoly, (lead + 8.0 * yy * aa, 2.0 * (lin - 4.0 * yy * aa), const))
 
 
 def poly_S(p1: Point, p2: Point) -> QuadraticPoly:
@@ -215,7 +216,7 @@ def poly_S(p1: Point, p2: Point) -> QuadraticPoly:
     in :func:`poly_R`, S(t) = 4t(1-t) (y2 a1 + y1 a2)^2 - L(t)^2.
     """
     yy, aa, lead, lin, const = _rs_pieces(p1, p2)
-    return QuadraticPoly(lead - 8.0 * yy * aa, 2.0 * (lin + 4.0 * yy * aa), const)
+    return tuple.__new__(QuadraticPoly, (lead - 8.0 * yy * aa, 2.0 * (lin + 4.0 * yy * aa), const))
 
 
 def solve_quadratic(q: QuadraticPoly) -> list[tuple[float, int]]:
@@ -225,7 +226,7 @@ def solve_quadratic(q: QuadraticPoly) -> list[tuple[float, int]]:
     and the other as c0 / (c2 * r1), avoiding cancellation.  Degenerates to a
     linear solve when c2 is negligible against the other coefficients.
     """
-    c2, c1, c0 = q.c2, q.c1, q.c0
+    c2, c1, c0 = q
     scale = q.scale
     if scale == 0.0:
         raise ZeroPolynomial("all coefficients vanish")

@@ -1,17 +1,18 @@
 """All inscribed ellipses through two interior points of the unit triangle.
 
-A pair of interior points admits exactly four inscribed ellipses through
-both, except when the points are collinear with a triangle vertex, in which
-case exactly two.  The contact parameters t of the solutions are roots of
-the concave-down quadratics R and S from :mod:`inellipse.kernel`.  At each
-root the partner w is one of the two roots of p1's through-point quadratic
-in w, both in closed forms that do not cancel; the factorizations
-R, S = 4t(1-t) D^2 - L(t)^2 give the sign of L(t) D that says which one p2
-shares.  Where the sign is lost (a double root of R, on the branch j = 0)
-both are kept and the residual gate keeps the ones that pass through p2.
-One residual per point, the backward error of
-:func:`inellipse.equations.through_point`, stops the Newton polish, gates
-each candidate and is reported with each solution.
+A pair of interior points admits four inscribed ellipses through both, or two
+when the points are collinear with a vertex.  Their contacts t are the roots
+of R and S (:mod:`inellipse.kernel`); at each, the sign of L(t) D picks which
+of p1's two closed-form w-roots p2 shares, and both are kept where the sign
+is lost (a double root of R, on the branch j = 0).  The backward error of
+:func:`inellipse.equations.through_point` at each point stops the Newton
+polish, gates each candidate and is reported with its solution.
+
+Checks: ``as_point`` in each public function; the interior and distinct tests
+in every :func:`~inellipse.kernel.pair_invariants` call, the first of them in
+:func:`classify_pair`; the (w, t) domain in the kernel's record builders.
+Built once per query: p1's quadratic, the case (a shared constant) and each
+kept solution's parameters, conic and contacts, which ``world`` carries over.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ _DOUBLE_ROOT_BAND = 1e-8
 # the spurious root each vertex line plants in R S, whose w or t sits on the
 # square's edge.
 _SQUARE_MARGIN = 1e-9
+_SQUARE_TOP = 1.0 - _SQUARE_MARGIN
 _DEDUPE = 1e-10
 _POLISH_ITERS = 4  # Newton steps on each candidate (w, t)
 # Backward-error gate at both points.  Polished solutions sit below 1e-15 and
@@ -78,30 +80,28 @@ class TwoPointSolution(NamedTuple):
     residuals: tuple[float, float]
 
 
+# Immutable, so every query shares the case record classify_pair returns.
+_GENERIC, _J_ZERO = PairCase(PairKind.GENERIC), PairCase(PairKind.GENERIC_J_ZERO)
+_ON_ORIGIN, _ON_RIGHT, _ON_TOP = (PairCase(PairKind.VERTEX_LINE, v) for v in Vertex)
+
+
 def classify_pair(p1: Point, p2: Point) -> PairCase:
     """Vertex-line / degenerate / generic classification of an interior pair."""
     p1, p2 = as_point(p1), as_point(p2)
-    inv = pair_invariants(p1, p2)
-    x1, y1 = p1
-    x2, y2 = p2
-    checks = (
-        (Vertex.ORIGIN, inv.d_origin, max(abs(x2 * y1), abs(x1 * y2))),
-        (Vertex.RIGHT, inv.d_vertex10, max(abs((1 - x2) * y1), abs((1 - x1) * y2))),
-        (Vertex.TOP, inv.d_vertex01, max(abs(x2 * (1 - y1)), abs(x1 * (1 - y2)))),
-    )
-    vanished = [v for v, det, scale in checks if abs(det) < _CLASSIFY_BAND * scale]
-    if len(vanished) > 1:
+    d_origin, d_right, d_top, j, _, _ = pair_invariants(p1, p2)
+    (x1, y1), (x2, y2) = p1, p2
+    # Each vertex-line determinant against its band, scaled by its two products.
+    origin = abs(d_origin) < _CLASSIFY_BAND * max(abs(x2 * y1), abs(x1 * y2))
+    right = abs(d_right) < _CLASSIFY_BAND * max(abs((1 - x2) * y1), abs((1 - x1) * y2))
+    top = abs(d_top) < _CLASSIFY_BAND * max(abs(x2 * (1 - y1)), abs(x1 * (1 - y2)))
+    if origin + right + top > 1:
         raise AmbiguousClassification(
-            f"points {tuple(p1)}, {tuple(p2)} sit on {len(vanished)} vertex lines at once"
+            f"points {tuple(p1)}, {tuple(p2)} sit on {origin + right + top} vertex lines at once"
         )
-    if vanished:
-        return PairCase(PairKind.VERTEX_LINE, vanished[0])
-    j_scale = max(
-        abs(x2 * (1 - x2 - y2) * y1 * y1), abs(x1 * (1 - x1 - y1) * y2 * y2)
-    )
-    if abs(inv.j) < _J_ZERO_BAND * j_scale:
-        return PairCase(PairKind.GENERIC_J_ZERO)
-    return PairCase(PairKind.GENERIC)
+    if origin or right or top:
+        return _ON_ORIGIN if origin else _ON_RIGHT if right else _ON_TOP
+    j_scale = max(abs(x2 * (1 - x2 - y2) * y1 * y1), abs(x1 * (1 - x1 - y1) * y2 * y2))
+    return _J_ZERO if abs(j) < _J_ZERO_BAND * j_scale else _GENERIC
 
 
 def residual_system3(p1: Point, p2: Point, param: EllipseParam) -> tuple[float, float]:
@@ -118,10 +118,11 @@ def _newton_polish(p1: Point, p2: Point, w: float, t: float):
     basin, so undamped steps with a step-size cap are enough to pin residuals
     at round-off.
     """
+    (x1, y1), (x2, y2) = p1, p2
     for step in range(_POLISH_ITERS + 1):
-        eq1, eq2 = through_point(*p1, w, t), through_point(*p2, w, t)
-        residuals = (backward_error(eq1), backward_error(eq2))
-        if max(residuals) < 1e-15 or step == _POLISH_ITERS:
+        eq1, eq2 = through_point(x1, y1, w, t), through_point(x2, y2, w, t)
+        r1, r2 = backward_error(eq1), backward_error(eq2)
+        if r1 < 1e-15 and r2 < 1e-15 or step == _POLISH_ITERS:
             break
         (f1, a, b, _), (f2, c, d, _) = eq1, eq2
         det = a * d - b * c
@@ -129,29 +130,26 @@ def _newton_polish(p1: Point, p2: Point, w: float, t: float):
             break
         dw = -(d * f1 - b * f2) / det
         dt = -(a * f2 - c * f1) / det
-        if max(abs(dw), abs(dt)) > 0.1:
+        if abs(dw) > 0.1 or abs(dt) > 0.1:
             break
         w, t = w + dw, t + dt
-    return w, t, residuals
+    return w, t, (r1, r2)
 
 
 def _candidate_params(p1: Point, p2: Point, q1: QuadraticPoly, case: PairCase):
-    inv = pair_invariants(p1, p2)
+    d_origin, _, _, _, a1, a2 = pair_invariants(p1, p2)
     x1, y1 = p1
-    y2 = p2.y
+    _, y2 = p2
     out = []
     # At a root of R (or S), 2 sqrt(t(1-t)) D = +-L(t) with D = y2 a1 -+ y1 a2:
     # p2 shares p1's near w-root when L D > 0 and its far one when L D < 0.
-    for poly, d in (
-        (poly_R(p1, p2), y2 * inv.a1 - y1 * inv.a2),
-        (poly_S(p1, p2), y2 * inv.a1 + y1 * inv.a2),
-    ):
+    for poly, d in ((poly_R(p1, p2), y2 * a1 - y1 * a2), (poly_S(p1, p2), y2 * a1 + y1 * a2)):
         for t, multiplicity in solve_quadratic_clamped(poly, _DOUBLE_ROOT_BAND):
             if not 0.0 < t < 1.0:
                 continue
-            k = x1 * (1.0 - 2.0 * t) + t + 2.0 * inv.a1 * math.sqrt(t * (1.0 - t))
+            k = x1 * (1.0 - 2.0 * t) + t + 2.0 * a1 * math.sqrt(t * (1.0 - t))
             near, far = t * y1 / k, t * y1 * k / q1(t)
-            side = (inv.d_origin * (1.0 - 2.0 * t) + t * (y1 - y2)) * d
+            side = (d_origin * (1.0 - 2.0 * t) + t * (y1 - y2)) * d
             if multiplicity == 2 or side == 0.0:
                 out += [(near, t), (far, t)]
             else:
@@ -160,15 +158,25 @@ def _candidate_params(p1: Point, p2: Point, q1: QuadraticPoly, case: PairCase):
 
 
 def _assemble(p1, p2, raw_params, expected):
-    kept: list[tuple[float, float, tuple[float, float]]] = []  # (t, w, residuals)
+    """Polish, gate and dedupe each candidate in one loop; build each kept solution once.
+
+    The points arrive checked.  A polished (w, t) is kept inside the square
+    margin, with both backward errors under ``_GATE``, unless it lies within
+    ``_DEDUPE`` of one kept before.  Kept candidates stay (t, w, residuals)
+    tuples until the count matches; the records are built after that.
+    """
+    kept = []  # (t, w, residuals)
     for w, t in raw_params:
         w, t, residuals = _newton_polish(p1, p2, w, t)
-        inside = _SQUARE_MARGIN < w < 1.0 - _SQUARE_MARGIN and _SQUARE_MARGIN < t < 1.0 - _SQUARE_MARGIN
-        if not inside or max(residuals) >= _GATE:
+        r1, r2 = residuals
+        inside = _SQUARE_MARGIN < w < _SQUARE_TOP and _SQUARE_MARGIN < t < _SQUARE_TOP
+        if not inside or r1 >= _GATE or r2 >= _GATE:
             continue
-        if any(max(abs(w - kw), abs(t - kt)) < _DEDUPE for kt, kw, _ in kept):
-            continue
-        kept.append((t, w, residuals))
+        for kt, kw, _ in kept:
+            if abs(w - kw) < _DEDUPE and abs(t - kt) < _DEDUPE:
+                break
+        else:
+            kept.append((t, w, residuals))
     if len(kept) != expected:
         raise SolutionCountMismatch(
             f"expected {expected} inscribed ellipses, kept {len(kept)}: "
@@ -177,8 +185,9 @@ def _assemble(p1, p2, raw_params, expected):
     kept.sort()
     solutions = []
     for t, w, residuals in kept:
-        param = EllipseParam(w, t)
-        solutions.append(TwoPointSolution(param, inscribed_conic(param), tangency_points(param), residuals))
+        param = tuple.__new__(EllipseParam, (w, t))
+        conic, tangency = inscribed_conic(param), tangency_points(param)
+        solutions.append(tuple.__new__(TwoPointSolution, (param, conic, tangency, residuals)))
     return solutions
 
 

@@ -71,7 +71,7 @@ def solve_two_points(tri: Triangle, p1: Point, p2: Point) -> SolveReport:
     fwd = map_to_unit(tri)
     u1, u2 = apply_point(fwd, as_point(p1)), apply_point(fwd, as_point(p2))
     case, sols = two_points.solve_two_points_unit(u1, u2)
-    return SolveReport(str(case), _to_world(tri, fwd, sols))
+    return tuple.__new__(SolveReport, (str(case), _to_world(tri, fwd, sols)))
 
 
 def solve_point_slope(tri: Triangle, p: Point, slope: Slope) -> SolveReport:

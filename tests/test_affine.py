@@ -19,14 +19,26 @@ from inellipse.affine import (
     map_to_unit,
 )
 from inellipse.boundary import side_point
-from inellipse.conic import conic_close, pull_back, slope_at
+from inellipse.conic import ConicCoeffs, conic_close, pull_back, slope_at
 from inellipse.errors import DegenerateTriangle, SingularMap
 from inellipse.geom import Point, Slope
-from inellipse.kernel import EllipseParam, inscribed_conic, pair_invariants, poly_q, tangency_points
+from inellipse.kernel import (
+    EllipseParam,
+    PairInvariants,
+    QuadraticPoly,
+    TangencyTriple,
+    inscribed_center,
+    inscribed_conic,
+    pair_invariants,
+    poly_q,
+    poly_R,
+    poly_S,
+    tangency_points,
+)
 from inellipse.oracle import verify_inscribed
 from inellipse.point_slope import solve_point_slope_unit
-from inellipse.two_points import solve_two_points_unit
-from inellipse.world import solve_two_points
+from inellipse.two_points import PairCase, TwoPointSolution, classify_pair, solve_two_points_unit
+from inellipse.world import SolveReport, WorldSolution, solve_two_points
 
 from helpers import interior_in_triangle, random_generic_pair, random_param, random_triangle
 
@@ -297,3 +309,62 @@ class TestRecords:
         field = record._fields[0]
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))
+
+
+def _query_path_records():
+    """Each record a query builds without its NamedTuple constructor, with the type it must be."""
+    p1, p2 = Point(0.25, 0.125), Point(0.5, 0.1667)
+    param = EllipseParam(0.3, 0.6)
+    fwd = map_to_unit(Triangle(Point(1, 1), Point(4, 2), Point(2, 5)))
+    tps = tangency_points(param)
+    case, (solution, *_) = solve_two_points_unit(p1, p2)
+    report = solve_two_points(UNIT_TRIANGLE, p1, p2)
+    return {
+        "inscribed_conic": (inscribed_conic(param), ConicCoeffs),
+        "pull_back": (pull_back(inscribed_conic(param), fwd), ConicCoeffs),
+        "tangency_points": (tps, TangencyTriple),
+        "tangency_points.t1": (tps.t1, Point),
+        "tangency_points.t2": (tps.t2, Point),
+        "tangency_points.t3": (tps.t3, Point),
+        "inscribed_center": (inscribed_center(param), Point),
+        "pair_invariants": (pair_invariants(p1, p2), PairInvariants),
+        "poly_q": (poly_q(p1), QuadraticPoly),
+        "poly_R": (poly_R(p1, p2), QuadraticPoly),
+        "poly_S": (poly_S(p1, p2), QuadraticPoly),
+        "solution.param": (solution.param, EllipseParam),
+        "TwoPointSolution": (solution, TwoPointSolution),
+        "PairCase.generic": (case, PairCase),
+        "PairCase.j_zero": (classify_pair(Point(0.3, 0.2), Point(0.5, 0.2)), PairCase),
+        "PairCase.vertex_line": (classify_pair(Point(0.5, 0.25), Point(0.75, 0.125)), PairCase),
+        "map_to_unit": (fwd, AffineMap),
+        "apply_point": (apply_point(fwd, Point(2, 2)), Point),
+        "Slope.finite": (Slope.finite(0.5), Slope),
+        "Slope.vertical": (Slope.vertical(), Slope),
+        "apply_slope": (apply_slope(fwd, Slope.finite(0.5)), Slope),
+        "SolveReport": (report, SolveReport),
+        "WorldSolution": (report.solutions[0], WorldSolution),
+        "WorldSolution.center": (report.solutions[0].center, Point),
+    }
+
+
+QUERY_PATH_RECORDS = _query_path_records()
+
+
+class TestQueryPathRecords:
+    @pytest.mark.parametrize("name", sorted(QUERY_PATH_RECORDS))
+    def test_is_the_record_its_constructor_builds(self, name):
+        record, cls = QUERY_PATH_RECORDS[name]
+        assert type(record) is cls
+        assert cls(*record) == record
+        assert cls(**record._asdict()) == record
+
+    @pytest.mark.parametrize("name", sorted(QUERY_PATH_RECORDS))
+    def test_field_names_and_replace(self, name):
+        record, cls = QUERY_PATH_RECORDS[name]
+        assert record._fields == cls._fields
+        assert tuple(getattr(record, f) for f in cls._fields) == tuple(record)
+        last = cls._fields[-1]
+        changed = record._replace(**{last: None})
+        assert type(changed) is cls
+        assert getattr(changed, last) is None
+        assert changed[:-1] == record[:-1]

@@ -10,7 +10,7 @@ from inellipse import two_points
 from inellipse.conic import evaluate, membership_residual
 from inellipse.errors import AmbiguousClassification, CoincidentPoints, NotInterior, SolutionCountMismatch
 from inellipse.geom import Point, Vertex
-from inellipse.kernel import EllipseParam, poly_q, poly_R, w_quadratic_at
+from inellipse.kernel import EllipseParam, pair_invariants, poly_q, poly_R, w_quadratic_at
 from inellipse.oracle import brute_force_two_points, verify_inscribed
 from inellipse.two_points import (
     PairKind,
@@ -52,6 +52,60 @@ class TestClassify:
 
     def test_degenerate_branch(self):
         assert classify_pair(*EX2).kind is PairKind.GENERIC_J_ZERO
+
+    # A pair on each vertex line.  Moving p2 off it shifts the determinant by
+    # -x1 (origin) or -(1 - x1) (right) per unit of p2.y, or by 1 - y1 (top)
+    # per unit of p2.x.
+    ON_LINE = {
+        Vertex.ORIGIN: (Point(0.3, 0.2), Point(0.45, 0.3)),
+        Vertex.RIGHT: (Point(0.3, 0.2), Point(0.65, 0.1)),
+        Vertex.TOP: (Point(0.2, 0.3), Point(0.12, 0.58)),
+    }
+
+    @staticmethod
+    def det_and_scale(vertex, p1, p2):
+        """The vertex-line determinant and the scale its band is relative to."""
+        inv = pair_invariants(p1, p2)
+        (x1, y1), (x2, y2) = p1, p2
+        if vertex is Vertex.ORIGIN:
+            return inv.d_origin, max(abs(x2 * y1), abs(x1 * y2))
+        if vertex is Vertex.RIGHT:
+            return inv.d_vertex10, max(abs((1 - x2) * y1), abs((1 - x1) * y2))
+        return inv.d_vertex01, max(abs(x2 * (1 - y1)), abs(x1 * (1 - y2)))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    @pytest.mark.parametrize("vertex", list(Vertex))
+    def test_vertex_line_band_edges(self, vertex, factor, sign):
+        p1, (x2, y2) = self.ON_LINE[vertex]
+        _, scale = self.det_and_scale(vertex, p1, Point(x2, y2))
+        target = sign * factor * two_points._CLASSIFY_BAND * scale
+        if vertex is Vertex.TOP:
+            p2 = Point(x2 + target / (1 - p1.y), y2)
+        else:
+            p2 = Point(x2, y2 - target / (p1.x if vertex is Vertex.ORIGIN else 1 - p1.x))
+        det, scale = self.det_and_scale(vertex, p1, p2)
+        assert det / (two_points._CLASSIFY_BAND * scale) == pytest.approx(sign * factor, rel=0.05)
+        for pair in ((p1, p2), (p2, p1)):
+            case = classify_pair(*pair)
+            if factor < 1.0:
+                assert str(case) == f"vertex_line:{vertex.value}"
+            else:
+                assert case.kind is PairKind.GENERIC
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_j_zero_band_edges(self, factor, sign):
+        # (0.3, 0.2) and (0.5, 0.2) sit on j = 0; j changes by -(x2 y1^2 + 2 x1 (1 - x1 - y1) y2)
+        # per unit of p2.y.
+        p1, (x2, y2) = Point(0.3, 0.2), Point(0.5, 0.2)
+        j_scale = max(x2 * (1 - x2 - y2) * p1.y ** 2, p1.x * (1 - p1.x - p1.y) * y2 ** 2)
+        rate = -(x2 * p1.y ** 2 + 2 * p1.x * (1 - p1.x - p1.y) * y2)
+        p2 = Point(x2, y2 + sign * factor * two_points._J_ZERO_BAND * j_scale / rate)
+        ratio = pair_invariants(p1, p2).j / (two_points._J_ZERO_BAND * j_scale)
+        assert ratio == pytest.approx(sign * factor, rel=0.05)
+        expected = PairKind.GENERIC_J_ZERO if factor < 1.0 else PairKind.GENERIC
+        assert classify_pair(p1, p2).kind is expected
 
     def test_ambiguous_when_points_nearly_coincide(self):
         # 1e-11 apart, the pair sits within the classification band of all
