@@ -16,16 +16,18 @@ or the string ``"vertical"``.  The options are only ``grid_n`` (or
 64, and ``svg`` (or ``--svg``), a path string; any other key is an input
 error.  Reported coefficients are in world coordinates, ordered
 [A, B, 2C, D, E, F] with the full (printed) xy coefficient, normalized so the
-largest-magnitude entry is +-1 unless ``--raw``.  Exit codes: 0 solved, 2 a
-certified no-solution outcome, 1 input error, command-line usage errors
-included (one ``error:`` line on stderr, nothing on stdout).
+largest-magnitude entry is +-1 unless ``--raw``.  The report is one line of
+JSON with sorted keys and no whitespace; floats print as Python's shortest
+round-trip ``repr``, so each parses back to the same double, and a non-finite
+value is an error.  Exit codes: 0 solved, 2 a certified no-solution outcome,
+1 input error, command-line usage errors included (one ``error:`` line on
+stderr, nothing on stdout).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import world
@@ -34,44 +36,6 @@ from .geom import Point, Slope, as_point
 from .conic import full_coefficients
 
 _DEFAULT_GRID = 256
-
-
-def _canonical(obj) -> str:
-    """Deterministic JSON: sorted keys, floats printed with 17 significant digits."""
-    out: list[str] = []
-    _write(obj, out)
-    return "".join(out)
-
-
-def _write(obj, out: list[str]) -> None:
-    if isinstance(obj, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if i:
-                out.append(",")
-            out.append(json.dumps(key))
-            out.append(":")
-            _write(obj[key], out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _write(item, out)
-        out.append("]")
-    elif isinstance(obj, bool) or obj is None:
-        out.append(json.dumps(obj))
-    elif isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError("non-finite float in report")
-        out.append(format(obj + 0.0 if obj != 0.0 else 0.0, ".17g"))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 class InputError(Exception):
@@ -169,11 +133,10 @@ def _solution_dict(sol: world.WorldSolution, raw: bool) -> dict:
     }
 
 
-def _oracle_check(kind: str, tri: Triangle, payload, report, grid_n: int) -> dict:
+def _oracle_check(kind: str, tri: Triangle, points: list[Point], slope, report, grid_n: int) -> dict:
+    """The oracle's verdict on a solved query, from the points and slope already parsed."""
     from . import oracle  # imports numpy, so only --check loads it
 
-    fwd = map_to_unit(tri)
-    solved = [(s.param.w, s.param.t) for s in report.solutions]
     if kind == "boundary_tangency":
         cert = oracle.verify_inscribed(report.solutions[0].conic, tri)
         return {
@@ -181,15 +144,13 @@ def _oracle_check(kind: str, tri: Triangle, payload, report, grid_n: int) -> dic
             "passed": cert.passed,
             "side_residuals": [s.residual for s in cert.sides],
         }
+    fwd = map_to_unit(tri)
+    unit = [apply_point(fwd, p) for p in points]
     if kind == "two_points":
-        u1 = apply_point(fwd, _point_field(payload, "p1"))
-        u2 = apply_point(fwd, _point_field(payload, "p2"))
-        basins = oracle.brute_force_two_points(u1, u2, grid_n)
+        basins = oracle.brute_force_two_points(*unit, grid_n)
     else:
-        u = apply_point(fwd, _point_field(payload, "p"))
-        basins = oracle.brute_force_point_slope(
-            u, apply_slope(fwd, _parse_slope(payload.get("slope"))), grid_n
-        )
+        basins = oracle.brute_force_point_slope(*unit, apply_slope(fwd, slope), grid_n)
+    solved = [(s.param.w, s.param.t) for s in report.solutions]
     deviation = 0.0
     matched = len(basins) == len(solved)
     if matched and basins:
@@ -242,33 +203,30 @@ def run(argv=None) -> int:
         grid_n = args.grid if args.grid is not None else _option(options, "grid_n", int, _DEFAULT_GRID)
         svg_path = args.svg if args.svg is not None else _option(options, "svg", str, None)
 
-        if kind == "two_points":
-            p1, p2 = _point_field(payload, "p1"), _point_field(payload, "p2")
-            report = world.solve_two_points(tri, p1, p2)
-            markers = [p1, p2]
-        elif kind == "point_slope":
-            p = _point_field(payload, "p")
-            report = world.solve_point_slope(tri, p, _parse_slope(payload.get("slope")))
-            markers = [p]
+        slope = None
+        if kind == "point_slope":
+            points = [_point_field(payload, "p")]
+            slope = _parse_slope(payload.get("slope"))
+            report = world.solve_point_slope(tri, *points, slope)
         else:
-            q1, q2 = _point_field(payload, "p1"), _point_field(payload, "p2")
-            report = world.solve_tangency(tri, q1, q2)
-            markers = [q1, q2]
+            points = [_point_field(payload, "p1"), _point_field(payload, "p2")]
+            solve = world.solve_two_points if kind == "two_points" else world.solve_tangency
+            report = solve(tri, *points)
 
         out = {
             "case": report.case,
             "ellipses": [_solution_dict(s, args.raw) for s in report.solutions],
         }
         if args.check:
-            out["oracle_check"] = _oracle_check(kind, tri, payload, report, grid_n)
+            out["oracle_check"] = _oracle_check(kind, tri, points, slope, report, grid_n)
         if svg_path:
             from . import svgfig  # imports numpy, so only --svg loads it
 
             tangent_points = [p for s in report.solutions for p in s.tangent_points]
-            figure = svgfig.render_svg(tri, [s.conic for s in report.solutions], markers, tangent_points)
+            figure = svgfig.render_svg(tri, [s.conic for s in report.solutions], points, tangent_points)
             with open(svg_path, "w", encoding="utf-8") as fh:
                 fh.write(figure)
-        text = _canonical(out)
+        text = json.dumps(out, sort_keys=True, separators=(",", ":"), allow_nan=False)
     except (InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

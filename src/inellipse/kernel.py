@@ -25,10 +25,6 @@ from .conic import ConicCoeffs
 from .errors import OutOfDomain, ZeroPolynomial
 from .geom import Point, require_distinct, require_interior
 
-# Radicands of the interior-point square roots are clamped at zero when they
-# round slightly negative near the boundary.
-_RADICAND_CLAMP = 1e-14
-
 
 class EllipseParam(NamedTuple):
     """Contact abscissae: t on the horizontal side, w on the vertical side."""
@@ -161,17 +157,10 @@ def pair_invariants(p1: Point, p2: Point) -> PairInvariants:
     d_vertex10 = (1.0 - x2) * y1 - (1.0 - x1) * y2
     d_vertex01 = x2 * (1.0 - y1) - x1 * (1.0 - y2)
     j = x2 * (1.0 - x2 - y2) * y1 * y1 - x1 * (1.0 - x1 - y1) * y2 * y2
-    a1 = math.sqrt(_clamped_radicand(x1 * (1.0 - x1 - y1)))
-    a2 = math.sqrt(_clamped_radicand(x2 * (1.0 - x2 - y2)))
+    # require_interior's fl(x + y) < 1 puts fl(1 - x) within 2^-54 of 1 - x, above y: no radicand is negative.
+    a1 = math.sqrt(x1 * (1.0 - x1 - y1))
+    a2 = math.sqrt(x2 * (1.0 - x2 - y2))
     return tuple.__new__(PairInvariants, (d_origin, d_vertex10, d_vertex01, j, a1, a2))
-
-
-def _clamped_radicand(v: float) -> float:
-    if v < 0.0:
-        if v > -_RADICAND_CLAMP:
-            return 0.0
-        raise ValueError(f"negative radicand {v} for an interior point")
-    return v
 
 
 def _rs_pieces(p1: Point, p2: Point):

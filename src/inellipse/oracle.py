@@ -9,7 +9,7 @@ Two facilities:
 * :func:`brute_force_two_points` / :func:`brute_force_point_slope` locate all
   solutions of the through-point / through-point-with-slope systems by a
   dense residual grid over the parameter square followed by damped Newton
-  refinement of every local basin.
+  refinement of every local basin, all seeds in one array pass.
 
 The defining equations come from :mod:`inellipse.equations`, which the
 solvers share; ``tests/test_equations.py`` derives each of them symbolically
@@ -139,48 +139,47 @@ def _point_slope_residuals(p, slope, w, t):
 
 
 def _newton(system, w, t):
-    """Damped Newton on the raw 2x2 system; returns (w, t) or None."""
-    for _ in range(_NEWTON_ITERS):
-        eqs = system(w, t)
-        if max(_backward_errors(eqs)) < _NEWTON_TARGET:
-            return w, t
+    """Damped Newton on the raw 2x2 system from every seed at once.
+
+    Returns, in seed order, the (w, t) of the seeds whose backward errors fell
+    below ``_NEWTON_TARGET``.  A seed drops out where a one-seed loop would
+    give up on it: a zero or non-finite Jacobian determinant, 30 failed
+    halvings of the step, or an iterate outside the box (-0.5, 1.5)^2, whose
+    comparisons also fail for NaN and infinities.
+    """
+    w, t = w.copy(), t.copy()
+    converged = np.zeros(w.shape, dtype=bool)
+    live = np.arange(w.size)
+    for it in range(_NEWTON_ITERS + 1):
+        eqs = system(w[live], t[live])
+        r1, r2 = _backward_errors(eqs)
+        done = np.maximum(r1, r2) < _NEWTON_TARGET
+        converged[live[done]] = True
+        if it == _NEWTON_ITERS:
+            break
         (f1, a, b, _), (f2, c, d, _) = eqs
         det = a * d - b * c
-        if det == 0.0 or not np.isfinite(det):
-            return None
+        step = ~done & (det != 0.0) & np.isfinite(det)
+        live, f1, f2, a, b, c, d, det = (v[step] for v in (live, f1, f2, a, b, c, d, det))
         dw = -(d * f1 - b * f2) / det
         dt = -(a * f2 - c * f1) / det
         base = f1 * f1 + f2 * f2
-        lam = 1.0
+        lam = np.ones(live.size)
+        searching = np.ones(live.size, dtype=bool)
         for _ in range(30):
-            (g1, *_), (g2, *_) = system(w + lam * dw, t + lam * dt)
-            if g1 * g1 + g2 * g2 < base:
+            k = np.flatnonzero(searching)
+            if k.size == 0:
                 break
-            lam *= 0.5
-        else:
-            return None
-        w, t = w + lam * dw, t + lam * dt
-        if not (np.isfinite(w) and np.isfinite(t)):
-            return None
-        if not (-0.5 < w < 1.5 and -0.5 < t < 1.5):
-            return None
-    if max(_backward_errors(system(w, t))) < _NEWTON_TARGET:
-        return w, t
-    return None
-
-
-def _strict_minima(g):
-    """Indices of strict local minima in the 8-neighborhood sense."""
-    n, m = g.shape
-    padded = np.full((n + 2, m + 2), np.inf)
-    padded[1:-1, 1:-1] = g
-    mask = np.ones_like(g, dtype=bool)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            mask &= g < padded[1 + di : n + 1 + di, 1 + dj : m + 1 + dj]
-    return np.argwhere(mask)
+            (g1, *_), (g2, *_) = system(w[live[k]] + lam[k] * dw[k], t[live[k]] + lam[k] * dt[k])
+            better = g1 * g1 + g2 * g2 < base[k]
+            searching[k[better]] = False
+            lam[k[~better]] *= 0.5
+        live, lam, dw, dt = (v[~searching] for v in (live, lam, dw, dt))
+        w_new, t_new = w[live] + lam * dw, t[live] + lam * dt
+        w[live], t[live] = w_new, t_new
+        live = live[(-0.5 < w_new) & (w_new < 1.5) & (-0.5 < t_new) & (t_new < 1.5)]
+    log.debug("%d of %d seeds converged", converged.sum(), w.size)
+    return w[converged], t[converged]
 
 
 _SUBGRID = 24
@@ -188,45 +187,46 @@ _STRIP_DEPTH = 16
 
 
 def _box_minima(system, w_lo, w_hi, t_lo, t_hi, nw, nt):
-    """Strict local minima of the residual on a rectangular sub-grid."""
+    """Strict local minima, in the 8-neighborhood sense, of the residual on a
+    grid of cell centres over a box.
+
+    Returns the minima's w, t and residual arrays in row-major order, and the
+    residual over the whole grid.
+    """
     ws = w_lo + (np.arange(nw) + 0.5) * (w_hi - w_lo) / nw
     ts = t_lo + (np.arange(nt) + 0.5) * (t_hi - t_lo) / nt
-    w_grid, t_grid = np.meshgrid(ws, ts, indexing="ij")
-    r1, r2 = _backward_errors(system(w_grid, t_grid))
+    # Broadcasting a w column against a t row evaluates the t-only terms once per column.
+    r1, r2 = _backward_errors(system(ws[:, None], ts[None, :]))
     g = r1 * r1 + r2 * r2
-    return [
-        (float(ws[i]), float(ts[j]), float(g[i, j])) for i, j in _strict_minima(g)
-    ]
+    padded = np.full((nw + 2, nt + 2), np.inf)
+    padded[1:-1, 1:-1] = g
+    minimum = np.ones_like(g, dtype=bool)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di or dj:
+                minimum &= g < padded[1 + di : nw + 1 + di, 1 + dj : nt + 1 + dj]
+    i, j = np.nonzero(minimum)
+    return ws[i], ts[j], g[i, j], g
 
 
 def _run_grid(system, grid_n):
-    axis = (np.arange(grid_n) + 0.5) / grid_n
-    w_grid, t_grid = np.meshgrid(axis, axis, indexing="ij")
-    r1, r2 = _backward_errors(system(w_grid, t_grid))
-    g = r1 * r1 + r2 * r2
-    threshold = 10.0 * np.median(g)
-
     # Newton seeds: each coarse basin center, the minima of a fine sub-grid
     # over its 3x3 neighborhood (one coarse cell can straddle several
     # attractors), and the minima of thin high-resolution strips along the
     # four walls, where solutions of near-degenerate inputs hide between the
     # coarse nodes and the square boundary.
     h = 1.0 / grid_n
-    seeds: list[tuple[float, float]] = []
-    for i, j in _strict_minima(g):
-        if g[i, j] >= threshold:
-            continue
-        w0, t0 = float(axis[i]), float(axis[j])
-        seeds.append((w0, t0))
-        seeds.extend(
-            (w, t)
-            for w, t, _ in _box_minima(
-                system,
-                max(w0 - 1.5 * h, 0.0), min(w0 + 1.5 * h, 1.0),
-                max(t0 - 1.5 * h, 0.0), min(t0 + 1.5 * h, 1.0),
-                _SUBGRID, _SUBGRID,
-            )
+    coarse_w, coarse_t, coarse_g, g = _box_minima(system, 0.0, 1.0, 0.0, 1.0, grid_n, grid_n)
+    threshold = 10.0 * np.median(g)
+    seeds = []
+    for w0, t0 in zip(coarse_w[coarse_g < threshold], coarse_t[coarse_g < threshold]):
+        sub_w, sub_t, _, _ = _box_minima(
+            system,
+            max(w0 - 1.5 * h, 0.0), min(w0 + 1.5 * h, 1.0),
+            max(t0 - 1.5 * h, 0.0), min(t0 + 1.5 * h, 1.0),
+            _SUBGRID, _SUBGRID,
         )
+        seeds += [([w0], [t0]), (sub_w, sub_t)]
     band = 3.0 * h
     strips = (
         (0.0, 1.0, 0.0, band, 2 * grid_n, _STRIP_DEPTH),
@@ -235,27 +235,17 @@ def _run_grid(system, grid_n):
         (1.0 - band, 1.0, 0.0, 1.0, _STRIP_DEPTH, 2 * grid_n),
     )
     for box in strips:
-        seeds.extend(
-            (w, t) for w, t, val in _box_minima(system, *box) if val < threshold
-        )
+        strip_w, strip_t, strip_g, _ = _box_minima(system, *box)
+        seeds.append((strip_w[strip_g < threshold], strip_t[strip_g < threshold]))
 
+    ws, ts = _newton(system, *(np.concatenate(column) for column in zip(*seeds)))
+    r1, r2 = _backward_errors(system(ws, ts))
+    m = _INTERIOR_MARGIN
+    keep = (m < ws) & (ws < 1.0 - m) & (m < ts) & (ts < 1.0 - m) & (np.maximum(r1, r2) <= _HONESTY)
     found = []
-    for w0, t0 in seeds:
-        refined = _newton(system, w0, t0)
-        if refined is None:
-            log.debug("seed at (w=%.4f, t=%.4f) did not converge", w0, t0)
-            continue
-        w, t = refined
-        if not (
-            _INTERIOR_MARGIN < w < 1.0 - _INTERIOR_MARGIN
-            and _INTERIOR_MARGIN < t < 1.0 - _INTERIOR_MARGIN
-        ):
-            continue
-        if max(_backward_errors(system(w, t))) > _HONESTY:
-            continue
-        if any(max(abs(w - u), abs(t - v)) < _DEDUPE for u, v in found):
-            continue
-        found.append((w, t))
+    for w, t in zip(ws[keep].tolist(), ts[keep].tolist()):
+        if not any(max(abs(w - u), abs(t - v)) < _DEDUPE for u, v in found):
+            found.append((w, t))
     found.sort(key=lambda wt: (wt[1], wt[0]))
     return found
 

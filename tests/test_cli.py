@@ -9,7 +9,11 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from inellipse import world
+from inellipse.affine import Triangle
 from inellipse.cli import run
+from inellipse.conic import full_coefficients
+from inellipse.geom import Point, Slope
 
 UNIT = [[0, 0], [1, 0], [0, 1]]
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -226,6 +230,43 @@ class TestInputContract:
         tps = report["ellipses"][0]["tangent_points"]
         assert any(math.dist(p, [1.9, 1.3]) < 1e-9 for p in tps)
         assert any(math.dist(p, [2.8, 3.8]) < 1e-9 for p in tps)
+
+
+class TestEncoder:
+    """``--raw`` output parses back to exactly the floats the world solvers return."""
+
+    BOX = [[1, 2], [7, 1], [3, 6.5]]
+    QUERIES = {
+        "two-points": (
+            {"two_points": {"p1": [3, 3], "p2": [4, 3.2]}},
+            world.solve_two_points, (Point(3, 3), Point(4, 3.2)),
+        ),
+        "point-slope": (
+            {"point_slope": {"p": [3, 3], "slope": 0.25}},
+            world.solve_point_slope, (Point(3, 3), Slope.finite(0.25)),
+        ),
+        "tangency": (
+            {"boundary_tangency": {"p1": [4, 1.5], "p2": [5, 3.75]}},
+            world.solve_tangency, (Point(4, 1.5), Point(5, 3.75)),
+        ),
+    }
+
+    @pytest.mark.parametrize("command", sorted(QUERIES))
+    def test_raw_numbers_round_trip(self, tmp_path, capsys, command):
+        query, solve, args = self.QUERIES[command]
+        code, report = run_and_parse(
+            capsys, [command, write_doc(tmp_path, {"triangle": self.BOX, "query": query}), "--raw"]
+        )
+        assert code == 0
+        expected = solve(Triangle(*(Point(*v) for v in self.BOX)), *args)
+        assert report["case"] == expected.case
+        assert len(report["ellipses"]) == len(expected.solutions) > 0
+        for got, sol in zip(report["ellipses"], expected.solutions):
+            assert got["w"] == sol.param.w and got["t"] == sol.param.t
+            assert got["coefficients"] == list(full_coefficients(sol.conic))
+            assert got["tangent_points"] == [list(p) for p in sol.tangent_points]
+            assert got["center"] == list(sol.center)
+            assert got["residuals"] == list(sol.residuals)
 
 
 def run_cli_process(argv, stdin):

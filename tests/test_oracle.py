@@ -1,6 +1,8 @@
 """The independent witness: tangency certificates and brute-force basins."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from inellipse.affine import Triangle
 from inellipse.conic import ConicCoeffs
 from inellipse.errors import NotAnEllipse
 from inellipse.geom import Point, Slope
+from inellipse import oracle
 from inellipse.kernel import EllipseParam, inscribed_conic
 from inellipse.oracle import (
     _point_slope_residuals,
@@ -17,6 +20,7 @@ from inellipse.oracle import (
     brute_force_two_points,
     verify_inscribed,
 )
+from inellipse.point_slope import solve_point_slope_unit, vertex_slopes
 
 from helpers import random_generic_pair, random_interior, random_param
 
@@ -133,3 +137,75 @@ class TestBruteForcePointSlope:
         for w, t in brute_force_point_slope(p, s):
             r1, r2 = _point_slope_residuals(p, s, w, t)
             assert max(float(r1), float(r2)) < 1e-12
+
+    def test_slopes_near_each_vertex_slope_have_one_basin(self):
+        # 1e-3 (relative) off a vertex slope the solution can sit within 1e-8
+        # of a wall of the parameter square, next to the exclusion band.
+        rng = np.random.default_rng(141)
+        for _ in range(20):
+            p = random_interior(rng)
+            for vs in vertex_slopes(p):
+                slope = Slope.finite(vs.value * (1.0 + rng.choice((-1e-3, 1e-3))))
+                basins = brute_force_point_slope(p, slope)
+                assert len(basins) == 1, (p, slope)
+                w, t = solve_point_slope_unit(p, slope)
+                assert basins[0] == pytest.approx((w, t), abs=1e-9)
+
+
+def one_seed_newton(system, w, t):
+    """Damped Newton from one seed on floats: the reference the array pass reproduces."""
+    for _ in range(oracle._NEWTON_ITERS):
+        eqs = system(w, t)
+        if max(oracle._backward_errors(eqs)) < oracle._NEWTON_TARGET:
+            return w, t
+        (f1, a, b, _), (f2, c, d, _) = eqs
+        det = a * d - b * c
+        if det == 0.0 or not math.isfinite(det):
+            return None
+        dw = -(d * f1 - b * f2) / det
+        dt = -(a * f2 - c * f1) / det
+        base = f1 * f1 + f2 * f2
+        lam = 1.0
+        for _ in range(30):
+            (g1, *_), (g2, *_) = system(w + lam * dw, t + lam * dt)
+            if g1 * g1 + g2 * g2 < base:
+                break
+            lam *= 0.5
+        else:
+            return None
+        w, t = w + lam * dw, t + lam * dt
+        if not (math.isfinite(w) and math.isfinite(t) and -0.5 < w < 1.5 and -0.5 < t < 1.5):
+            return None
+    return (w, t) if max(oracle._backward_errors(system(w, t))) < oracle._NEWTON_TARGET else None
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        oracle._two_point_system(*EX1),
+        oracle._point_slope_system(Point(0.4, 0.3), Slope.finite(-3.0)),
+        oracle._point_slope_system(Point(0.5, 0.25), Slope.finite(0.5 * (1.0 + 1e-6))),
+    ],
+    ids=["two_points", "point_slope", "near_excluded"],
+)
+def test_array_newton_matches_the_one_seed_loop(system):
+    # Seeds from a box wider than the square also send some iterates out of (-0.5, 1.5)^2.
+    seeds_w, seeds_t = np.random.default_rng(143).uniform(-0.45, 1.45, (2, 150))
+    expected = [one_seed_newton(system, w, t) for w, t in zip(seeds_w.tolist(), seeds_t.tolist())]
+    w, t = oracle._newton(system, seeds_w, seeds_t)
+    assert list(zip(w.tolist(), t.tolist())) == [wt for wt in expected if wt is not None]
+
+
+SOLVER_MODULES = {"two_points", "point_slope", "boundary", "kernel", "world"}
+
+
+def test_oracle_imports_no_solver_module():
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            imported.update(alias.name for alias in node.names)
+    assert not imported & SOLVER_MODULES
