@@ -17,11 +17,11 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
+from .affine import UNIT_TRIANGLE
 from .errors import NotOnSide, OutOfDomain, SameSide, VertexPoint
 from .geom import Point, as_point
 from .kernel import EllipseParam
 
-_UNIT_VERTICES = (Point(0.0, 0.0), Point(1.0, 0.0), Point(0.0, 1.0))
 # Boundary points within this distance of a vertex are rejected.
 _VERTEX_EXCLUSION = 1e-8
 # Absolute band on a side's linear form for membership in that side.
@@ -48,7 +48,7 @@ def side_point(p: Point) -> SidePoint:
     """
     p = as_point(p)
     x, y = p
-    for vx, vy in _UNIT_VERTICES:
+    for vx, vy in UNIT_TRIANGLE:
         if math.hypot(x - vx, y - vy) <= _VERTEX_EXCLUSION:
             raise VertexPoint(f"{tuple(p)} coincides with triangle vertex {(vx, vy)}")
     # Two side forms within the band would put p within 3e-10 of a vertex: one holds at most.

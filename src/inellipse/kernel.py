@@ -12,8 +12,9 @@ quadratic in w whose coefficients are polynomials in t; the two-point solver
 works entirely with those polynomials, built here.
 
 Polynomial conventions: dense coefficient records, highest degree first in
-the field names (c2, c1, c0), evaluated by Horner.  Public functions validate
-their points through :func:`poly_q` or :func:`pair_invariants`.
+the field names (c2, c1, c0), evaluated by Horner.  Points arrive checked:
+:func:`~inellipse.two_points.classify_pair` tests them interior and distinct
+before the two-point solver builds anything here.
 """
 
 from __future__ import annotations
@@ -23,7 +24,10 @@ from typing import NamedTuple
 
 from .conic import ConicCoeffs
 from .errors import OutOfDomain, ZeroPolynomial
-from .geom import Point, require_distinct, require_interior
+from .geom import Point
+
+# Discriminants below (band * coefficient scale)^2 are clamped to a double root.
+_DOUBLE_ROOT_BAND = 1e-8
 
 
 class EllipseParam(NamedTuple):
@@ -117,7 +121,6 @@ def tangency_points(param: EllipseParam) -> TangencyTriple:
 def inscribed_center(param: EllipseParam) -> Point:
     """Center (t, w)/(2(w + (1-w)t)); always interior to the medial triangle."""
     w, t = param
-    _check_param(w, t)
     den = 2.0 * (w + (1.0 - w) * t)
     return tuple.__new__(Point, (t / den, w / den))
 
@@ -132,7 +135,6 @@ def poly_q(p: Point) -> QuadraticPoly:
     roots of the through-point quadratic in w are t y/(u + 2a s) and
     t y (u + 2a s)/q, neither of which cancels.
     """
-    require_interior(p)
     x, y = p
     return tuple.__new__(QuadraticPoly, (1.0 - 4.0 * x * y, -2.0 * x * (1.0 - 2.0 * y), x * x))
 
@@ -149,15 +151,14 @@ def w_quadratic_at(p: Point, t: float) -> QuadraticPoly:
 
 
 def pair_invariants(p1: Point, p2: Point) -> PairInvariants:
-    require_interior(p1, p2)
-    require_distinct(p1, p2)
     x1, y1 = p1
     x2, y2 = p2
     d_origin = x2 * y1 - x1 * y2
     d_vertex10 = (1.0 - x2) * y1 - (1.0 - x1) * y2
     d_vertex01 = x2 * (1.0 - y1) - x1 * (1.0 - y2)
     j = x2 * (1.0 - x2 - y2) * y1 * y1 - x1 * (1.0 - x1 - y1) * y2 * y2
-    # require_interior's fl(x + y) < 1 puts fl(1 - x) within 2^-54 of 1 - x, above y: no radicand is negative.
+    # classify_pair checked fl(x + y) < 1, which puts fl(1 - x) within 2^-54 of
+    # 1 - x, above y: no radicand is negative.
     a1 = math.sqrt(x1 * (1.0 - x1 - y1))
     a2 = math.sqrt(x2 * (1.0 - x2 - y2))
     return tuple.__new__(PairInvariants, (d_origin, d_vertex10, d_vertex01, j, a1, a2))
@@ -211,9 +212,11 @@ def poly_S(p1: Point, p2: Point) -> QuadraticPoly:
 def solve_quadratic(q: QuadraticPoly) -> list[tuple[float, int]]:
     """Real roots as (root, multiplicity), ascending; numerically stable.
 
-    The larger-magnitude root is computed as -(c1 + sign(c1) sqrt(disc))/(2 c2)
-    and the other as c0 / (c2 * r1), avoiding cancellation.  Degenerates to a
-    linear solve when c2 is negligible against the other coefficients.
+    A negligible c2 leaves a linear solve.  A discriminant under
+    (``_DOUBLE_ROOT_BAND`` * scale)^2 counts as a double root: the vertex with
+    multiplicity 2 when it is not positive, else vertex +- sqrt(disc)/(2|c2|).
+    Above the band the larger-magnitude root is -(c1 + sign(c1) sqrt(disc))/(2 c2)
+    and the other c0 / (c2 * r1), avoiding cancellation.
     """
     c2, c1, c0 = q
     scale = q.scale
@@ -224,35 +227,15 @@ def solve_quadratic(q: QuadraticPoly) -> list[tuple[float, int]]:
             return []  # constant, nonzero
         return [(-c0 / c1, 1)]
     disc = q.discriminant
-    if disc < 0.0:
-        return []
-    if disc == 0.0:
+    if disc <= 0.0:
         return [(q.vertex, 2)]
+    if disc < (_DOUBLE_ROOT_BAND * scale) ** 2:
+        half = 0.5 * math.sqrt(disc) / abs(c2)
+        v = q.vertex
+        return [(v - half, 1), (v + half, 1)]
     s = math.sqrt(disc)
     u = -(c1 + math.copysign(s, c1)) / 2.0 if c1 != 0.0 else s / 2.0
     r1 = u / c2
     r2 = c0 / u if u != 0.0 else q.vertex
     lo, hi = (r1, r2) if r1 <= r2 else (r2, r1)
     return [(lo, 1), (hi, 1)]
-
-
-def solve_quadratic_clamped(q: QuadraticPoly, band: float) -> list[tuple[float, int]]:
-    """Roots with a near-zero discriminant clamped through the parabola vertex.
-
-    When disc < (band*scale)^2 the quadratic is treated as (numerically) at a
-    double root: roots are vertex +- sqrt(max(disc, 0))/(2|c2|), collapsing to
-    a single multiplicity-2 root when disc rounds non-positive.  Otherwise
-    defers to :func:`solve_quadratic`.
-    """
-    gate = (band * q.scale) ** 2
-    disc = q.discriminant
-    if disc >= gate:
-        return solve_quadratic(q)
-    if abs(q.c2) <= 2.2e-16 * max(abs(q.c1), abs(q.c0)):
-        return solve_quadratic(q)
-    if disc <= 0.0:
-        return [(q.vertex, 2)]
-    half = 0.5 * math.sqrt(disc) / abs(q.c2)
-    v = q.vertex
-    return [(v - half, 1), (v + half, 1)]
-

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import equations
 from .affine import Triangle, UNIT_TRIANGLE
-from .conic import ConicCoeffs, is_real_ellipse
+from .conic import ConicCoeffs, is_real_ellipse, normalize_conic
 from .errors import NotAnEllipse
 from .geom import Point, Slope, as_point, require_distinct, require_interior
 
@@ -62,9 +62,7 @@ def verify_inscribed(conic: ConicCoeffs, tri: Triangle = UNIT_TRIANGLE) -> Verif
     """Check that an ellipse is tangent to all three sides, from first principles."""
     if not is_real_ellipse(conic):
         raise NotAnEllipse(f"{conic} is not a real ellipse")
-    a, b, c, d, e, f = conic
-    pivot = max((a, b, c, d, e, f), key=abs)
-    a, b, c, d, e, f = (v / pivot for v in (a, b, c, d, e, f))
+    a, b, c, d, e, f = normalize_conic(conic)
     if a < 0.0:
         a, b, c, d, e, f = -a, -b, -c, -d, -e, -f
 
@@ -128,14 +126,6 @@ def _point_slope_system(p, slope):
         return equations.through_point(x, y, w, t), equations.tangent(x, y, a, b, w, t)
 
     return system
-
-
-def _two_point_residuals(p1, p2, w, t):
-    return _backward_errors(_two_point_system(p1, p2)(w, t))
-
-
-def _point_slope_residuals(p, slope, w, t):
-    return _backward_errors(_point_slope_system(p, slope)(w, t))
 
 
 def _newton(system, w, t):
@@ -210,6 +200,8 @@ def _box_minima(system, w_lo, w_hi, t_lo, t_hi, nw, nt):
 
 
 def _run_grid(system, grid_n):
+    if grid_n < 64:
+        raise ValueError(f"grid_n must be at least 64, got {grid_n}")
     # Newton seeds: each coarse basin center, the minima of a fine sub-grid
     # over its 3x3 neighborhood (one coarse cell can straddle several
     # attractors), and the minima of thin high-resolution strips along the
@@ -259,9 +251,6 @@ def brute_force_two_points(p1: Point, p2: Point, grid_n: int = 256) -> list[tupl
     p1, p2 = as_point(p1), as_point(p2)
     require_interior(p1, p2)
     require_distinct(p1, p2)
-    if grid_n < 64:
-        raise ValueError(f"grid_n must be at least 64, got {grid_n}")
-
     return _run_grid(_two_point_system(p1, p2), grid_n)
 
 
@@ -272,7 +261,4 @@ def brute_force_point_slope(
     slopes, none on them."""
     p = as_point(p)
     require_interior(p)
-    if grid_n < 64:
-        raise ValueError(f"grid_n must be at least 64, got {grid_n}")
-
     return _run_grid(_point_slope_system(p, slope), grid_n)

@@ -9,8 +9,8 @@ is lost (a double root of R, on the branch j = 0).  The backward error of
 polish, gates each candidate and is reported with its solution.
 
 Checks: ``as_point`` in each public function; the interior and distinct tests
-in every :func:`~inellipse.kernel.pair_invariants` call, the first of them in
-:func:`classify_pair`; the (w, t) domain in the kernel's record builders.
+once per pair, in :func:`classify_pair`, whose points the kernel then trusts;
+the (w, t) domain in the kernel's record builders.
 Built once per query: p1's quadratic, the case (a shared constant) and each
 kept solution's parameters, conic and contacts, which ``world`` carries over.
 """
@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 from .conic import ConicCoeffs
 from .equations import backward_error, through_point
 from .errors import AmbiguousClassification, SolutionCountMismatch
-from .geom import Point, Vertex, as_point, require_interior
+from .geom import Point, Vertex, as_point, require_distinct, require_interior
 from .kernel import (
     EllipseParam,
     QuadraticPoly,
@@ -34,7 +34,7 @@ from .kernel import (
     poly_q,
     poly_R,
     poly_S,
-    solve_quadratic_clamped,
+    solve_quadratic,
     tangency_points,
 )
 
@@ -42,8 +42,6 @@ from .kernel import (
 # j, counts as zero.
 _CLASSIFY_BAND = 1e-10
 _J_ZERO_BAND = 1e-10
-# Discriminants below (band * coefficient scale)^2 are clamped to a double root.
-_DOUBLE_ROOT_BAND = 1e-8
 # Strict open-square margin applied to accepted parameters; it also rejects
 # the spurious root each vertex line plants in R S, whose w or t sits on the
 # square's edge.
@@ -88,6 +86,8 @@ _ON_ORIGIN, _ON_RIGHT, _ON_TOP = (PairCase(PairKind.VERTEX_LINE, v) for v in Ver
 def classify_pair(p1: Point, p2: Point) -> PairCase:
     """Vertex-line / degenerate / generic classification of an interior pair."""
     p1, p2 = as_point(p1), as_point(p2)
+    require_interior(p1, p2)
+    require_distinct(p1, p2)
     d_origin, d_right, d_top, j, _, _ = pair_invariants(p1, p2)
     (x1, y1), (x2, y2) = p1, p2
     # Each vertex-line determinant against its band, scaled by its two products.
@@ -105,8 +105,7 @@ def classify_pair(p1: Point, p2: Point) -> PairCase:
 
 
 def residual_system3(p1: Point, p2: Point, param: EllipseParam) -> tuple[float, float]:
-    """Backward errors of the two through-point conditions."""
-    require_interior(p1, p2)
+    """Backward errors of the two through-point conditions; the points are not checked."""
     return tuple(backward_error(through_point(*p, *param)) for p in (p1, p2))
 
 
@@ -144,7 +143,7 @@ def _candidate_params(p1: Point, p2: Point, q1: QuadraticPoly, case: PairCase):
     # At a root of R (or S), 2 sqrt(t(1-t)) D = +-L(t) with D = y2 a1 -+ y1 a2:
     # p2 shares p1's near w-root when L D > 0 and its far one when L D < 0.
     for poly, d in ((poly_R(p1, p2), y2 * a1 - y1 * a2), (poly_S(p1, p2), y2 * a1 + y1 * a2)):
-        for t, multiplicity in solve_quadratic_clamped(poly, _DOUBLE_ROOT_BAND):
+        for t, multiplicity in solve_quadratic(poly):
             if not 0.0 < t < 1.0:
                 continue
             k = x1 * (1.0 - 2.0 * t) + t + 2.0 * a1 * math.sqrt(t * (1.0 - t))

@@ -12,8 +12,10 @@ parameters themselves are affine invariants of the solution (contact
 abscissae on the unit triangle), so they are reported unchanged.
 
 Checks: :class:`~inellipse.affine.Triangle` when it is built, ``as_point`` on
-each world point here, then each unit solver's own (interior, coincident,
-excluded slope, side and vertex bands) and the kernel's (w, t) domain.
+each world point here, then each unit solver's own, once per query (interior
+and coincident in :func:`~inellipse.two_points.classify_pair`; interior,
+excluded slope, side and vertex bands in the others) and the kernel's (w, t)
+domain.
 """
 
 from __future__ import annotations

@@ -5,7 +5,6 @@ lines.  Tolerances are pinned here and nowhere else.
 """
 
 import itertools
-import json
 import math
 import time
 from contextlib import contextmanager
@@ -18,11 +17,8 @@ from inellipse.affine import apply_point, invert, map_to_unit
 from inellipse.conic import conic_close, membership_residual, normalize_conic
 from inellipse.geom import Point, Slope, Vertex
 from inellipse.kernel import EllipseParam, pair_invariants, poly_q, poly_R, poly_S
-from inellipse.oracle import _two_point_residuals
 
 from helpers import (
-    interior_in_triangle,
-    j_zero_pair,
     random_generic_pair,
     random_interior,
     random_param,

@@ -9,8 +9,8 @@ import pytest
 from inellipse import kernel
 from inellipse.conic import ConicCoeffs, conic_center, conic_close, evaluate
 from inellipse.equations import backward_error, through_point
-from inellipse.errors import NotInterior, OutOfDomain, ZeroPolynomial
-from inellipse.geom import Point
+from inellipse.errors import OutOfDomain, ZeroPolynomial
+from inellipse.geom import Point, Vertex
 from inellipse.kernel import (
     EllipseParam,
     QuadraticPoly,
@@ -25,7 +25,7 @@ from inellipse.kernel import (
     w_quadratic_at,
 )
 
-from helpers import j_zero_pair, random_generic_pair, random_interior, random_param
+from helpers import j_zero_pair, random_generic_pair, random_interior, random_param, random_vertex_pair
 
 EX1 = (Point(0.25, 0.125), Point(0.5, 1 / 6))
 
@@ -125,14 +125,6 @@ class TestPairInvariants:
             p1, p2 = j_zero_pair(rng)
             inv = pair_invariants(p1, p2)
             assert p1.y / p2.y == pytest.approx(inv.a1 / inv.a2, rel=1e-9)
-
-    def test_interior_and_distinct_enforced(self):
-        with pytest.raises(NotInterior):
-            pair_invariants(Point(0.5, 0.5), Point(0.25, 0.25))
-        from inellipse.errors import CoincidentPoints
-
-        with pytest.raises(CoincidentPoints):
-            pair_invariants(Point(0.25, 0.25), Point(0.25, 0.25))
 
 
 class TestPolyQ:
@@ -238,7 +230,6 @@ class TestPolyRS:
         x1, y1, x2, y2, t = sp.symbols("x1 y1 x2 y2 t", positive=True)
         a1, a2 = sp.sqrt(x1 * (1 - x1 - y1)), sp.sqrt(x2 * (1 - x2 - y2))
         d_origin = x2 * y1 - x1 * y2
-        monkeypatch.setattr(kernel, "require_interior", lambda *points: None)
         monkeypatch.setattr(
             kernel, "pair_invariants",
             lambda p1, p2: SimpleNamespace(a1=a1, a2=a2, d_origin=d_origin),
@@ -250,12 +241,11 @@ class TestPolyRS:
         u = x1 * (1 - 2 * t) + t
         assert sp.expand(kernel.poly_q(p1)(t) - (u * u - 4 * a1 ** 2 * t * (1 - t))) == 0
 
-    def test_through_point_roots_in_closed_form(self, monkeypatch):
+    def test_through_point_roots_in_closed_form(self):
         # With k = u + 2a sqrt(t(1-t)), both t y/k and t y k/q solve the
         # through-point equation in w.
         sp = pytest.importorskip("sympy")
         x, y, t = sp.symbols("x y t", positive=True)
-        monkeypatch.setattr(kernel, "require_interior", lambda *points: None)
         q = kernel.poly_q(Point(x, y))(t)
         k = x * (1 - 2 * t) + t + 2 * sp.sqrt(x * (1 - x - y)) * sp.sqrt(t * (1 - t))
         for w, den in ((t * y / k, k), (t * y * k / q, q)):
@@ -295,8 +285,8 @@ class TestSolveQuadratic:
     def test_double_root(self):
         assert solve_quadratic(QuadraticPoly(1.0, -2.0, 1.0)) == [(1.0, 2)]
 
-    def test_no_real_roots(self):
-        assert solve_quadratic(QuadraticPoly(1.0, 0.0, 1.0)) == []
+    def test_negative_discriminant_clamps_to_vertex_double_root(self):
+        assert solve_quadratic(QuadraticPoly(1.0, -2.0, 2.0)) == [(1.0, 2)]
 
     def test_generic_example_coefficients(self):
         p1, p2 = EX1
@@ -316,3 +306,111 @@ class TestSolveQuadratic:
     def test_zero_polynomial(self):
         with pytest.raises(ZeroPolynomial):
             solve_quadratic(QuadraticPoly(0.0, 0.0, 0.0))
+
+
+# The two solvers the merged solve_quadratic replaced, as they stood: the
+# general stable solver and the banded one the two-point path called with
+# band 1e-8.  The merged solver must give the same floats.
+def _reference_solve_quadratic(q):
+    c2, c1, c0 = q
+    scale = q.scale
+    if scale == 0.0:
+        raise ZeroPolynomial("all coefficients vanish")
+    if abs(c2) <= 2.2e-16 * max(abs(c1), abs(c0)):
+        if c1 == 0.0:
+            return []
+        return [(-c0 / c1, 1)]
+    disc = q.discriminant
+    if disc < 0.0:
+        return []
+    if disc == 0.0:
+        return [(q.vertex, 2)]
+    s = math.sqrt(disc)
+    u = -(c1 + math.copysign(s, c1)) / 2.0 if c1 != 0.0 else s / 2.0
+    r1 = u / c2
+    r2 = c0 / u if u != 0.0 else q.vertex
+    lo, hi = (r1, r2) if r1 <= r2 else (r2, r1)
+    return [(lo, 1), (hi, 1)]
+
+
+def _reference_solve(q, band=1e-8):
+    gate = (band * q.scale) ** 2
+    disc = q.discriminant
+    if disc >= gate:
+        return _reference_solve_quadratic(q)
+    if abs(q.c2) <= 2.2e-16 * max(abs(q.c1), abs(q.c0)):
+        return _reference_solve_quadratic(q)
+    if disc <= 0.0:
+        return [(q.vertex, 2)]
+    half = 0.5 * math.sqrt(disc) / abs(q.c2)
+    v = q.vertex
+    return [(v - half, 1), (v + half, 1)]
+
+
+def _outcome(solve, q):
+    try:
+        return solve(q)
+    except ZeroPolynomial:
+        return ZeroPolynomial
+
+
+def _near_vertex_line_pair(rng, vertex):
+    # Off the line by 1e-9 .. 1e-4: p2.y moves for the origin and right
+    # vertices, p2.x for the top one.
+    p1, p2 = random_vertex_pair(rng, vertex)
+    eps = 10.0 ** rng.uniform(-9.0, -4.0) * rng.choice((-1.0, 1.0))
+    if vertex is Vertex.TOP:
+        return p1, Point(p2.x + eps, p2.y)
+    return p1, Point(p2.x, p2.y + eps)
+
+
+class TestMergedSolverMatchesReference:
+    def test_r_and_s_of_seeded_pairs(self):
+        rng = np.random.default_rng(151)
+        draws = [lambda: random_generic_pair(rng)] * 400 + [lambda: j_zero_pair(rng)] * 400
+        for v in Vertex:
+            draws += [lambda v=v: random_vertex_pair(rng, v)] * 200
+            draws += [lambda v=v: _near_vertex_line_pair(rng, v)] * 200
+        clamped = 0
+        for draw in draws:
+            p1, p2 = draw()
+            for poly in (poly_R(p1, p2), poly_S(p1, p2)):
+                roots = solve_quadratic(poly)
+                assert roots == _reference_solve(poly), (p1, p2, poly)
+                clamped += poly.discriminant < (1e-8 * poly.scale) ** 2
+        assert len(draws) == 2000
+        assert clamped > 0  # the j_zero pairs reach the band
+
+    GATE = (1e-8 * 1.0) ** 2  # scale 1 for every gate case below
+
+    HAND = {
+        "disc_exactly_zero": (QuadraticPoly(1.0, -2.0, 1.0), [(1.0, 2)]),
+        "negative_inside_band": (QuadraticPoly(1.0, -1e-9, 3e-19), [(5e-10, 2)]),
+        "negative_beyond_band": (QuadraticPoly(1.0, -2.0, 2.0), [(1.0, 2)]),
+        # c2 = -1, c1 = 0: disc = 4 c0 exactly, so c0 = gate/4 puts it on the gate.
+        "positive_under_gate": (QuadraticPoly(-1.0, 0.0, math.nextafter(GATE / 4, 0.0)), None),
+        "positive_at_gate": (QuadraticPoly(-1.0, 0.0, GATE / 4), None),
+        "negligible_c2": (QuadraticPoly(1e-20, 2.0, -1.0), [(0.5, 1)]),
+        "negligible_c2_inside_band": (QuadraticPoly(1e-20, 2.0**-30, 1.0), [(-(2.0**30), 1)]),
+        # (1e-8 * 2e-200)^2 underflows to 0, and so does c1^2 - 4 c2 c0.
+        "gate_underflow_zero_disc": (QuadraticPoly(1e-200, -2e-200, 1e-200), [(1.0, 2)]),
+        "all_zero": (QuadraticPoly(0.0, 0.0, 0.0), ZeroPolynomial),
+    }
+
+    @pytest.mark.parametrize("name", sorted(HAND))
+    def test_hand_cases(self, name):
+        q, expected = self.HAND[name]
+        got, ref = (_outcome(solve, q) for solve in (solve_quadratic, _reference_solve))
+        assert got == ref
+        if expected is not None:
+            assert got == expected
+
+    def test_gate_cases_sit_where_named(self):
+        under, at = self.HAND["positive_under_gate"][0], self.HAND["positive_at_gate"][0]
+        assert 0.0 < under.discriminant < self.GATE == at.discriminant
+        # Under the gate the roots come from the vertex, at it from the stable branch.
+        half = 0.5 * math.sqrt(under.discriminant)
+        assert solve_quadratic(under) == [(-half, 1), (half, 1)]
+        assert [m for _, m in solve_quadratic(at)] == [1, 1]
+        q = self.HAND["gate_underflow_zero_disc"][0]
+        assert (1e-8 * q.scale) ** 2 == 0.0 and q.discriminant == 0.0

@@ -13,14 +13,9 @@ from inellipse.errors import NotAnEllipse
 from inellipse.geom import Point, Slope
 from inellipse import oracle
 from inellipse.kernel import EllipseParam, inscribed_conic
-from inellipse.oracle import (
-    _point_slope_residuals,
-    _two_point_residuals,
-    brute_force_point_slope,
-    brute_force_two_points,
-    verify_inscribed,
-)
-from inellipse.point_slope import solve_point_slope_unit, vertex_slopes
+from inellipse.oracle import brute_force_point_slope, brute_force_two_points, verify_inscribed
+from inellipse.point_slope import residual_system13, solve_point_slope_unit, vertex_slopes
+from inellipse.two_points import residual_system3
 
 from helpers import random_generic_pair, random_interior, random_param
 
@@ -108,8 +103,7 @@ class TestBruteForceTwoPoints:
     def test_honesty_bound(self):
         basins = brute_force_two_points(*EX1)
         for w, t in basins:
-            r1, r2 = _two_point_residuals(*EX1, w, t)
-            assert max(float(r1), float(r2)) < 1e-12
+            assert max(residual_system3(*EX1, EllipseParam(w, t))) < 1e-12
 
     def test_grid_floor(self):
         with pytest.raises(ValueError):
@@ -135,8 +129,7 @@ class TestBruteForcePointSlope:
     def test_honesty_bound(self):
         p, s = Point(0.4, 0.3), Slope.finite(-3.0)
         for w, t in brute_force_point_slope(p, s):
-            r1, r2 = _point_slope_residuals(p, s, w, t)
-            assert max(float(r1), float(r2)) < 1e-12
+            assert max(residual_system13(p, s, EllipseParam(w, t))) < 1e-12
 
     def test_slopes_near_each_vertex_slope_have_one_basin(self):
         # 1e-3 (relative) off a vertex slope the solution can sit within 1e-8

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from inellipse import two_points
-from inellipse.conic import evaluate, membership_residual
+from inellipse.conic import membership_residual
 from inellipse.errors import AmbiguousClassification, CoincidentPoints, NotInterior, SolutionCountMismatch
 from inellipse.geom import Point, Vertex
 from inellipse.kernel import EllipseParam, pair_invariants, poly_q, poly_R, w_quadratic_at
@@ -444,14 +444,32 @@ class TestCoordinateCollisions:
         assert len(sols) == 2
 
 
-class TestErrors:
-    def test_not_interior(self):
-        with pytest.raises(NotInterior):
-            solve_two_points_unit(Point(0.6, 0.6), Point(0.25, 0.25))
+# classify_pair holds the two-point path's only interior and distinct checks;
+# solve_two_points_unit must reach them before the kernel sees the points.
+CHECKED_ENTRIES = pytest.mark.parametrize(
+    "entry", [classify_pair, solve_two_points_unit], ids=lambda f: f.__name__
+)
 
-    def test_coincident(self):
+
+class TestErrors:
+    @CHECKED_ENTRIES
+    def test_not_interior(self, entry):
+        with pytest.raises(NotInterior):
+            entry(Point(0.6, 0.6), Point(0.25, 0.25))
+        with pytest.raises(NotInterior):
+            entry(Point(0.25, 0.25), Point(0.5, 0.5))  # on the hypotenuse
+
+    @CHECKED_ENTRIES
+    def test_coincident(self, entry):
         with pytest.raises(CoincidentPoints):
-            solve_two_points_unit(Point(0.25, 0.25), Point(0.25, 0.25))
+            entry(Point(0.25, 0.25), Point(0.25, 0.25))
+
+    @CHECKED_ENTRIES
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite(self, entry, bad):
+        for p1, p2 in (((bad, 0.25), (0.25, 0.125)), ((0.25, 0.125), (0.25, bad))):
+            with pytest.raises(ValueError, match="must be finite"):
+                entry(p1, p2)
 
     def test_unresolvable_near_degenerate_pair_is_reported(self):
         # A pair 1e-6 off a vertex line classifies as generic, but two of its
