@@ -1,9 +1,10 @@
 """Affine maps between an arbitrary triangle and the unit triangle.
 
-Every solver works on the unit triangle; this module supplies the conjugation:
-``map_to_unit`` sends the user's triangle onto it, points and slopes travel
-through ``apply_point`` / ``apply_slope``, and conic transport lives in
-:mod:`inellipse.conic`.
+Every solver works on the unit triangle.  This module holds the validated
+:class:`Triangle` and the forward conjugation: ``map_to_unit`` sends the
+triangle onto the unit triangle, and points and slopes travel through
+``apply_point`` / ``apply_slope``.  No map is inverted: results return as
+vertex combinations (:mod:`inellipse.world`) and conics as pull-backs.
 """
 
 from __future__ import annotations
@@ -68,18 +69,6 @@ class AffineMap(NamedTuple):
     tx: float = 0.0
     ty: float = 0.0
 
-    def det(self) -> float:
-        return self.m11 * self.m22 - self.m12 * self.m21
-
-    def _require_invertible(self) -> tuple[float, float]:
-        """(det, largest entry magnitude) of the linear part; SingularMap when det is in the band."""
-        m11, m12, m21, m22, _, _ = self
-        d = m11 * m22 - m12 * m21
-        scale = max(abs(m11), abs(m12), abs(m21), abs(m22), 1e-300)
-        if abs(d) <= _SINGULAR_BAND * scale * scale:
-            raise SingularMap(f"linear part of {self} is singular")
-        return d, scale
-
 
 def apply_point(m: AffineMap, p: Point) -> Point:
     m11, m12, m21, m22, tx, ty = m
@@ -87,22 +76,18 @@ def apply_point(m: AffineMap, p: Point) -> Point:
     return tuple.__new__(Point, (m11 * x + m12 * y + tx, m21 * x + m22 * y + ty))
 
 
-def invert(m: AffineMap) -> AffineMap:
-    d, _ = m._require_invertible()
-    i11, i12 = m.m22 / d, -m.m12 / d
-    i21, i22 = -m.m21 / d, m.m11 / d
-    return AffineMap(i11, i12, i21, i22, -(i11 * m.tx + i12 * m.ty), -(i21 * m.tx + i22 * m.ty))
-
-
 def apply_slope(m: AffineMap, s: Slope) -> Slope:
     """Transport a tangent direction through the linear part.
 
     The slope's :attr:`~inellipse.geom.Slope.direction` (a, b) maps to
     (dx, dy), which yields dy/dx, or vertical when dx vanishes.  A singular
-    linear part, possible in a map built by hand, raises :class:`SingularMap`.
+    linear part (its determinant within ``_SINGULAR_BAND`` of its largest entry
+    squared), possible in a map built by hand, raises :class:`SingularMap`.
     """
-    _, scale = m._require_invertible()
     m11, m12, m21, m22, _, _ = m
+    scale = max(abs(m11), abs(m12), abs(m21), abs(m22), 1e-300)
+    if abs(m11 * m22 - m12 * m21) <= _SINGULAR_BAND * scale * scale:
+        raise SingularMap(f"linear part of {m} is singular")
     a, b = s.direction
     dx = m11 * a + m12 * b
     dy = m21 * a + m22 * b

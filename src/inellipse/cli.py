@@ -21,7 +21,10 @@ JSON with sorted keys and no whitespace; floats print as Python's shortest
 round-trip ``repr``, so each parses back to the same double, and a non-finite
 value is an error.  Exit codes: 0 solved, 2 a certified no-solution outcome,
 1 input error, command-line usage errors included (one ``error:`` line on
-stderr, nothing on stdout).
+stderr, nothing on stdout).  ``--check`` embeds the oracle's verdict; the
+oracle is blind within 1e-9 of the parameter square's edge
+(:mod:`inellipse.oracle`), so near an excluded slope ``"count_match": false``
+can sit beside a correct ``unique`` answer.
 """
 
 from __future__ import annotations
@@ -97,7 +100,7 @@ def _parse_slope(raw) -> Slope:
     if raw == "vertical":
         return Slope.vertical()
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return Slope.finite(float(raw))
+        return Slope.finite(raw)
     raise InputError("'slope' must be a number or the string \"vertical\"")
 
 

@@ -4,7 +4,9 @@ The cross coefficient is stored halved (the ``c`` field holds C, so the
 printed xy coefficient is ``2c``); that convention keeps the classification
 determinants AB - C^2 and AE^2 + BD^2 + 4FC^2 - 2CDE - 4ABF in their
 textbook shape.  Coefficients are scale-equivalent: k*(a..f) with k != 0 is
-the same curve, and all comparisons here are up to scale.
+the same curve.  Besides the record, the module holds the exact real-ellipse
+test, transport through an affine map, the oracle's normalization and the
+CLI's printed coefficients.
 """
 
 from __future__ import annotations
@@ -13,14 +15,7 @@ import math
 from typing import NamedTuple
 
 from .affine import AffineMap
-from .errors import DegenerateConic, SingularPoint
-from .geom import Point, Slope
-
-# Vertical-tangent gate: the slope denominator must vanish at this relative
-# level while the numerator stays above the second level.
-_VERTICAL_DEN = 1e-12
-_VERTICAL_NUM = 1e-6
-_CENTER_BAND = 1e-12
+from .errors import DegenerateConic
 
 
 class ConicCoeffs(NamedTuple):
@@ -30,21 +25,6 @@ class ConicCoeffs(NamedTuple):
     d: float
     e: float
     f: float
-
-
-def evaluate(conic: ConicCoeffs, p: Point) -> float:
-    a, b, c, d, e, f = conic
-    x, y = p
-    return a * x * x + b * y * y + 2.0 * c * x * y + d * x + e * y + f
-
-
-def membership_residual(conic: ConicCoeffs, p: Point) -> float:
-    """|Q(p)| normalized by the largest term magnitude (scale-free)."""
-    a, b, c, d, e, f = conic
-    x, y = p
-    terms = (a * x * x, b * y * y, 2.0 * c * x * y, d * x, e * y, f)
-    denom = max(abs(t) for t in terms)
-    return abs(sum(terms)) / max(denom, 1e-300)
 
 
 def _positive(terms_of, conic: ConicCoeffs) -> bool:
@@ -87,49 +67,6 @@ def is_real_ellipse(conic: ConicCoeffs) -> bool:
     )
 
 
-def _gradient(conic: ConicCoeffs, p: Point) -> tuple[float, float, float]:
-    a, b, c, d, e, _ = conic
-    x, y = p
-    gx = 2.0 * a * x + 2.0 * c * y + d
-    gy = 2.0 * b * y + 2.0 * c * x + e
-    scale = (
-        abs(2.0 * a * x) + abs(2.0 * c * y) + abs(d)
-        + abs(2.0 * b * y) + abs(2.0 * c * x) + abs(e)
-    )
-    return gx, gy, max(scale, 1e-300)
-
-
-def slope_at(conic: ConicCoeffs, p: Point) -> Slope:
-    """Implicit-derivative slope dy/dx = -Qx/Qy at a point on the curve.
-
-    Returns vertical when Qy vanishes while Qx does not; raises
-    :class:`SingularPoint` when both gradient components vanish.
-    """
-    gx, gy, scale = _gradient(conic, p)
-    if abs(gy) < _VERTICAL_DEN * scale:
-        if abs(gx) >= _VERTICAL_NUM * scale:
-            return Slope.vertical()
-        raise SingularPoint(f"gradient vanishes at {tuple(p)}")
-    return Slope.finite(-gx / gy)
-
-
-def conic_center(conic: ConicCoeffs) -> Point:
-    """The unique stationary point of the quadratic form.
-
-    Raises :class:`DegenerateConic` when AB - C^2 is negligible against the
-    quadratic part, i.e. the conic has no unique center.
-    """
-    a, b, c, d, e, _ = conic
-    det = a * b - c * c
-    scale = max(abs(a), abs(b), abs(c), 1e-300)
-    if abs(det) <= _CENTER_BAND * scale * scale:
-        raise DegenerateConic("quadratic part has no unique center")
-    # Solve [2a 2c; 2c 2b] (x, y) = (-d, -e).
-    x = (c * e - b * d) / (2.0 * det)
-    y = (c * d - a * e) / (2.0 * det)
-    return Point(x, y)
-
-
 def pull_back(conic: ConicCoeffs, h: AffineMap) -> ConicCoeffs:
     """The conic through p iff h(p) lies on the input: Q(h(p)) as a conic in p.
 
@@ -162,12 +99,6 @@ def normalize_conic(conic: ConicCoeffs) -> ConicCoeffs:
     if pivot == 0.0:
         raise DegenerateConic("all coefficients vanish")
     return ConicCoeffs(*(v / pivot for v in conic))
-
-
-def conic_close(c1: ConicCoeffs, c2: ConicCoeffs, rtol: float = 1e-9) -> bool:
-    """Up-to-scale equality after normalizing by the largest coefficient."""
-    n1, n2 = normalize_conic(c1), normalize_conic(c2)
-    return all(math.isclose(u, v, rel_tol=rtol, abs_tol=rtol) for u, v in zip(n1, n2))
 
 
 def full_coefficients(conic: ConicCoeffs) -> tuple[float, float, float, float, float, float]:

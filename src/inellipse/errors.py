@@ -22,11 +22,7 @@ class CoincidentPoints(GeometryError):
 
 
 class DegenerateConic(GeometryError):
-    """The conic has no unique center (vanishing quadratic-part determinant)."""
-
-
-class SingularPoint(GeometryError):
-    """Both gradient components vanish at the point; no tangent direction."""
+    """The conic is degenerate: all of its coefficients vanish."""
 
 
 class SingularMap(GeometryError):

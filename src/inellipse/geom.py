@@ -35,7 +35,10 @@ class Slope(NamedTuple):
 
     @staticmethod
     def finite(r: float) -> "Slope":
-        r = float(r)
+        try:
+            r = float(r)
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError("finite slope required, got an integer too large for a float") from None
         if not math.isfinite(r):
             raise ValueError("finite slope required; use Slope.vertical()")
         return tuple.__new__(Slope, (r,))
@@ -56,7 +59,10 @@ class Slope(NamedTuple):
 
 def as_point(obj) -> Point:
     """Coerce a 2-sequence into a finite-coordinate Point (without a ``Point.__new__`` frame)."""
-    x, y = float(obj[0]), float(obj[1])
+    try:
+        x, y = float(obj[0]), float(obj[1])
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError("point coordinates must be finite, got an integer too large for a float") from None
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"point coordinates must be finite, got {(x, y)}")
     return tuple.__new__(Point, (x, y))

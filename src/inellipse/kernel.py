@@ -139,17 +139,6 @@ def poly_q(p: Point) -> QuadraticPoly:
     return tuple.__new__(QuadraticPoly, (1.0 - 4.0 * x * y, -2.0 * x * (1.0 - 2.0 * y), x * x))
 
 
-def w_quadratic_at(p: Point, t: float) -> QuadraticPoly:
-    """The quadratic in w obtained by fixing the point p and the contact t.
-
-    An inscribed ellipse with parameters (w, t) passes through p iff w is a
-    root of this quadratic.
-    """
-    q = poly_q(p)
-    x, y = p
-    return QuadraticPoly(q(t), 2.0 * t * y * ((2.0 * x - 1.0) * t - x), t * t * y * y)
-
-
 def pair_invariants(p1: Point, p2: Point) -> PairInvariants:
     x1, y1 = p1
     x2, y2 = p2

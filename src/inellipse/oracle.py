@@ -16,6 +16,10 @@ solvers share; ``tests/test_equations.py`` derives each of them symbolically
 from the inscribed conic, so a transcription error there cannot hide behind
 the sharing.  The oracle stays independent in method (grid plus Newton, no
 closed form) and never imports a closed-form solver module.
+Blind spot: no basin within ``_INTERIOR_MARGIN`` (1e-9) of the square's edge
+is kept, and near a slope aimed at a vertex the point-slope solution's
+distance to the edge falls like the slope's offset squared, so there the
+oracle can miss a solution that the closed form finds correctly.
 """
 
 from __future__ import annotations

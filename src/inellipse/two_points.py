@@ -104,11 +104,6 @@ def classify_pair(p1: Point, p2: Point) -> PairCase:
     return _J_ZERO if abs(j) < _J_ZERO_BAND * j_scale else _GENERIC
 
 
-def residual_system3(p1: Point, p2: Point, param: EllipseParam) -> tuple[float, float]:
-    """Backward errors of the two through-point conditions; the points are not checked."""
-    return tuple(backward_error(through_point(*p, *param)) for p in (p1, p2))
-
-
 def _newton_polish(p1: Point, p2: Point, w: float, t: float):
     """A few Newton steps on the through-point system; returns (w, t, residuals).
 

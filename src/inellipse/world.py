@@ -46,7 +46,7 @@ class SolveReport(NamedTuple):
 
 def _to_world(tri, fwd, unit_solutions) -> tuple[WorldSolution, ...]:
     # Per (param, unit conic, unit contacts, residuals): each unit point (x, y) lands on
-    # a + x (b - a) + y (c - a), left to right as tests/test_world.py::unit_to_world.  The
+    # a + x (b - a) + y (c - a), left to right as tests/helpers.py::unit_to_world.  The
     # points written out and the records built by tuple.__new__, without NamedTuple __new__
     # frames, save 0.5-0.8 and 0.6 us per solution (CPython 3.11).
     (ax, ay), (bx, by), (cx, cy) = tri

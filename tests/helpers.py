@@ -1,13 +1,19 @@
-"""Shared random generators for the property tests.
+"""Shared random generators and test-side references for the property tests.
 
-All sampling is seeded by the caller, so every test run is reproducible.
+All sampling is seeded by the caller, so every test run is reproducible.  The
+references (a conic's terms, gradient and centre, equality up to scale, the
+w-quadratic, the unit-to-world map and a numpy map inverse) are written here
+in their smallest form, apart from the package; the two-point residuals reuse
+:mod:`inellipse.equations`, which ``tests/test_equations.py`` derives
+symbolically.
 """
 
 import math
 
 import numpy as np
 
-from inellipse.affine import Triangle
+from inellipse.affine import AffineMap, Triangle
+from inellipse.equations import backward_error, through_point
 from inellipse.geom import Point, Vertex
 from inellipse.two_points import PairKind, classify_pair
 
@@ -136,3 +142,66 @@ def two_point_reference(p1: Point, p2: Point, w: float, t: float) -> tuple[float
             lambda w, t: [conic(x1, y1, w, t), conic(x2, y2, w, t)], (mp.mpf(w), mp.mpf(t))
         )
         return float(root[0]), float(root[1])
+
+
+def conic_terms(conic, p) -> tuple[float, ...]:
+    """The six terms of Q(p) = A x^2 + B y^2 + 2C xy + D x + E y + F, whose c field holds C."""
+    a, b, c, d, e, f = conic
+    x, y = p
+    return (a * x * x, b * y * y, 2.0 * c * x * y, d * x, e * y, f)
+
+
+def term_residual(conic, p) -> float:
+    """|Q(p)| over the largest of its six terms: 0 on the curve, free of scale."""
+    terms = conic_terms(conic, p)
+    return abs(sum(terms)) / max(abs(v) for v in terms)
+
+
+def conic_gradient(conic, p) -> tuple[float, float]:
+    """(Q_x, Q_y) at p; the tangent to the curve through p runs along (Q_y, -Q_x)."""
+    a, b, c, d, e, _ = conic
+    x, y = p
+    return 2.0 * a * x + 2.0 * c * y + d, 2.0 * b * y + 2.0 * c * x + e
+
+
+def conic_centre(conic) -> tuple[float, float]:
+    """The stationary point of Q: the solution of [2a 2c; 2c 2b] (x, y) = (-d, -e)."""
+    a, b, c, d, e, _ = conic
+    det2 = 2.0 * (a * b - c * c)
+    return (c * e - b * d) / det2, (c * d - a * e) / det2
+
+
+def same_conic(c1, c2, rtol: float = 1e-9) -> bool:
+    """Equality up to scale, after dividing each by its largest-magnitude coefficient."""
+    n1, n2 = ([v / max(c, key=abs) for v in c] for c in (c1, c2))
+    return all(math.isclose(u, v, rel_tol=rtol, abs_tol=rtol) for u, v in zip(n1, n2))
+
+
+def w_quadratic(p: Point, t: float) -> tuple[float, float, float]:
+    """(c2, c1, c0) with Q(p) = c2 w^2 + c1 w + c0 for the inscribed ellipse (w, t), p and t fixed.
+
+    Collected from the inscribed conic
+    w^2 x^2 + t^2 y^2 - 2wt(2wt - 2w - 2t + 1) xy - 2w^2 t x - 2t^2 w y + t^2 w^2.
+    """
+    x, y = p
+    return (x - t) ** 2 + 4.0 * x * y * t * (1.0 - t), 2.0 * t * y * ((2.0 * x - 1.0) * t - x), t * t * y * y
+
+
+def pair_residuals(p1: Point, p2: Point, param) -> tuple[float, float]:
+    """Backward errors of the through-point equation at p1 and at p2."""
+    return tuple(backward_error(through_point(*p, *param)) for p in (p1, p2))
+
+
+def unit_to_world(tri: Triangle, u) -> tuple[float, float]:
+    """a + u.x (b - a) + u.y (c - a), written out apart from the package's maps."""
+    a, b, c = tri.vertices
+    return (
+        a.x + u[0] * (b.x - a.x) + u[1] * (c.x - a.x),
+        a.y + u[0] * (b.y - a.y) + u[1] * (c.y - a.y),
+    )
+
+
+def inverse_map(m: AffineMap) -> AffineMap:
+    """The inverse affine map, from numpy's inverse of the homogeneous 3x3 matrix."""
+    (i11, i12, tx), (i21, i22, ty), _ = np.linalg.inv([[m.m11, m.m12, m.tx], [m.m21, m.m22, m.ty], [0.0, 0.0, 1.0]])
+    return AffineMap(float(i11), float(i12), float(i21), float(i22), float(tx), float(ty))

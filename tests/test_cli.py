@@ -321,6 +321,29 @@ class TestMalformedInput:
         assert proc.stdout.startswith("usage:")
         assert proc.stderr == ""
 
+    # A JSON integer beyond the float range, where a slope, a point and a vertex are read.
+    HUGE = 10**400
+    OVERFLOW_CASES = {
+        "slope_integer_beyond_float": (
+            "point-slope", {"triangle": UNIT, "query": {"point_slope": {"p": [0.3, 0.3], "slope": HUGE}}}
+        ),
+        "point_integer_beyond_float": (
+            "two-points", {"triangle": UNIT, "query": {"two_points": {"p1": [HUGE, 0.125], "p2": [0.5, 0.1667]}}}
+        ),
+        "vertex_integer_beyond_float": (
+            "two-points",
+            {"triangle": [[HUGE, 0], [1, 0], [0, 1]], "query": {"two_points": {"p1": [0.25, 0.125], "p2": [0.5, 0.1667]}}},
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(OVERFLOW_CASES))
+    def test_integer_beyond_the_float_range(self, case):
+        command, doc = self.OVERFLOW_CASES[case]
+        proc = run_cli_process([command, "-"], json.dumps(doc))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+
     def test_slope_overflowing_to_infinity(self):
         doc = '{"triangle": [[0, 0], [1, 0], [0, 1]], "query": {"point_slope": {"p": [0.3, 0.3], "slope": 1e400}}}'
         proc = run_cli_process(["point-slope", "-"], doc)

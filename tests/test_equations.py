@@ -11,9 +11,8 @@ import pytest
 
 from inellipse import equations
 from inellipse.geom import Point
-from inellipse.kernel import w_quadratic_at
 
-from helpers import random_interior, random_param
+from helpers import random_interior, random_param, w_quadratic
 
 sp = pytest.importorskip("sympy")
 
@@ -66,9 +65,9 @@ def test_w_quadratic_coefficients_match_through_point():
     for _ in range(50):
         p = random_interior(rng)
         wv, tv = random_param(rng)
-        poly = w_quadratic_at(p, tv)
+        c2, c1, c0 = w_quadratic(p, tv)
         value = equations.through_point(p.x, p.y, wv, tv)[0]
-        assert poly.c2 * wv * wv + poly.c1 * wv + poly.c0 == pytest.approx(value, rel=1e-12, abs=1e-15)
+        assert c2 * wv * wv + c1 * wv + c0 == pytest.approx(value, rel=1e-12, abs=1e-15)
 
 
 @pytest.mark.parametrize("case", ["slope", "through_point", "vertical"])

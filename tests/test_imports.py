@@ -1,14 +1,18 @@
 """The closed-form path imports no numpy; the oracle and figures still load it.
 
 Nor does importing the package load ``dataclasses``, ``inspect`` or
-``fractions``, which no solve needs.
+``fractions``, which no solve needs.  And every module-level name in the
+package is reached by the package itself or exported: code only tests call
+belongs in the tests.
 
-Each check runs in a fresh interpreter, because this test process has long
-since imported numpy.
+Each import check runs in a fresh interpreter, because this test process has
+long since imported numpy.
 """
 
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -122,3 +126,39 @@ def test_closed_form_names_import_without_numpy():
     names = ", ".join(n for n in QUERY_API if n not in ORACLE_NAMES)
     out = run_python(f"import sys\nfrom inellipse import {names}\nprint('numpy' in sys.modules)")
     assert out.split() == ["False"]
+
+
+def module_level_names(tree: ast.Module):
+    """The functions, classes and constants a module defines at its top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id
+
+
+def test_every_module_level_name_is_reached_by_the_package():
+    # A name counts as reached when src/ reads it (a Name or an attribute), or
+    # imports it; docstrings do not count.  Dunders are read by Python itself.
+    import inellipse
+
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(pathlib.Path(SRC, "inellipse").glob("*.py"))}
+    reached = set(inellipse.__all__) | {"main"}  # cli.main is the console script
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reached.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reached.add(node.attr)
+            elif isinstance(node, ast.alias):
+                reached.add(node.name)
+    unreached = [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in module_level_names(tree)
+        if name not in reached and not (name.startswith("__") and name.endswith("__"))
+    ]
+    assert unreached == [], unreached

@@ -15,9 +15,8 @@ from inellipse import oracle
 from inellipse.kernel import EllipseParam, inscribed_conic
 from inellipse.oracle import brute_force_point_slope, brute_force_two_points, verify_inscribed
 from inellipse.point_slope import residual_system13, solve_point_slope_unit, vertex_slopes
-from inellipse.two_points import residual_system3
 
-from helpers import random_generic_pair, random_interior, random_param
+from helpers import pair_residuals, random_generic_pair, random_interior, random_param
 
 EX1 = (Point(0.25, 0.125), Point(0.5, 1 / 6))
 
@@ -103,7 +102,7 @@ class TestBruteForceTwoPoints:
     def test_honesty_bound(self):
         basins = brute_force_two_points(*EX1)
         for w, t in basins:
-            assert max(residual_system3(*EX1, EllipseParam(w, t))) < 1e-12
+            assert max(pair_residuals(*EX1, EllipseParam(w, t))) < 1e-12
 
     def test_grid_floor(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,6 @@ import pytest
 from inellipse.errors import NotInterior
 from inellipse.geom import Point, Slope, Vertex
 from inellipse.kernel import EllipseParam, inscribed_conic
-from inellipse.conic import slope_at
 from inellipse.point_slope import (
     NoSolution,
     residual_system13,
@@ -16,7 +15,7 @@ from inellipse.point_slope import (
     vertex_slopes,
 )
 
-from helpers import point_slope_reference, random_interior
+from helpers import conic_gradient, point_slope_reference, random_interior
 
 
 class TestClosedForm:
@@ -151,16 +150,16 @@ class TestSolutionQuality:
             out = solve_point_slope_unit(p, Slope.finite(r))
             if isinstance(out, NoSolution):
                 continue
-            got = slope_at(inscribed_conic(out), p)
-            assert not got.is_vertical
-            assert got.value == pytest.approx(r, rel=1e-8, abs=1e-8)
+            qx, qy = conic_gradient(inscribed_conic(out), p)
+            assert -qx / qy == pytest.approx(r, rel=1e-8, abs=1e-8)
 
     def test_vertical_conic_tangent(self):
         rng = np.random.default_rng(62)
         for _ in range(50):
             p = random_interior(rng)
             out = solve_point_slope_unit(p, Slope.vertical())
-            assert slope_at(inscribed_conic(out), p).is_vertical
+            qx, qy = conic_gradient(inscribed_conic(out), p)
+            assert abs(qy) <= 1e-12 * abs(qx)
 
     def test_finite_formula_approaches_vertical_limit(self):
         rng = np.random.default_rng(64)

@@ -7,24 +7,21 @@ import numpy as np
 import pytest
 
 from inellipse import two_points
-from inellipse.conic import membership_residual
 from inellipse.errors import AmbiguousClassification, CoincidentPoints, NotInterior, SolutionCountMismatch
 from inellipse.geom import Point, Vertex
-from inellipse.kernel import EllipseParam, pair_invariants, poly_q, poly_R, w_quadratic_at
+from inellipse.kernel import EllipseParam, pair_invariants, poly_q, poly_R
 from inellipse.oracle import brute_force_two_points, verify_inscribed
-from inellipse.two_points import (
-    PairKind,
-    classify_pair,
-    residual_system3,
-    solve_two_points_unit,
-)
+from inellipse.two_points import PairKind, classify_pair, solve_two_points_unit
 
 from helpers import (
     j_zero_pair,
+    pair_residuals,
     random_generic_pair,
     random_interior,
     random_vertex_pair,
+    term_residual,
     two_point_reference,
+    w_quadratic,
 )
 
 EX1 = (Point(0.25, 0.125), Point(0.5, 1 / 6))
@@ -130,13 +127,13 @@ class TestGenericExample:
             assert max(s.residuals) < 1e-10
 
     def test_residual_bounded_away_at_non_solution(self):
-        r = residual_system3(*EX1, EllipseParam(0.5, 0.5))
+        r = pair_residuals(*EX1, EllipseParam(0.5, 0.5))
         assert min(r) > 0.05
 
     def test_residual_swap_symmetry(self):
         param = solve_two_points_unit(*EX1)[1][0].param
-        r12 = residual_system3(EX1[0], EX1[1], param)
-        r21 = residual_system3(EX1[1], EX1[0], param)
+        r12 = pair_residuals(EX1[0], EX1[1], param)
+        r21 = pair_residuals(EX1[1], EX1[0], param)
         assert r12 == (r21[1], r21[0])
 
 
@@ -158,10 +155,8 @@ class TestDegenerateBranchExample:
         for _ in range(25):
             p1, p2 = j_zero_pair(rng)
             t0 = poly_R(p1, p2).vertex
-            g1 = w_quadratic_at(p1, t0)
-            g2 = w_quadratic_at(p2, t0)
             k = (p2.y / p1.y) ** 2
-            for u, v in zip((g1.c2, g1.c1, g1.c0), (g2.c2, g2.c1, g2.c0)):
+            for u, v in zip(w_quadratic(p1, t0), w_quadratic(p2, t0)):
                 assert v == pytest.approx(k * u, rel=1e-9)
 
     def test_pairs_just_off_the_branch_solve_through_the_w_quadratic(self):
@@ -178,8 +173,8 @@ class TestDegenerateBranchExample:
             _, sols = solve_two_points_unit(p1, p2)
             assert len(sols) == 4
             for s in sols:
-                assert membership_residual(s.conic, p1) < 1e-9
-                assert membership_residual(s.conic, p2) < 1e-9
+                assert term_residual(s.conic, p1) < 1e-9
+                assert term_residual(s.conic, p2) < 1e-9
 
     def test_pairs_near_the_branch_keep_four_solutions(self):
         rng = np.random.default_rng(5)
@@ -252,8 +247,8 @@ class TestCountsAndQuality:
             p1, p2 = random_generic_pair(rng)
             _, sols = solve_two_points_unit(p1, p2)
             for s in sols:
-                assert membership_residual(s.conic, p1) < 1e-9
-                assert membership_residual(s.conic, p2) < 1e-9
+                assert term_residual(s.conic, p1) < 1e-9
+                assert term_residual(s.conic, p2) < 1e-9
                 assert verify_inscribed(s.conic).passed
 
     def test_params_strictly_inside_square(self):
@@ -281,7 +276,7 @@ class TestCountsAndQuality:
         for pair in (random_generic_pair(rng), (p1, p2), (p2, p1), random_vertex_pair(rng, Vertex.TOP)):
             _, sols = solve_two_points_unit(*pair)
             for s in sols:
-                assert s.residuals == residual_system3(*pair, s.param)
+                assert s.residuals == pair_residuals(*pair, s.param)
 
     def test_sign_rule_picks_the_partner_at_every_root(self):
         # Before any polish, each root of R and S in (0, 1) of a generic pair
@@ -293,7 +288,7 @@ class TestCountsAndQuality:
             raw, expected = two_points._candidate_params(p1, p2, poly_q(p1), case)
             assert len(raw) == expected == 4
             for w, t in raw:
-                assert residual_system3(p1, p2, EllipseParam(w, t))[1] < 1e-9
+                assert pair_residuals(p1, p2, EllipseParam(w, t))[1] < 1e-9
 
     def test_gate_sits_in_a_wide_gap(self):
         # The residual gate is one constant: every polished candidate inside
@@ -321,7 +316,7 @@ class TestCountsAndQuality:
         from inellipse import kernel, world
         from inellipse.affine import UNIT_TRIANGLE
 
-        names = ("poly_q", "w_quadratic_at", "inscribed_conic", "tangency_points")
+        names = ("poly_q", "inscribed_conic", "tangency_points")
         calls = collections.Counter()
         for name in names:
             fn = getattr(kernel, name)
@@ -345,7 +340,6 @@ class TestCountsAndQuality:
             n = len(report.solutions)
             # One quadratic, p1's; the residuals come from the polish.
             assert calls["poly_q"] == 1
-            assert calls["w_quadratic_at"] == 0
             assert calls["inscribed_conic"] == n
             assert calls["tangency_points"] == n
         assert cases == ["generic_4", "generic_j_zero", "generic_j_zero", "vertex_line:right"]
@@ -409,8 +403,8 @@ class TestCoordinateCollisions:
         assert len(sols) == 4
         for s in sols:
             assert max(s.residuals) < 1e-10
-            assert membership_residual(s.conic, p1) < 1e-9
-            assert membership_residual(s.conic, p2) < 1e-9
+            assert term_residual(s.conic, p1) < 1e-9
+            assert term_residual(s.conic, p2) < 1e-9
 
     def test_equal_y(self):
         p1, p2 = Point(0.2, 0.3), Point(0.55, 0.3)

@@ -6,35 +6,28 @@ import numpy as np
 import pytest
 
 from inellipse import kernel, world
-from inellipse.affine import Triangle, UNIT_TRIANGLE, apply_point, apply_slope, invert, map_to_unit
+from inellipse.affine import Triangle, UNIT_TRIANGLE, apply_point, apply_slope, map_to_unit
 from inellipse.conic import is_real_ellipse, pull_back
 from inellipse.geom import Point, Slope, Vertex
 from inellipse.kernel import EllipseParam, inscribed_center, inscribed_conic, tangency_points
 from inellipse.point_slope import residual_system13
-from inellipse.two_points import residual_system3
 
-from helpers import j_zero_pair, point_slope_reference, random_generic_pair, random_interior, random_triangle, random_vertex_pair
+from helpers import (
+    inverse_map,
+    j_zero_pair,
+    pair_residuals,
+    point_slope_reference,
+    random_generic_pair,
+    random_interior,
+    random_triangle,
+    random_vertex_pair,
+    term_residual,
+    unit_to_world,
+)
 
 # Apex height 1e-6 over a unit base: the world conics of this triangle have a
 # quadratic part whose determinant is ~1e-24 of its squared scale.
 THIN = Triangle(Point(0.0, 0.0), Point(1.0, 0.0), Point(0.5, 1e-6))
-
-
-def term_residual(conic, p) -> float:
-    """|Q(p)| over the largest of its six terms."""
-    a, b, c, d, e, f = conic
-    x, y = p
-    terms = (a * x * x, b * y * y, 2.0 * c * x * y, d * x, e * y, f)
-    return abs(sum(terms)) / max(abs(v) for v in terms)
-
-
-def unit_to_world(tri: Triangle, u) -> tuple[float, float]:
-    """a + u.x (b - a) + u.y (c - a), written out apart from the package's maps."""
-    a, b, c = tri.vertices
-    return (
-        a.x + u[0] * (b.x - a.x) + u[1] * (c.x - a.x),
-        a.y + u[0] * (b.y - a.y) + u[1] * (c.y - a.y),
-    )
 
 
 def test_thin_triangle_two_points_solve_and_carry_exact_centers():
@@ -65,7 +58,7 @@ def test_inscribed_conic_near_the_corner_is_solved(tri):
     # (w, t) ~ 1e-13: an ellipse tucked into the corner, which exists and has
     # a unique center (test_every_inscribed_conic_has_a_unique_center).
     pytest.importorskip("mpmath")
-    back = invert(map_to_unit(tri))
+    back = inverse_map(map_to_unit(tri))
     u = Point(0.3, 0.2)
     r = (2.0 / 3.0) * (1.0 + 1e-6)
     report = world.solve_point_slope(tri, apply_point(back, u), apply_slope(back, Slope.finite(r)))
@@ -114,16 +107,15 @@ def transport_queries(family, rng, make_triangle):
         for u1, u2 in pairs:
             tri = make_triangle()
             fwd = map_to_unit(tri)
-            back = invert(fwd)
-            p1, p2 = apply_point(back, u1), apply_point(back, u2)
+            p1, p2 = Point(*unit_to_world(tri, u1)), Point(*unit_to_world(tri, u2))
             v1, v2 = apply_point(fwd, p1), apply_point(fwd, p2)
             report = world.solve_two_points(tri, p1, p2)
-            yield tri, report, lambda param, v1=v1, v2=v2: residual_system3(v1, v2, param)
+            yield tri, report, lambda param, v1=v1, v2=v2: pair_residuals(v1, v2, param)
     elif family == "point_slope":
         for i in range(8):
             tri = make_triangle()
             fwd = map_to_unit(tri)
-            back = invert(fwd)
+            back = inverse_map(fwd)
             u = random_interior(rng)
             s = Slope.vertical() if i % 4 == 0 else Slope.finite(np.tan(np.pi * (rng.random() - 0.5)))
             p, slope = apply_point(back, u), apply_slope(back, s)
