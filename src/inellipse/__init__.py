@@ -31,7 +31,7 @@ from .affine import Triangle, UNIT_TRIANGLE
 from .boundary import Side, SidePoint, param_from_tangencies, side_point
 from .conic import ConicCoeffs
 from .geom import Point, Slope, Vertex
-from .kernel import EllipseParam, TangencyTriple, inscribed_conic, tangency_points
+from .kernel import EllipseParam, TangencyTriple, inscribed_center, inscribed_conic, tangency_points
 from .point_slope import NoSolution, solve_point_slope_unit, vertex_slopes
 from .two_points import PairCase, PairKind, TwoPointSolution, classify_pair, solve_two_points_unit
 from .world import SolveReport, WorldSolution, solve_point_slope, solve_tangency, solve_two_points
@@ -83,6 +83,7 @@ __all__ = [
     "TangencyTriple",
     "inscribed_conic",
     "tangency_points",
+    "inscribed_center",
     # The oracle, loaded on first use.
     *sorted(_ORACLE_NAMES),
 ]

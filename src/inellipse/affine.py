@@ -9,6 +9,7 @@ vertex combinations (:mod:`inellipse.world`) and conics as pull-backs.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .errors import DegenerateTriangle, SingularMap
@@ -27,7 +28,8 @@ class _Vertices(NamedTuple):
 class Triangle(_Vertices):
     """Three non-collinear vertices, in user order, validated on every path that
     builds one: the constructor, ``_make`` (so ``_replace``), pickle and copy.  Each
-    vertex passes ``as_point`` (``ValueError`` unless finite), and twice the area within
+    vertex passes ``as_point`` (``ValueError`` unless finite), a squared edge length
+    beyond the float range raises ``ValueError``, and twice the area within
     ``_COLLINEAR_BAND`` of the longest squared edge raises :class:`DegenerateTriangle`."""
 
     __slots__ = ()
@@ -35,9 +37,12 @@ class Triangle(_Vertices):
     def __new__(cls, a, b, c):
         a, b, c = as_point(a), as_point(b), as_point(c)
         (ax, ay), (bx, by), (cx, cy) = a, b, c
-        ux, uy, vx, vy = bx - ax, by - ay, cx - ax, cy - ay
+        ux, uy, vx, vy, wx, wy = bx - ax, by - ay, cx - ax, cy - ay, cx - bx, cy - by
         # signed_area2 over the longest squared edge: the relative height, free of scale.
-        longest2 = max(ux ** 2 + uy ** 2, vx ** 2 + vy ** 2, (cx - bx) ** 2 + (cy - by) ** 2)
+        # Products, not ** 2, which raises OverflowError where a product turns infinite.
+        longest2 = max(ux * ux + uy * uy, vx * vx + vy * vy, wx * wx + wy * wy)
+        if not math.isfinite(longest2):
+            raise ValueError(f"vertices {a}, {b}, {c} lie too far apart: the squared edge lengths overflow a float")
         if abs(ux * vy - vx * uy) <= _COLLINEAR_BAND * longest2:
             raise DegenerateTriangle(f"collinear vertices {a}, {b}, {c}")
         return tuple.__new__(cls, (a, b, c))
@@ -93,7 +98,9 @@ def apply_slope(m: AffineMap, s: Slope) -> Slope:
     dy = m21 * a + m22 * b
     if abs(dx) <= 1e-14 * (scale * max(abs(a), abs(b))):
         return Slope.vertical()
-    return Slope.finite(dy / dx)
+    r = dy / dx
+    # An overflowed ratio goes through Slope.finite, which raises its ValueError.
+    return tuple.__new__(Slope, (r,)) if math.isfinite(r) else Slope.finite(r)
 
 
 def map_to_unit(tri: Triangle) -> AffineMap:

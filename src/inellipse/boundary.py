@@ -62,7 +62,7 @@ def side_point(p: Point) -> SidePoint:
         raise NotOnSide(f"{tuple(p)} does not lie on exactly one open side")
     if not (0.0 < along < 1.0):
         raise NotOnSide(f"{tuple(p)} lies outside its side segment")
-    return SidePoint(side, p)
+    return tuple.__new__(SidePoint, (side, p))
 
 
 def param_from_tangencies(s1: SidePoint, s2: SidePoint) -> EllipseParam:
@@ -87,4 +87,4 @@ def param_from_tangencies(s1: SidePoint, s2: SidePoint) -> EllipseParam:
 def _checked(w: float, t: float) -> EllipseParam:
     if not (0.0 < w < 1.0 and 0.0 < t < 1.0):
         raise OutOfDomain(f"inconsistent tangency points: (w, t) = {(w, t)}")
-    return EllipseParam(w, t)
+    return tuple.__new__(EllipseParam, (w, t))

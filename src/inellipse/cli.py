@@ -12,8 +12,8 @@ document (positional file path, or ``-`` for stdin)::
 Exactly one of ``two_points`` / ``point_slope`` / ``boundary_tangency`` must
 be present and must match the subcommand.  ``point_slope.slope`` is a number
 or the string ``"vertical"``.  The options are only ``grid_n`` (or
-``--grid``), the oracle's grid size for ``--check``, an integer of at least
-64, and ``svg`` (or ``--svg``), a path string; any other key is an input
+``--grid``), the oracle's grid size for ``--check``, an integer from 64 to
+2048, and ``svg`` (or ``--svg``), a path string; any other key is an input
 error.  Reported coefficients are in world coordinates, ordered
 [A, B, 2C, D, E, F] with the full (printed) xy coefficient, normalized so the
 largest-magnitude entry is +-1 unless ``--raw``.  The report is one line of

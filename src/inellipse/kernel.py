@@ -11,6 +11,12 @@ fixed interior point into this family and collecting powers of w yields a
 quadratic in w whose coefficients are polynomials in t; the two-point solver
 works entirely with those polynomials, built here.
 
+A solution's unit geometry (the conic's coefficients, its contacts and its
+center) is written once, in :func:`unit_geometry`, which also checks the
+(w, t) domain.  :func:`unit_records` wraps its tuples in records, and
+:func:`inscribed_conic`, :func:`tangency_points` and
+:func:`inscribed_center` each return one of them.
+
 Polynomial conventions: dense coefficient records, highest degree first in
 the field names (c2, c1, c0), evaluated by Horner.  Points arrive checked:
 :func:`~inellipse.two_points.classify_pair` tests them interior and distinct
@@ -92,37 +98,55 @@ def _check_param(w: float, t: float) -> None:
         raise OutOfDomain(f"(w, t) = {(w, t)} outside the open unit square")
 
 
-def inscribed_conic(param: EllipseParam) -> ConicCoeffs:
-    """Coefficients (half-cross convention) of the inscribed ellipse for (w, t)."""
+def unit_geometry(param: EllipseParam):
+    """The conic, contacts and center of the inscribed ellipse (w, t), as plain tuples.
+
+    Returns ``(conic, contacts, center)``: the six coefficients in
+    :class:`~inellipse.conic.ConicCoeffs` order, the contacts (t, 0), (0, w)
+    and the hypotenuse contact, and the center (t, w)/(2(w + (1-w)t)), which
+    is always interior to the medial triangle.
+    """
     w, t = param
     _check_param(w, t)
-    return tuple.__new__(ConicCoeffs, (
-        w * w,
-        t * t,
-        -w * t * (2.0 * w * t - 2.0 * w - 2.0 * t + 1.0),
-        -2.0 * w * w * t,
-        -2.0 * t * t * w,
-        t * t * w * w,
-    ))
+    den = t + (1.0 - 2.0 * t) * w  # = t(1-w) + w(1-t) > 0 on the open square
+    den_center = 2.0 * (w + (1.0 - w) * t)
+    return (
+        (
+            w * w,
+            t * t,
+            -w * t * (2.0 * w * t - 2.0 * w - 2.0 * t + 1.0),
+            -2.0 * w * w * t,
+            -2.0 * t * t * w,
+            t * t * w * w,
+        ),
+        ((t, 0.0), (0.0, w), (t * (1.0 - w) / den, w * (1.0 - t) / den)),
+        (t / den_center, w / den_center),
+    )
+
+
+def unit_records(param: EllipseParam) -> tuple[ConicCoeffs, TangencyTriple, Point]:
+    """:func:`unit_geometry` as records: the conic, the contact triple and the center."""
+    conic, (t1, t2, t3), center = unit_geometry(param)
+    return (
+        tuple.__new__(ConicCoeffs, conic),
+        tuple.__new__(TangencyTriple, (tuple.__new__(Point, t1), tuple.__new__(Point, t2), tuple.__new__(Point, t3))),
+        tuple.__new__(Point, center),
+    )
+
+
+def inscribed_conic(param: EllipseParam) -> ConicCoeffs:
+    """Coefficients (half-cross convention) of the inscribed ellipse for (w, t)."""
+    return unit_records(param)[0]
 
 
 def tangency_points(param: EllipseParam) -> TangencyTriple:
     """Contact points on the horizontal side, vertical side, hypotenuse."""
-    w, t = param
-    _check_param(w, t)
-    den = t + (1.0 - 2.0 * t) * w  # = t(1-w) + w(1-t) > 0 on the open square
-    return tuple.__new__(TangencyTriple, (
-        tuple.__new__(Point, (t, 0.0)),
-        tuple.__new__(Point, (0.0, w)),
-        tuple.__new__(Point, (t * (1.0 - w) / den, w * (1.0 - t) / den)),
-    ))
+    return unit_records(param)[1]
 
 
 def inscribed_center(param: EllipseParam) -> Point:
     """Center (t, w)/(2(w + (1-w)t)); always interior to the medial triangle."""
-    w, t = param
-    den = 2.0 * (w + (1.0 - w) * t)
-    return tuple.__new__(Point, (t / den, w / den))
+    return unit_records(param)[2]
 
 
 def poly_q(p: Point) -> QuadraticPoly:

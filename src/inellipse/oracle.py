@@ -47,6 +47,8 @@ _TANGENCY = 1e-9
 _DEDUPE = 1e-8
 _NEWTON_ITERS = 50
 _NEWTON_TARGET = 1e-13
+# Accepted grid sizes; the ceiling bounds memory (brute_force_two_points).
+_GRID_MIN, _GRID_MAX = 64, 2048
 
 
 class SideReport(NamedTuple):
@@ -105,18 +107,18 @@ def verify_inscribed(conic: ConicCoeffs, tri: Triangle = UNIT_TRIANGLE) -> Verif
 
 
 def _backward_errors(system):
-    """Elementwise |value| over the largest monomial magnitude of each equation."""
+    """Elementwise |value| over the largest monomial magnitude of each equation, in either form."""
     return tuple(
         np.abs(value) / np.maximum(np.maximum(np.maximum(m0, m1), m2), 1e-300)
-        for value, _, _, (m0, m1, m2) in system
+        for value, *_, (m0, m1, m2) in system
     )
 
 
 def _two_point_system(p1, p2):
-    def system(w, t):
+    def system(w, t, jacobian=True):
         return (
-            equations.through_point(p1.x, p1.y, w, t),
-            equations.through_point(p2.x, p2.y, w, t),
+            equations.through_point(p1.x, p1.y, w, t, jacobian),
+            equations.through_point(p2.x, p2.y, w, t, jacobian),
         )
 
     return system
@@ -126,8 +128,8 @@ def _point_slope_system(p, slope):
     x, y = p
     a, b = slope.direction
 
-    def system(w, t):
-        return equations.through_point(x, y, w, t), equations.tangent(x, y, a, b, w, t)
+    def system(w, t, jacobian=True):
+        return equations.through_point(x, y, w, t, jacobian), equations.tangent(x, y, a, b, w, t, jacobian)
 
     return system
 
@@ -164,7 +166,7 @@ def _newton(system, w, t):
             k = np.flatnonzero(searching)
             if k.size == 0:
                 break
-            (g1, *_), (g2, *_) = system(w[live[k]] + lam[k] * dw[k], t[live[k]] + lam[k] * dt[k])
+            (g1, _), (g2, _) = system(w[live[k]] + lam[k] * dw[k], t[live[k]] + lam[k] * dt[k], jacobian=False)
             better = g1 * g1 + g2 * g2 < base[k]
             searching[k[better]] = False
             lam[k[~better]] *= 0.5
@@ -190,7 +192,7 @@ def _box_minima(system, w_lo, w_hi, t_lo, t_hi, nw, nt):
     ws = w_lo + (np.arange(nw) + 0.5) * (w_hi - w_lo) / nw
     ts = t_lo + (np.arange(nt) + 0.5) * (t_hi - t_lo) / nt
     # Broadcasting a w column against a t row evaluates the t-only terms once per column.
-    r1, r2 = _backward_errors(system(ws[:, None], ts[None, :]))
+    r1, r2 = _backward_errors(system(ws[:, None], ts[None, :], jacobian=False))
     g = r1 * r1 + r2 * r2
     padded = np.full((nw + 2, nt + 2), np.inf)
     padded[1:-1, 1:-1] = g
@@ -204,8 +206,9 @@ def _box_minima(system, w_lo, w_hi, t_lo, t_hi, nw, nt):
 
 
 def _run_grid(system, grid_n):
-    if grid_n < 64:
-        raise ValueError(f"grid_n must be at least 64, got {grid_n}")
+    # Before any array: an integer beyond the float range must not reach 1.0 / grid_n.
+    if not _GRID_MIN <= grid_n <= _GRID_MAX:
+        raise ValueError(f"grid_n must be from {_GRID_MIN} to {_GRID_MAX}, got {grid_n}")
     # Newton seeds: each coarse basin center, the minima of a fine sub-grid
     # over its 3x3 neighborhood (one coarse cell can straddle several
     # attractors), and the minima of thin high-resolution strips along the
@@ -235,7 +238,7 @@ def _run_grid(system, grid_n):
         seeds.append((strip_w[strip_g < threshold], strip_t[strip_g < threshold]))
 
     ws, ts = _newton(system, *(np.concatenate(column) for column in zip(*seeds)))
-    r1, r2 = _backward_errors(system(ws, ts))
+    r1, r2 = _backward_errors(system(ws, ts, jacobian=False))
     m = _INTERIOR_MARGIN
     keep = (m < ws) & (ws < 1.0 - m) & (m < ts) & (ts < 1.0 - m) & (np.maximum(r1, r2) <= _HONESTY)
     found = []
@@ -250,7 +253,9 @@ def brute_force_two_points(p1: Point, p2: Point, grid_n: int = 256) -> list[tupl
     """All (w, t) solving the two-point system, found by grid + Newton.
 
     Returns (w, t) pairs sorted by (t, w); every returned pair has both
-    normalized residuals below 1e-12.
+    normalized residuals below 1e-12.  ``grid_n`` runs from 64 to 2048: the
+    coarse pass holds about 80 bytes per cell of the grid_n^2 grid at once, so
+    the ceiling bounds it near 340 MB; any other value raises ``ValueError``.
     """
     p1, p2 = as_point(p1), as_point(p2)
     require_interior(p1, p2)
@@ -262,7 +267,7 @@ def brute_force_point_slope(
     p: Point, slope: Slope, grid_n: int = 256
 ) -> list[tuple[float, float]]:
     """All (w, t) solving the point-with-slope system; one off the excluded
-    slopes, none on them."""
+    slopes, none on them.  ``grid_n`` as in :func:`brute_force_two_points`."""
     p = as_point(p)
     require_interior(p)
     return _run_grid(_point_slope_system(p, slope), grid_n)

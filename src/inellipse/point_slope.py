@@ -17,6 +17,14 @@ nothing cancels as the direction nears a vertex, and one formula serves
 finite and vertical slopes alike.  When (a, b) aims at a vertex no inscribed
 ellipse attains it, and the solver reports that as an ordinary outcome, not
 an error.
+
+Checks: ``as_point`` and the interior test in each public function but
+:func:`residual_system13`, which trusts its point, and the exclusion bands
+before any parameter is built; the (w, t) domain is checked by
+:func:`~inellipse.kernel.unit_geometry` when ``world`` builds the geometry.
+Built once per query: the parameters, by ``tuple.__new__`` after those
+checks, and each residual, from one evaluation of its equation without the
+partials (:mod:`inellipse.equations`).
 """
 
 from __future__ import annotations
@@ -70,7 +78,7 @@ def solve_point_slope_unit(p: Point, slope: Slope) -> Union[EllipseParam, NoSolu
     if abs(l_top) < band * x:
         return NoSolution(Vertex.TOP)
     inside = 1.0 - x - y
-    return EllipseParam(_share(inside, l_origin, y, l_top), _share(inside, l_origin, x, l_right))
+    return tuple.__new__(EllipseParam, (_share(inside, l_origin, y, l_top), _share(inside, l_origin, x, l_right)))
 
 
 def _share(weight: float, form: float, other_weight: float, other_form: float) -> float:
@@ -90,10 +98,11 @@ def residual_system13(p: Point, slope: Slope, param: EllipseParam) -> tuple[floa
 
     Each residual divides by the largest term magnitude of its equation
     (:func:`inellipse.equations.backward_error`), so the values are
-    scale-free and safe against internal cancellation.  ``p`` is not checked.
+    scale-free and safe against internal cancellation.  The equations are
+    evaluated without their partials.  ``p`` is not checked.
     """
     (x, y), (w, t), (a, b) = p, param, slope.direction
     return (
-        equations.backward_error(equations.through_point(x, y, w, t)),
-        equations.backward_error(equations.tangent(x, y, a, b, w, t)),
+        equations.backward_error(equations.through_point(x, y, w, t, jacobian=False)),
+        equations.backward_error(equations.tangent(x, y, a, b, w, t, jacobian=False)),
     )

@@ -10,9 +10,10 @@ polish, gates each candidate and is reported with its solution.
 
 Checks: ``as_point`` in each public function; the interior and distinct tests
 once per pair, in :func:`classify_pair`, whose points the kernel then trusts;
-the (w, t) domain in the kernel's record builders.
+the (w, t) domain in :func:`~inellipse.kernel.unit_geometry`.
 Built once per query: p1's quadratic, the case (a shared constant) and each
-kept solution's parameters, conic and contacts, which ``world`` carries over.
+kept solution's parameters, conic, contacts and center, from one
+:func:`~inellipse.kernel.unit_records` call, which ``world`` carries over.
 """
 
 from __future__ import annotations
@@ -29,13 +30,12 @@ from .kernel import (
     EllipseParam,
     QuadraticPoly,
     TangencyTriple,
-    inscribed_conic,
     pair_invariants,
     poly_q,
     poly_R,
     poly_S,
     solve_quadratic,
-    tangency_points,
+    unit_records,
 )
 
 # Relative bands under which a vertex-line determinant, or the pair invariant
@@ -75,6 +75,7 @@ class TwoPointSolution(NamedTuple):
     param: EllipseParam
     conic: ConicCoeffs
     tangency: TangencyTriple
+    center: Point
     residuals: tuple[float, float]
 
 
@@ -108,17 +109,18 @@ def _newton_polish(p1: Point, p2: Point, w: float, t: float):
     """A few Newton steps on the through-point system; returns (w, t, residuals).
 
     ``residuals`` are the backward errors of the last evaluation, which is at
-    the returned (w, t).  Candidates arrive within the quadratic-convergence
-    basin, so undamped steps with a step-size cap are enough to pin residuals
-    at round-off.
+    the returned (w, t).  The stop test evaluates the equations without their
+    partials; the Jacobian is built only for a step.  Candidates arrive within
+    the quadratic-convergence basin, so undamped steps with a step-size cap
+    are enough to pin residuals at round-off.
     """
     (x1, y1), (x2, y2) = p1, p2
     for step in range(_POLISH_ITERS + 1):
-        eq1, eq2 = through_point(x1, y1, w, t), through_point(x2, y2, w, t)
-        r1, r2 = backward_error(eq1), backward_error(eq2)
+        r1 = backward_error(through_point(x1, y1, w, t, jacobian=False))
+        r2 = backward_error(through_point(x2, y2, w, t, jacobian=False))
         if r1 < 1e-15 and r2 < 1e-15 or step == _POLISH_ITERS:
             break
-        (f1, a, b, _), (f2, c, d, _) = eq1, eq2
+        (f1, a, b, _), (f2, c, d, _) = through_point(x1, y1, w, t), through_point(x2, y2, w, t)
         det = a * d - b * c
         if det == 0.0 or not math.isfinite(det):
             break
@@ -180,8 +182,7 @@ def _assemble(p1, p2, raw_params, expected):
     solutions = []
     for t, w, residuals in kept:
         param = tuple.__new__(EllipseParam, (w, t))
-        conic, tangency = inscribed_conic(param), tangency_points(param)
-        solutions.append(tuple.__new__(TwoPointSolution, (param, conic, tangency, residuals)))
+        solutions.append(tuple.__new__(TwoPointSolution, (param, *unit_records(param), residuals)))
     return solutions
 
 

@@ -1,21 +1,25 @@
 """Solvers on arbitrary triangles: conjugate to the unit triangle and back.
 
 Each query family maps its data through the triangle's unit map ``fwd`` and
-solves there.  Conics travel back as the pull-back along ``fwd``.  Contact
-points and centers need no inverted map: a unit point (x, y) is the vertex
-combination a + x (b - a) + y (c - a) of the triangle itself, with (x, y) from
-:func:`~inellipse.kernel.tangency_points` and
-:func:`~inellipse.kernel.inscribed_center`, so a thin or pixel-scale triangle
-carries them to within a few ulps of the coordinate scale.  The two-point
-solver hands over the unit conics and contacts it has built.  The (w, t)
-parameters themselves are affine invariants of the solution (contact
-abscissae on the unit triangle), so they are reported unchanged.
+solves there.  One transport, ``_to_world``, carries every family's unit
+solutions back: the conic as its pull-back along ``fwd``, and each contact
+point and the center as the vertex combination a + x (b - a) + y (c - a) of
+the triangle itself, with no inverted map, so a thin or pixel-scale triangle
+carries them to within a few ulps of the coordinate scale.  The (w, t)
+parameters are affine invariants of the solution (contact abscissae on the
+unit triangle), so they are reported unchanged.
+
+Built once per solution: the unit conic, contacts and center, by one
+:func:`~inellipse.kernel.unit_geometry` call, and the world conic, by one
+``pull_back``.  The point-slope and tangency families carry the plain tuples
+over and build no unit record; the two-point family carries over the records
+its :class:`~inellipse.two_points.TwoPointSolution` already holds.
 
 Checks: :class:`~inellipse.affine.Triangle` when it is built, ``as_point`` on
 each world point here, then each unit solver's own, once per query (interior
 and coincident in :func:`~inellipse.two_points.classify_pair`; interior,
 excluded slope, side and vertex bands in the others) and the kernel's (w, t)
-domain.
+domain in :func:`~inellipse.kernel.unit_geometry`.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from . import boundary, point_slope, two_points
 from .affine import Triangle, apply_point, apply_slope, map_to_unit
 from .conic import ConicCoeffs, pull_back
 from .geom import Point, Slope, as_point
-from .kernel import EllipseParam, inscribed_center, inscribed_conic, tangency_points
+from .kernel import EllipseParam, unit_geometry
 
 
 class WorldSolution(NamedTuple):
@@ -45,15 +49,15 @@ class SolveReport(NamedTuple):
 
 
 def _to_world(tri, fwd, unit_solutions) -> tuple[WorldSolution, ...]:
-    # Per (param, unit conic, unit contacts, residuals): each unit point (x, y) lands on
-    # a + x (b - a) + y (c - a), left to right as tests/helpers.py::unit_to_world.  The
-    # points written out and the records built by tuple.__new__, without NamedTuple __new__
-    # frames, save 0.5-0.8 and 0.6 us per solution (CPython 3.11).
+    # Per (param, unit conic, unit contacts, unit center, residuals), the fields of a
+    # TwoPointSolution or a unit_geometry tuple: one pull_back, and each unit point (x, y)
+    # lands on a + x (b - a) + y (c - a), left to right as tests/helpers.py::unit_to_world.
+    # The points written out and the records built by tuple.__new__, without NamedTuple
+    # __new__ frames, save 0.5-0.8 and 0.6 us per solution (CPython 3.11).
     (ax, ay), (bx, by), (cx, cy) = tri
     ux, uy, vx, vy = bx - ax, by - ay, cx - ax, cy - ay
     out = []
-    for param, unit_conic, ((x1, y1), (x2, y2), (x3, y3)), residuals in unit_solutions:
-        x4, y4 = inscribed_center(param)
+    for param, unit_conic, ((x1, y1), (x2, y2), (x3, y3)), (x4, y4), residuals in unit_solutions:
         out.append(tuple.__new__(WorldSolution, (
             param,
             pull_back(unit_conic, fwd),
@@ -87,15 +91,16 @@ def solve_point_slope(tri: Triangle, p: Point, slope: Slope) -> SolveReport:
     u, u_slope = apply_point(fwd, as_point(p)), apply_slope(fwd, slope)
     outcome = point_slope.solve_point_slope_unit(u, u_slope)
     if isinstance(outcome, point_slope.NoSolution):
-        return SolveReport(f"no_solution:{outcome.vertex.value}", ())
+        return tuple.__new__(SolveReport, (f"no_solution:{outcome.vertex.value}", ()))
     residuals = point_slope.residual_system13(u, u_slope, outcome)
-    unit = (outcome, inscribed_conic(outcome), tangency_points(outcome), residuals)
-    return SolveReport("unique", _to_world(tri, fwd, (unit,)))
+    unit = (outcome, *unit_geometry(outcome), residuals)
+    return tuple.__new__(SolveReport, ("unique", _to_world(tri, fwd, (unit,))))
 
 
-def _contact_distance(tps, s: boundary.SidePoint) -> float:
-    c = tps.t1 if s.side is boundary.Side.BOTTOM else tps.t2 if s.side is boundary.Side.LEFT else tps.t3
-    return max(abs(c.x - s.point.x), abs(c.y - s.point.y))
+def _contact_distance(contacts, s: boundary.SidePoint) -> float:
+    side, (qx, qy) = s
+    x, y = contacts[0 if side is boundary.Side.BOTTOM else 1 if side is boundary.Side.LEFT else 2]
+    return max(abs(x - qx), abs(y - qy))
 
 
 def solve_tangency(tri: Triangle, q1: Point, q2: Point) -> SolveReport:
@@ -104,6 +109,7 @@ def solve_tangency(tri: Triangle, q1: Point, q2: Point) -> SolveReport:
     s1 = boundary.side_point(apply_point(fwd, as_point(q1)))
     s2 = boundary.side_point(apply_point(fwd, as_point(q2)))
     param = boundary.param_from_tangencies(s1, s2)
-    tps = tangency_points(param)
-    residuals = (_contact_distance(tps, s1), _contact_distance(tps, s2))
-    return SolveReport("boundary_unique", _to_world(tri, fwd, ((param, inscribed_conic(param), tps, residuals),)))
+    conic, contacts, center = unit_geometry(param)
+    residuals = (_contact_distance(contacts, s1), _contact_distance(contacts, s2))
+    unit = (param, conic, contacts, center, residuals)
+    return tuple.__new__(SolveReport, ("boundary_unique", _to_world(tri, fwd, (unit,))))

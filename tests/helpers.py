@@ -3,19 +3,23 @@
 All sampling is seeded by the caller, so every test run is reproducible.  The
 references (a conic's terms, gradient and centre, equality up to scale, the
 w-quadratic, the unit-to-world map and a numpy map inverse) are written here
-in their smallest form, apart from the package; the two-point residuals reuse
-:mod:`inellipse.equations`, which ``tests/test_equations.py`` derives
-symbolically.
+in their smallest form, apart from the package; the residuals reuse the full
+forms of :mod:`inellipse.equations`, which ``tests/test_equations.py``
+derives symbolically, and the world answer of a unit solution is rebuilt from
+the kernel's records one step at a time.
 """
 
 import math
 
 import numpy as np
 
-from inellipse.affine import AffineMap, Triangle
-from inellipse.equations import backward_error, through_point
+from inellipse.affine import AffineMap, Triangle, map_to_unit
+from inellipse.conic import pull_back
+from inellipse.equations import backward_error, tangent, through_point
 from inellipse.geom import Point, Vertex
+from inellipse.kernel import inscribed_center, inscribed_conic, tangency_points
 from inellipse.two_points import PairKind, classify_pair
+from inellipse.world import WorldSolution
 
 VERTEX_POINTS = {Vertex.ORIGIN: Point(0.0, 0.0), Vertex.RIGHT: Point(1.0, 0.0), Vertex.TOP: Point(0.0, 1.0)}
 
@@ -190,6 +194,26 @@ def w_quadratic(p: Point, t: float) -> tuple[float, float, float]:
 def pair_residuals(p1: Point, p2: Point, param) -> tuple[float, float]:
     """Backward errors of the through-point equation at p1 and at p2."""
     return tuple(backward_error(through_point(*p, *param)) for p in (p1, p2))
+
+
+def slope_residuals(p: Point, slope, param) -> tuple[float, float]:
+    """Backward errors of the through-point and tangent equations, from their full forms."""
+    (x, y), (a, b) = p, slope.direction
+    return backward_error(through_point(x, y, *param)), backward_error(tangent(x, y, a, b, *param))
+
+
+def reference_world_solution(tri: Triangle, param, residuals) -> WorldSolution:
+    """The world answer for a unit solution: the kernel's records for ``param``, the
+    conic's pull-back along ``map_to_unit(tri)``, and the contacts and centre through
+    :func:`unit_to_world`."""
+    conic, contacts, center = inscribed_conic(param), tangency_points(param), inscribed_center(param)
+    return WorldSolution(
+        param,
+        pull_back(conic, map_to_unit(tri)),
+        tuple(Point(*unit_to_world(tri, c)) for c in contacts),
+        Point(*unit_to_world(tri, center)),
+        residuals,
+    )
 
 
 def unit_to_world(tri: Triangle, u) -> tuple[float, float]:

@@ -112,6 +112,16 @@ class TestTriangleInput:
             call()
         assert type(info.value) is ValueError
 
+    @pytest.mark.parametrize(
+        "vertices",
+        [[[1e200, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [1e300, 1e300], [-1e300, 1e300]]],
+        ids=["far_vertex", "far_apart"],
+    )
+    def test_squared_edges_beyond_the_float_range_raise_value_error(self, vertices):
+        with pytest.raises(ValueError, match="overflow") as info:
+            Triangle(*vertices)
+        assert type(info.value) is ValueError
+
     @pytest.mark.parametrize("kind", ["box", "pixel"])
     def test_near_collinear_verdict_follows_the_exact_relative_height(self, kind):
         # The apex sits at relative height 0.95 or 1.05 band off the base line;

@@ -297,6 +297,8 @@ class TestMalformedInput:
         "svg_not_a_path": ([], '"options": {"svg": true}'),
         "options_not_an_object": ([], '"options": []'),
         "grid_below_oracle_minimum": (["--check", "--grid", "10"], '"options": {}'),
+        "grid_above_oracle_ceiling": (["--check", "--grid", "2049"], '"options": {}'),
+        "grid_beyond_the_float_range": (["--check"], '"options": {"grid_n": 1' + "0" * 400 + "}"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -321,7 +323,8 @@ class TestMalformedInput:
         assert proc.stdout.startswith("usage:")
         assert proc.stderr == ""
 
-    # A JSON integer beyond the float range, where a slope, a point and a vertex are read.
+    # A JSON integer beyond the float range, where a slope, a point and a vertex are read, and
+    # finite vertices whose squared edge lengths are beyond it.
     HUGE = 10**400
     OVERFLOW_CASES = {
         "slope_integer_beyond_float": (
@@ -333,6 +336,11 @@ class TestMalformedInput:
         "vertex_integer_beyond_float": (
             "two-points",
             {"triangle": [[HUGE, 0], [1, 0], [0, 1]], "query": {"two_points": {"p1": [0.25, 0.125], "p2": [0.5, 0.1667]}}},
+        ),
+        # Finite vertices whose squared edge lengths overflow.
+        "squared_edge_beyond_float": (
+            "two-points",
+            {"triangle": [[1e200, 0], [1, 0], [0, 1]], "query": {"two_points": {"p1": [0.25, 0.125], "p2": [0.5, 0.1667]}}},
         ),
     }
 

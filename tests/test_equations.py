@@ -2,8 +2,8 @@
 
 The solvers and the oracle both evaluate :mod:`inellipse.equations`, so the
 oracle cannot catch a transcription error in it.  These tests are that
-check: each equation must equal the expression obtained from
-``inscribed_conic(w, t)`` written with symbols.
+check: each equation, in its full and its Jacobian-free form, must equal the
+expression obtained from ``inscribed_conic(w, t)`` written with symbols.
 """
 
 import numpy as np
@@ -59,6 +59,13 @@ class TestSymbolic:
         assert sp.expand(d_w - sp.diff(expected, w)) == 0
         assert sp.expand(d_t - sp.diff(expected, t)) == 0
 
+    def test_jacobian_free_form_matches_the_conic(self, case):
+        name, expected, args = CASES[case]
+        value, mags = getattr(equations, name)(*args, jacobian=False)
+        assert sp.expand(value - expected) == 0
+        full_mags = getattr(equations, name)(*args)[3]
+        assert all(sp.expand(m - f) == 0 for m, f in zip(mags, full_mags, strict=True))
+
 
 def test_w_quadratic_coefficients_match_through_point():
     rng = np.random.default_rng(60)
@@ -98,6 +105,24 @@ def test_magnitudes_bracket_each_power_of_w(case):
             assert exact * (1 - 1e-12) <= mags[k] <= bound * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("case", ["slope", "through_point", "vertical"])
+def test_jacobian_free_form_equals_the_full_form(case):
+    """Value, magnitudes and backward error, float for float, along (1, r) and (0, 1)."""
+    rng = np.random.default_rng(62)
+    for _ in range(500):
+        p = random_interior(rng)
+        wv, tv = random_param(rng)
+        if case == "through_point":
+            name, args = "through_point", (p.x, p.y, wv, tv)
+        else:
+            direction = (0.0, 1.0) if case == "vertical" else (1.0, float(np.tan(np.pi * (rng.random() - 0.5))))
+            name, args = "tangent", (p.x, p.y, *direction, wv, tv)
+        full = getattr(equations, name)(*args)
+        value, mags = getattr(equations, name)(*args, jacobian=False)
+        assert (value, mags) == (full[0], full[3])
+        assert equations.backward_error((value, mags)) == equations.backward_error(full)
+
+
 def test_floats_and_arrays_agree():
     ws = np.linspace(0.05, 0.95, 7)
     ts = np.linspace(0.1, 0.9, 7)
@@ -105,7 +130,9 @@ def test_floats_and_arrays_agree():
     for name, extra in (("through_point", ()), ("tangent", (1.0, -1.7)), ("tangent", (0.0, 1.0))):
         fn = getattr(equations, name)
         value, d_w, d_t, mags = fn(p.x, p.y, *extra, ws, ts)
+        free_value, free_mags = fn(p.x, p.y, *extra, ws, ts, jacobian=False)
         for i in range(len(ws)):
             v, dw, dt, m = fn(p.x, p.y, *extra, float(ws[i]), float(ts[i]))
             assert (value[i], d_w[i], d_t[i]) == (v, dw, dt)
             assert tuple(mm[i] for mm in mags) == m
+            assert (free_value[i], tuple(mm[i] for mm in free_mags)) == (v, m)

@@ -107,7 +107,7 @@ QUERY_API = sorted([
     "solve_point_slope_unit", "NoSolution", "vertex_slopes",
     "side_point", "param_from_tangencies", "Side", "SidePoint",
     "Point", "Slope", "Vertex", "EllipseParam", "ConicCoeffs", "TangencyTriple",
-    "inscribed_conic", "tangency_points",
+    "inscribed_conic", "tangency_points", "inscribed_center",
     *ORACLE_NAMES,
 ])
 
@@ -116,7 +116,7 @@ def test_package_namespace_is_the_query_api():
     import inellipse
 
     assert sorted(inellipse.__all__) == QUERY_API
-    assert len(QUERY_API) == 31
+    assert len(QUERY_API) == 32
     for name in QUERY_API:
         assert getattr(inellipse, name) is not None
 

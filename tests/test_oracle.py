@@ -109,6 +109,21 @@ class TestBruteForceTwoPoints:
             brute_force_two_points(*EX1, grid_n=32)
 
 
+@pytest.mark.parametrize("grid_n", [2049, 10**400], ids=["ceiling_plus_one", "beyond_float"])
+@pytest.mark.parametrize("family", ["two_points", "point_slope"])
+def test_grid_ceiling_is_checked_before_any_grid(monkeypatch, family, grid_n):
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(oracle, "_box_minima", no_grid)
+    with pytest.raises(ValueError, match="grid_n must be from 64 to 2048") as info:
+        if family == "two_points":
+            brute_force_two_points(*EX1, grid_n=grid_n)
+        else:
+            brute_force_point_slope(EX1[0], Slope.finite(2.0), grid_n=grid_n)
+    assert type(info.value) is ValueError
+
+
 class TestBruteForcePointSlope:
     def test_published_finite_example(self):
         basins = brute_force_point_slope(Point(0.5, 0.25), Slope.finite(2.0))

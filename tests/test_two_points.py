@@ -313,36 +313,48 @@ class TestCountsAndQuality:
         assert min(rejected) > 1e-3
 
     def test_world_solve_builds_each_quadratic_and_conic_once(self, monkeypatch):
-        from inellipse import kernel, world
+        # Per solution of every family: one unit geometry (conic, contacts and
+        # center together) and one pull-back of its conic.
+        from inellipse import conic, kernel, world
         from inellipse.affine import UNIT_TRIANGLE
+        from inellipse.geom import Slope
 
-        names = ("poly_q", "inscribed_conic", "tangency_points")
+        counted = {kernel: ("poly_q", "unit_geometry"), conic: ("pull_back",)}
         calls = collections.Counter()
-        for name in names:
-            fn = getattr(kernel, name)
+        for home, names in counted.items():
+            for name in names:
+                fn = getattr(home, name)
 
-            def counted(*args, _name=name, _fn=fn):
-                calls[_name] += 1
-                return _fn(*args)
+                def count(*args, _name=name, _fn=fn):
+                    calls[_name] += 1
+                    return _fn(*args)
 
-            # Every binding, so calls from inside kernel count too.
-            for module in (kernel, two_points, world):
-                if getattr(module, name, None) is fn:
-                    monkeypatch.setattr(module, name, counted)
+                # Every binding, so calls from inside kernel count too.
+                for module in (kernel, conic, two_points, world):
+                    if getattr(module, name, None) is fn:
+                        monkeypatch.setattr(module, name, count)
         rng = np.random.default_rng(47)
         p1, p2 = j_zero_pair(rng)
         pairs = [random_generic_pair(rng), (p1, p2), (p2, p1), random_vertex_pair(rng, Vertex.RIGHT)]
+        queries = [lambda pair=pair: world.solve_two_points(UNIT_TRIANGLE, *pair) for pair in pairs]
+        queries += [
+            lambda: world.solve_point_slope(UNIT_TRIANGLE, Point(0.3, 0.2), Slope.finite(-0.7)),
+            lambda: world.solve_point_slope(UNIT_TRIANGLE, Point(0.3, 0.2), Slope.vertical()),
+            lambda: world.solve_tangency(UNIT_TRIANGLE, Point(0.4, 0.0), Point(0.25, 0.75)),
+        ]
         cases = []
-        for pair in pairs:
+        for query in queries:
             calls.clear()
-            report = world.solve_two_points(UNIT_TRIANGLE, *pair)
+            report = query()
             cases.append(report.case)
             n = len(report.solutions)
-            # One quadratic, p1's; the residuals come from the polish.
-            assert calls["poly_q"] == 1
-            assert calls["inscribed_conic"] == n
-            assert calls["tangency_points"] == n
-        assert cases == ["generic_4", "generic_j_zero", "generic_j_zero", "vertex_line:right"]
+            # One quadratic, p1's, on the two-point path; the residuals come from the polish.
+            assert calls["poly_q"] == (1 if len(cases) <= len(pairs) else 0)
+            assert calls["unit_geometry"] == n
+            assert calls["pull_back"] == n
+        assert cases == [
+            "generic_4", "generic_j_zero", "generic_j_zero", "vertex_line:right", "unique", "unique", "boundary_unique",
+        ]
 
     def test_matches_oracle_on_random_pairs(self):
         rng = np.random.default_rng(44)

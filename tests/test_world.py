@@ -7,10 +7,13 @@ import pytest
 
 from inellipse import kernel, world
 from inellipse.affine import Triangle, UNIT_TRIANGLE, apply_point, apply_slope, map_to_unit
-from inellipse.conic import is_real_ellipse, pull_back
+from inellipse.boundary import Side, param_from_tangencies, side_point
+from inellipse.conic import is_real_ellipse
 from inellipse.geom import Point, Slope, Vertex
 from inellipse.kernel import EllipseParam, inscribed_center, inscribed_conic, tangency_points
-from inellipse.point_slope import residual_system13
+from inellipse.point_slope import solve_point_slope_unit
+from inellipse.two_points import solve_two_points_unit
+from inellipse.world import WorldSolution
 
 from helpers import (
     inverse_map,
@@ -21,6 +24,8 @@ from helpers import (
     random_interior,
     random_triangle,
     random_vertex_pair,
+    reference_world_solution,
+    slope_residuals,
     term_residual,
     unit_to_world,
 )
@@ -100,7 +105,11 @@ def side_point_of(tri: Triangle, side: int, s: float) -> Point:
 
 
 def transport_queries(family, rng, make_triangle):
-    """(triangle, world report, fresh unit residuals of a param or None) per query."""
+    """(triangle, world report, the reference world solutions) per query.
+
+    The references start from a separate unit solve of the query's unit image:
+    its parameters, freshly computed residuals, then :func:`reference_world_solution`.
+    """
     if family == "two_points":
         pairs = [random_generic_pair(rng) for _ in range(4)] + [j_zero_pair(rng) for _ in range(4)]
         pairs += [random_vertex_pair(rng, v) for v in Vertex]
@@ -109,8 +118,8 @@ def transport_queries(family, rng, make_triangle):
             fwd = map_to_unit(tri)
             p1, p2 = Point(*unit_to_world(tri, u1)), Point(*unit_to_world(tri, u2))
             v1, v2 = apply_point(fwd, p1), apply_point(fwd, p2)
-            report = world.solve_two_points(tri, p1, p2)
-            yield tri, report, lambda param, v1=v1, v2=v2: pair_residuals(v1, v2, param)
+            params = [s.param for s in solve_two_points_unit(v1, v2)[1]]
+            yield tri, world.solve_two_points(tri, p1, p2), [(q, pair_residuals(v1, v2, q)) for q in params]
     elif family == "point_slope":
         for i in range(8):
             tri = make_triangle()
@@ -120,21 +129,29 @@ def transport_queries(family, rng, make_triangle):
             s = Slope.vertical() if i % 4 == 0 else Slope.finite(np.tan(np.pi * (rng.random() - 0.5)))
             p, slope = apply_point(back, u), apply_slope(back, s)
             v, v_slope = apply_point(fwd, p), apply_slope(fwd, slope)
-            report = world.solve_point_slope(tri, p, slope)
-            yield tri, report, lambda param, v=v, s=v_slope: residual_system13(v, s, param)
+            q = solve_point_slope_unit(v, v_slope)
+            yield tri, world.solve_point_slope(tri, p, slope), [(q, slope_residuals(v, v_slope, q))]
     else:
         for i in range(9):
             tri = make_triangle()
+            fwd = map_to_unit(tri)
             q1, q2 = (side_point_of(tri, side, 0.15 + 0.7 * rng.random()) for side in SIDE_PAIRS[i % 3])
-            yield tri, world.solve_tangency(tri, q1, q2), None
+            s1, s2 = (side_point(apply_point(fwd, q)) for q in (q1, q2))
+            q = param_from_tangencies(s1, s2)
+            contacts = dict(zip(Side, tangency_points(q)))
+            residuals = tuple(
+                max(abs(contacts[s.side].x - s.point.x), abs(contacts[s.side].y - s.point.y)) for s in (s1, s2)
+            )
+            yield tri, world.solve_tangency(tri, q1, q2), [(q, residuals)]
 
 
 @pytest.mark.parametrize("kind", ["unit", "box", "pixel"])
 @pytest.mark.parametrize("family", ["two_points", "point_slope", "tangency"])
 def test_solutions_equal_a_fresh_transport(family, kind):
-    # One _to_world serves every family.  Conics must be exactly the pull-back
-    # of a fresh build from (w, t); contacts and centres exactly the fresh unit
-    # points written as vertex combinations of the triangle.
+    # One _to_world serves every family.  Every float of each world solution --
+    # param, conic, contacts, centre and residuals -- must equal, by ==, the
+    # reference built from a separate unit solve: the kernel's records for its
+    # (w, t), their pull-back and unit_to_world.
     rng = np.random.default_rng({"unit": 4101, "box": 4102, "pixel": 4103}[kind])
     make_triangle = {
         "unit": lambda: UNIT_TRIANGLE,
@@ -142,16 +159,13 @@ def test_solutions_equal_a_fresh_transport(family, kind):
         "pixel": lambda: pixel_triangle(rng),
     }[kind]
     cases = set()
-    for tri, report, fresh_residuals in transport_queries(family, rng, make_triangle):
+    for tri, report, unit in transport_queries(family, rng, make_triangle):
         cases.add(report.case.split(":")[0])
-        fwd = map_to_unit(tri)
-        for sol in report.solutions:
-            param = sol.param
-            assert sol.conic == pull_back(inscribed_conic(param), fwd)
-            assert sol.tangent_points == tuple(Point(*unit_to_world(tri, p)) for p in tangency_points(param))
-            assert sol.center == Point(*unit_to_world(tri, inscribed_center(param)))
-            if fresh_residuals is not None:
-                assert sol.residuals == fresh_residuals(param)
+        expected = tuple(reference_world_solution(tri, q, residuals) for q, residuals in unit)
+        assert len(report.solutions) == len(expected) > 0
+        for got, want in zip(report.solutions, expected):
+            assert type(got) is WorldSolution
+            assert got == want, (got, want)
     assert cases == {
         "two_points": {"generic_4", "generic_j_zero", "vertex_line"},
         "point_slope": {"unique"},
