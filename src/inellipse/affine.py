@@ -29,8 +29,11 @@ class Triangle(_Vertices):
     """Three non-collinear vertices, in user order, validated on every path that
     builds one: the constructor, ``_make`` (so ``_replace``), pickle and copy.  Each
     vertex passes ``as_point`` (``ValueError`` unless finite), a squared edge length
-    beyond the float range raises ``ValueError``, and twice the area within
-    ``_COLLINEAR_BAND`` of the longest squared edge raises :class:`DegenerateTriangle`."""
+    beyond the float range raises ``ValueError``, twice the area within
+    ``_COLLINEAR_BAND`` of the longest squared edge raises :class:`DegenerateTriangle`,
+    and a ``ValueError`` is raised when the squared 1-norm of a column of
+    :func:`map_to_unit`'s linear part, which bounds the world conics' coefficients,
+    is beyond the float range."""
 
     __slots__ = ()
 
@@ -43,8 +46,19 @@ class Triangle(_Vertices):
         longest2 = max(ux * ux + uy * uy, vx * vx + vy * vy, wx * wx + wy * wy)
         if not math.isfinite(longest2):
             raise ValueError(f"vertices {a}, {b}, {c} lie too far apart: the squared edge lengths overflow a float")
-        if abs(ux * vy - vx * uy) <= _COLLINEAR_BAND * longest2:
+        area2 = ux * vy - vx * uy
+        if abs(area2) <= _COLLINEAR_BAND * longest2:
             raise DegenerateTriangle(f"collinear vertices {a}, {b}, {c}")
+        # map_to_unit's columns are (vy, -uy) / area2 and (-vx, ux) / area2.  Each
+        # quadratic coefficient of a world conic is at most the squared 1-norm of a
+        # column (unit coefficients are below 1 in size), so that square bounds them:
+        # a thin triangle's squared edges can be normal floats while it is not.
+        scale = max(abs(uy) + abs(vy), abs(ux) + abs(vx)) / abs(area2)
+        if not math.isfinite(scale * scale):
+            raise ValueError(
+                f"vertices {a}, {b}, {c} span too small an area: the squared scale of the map to the"
+                " unit triangle overflows a float"
+            )
         return tuple.__new__(cls, (a, b, c))
 
     @classmethod

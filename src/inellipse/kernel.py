@@ -13,7 +13,9 @@ works entirely with those polynomials, built here.
 
 A solution's unit geometry (the conic's coefficients, its contacts and its
 center) is written once, in :func:`unit_geometry`, which also checks the
-(w, t) domain.  :func:`unit_records` wraps its tuples in records, and
+(w, t) domain.  The world solvers carry its tuples as they are.
+:func:`unit_records` wraps them in records for the unit API
+(:func:`~inellipse.two_points.solve_two_points_unit`), and
 :func:`inscribed_conic`, :func:`tangency_points` and
 :func:`inscribed_center` each return one of them.
 
@@ -232,23 +234,24 @@ def solve_quadratic(q: QuadraticPoly) -> list[tuple[float, int]]:
     and the other c0 / (c2 * r1), avoiding cancellation.
     """
     c2, c1, c0 = q
-    scale = q.scale
+    # QuadraticPoly's properties, written out on locals: no attribute lookups.
+    scale = max(abs(c2), abs(c1), abs(c0))
     if scale == 0.0:
         raise ZeroPolynomial("all coefficients vanish")
     if abs(c2) <= 2.2e-16 * max(abs(c1), abs(c0)):
         if c1 == 0.0:
             return []  # constant, nonzero
         return [(-c0 / c1, 1)]
-    disc = q.discriminant
+    disc = c1 * c1 - 4.0 * c2 * c0
+    vertex = -c1 / (2.0 * c2)
     if disc <= 0.0:
-        return [(q.vertex, 2)]
+        return [(vertex, 2)]
     if disc < (_DOUBLE_ROOT_BAND * scale) ** 2:
         half = 0.5 * math.sqrt(disc) / abs(c2)
-        v = q.vertex
-        return [(v - half, 1), (v + half, 1)]
+        return [(vertex - half, 1), (vertex + half, 1)]
     s = math.sqrt(disc)
     u = -(c1 + math.copysign(s, c1)) / 2.0 if c1 != 0.0 else s / 2.0
     r1 = u / c2
-    r2 = c0 / u if u != 0.0 else q.vertex
+    r2 = c0 / u if u != 0.0 else vertex
     lo, hi = (r1, r2) if r1 <= r2 else (r2, r1)
     return [(lo, 1), (hi, 1)]

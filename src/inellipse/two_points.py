@@ -8,12 +8,15 @@ is lost (a double root of R, on the branch j = 0).  The backward error of
 :func:`inellipse.equations.through_point` at each point stops the Newton
 polish, gates each candidate and is reported with its solution.
 
-Checks: ``as_point`` in each public function; the interior and distinct tests
-once per pair, in :func:`classify_pair`, whose points the kernel then trusts;
-the (w, t) domain in :func:`~inellipse.kernel.unit_geometry`.
+Checks: ``as_point`` in :func:`classify_pair` and :func:`solve_two_points_unit`;
+the interior and distinct tests once per pair, in :func:`classify_pair`, whose
+points :func:`kept_params` and the kernel then trust; the (w, t) domain in
+:func:`~inellipse.kernel.unit_geometry`.
 Built once per query: p1's quadratic, the case (a shared constant) and each
-kept solution's parameters, conic, contacts and center, from one
-:func:`~inellipse.kernel.unit_records` call, which ``world`` carries over.
+kept solution's parameters, in :func:`kept_params`, which builds no other
+record.  ``world`` classifies the pair and calls :func:`kept_params` itself;
+only :func:`solve_two_points_unit` wraps each solution in a
+:class:`TwoPointSolution`, from one :func:`~inellipse.kernel.unit_records` call.
 """
 
 from __future__ import annotations
@@ -153,16 +156,19 @@ def _candidate_params(p1: Point, p2: Point, q1: QuadraticPoly, case: PairCase):
     return out, 4 if case.vertex is None else 2
 
 
-def _assemble(p1, p2, raw_params, expected):
-    """Polish, gate and dedupe each candidate in one loop; build each kept solution once.
+def kept_params(p1: Point, p2: Point, case: PairCase) -> list[tuple[EllipseParam, tuple[float, float]]]:
+    """Every inscribed ellipse through a classified pair, as (param, residuals) sorted by (t, w).
 
-    The points arrive checked.  A polished (w, t) is kept inside the square
-    margin, with both backward errors under ``_GATE``, unless it lies within
-    ``_DEDUPE`` of one kept before.  Kept candidates stay (t, w, residuals)
-    tuples until the count matches; the records are built after that.
+    The points and ``case`` arrive from :func:`classify_pair`, which checked
+    the points.  Each candidate of R and S is polished, then kept inside the
+    square margin, with both backward errors under ``_GATE``, unless it lies
+    within ``_DEDUPE`` of one kept before.  A count other than the case's
+    raises :class:`SolutionCountMismatch`.  No record is built here: callers
+    build what they carry.
     """
+    raw, expected = _candidate_params(p1, p2, poly_q(p1), case)
     kept = []  # (t, w, residuals)
-    for w, t in raw_params:
+    for w, t in raw:
         w, t, residuals = _newton_polish(p1, p2, w, t)
         r1, r2 = residuals
         inside = _SQUARE_MARGIN < w < _SQUARE_TOP and _SQUARE_MARGIN < t < _SQUARE_TOP
@@ -179,11 +185,7 @@ def _assemble(p1, p2, raw_params, expected):
             f"{[(round(t, 6), round(w, 6)) for t, w, _ in kept]}"
         )
     kept.sort()
-    solutions = []
-    for t, w, residuals in kept:
-        param = tuple.__new__(EllipseParam, (w, t))
-        solutions.append(tuple.__new__(TwoPointSolution, (param, *unit_records(param), residuals)))
-    return solutions
+    return [(tuple.__new__(EllipseParam, (w, t)), residuals) for t, w, residuals in kept]
 
 
 def solve_two_points_unit(p1: Point, p2: Point) -> tuple[PairCase, list[TwoPointSolution]]:
@@ -192,9 +194,12 @@ def solve_two_points_unit(p1: Point, p2: Point) -> tuple[PairCase, list[TwoPoint
     Four solutions in the generic cases, two in the vertex-line cases; all
     returned parameters sit strictly inside the open unit square, have a
     through-point backward error below ``_GATE`` at both points (reported as
-    ``residuals``), and arrive sorted by (t, w).
+    ``residuals``), and arrive sorted by (t, w).  Each solution's records come
+    from one :func:`~inellipse.kernel.unit_records` call.
     """
     p1, p2 = as_point(p1), as_point(p2)
     case = classify_pair(p1, p2)
-    raw, expected = _candidate_params(p1, p2, poly_q(p1), case)
-    return case, _assemble(p1, p2, raw, expected)
+    return case, [
+        tuple.__new__(TwoPointSolution, (param, *unit_records(param), residuals))
+        for param, residuals in kept_params(p1, p2, case)
+    ]

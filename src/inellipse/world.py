@@ -11,15 +11,17 @@ unit triangle), so they are reported unchanged.
 
 Built once per solution: the unit conic, contacts and center, by one
 :func:`~inellipse.kernel.unit_geometry` call, and the world conic, by one
-``pull_back``.  The point-slope and tangency families carry the plain tuples
-over and build no unit record; the two-point family carries over the records
-its :class:`~inellipse.two_points.TwoPointSolution` already holds.
+``pull_back``.  Every family carries the plain tuples over and builds no unit
+record: the two-point family classifies the pair and takes the kept
+(param, residuals) from :func:`~inellipse.two_points.kept_params`, not the
+:class:`~inellipse.two_points.TwoPointSolution` records of the unit API.
 
 Checks: :class:`~inellipse.affine.Triangle` when it is built, ``as_point`` on
 each world point here, then each unit solver's own, once per query (interior
-and coincident in :func:`~inellipse.two_points.classify_pair`; interior,
-excluded slope, side and vertex bands in the others) and the kernel's (w, t)
-domain in :func:`~inellipse.kernel.unit_geometry`.
+and coincident in :func:`~inellipse.two_points.classify_pair`, which also
+coerces the two unit points; interior, excluded slope, side and vertex bands
+in the others) and the kernel's (w, t) domain in
+:func:`~inellipse.kernel.unit_geometry`.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ class SolveReport(NamedTuple):
 
 
 def _to_world(tri, fwd, unit_solutions) -> tuple[WorldSolution, ...]:
-    # Per (param, unit conic, unit contacts, unit center, residuals), the fields of a
-    # TwoPointSolution or a unit_geometry tuple: one pull_back, and each unit point (x, y)
+    # Per (param, unit conic, unit contacts, unit center, residuals), a unit_geometry
+    # tuple between its param and residuals: one pull_back, and each unit point (x, y)
     # lands on a + x (b - a) + y (c - a), left to right as tests/helpers.py::unit_to_world.
     # The points written out and the records built by tuple.__new__, without NamedTuple
     # __new__ frames, save 0.5-0.8 and 0.6 us per solution (CPython 3.11).
@@ -76,8 +78,9 @@ def solve_two_points(tri: Triangle, p1: Point, p2: Point) -> SolveReport:
     """Every inscribed ellipse of ``tri`` through the two world points."""
     fwd = map_to_unit(tri)
     u1, u2 = apply_point(fwd, as_point(p1)), apply_point(fwd, as_point(p2))
-    case, sols = two_points.solve_two_points_unit(u1, u2)
-    return tuple.__new__(SolveReport, (str(case), _to_world(tri, fwd, sols)))
+    case = two_points.classify_pair(u1, u2)
+    unit = [(param, *unit_geometry(param), residuals) for param, residuals in two_points.kept_params(u1, u2, case)]
+    return tuple.__new__(SolveReport, (str(case), _to_world(tri, fwd, unit)))
 
 
 def solve_point_slope(tri: Triangle, p: Point, slope: Slope) -> SolveReport:

@@ -3,6 +3,8 @@
 import copy
 import math
 import pickle
+import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -121,6 +123,76 @@ class TestTriangleInput:
         with pytest.raises(ValueError, match="overflow") as info:
             Triangle(*vertices)
         assert type(info.value) is ValueError
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [
+            [[0.0, 0.0], [1e-160, 0.0], [0.0, 1e-160]],
+            [[0.0, 0.0], [1e-156, 0.0], [0.0, 1e-156]],
+            # Its longest squared edge, 1e-290, is a normal float.
+            [[0.0, 0.0], [1e-145, 0.0], [3e-146, 1e-156]],
+        ],
+        ids=["scaled_1e-160", "scaled_1e-156", "thin"],
+    )
+    def test_map_scale_beyond_the_float_range_raises_value_error(self, vertices):
+        with pytest.raises(ValueError, match="squared scale of the map to the unit triangle") as info:
+            Triangle(*vertices)
+        assert type(info.value) is ValueError
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [[[0.0, 0.0], [1e-154, 0.0], [0.0, 1e-154]], [[0.0, 0.0], [1e-140, 0.0], [3e-141, 1e-150]]],
+        ids=["scaled_1e-154", "thin"],
+    )
+    def test_tiny_triangle_inside_the_map_bound_solves(self, vertices):
+        # 25 seeded interior pairs: 100 world conics, each finite and certified.
+        tri = Triangle(*vertices)
+        (ax, ay), (bx, by), (cx, cy) = tri
+        rng = random.Random(7)
+        conics = []
+        for _ in range(25):
+            pair = []
+            while len(pair) < 2:
+                x, y = rng.random(), rng.random()
+                if x + y < 1.0:
+                    pair.append((ax + x * (bx - ax) + y * (cx - ax), ay + x * (by - ay) + y * (cy - ay)))
+            conics += [s.conic for s in solve_two_points(tri, *pair).solutions]
+        assert len(conics) == 100
+        assert all(math.isfinite(v) for conic in conics for v in conic)
+        assert all(verify_inscribed(conic, tri).passed for conic in conics)
+
+    def test_world_conics_stay_finite_up_to_the_map_bound(self):
+        # Random triangles scaled so that the larger column 1-norm of the unit map
+        # sits just below (accepted) or just above (refused) the square root of
+        # the largest float.  Under the bound, every world conic is finite.
+        rng = random.Random(11)
+        root_max = math.sqrt(sys.float_info.max)
+        accepted = refused = 0
+        while accepted < 150:
+            (ax, ay), (bx, by), (cx, cy) = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)]
+            ux, uy, vx, vy = bx - ax, by - ay, cx - ax, cy - ay
+            area2 = ux * vy - vx * uy
+            if abs(area2) < 0.05:
+                continue
+            norm = max(abs(uy) + abs(vy), abs(ux) + abs(vx)) / abs(area2)
+            inside = rng.random() < 0.75
+            k = norm / (root_max * (rng.uniform(0.5, 0.999) if inside else rng.uniform(1.001, 2.0)))
+            vertices = [(ax * k, ay * k), (bx * k, by * k), (cx * k, cy * k)]
+            if not inside:
+                with pytest.raises(ValueError, match="squared scale"):
+                    Triangle(*vertices)
+                refused += 1
+                continue
+            tri = Triangle(*vertices)
+            pair = []
+            while len(pair) < 2:
+                x, y = rng.random(), rng.random()
+                if x + y < 1.0:
+                    pair.append(((ax + x * ux + y * vx) * k, (ay + x * uy + y * vy) * k))
+            report = solve_two_points(tri, *pair)
+            assert all(math.isfinite(v) for s in report.solutions for v in s.conic)
+            accepted += 1
+        assert refused > 20
 
     @pytest.mark.parametrize("kind", ["box", "pixel"])
     def test_near_collinear_verdict_follows_the_exact_relative_height(self, kind):

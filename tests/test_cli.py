@@ -352,6 +352,23 @@ class TestMalformedInput:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
 
+    # Finite vertices whose map to the unit triangle squares past the float range: the
+    # unit triangle scaled by 1e-160, and a thin one whose squared edges are normal floats.
+    MAP_OVERFLOW_CASES = {
+        "scaled_1e-160": ([[0, 0], [1e-160, 0], [0, 1e-160]], [[2.5e-161, 1.25e-161], [5e-161, 1.667e-161]]),
+        "thin": ([[0, 0], [1e-145, 0], [3e-146, 1e-156]], [[2.875e-146, 1.25e-157], [5.5001e-146, 1.667e-157]]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MAP_OVERFLOW_CASES))
+    def test_map_scale_beyond_the_float_range(self, case):
+        triangle, (p1, p2) = self.MAP_OVERFLOW_CASES[case]
+        doc = {"triangle": triangle, "query": {"two_points": {"p1": p1, "p2": p2}}}
+        proc = run_cli_process(["two-points", "-"], json.dumps(doc))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+        assert "squared scale of the map to the unit triangle" in proc.stderr
+
     def test_slope_overflowing_to_infinity(self):
         doc = '{"triangle": [[0, 0], [1, 0], [0, 1]], "query": {"point_slope": {"p": [0.3, 0.3], "slope": 1e400}}}'
         proc = run_cli_process(["point-slope", "-"], doc)

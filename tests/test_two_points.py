@@ -314,12 +314,14 @@ class TestCountsAndQuality:
 
     def test_world_solve_builds_each_quadratic_and_conic_once(self, monkeypatch):
         # Per solution of every family: one unit geometry (conic, contacts and
-        # center together) and one pull-back of its conic.
-        from inellipse import conic, kernel, world
+        # center together) and one pull-back of its conic, and no unit record.
+        # A two-point query coerces its two world points and, in classify_pair,
+        # their two unit images: four as_point calls.
+        from inellipse import affine, conic, geom, kernel, world
         from inellipse.affine import UNIT_TRIANGLE
         from inellipse.geom import Slope
 
-        counted = {kernel: ("poly_q", "unit_geometry"), conic: ("pull_back",)}
+        counted = {kernel: ("poly_q", "unit_geometry", "unit_records"), conic: ("pull_back",), geom: ("as_point",)}
         calls = collections.Counter()
         for home, names in counted.items():
             for name in names:
@@ -330,7 +332,7 @@ class TestCountsAndQuality:
                     return _fn(*args)
 
                 # Every binding, so calls from inside kernel count too.
-                for module in (kernel, conic, two_points, world):
+                for module in (kernel, conic, geom, affine, two_points, world):
                     if getattr(module, name, None) is fn:
                         monkeypatch.setattr(module, name, count)
         rng = np.random.default_rng(47)
@@ -352,9 +354,42 @@ class TestCountsAndQuality:
             assert calls["poly_q"] == (1 if len(cases) <= len(pairs) else 0)
             assert calls["unit_geometry"] == n
             assert calls["pull_back"] == n
+            assert calls["unit_records"] == 0
+            if len(cases) <= len(pairs):
+                assert calls["as_point"] == 4
         assert cases == [
             "generic_4", "generic_j_zero", "generic_j_zero", "vertex_line:right", "unique", "unique", "boundary_unique",
         ]
+
+    def test_unit_solver_builds_its_records_through_unit_records(self, monkeypatch):
+        # The unit API keeps its TwoPointSolution records: one unit_records call
+        # per solution, wrapping the same (param, residuals) that kept_params
+        # hands the world solver.
+        from inellipse import kernel
+        from inellipse.conic import ConicCoeffs
+        from inellipse.kernel import TangencyTriple
+
+        calls = collections.Counter()
+        original = kernel.unit_records
+
+        def count(param):
+            calls["unit_records"] += 1
+            return original(param)
+
+        monkeypatch.setattr(two_points, "unit_records", count)
+        rng = np.random.default_rng(49)
+        p1, p2 = j_zero_pair(rng)
+        for pair in (random_generic_pair(rng), (p1, p2), random_vertex_pair(rng, Vertex.ORIGIN)):
+            calls.clear()
+            case, sols = solve_two_points_unit(*pair)
+            assert calls["unit_records"] == len(sols) > 0
+            kept = two_points.kept_params(*pair, case)
+            assert [(s.param, s.residuals) for s in sols] == kept
+            for s, (param, _) in zip(sols, kept):
+                assert type(s) is two_points.TwoPointSolution
+                assert type(s.conic) is ConicCoeffs and type(s.tangency) is TangencyTriple
+                assert type(s.center) is Point and all(type(p) is Point for p in s.tangency)
+                assert (s.conic, s.tangency, s.center) == original(param)
 
     def test_matches_oracle_on_random_pairs(self):
         rng = np.random.default_rng(44)
