@@ -12,8 +12,10 @@ The package namespace is the query API: the world queries
 :func:`solve_two_points`, :func:`solve_point_slope` and
 :func:`solve_tangency` with their report types, the triangle, the three
 unit-triangle solvers with their outcome types, the value types, and the
-oracle.  Everything is solved in closed form on the unit triangle and
-transported by affine maps; the internals stay in their modules
+oracle.  The unit solvers return parameters; answers come from the world
+queries, on ``UNIT_TRIANGLE`` for the unit triangle.  Everything is solved in
+closed form on the unit triangle and transported by affine maps; the
+internals stay in their modules
 (:mod:`~inellipse.kernel` for the polynomials, :mod:`~inellipse.affine` and
 :mod:`~inellipse.conic` for the maps and conics, :mod:`~inellipse.equations`
 for the defining equations).  :mod:`inellipse.oracle` provides an independent
@@ -31,9 +33,9 @@ from .affine import Triangle, UNIT_TRIANGLE
 from .boundary import Side, SidePoint, param_from_tangencies, side_point
 from .conic import ConicCoeffs
 from .geom import Point, Slope, Vertex
-from .kernel import EllipseParam, TangencyTriple, inscribed_center, inscribed_conic, tangency_points
+from .kernel import EllipseParam
 from .point_slope import NoSolution, solve_point_slope_unit, vertex_slopes
-from .two_points import PairCase, PairKind, TwoPointSolution, classify_pair, solve_two_points_unit
+from .two_points import PairCase, PairKind, classify_pair, solve_two_points_unit
 from .world import SolveReport, WorldSolution, solve_point_slope, solve_tangency, solve_two_points
 
 __version__ = "0.1.0"
@@ -66,7 +68,6 @@ __all__ = [
     "classify_pair",
     "PairCase",
     "PairKind",
-    "TwoPointSolution",
     "solve_point_slope_unit",
     "NoSolution",
     "vertex_slopes",
@@ -80,10 +81,6 @@ __all__ = [
     "Vertex",
     "EllipseParam",
     "ConicCoeffs",
-    "TangencyTriple",
-    "inscribed_conic",
-    "tangency_points",
-    "inscribed_center",
     # The oracle, loaded on first use.
     *sorted(_ORACLE_NAMES),
 ]

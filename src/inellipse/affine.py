@@ -46,6 +46,12 @@ class Triangle(_Vertices):
         longest2 = max(ux * ux + uy * uy, vx * vx + vy * vy, wx * wx + wy * wy)
         if not math.isfinite(longest2):
             raise ValueError(f"vertices {a}, {b}, {c} lie too far apart: the squared edge lengths overflow a float")
+        # A tiny triangle is tested at k = 2**600 times its size (exact), where nothing underflows.
+        k = 1.0
+        if longest2 < 2.0 ** -600:
+            k = 2.0 ** 600
+            ux, uy, vx, vy, wx, wy = ux * k, uy * k, vx * k, vy * k, wx * k, wy * k
+            longest2 = max(ux * ux + uy * uy, vx * vx + vy * vy, wx * wx + wy * wy)
         area2 = ux * vy - vx * uy
         if abs(area2) <= _COLLINEAR_BAND * longest2:
             raise DegenerateTriangle(f"collinear vertices {a}, {b}, {c}")
@@ -53,7 +59,7 @@ class Triangle(_Vertices):
         # quadratic coefficient of a world conic is at most the squared 1-norm of a
         # column (unit coefficients are below 1 in size), so that square bounds them:
         # a thin triangle's squared edges can be normal floats while it is not.
-        scale = max(abs(uy) + abs(vy), abs(ux) + abs(vx)) / abs(area2)
+        scale = k * max(abs(uy) + abs(vy), abs(ux) + abs(vx)) / abs(area2)
         if not math.isfinite(scale * scale):
             raise ValueError(
                 f"vertices {a}, {b}, {c} span too small an area: the squared scale of the map to the"

@@ -10,11 +10,12 @@ document (positional file path, or ``-`` for stdin)::
     }
 
 Exactly one of ``two_points`` / ``point_slope`` / ``boundary_tangency`` must
-be present and must match the subcommand.  ``point_slope.slope`` is a number
-or the string ``"vertical"``.  The options are only ``grid_n`` (or
-``--grid``), the oracle's grid size for ``--check``, an integer from 64 to
-2048, and ``svg`` (or ``--svg``), a path string; any other key is an input
-error.  Reported coefficients are in world coordinates, ordered
+be present and must match the subcommand.  Every point and vertex is an
+array of exactly two numbers (no booleans or strings); ``point_slope.slope``
+is a number or the string ``"vertical"``.  The options are only ``grid_n``
+(or ``--grid``), the oracle's grid size for ``--check``, an integer from 64
+to 2048, and ``svg`` (or ``--svg``), a path string; any other key is an
+input error.  Reported coefficients are in world coordinates, ordered
 [A, B, 2C, D, E, F] with the full (printed) xy coefficient, normalized so the
 largest-magnitude entry is +-1 unless ``--raw``.  The report is one line of
 JSON with sorted keys and no whitespace; floats print as Python's shortest
@@ -75,8 +76,8 @@ def _parse_triangle(doc) -> Triangle:
     if not (isinstance(tri, list) and len(tri) == 3):
         raise InputError("'triangle' must list three vertices")
     try:
-        return Triangle(*(as_point(v) for v in tri))
-    except (TypeError, ValueError, IndexError) as exc:
+        return Triangle(*(_point(v, "vertex") for v in tri))
+    except ValueError as exc:
         raise InputError(f"bad triangle: {exc}") from exc
 
 
@@ -93,6 +94,8 @@ def _parse_query(doc, expected: str):
         raise InputError(f"exactly one of {_VARIANTS} must be present, got {present}")
     if present[0] != expected:
         raise InputError(f"subcommand expects '{expected}', document has '{present[0]}'")
+    if not isinstance(query[expected], dict):
+        raise InputError(f"'{expected}' must be an object")
     return query[expected]
 
 
@@ -114,11 +117,11 @@ def _option(options: dict, key: str, kind, default):
     return value
 
 
-def _point_field(obj, key) -> Point:
-    try:
-        return as_point(obj[key])
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise InputError(f"bad point '{key}': {exc}") from exc
+def _point(raw, what: str) -> Point:
+    """A JSON point: an array of exactly two numbers, which ``as_point`` checks finite."""
+    if type(raw) is not list or len(raw) != 2 or not all(type(v) in (int, float) for v in raw):
+        raise InputError(f"{what} must be an array of two numbers, got {raw!r}")
+    return as_point(raw)
 
 
 def _solution_dict(sol: world.WorldSolution, raw: bool) -> dict:
@@ -208,11 +211,11 @@ def run(argv=None) -> int:
 
         slope = None
         if kind == "point_slope":
-            points = [_point_field(payload, "p")]
+            points = [_point(payload.get("p"), "point 'p'")]
             slope = _parse_slope(payload.get("slope"))
             report = world.solve_point_slope(tri, *points, slope)
         else:
-            points = [_point_field(payload, "p1"), _point_field(payload, "p2")]
+            points = [_point(payload.get(k), f"point '{k}'") for k in ("p1", "p2")]
             solve = world.solve_two_points if kind == "two_points" else world.solve_tangency
             report = solve(tri, *points)
 

@@ -58,9 +58,10 @@ class Slope(NamedTuple):
 
 
 def as_point(obj) -> Point:
-    """Coerce a 2-sequence into a finite-coordinate Point (without a ``Point.__new__`` frame)."""
+    """Coerce exactly two coordinates into a finite-coordinate Point (without a ``Point.__new__`` frame)."""
     try:
-        x, y = float(obj[0]), float(obj[1])
+        x, y = obj
+        x, y = float(x), float(y)
     except OverflowError:  # an integer beyond the float range
         raise ValueError("point coordinates must be finite, got an integer too large for a float") from None
     if not (math.isfinite(x) and math.isfinite(y)):

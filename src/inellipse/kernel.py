@@ -11,13 +11,9 @@ fixed interior point into this family and collecting powers of w yields a
 quadratic in w whose coefficients are polynomials in t; the two-point solver
 works entirely with those polynomials, built here.
 
-A solution's unit geometry (the conic's coefficients, its contacts and its
-center) is written once, in :func:`unit_geometry`, which also checks the
-(w, t) domain.  The world solvers carry its tuples as they are.
-:func:`unit_records` wraps them in records for the unit API
-(:func:`~inellipse.two_points.solve_two_points_unit`), and
-:func:`inscribed_conic`, :func:`tangency_points` and
-:func:`inscribed_center` each return one of them.
+A solution's unit geometry (conic coefficients, contacts, center) is written
+once, as plain tuples, in :func:`unit_geometry`, which also checks the (w, t)
+domain; :mod:`inellipse.world` builds the answer records from them.
 
 Polynomial conventions: dense coefficient records, highest degree first in
 the field names (c2, c1, c0), evaluated by Horner.  Points arrive checked:
@@ -30,7 +26,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .conic import ConicCoeffs
 from .errors import OutOfDomain, ZeroPolynomial
 from .geom import Point
 
@@ -43,12 +38,6 @@ class EllipseParam(NamedTuple):
 
     w: float
     t: float
-
-
-class TangencyTriple(NamedTuple):
-    t1: Point  # on the horizontal side y = 0
-    t2: Point  # on the vertical side x = 0
-    t3: Point  # on the hypotenuse x + y = 1
 
 
 class QuadraticPoly(NamedTuple):
@@ -124,31 +113,6 @@ def unit_geometry(param: EllipseParam):
         ((t, 0.0), (0.0, w), (t * (1.0 - w) / den, w * (1.0 - t) / den)),
         (t / den_center, w / den_center),
     )
-
-
-def unit_records(param: EllipseParam) -> tuple[ConicCoeffs, TangencyTriple, Point]:
-    """:func:`unit_geometry` as records: the conic, the contact triple and the center."""
-    conic, (t1, t2, t3), center = unit_geometry(param)
-    return (
-        tuple.__new__(ConicCoeffs, conic),
-        tuple.__new__(TangencyTriple, (tuple.__new__(Point, t1), tuple.__new__(Point, t2), tuple.__new__(Point, t3))),
-        tuple.__new__(Point, center),
-    )
-
-
-def inscribed_conic(param: EllipseParam) -> ConicCoeffs:
-    """Coefficients (half-cross convention) of the inscribed ellipse for (w, t)."""
-    return unit_records(param)[0]
-
-
-def tangency_points(param: EllipseParam) -> TangencyTriple:
-    """Contact points on the horizontal side, vertical side, hypotenuse."""
-    return unit_records(param)[1]
-
-
-def inscribed_center(param: EllipseParam) -> Point:
-    """Center (t, w)/(2(w + (1-w)t)); always interior to the medial triangle."""
-    return unit_records(param)[2]
 
 
 def poly_q(p: Point) -> QuadraticPoly:

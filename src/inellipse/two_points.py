@@ -14,9 +14,9 @@ points :func:`kept_params` and the kernel then trust; the (w, t) domain in
 :func:`~inellipse.kernel.unit_geometry`.
 Built once per query: p1's quadratic, the case (a shared constant) and each
 kept solution's parameters, in :func:`kept_params`, which builds no other
-record.  ``world`` classifies the pair and calls :func:`kept_params` itself;
-only :func:`solve_two_points_unit` wraps each solution in a
-:class:`TwoPointSolution`, from one :func:`~inellipse.kernel.unit_records` call.
+record.  :func:`solve_two_points_unit` returns them, as the other unit
+solvers return parameters; ``world`` classifies the pair, calls
+:func:`kept_params` itself and builds the answers.
 """
 
 from __future__ import annotations
@@ -25,20 +25,17 @@ import math
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .conic import ConicCoeffs
 from .equations import backward_error, through_point
 from .errors import AmbiguousClassification, SolutionCountMismatch
 from .geom import Point, Vertex, as_point, require_distinct, require_interior
 from .kernel import (
     EllipseParam,
     QuadraticPoly,
-    TangencyTriple,
     pair_invariants,
     poly_q,
     poly_R,
     poly_S,
     solve_quadratic,
-    unit_records,
 )
 
 # Relative bands under which a vertex-line determinant, or the pair invariant
@@ -72,14 +69,6 @@ class PairCase(NamedTuple):
         if self.kind is PairKind.VERTEX_LINE:
             return f"vertex_line:{self.vertex.value}"
         return "generic_4" if self.kind is PairKind.GENERIC else "generic_j_zero"
-
-
-class TwoPointSolution(NamedTuple):
-    param: EllipseParam
-    conic: ConicCoeffs
-    tangency: TangencyTriple
-    center: Point
-    residuals: tuple[float, float]
 
 
 # Immutable, so every query shares the case record classify_pair returns.
@@ -188,18 +177,10 @@ def kept_params(p1: Point, p2: Point, case: PairCase) -> list[tuple[EllipseParam
     return [(tuple.__new__(EllipseParam, (w, t)), residuals) for t, w, residuals in kept]
 
 
-def solve_two_points_unit(p1: Point, p2: Point) -> tuple[PairCase, list[TwoPointSolution]]:
-    """Classify the pair and return every inscribed ellipse through both points.
-
-    Four solutions in the generic cases, two in the vertex-line cases; all
-    returned parameters sit strictly inside the open unit square, have a
-    through-point backward error below ``_GATE`` at both points (reported as
-    ``residuals``), and arrive sorted by (t, w).  Each solution's records come
-    from one :func:`~inellipse.kernel.unit_records` call.
-    """
+def solve_two_points_unit(p1: Point, p2: Point) -> tuple[PairCase, list[tuple[EllipseParam, tuple[float, float]]]]:
+    """The pair's case and every inscribed ellipse through both points, as
+    ``(case, kept_params(p1, p2, case))``: four (param, residuals) in the generic cases,
+    two in the vertex-line cases."""
     p1, p2 = as_point(p1), as_point(p2)
     case = classify_pair(p1, p2)
-    return case, [
-        tuple.__new__(TwoPointSolution, (param, *unit_records(param), residuals))
-        for param, residuals in kept_params(p1, p2, case)
-    ]
+    return case, kept_params(p1, p2, case)

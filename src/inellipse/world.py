@@ -11,10 +11,10 @@ unit triangle), so they are reported unchanged.
 
 Built once per solution: the unit conic, contacts and center, by one
 :func:`~inellipse.kernel.unit_geometry` call, and the world conic, by one
-``pull_back``.  Every family carries the plain tuples over and builds no unit
-record: the two-point family classifies the pair and takes the kept
-(param, residuals) from :func:`~inellipse.two_points.kept_params`, not the
-:class:`~inellipse.two_points.TwoPointSolution` records of the unit API.
+``pull_back``.  This module alone builds answer records; unit-triangle answers
+are its answers on ``UNIT_TRIANGLE``, whose map is the identity.  The two-point
+family classifies the pair and takes the kept (param, residuals) from
+:func:`~inellipse.two_points.kept_params` itself.
 
 Checks: :class:`~inellipse.affine.Triangle` when it is built, ``as_point`` on
 each world point here, then each unit solver's own, once per query (interior

@@ -6,7 +6,7 @@ w-quadratic, the unit-to-world map and a numpy map inverse) are written here
 in their smallest form, apart from the package; the residuals reuse the full
 forms of :mod:`inellipse.equations`, which ``tests/test_equations.py``
 derives symbolically, and the world answer of a unit solution is rebuilt from
-the kernel's records one step at a time.
+the kernel's unit geometry one step at a time.
 """
 
 import math
@@ -17,7 +17,7 @@ from inellipse.affine import AffineMap, Triangle, map_to_unit
 from inellipse.conic import pull_back
 from inellipse.equations import backward_error, tangent, through_point
 from inellipse.geom import Point, Vertex
-from inellipse.kernel import inscribed_center, inscribed_conic, tangency_points
+from inellipse.kernel import unit_geometry
 from inellipse.two_points import PairKind, classify_pair
 from inellipse.world import WorldSolution
 
@@ -203,10 +203,10 @@ def slope_residuals(p: Point, slope, param) -> tuple[float, float]:
 
 
 def reference_world_solution(tri: Triangle, param, residuals) -> WorldSolution:
-    """The world answer for a unit solution: the kernel's records for ``param``, the
-    conic's pull-back along ``map_to_unit(tri)``, and the contacts and centre through
-    :func:`unit_to_world`."""
-    conic, contacts, center = inscribed_conic(param), tangency_points(param), inscribed_center(param)
+    """The world answer for a unit solution: the kernel's unit geometry for ``param``,
+    the conic's pull-back along ``map_to_unit(tri)``, and the contacts and centre
+    through :func:`unit_to_world`."""
+    conic, contacts, center = unit_geometry(param)
     return WorldSolution(
         param,
         pull_back(conic, map_to_unit(tri)),

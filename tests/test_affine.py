@@ -19,7 +19,7 @@ from inellipse.affine import (
     apply_slope,
     map_to_unit,
 )
-from inellipse.boundary import side_point
+from inellipse.boundary import SidePoint, param_from_tangencies, side_point
 from inellipse.conic import ConicCoeffs, pull_back
 from inellipse.errors import DegenerateTriangle, SingularMap
 from inellipse.geom import Point, Slope, as_point
@@ -27,18 +27,15 @@ from inellipse.kernel import (
     EllipseParam,
     PairInvariants,
     QuadraticPoly,
-    TangencyTriple,
-    inscribed_center,
-    inscribed_conic,
     pair_invariants,
     poly_q,
     poly_R,
     poly_S,
-    tangency_points,
+    unit_geometry,
 )
 from inellipse.oracle import verify_inscribed
 from inellipse.point_slope import solve_point_slope_unit
-from inellipse.two_points import PairCase, TwoPointSolution, classify_pair, solve_two_points_unit
+from inellipse.two_points import PairCase, classify_pair, solve_two_points_unit
 from inellipse.world import SolveReport, WorldSolution, solve_two_points
 
 from helpers import (
@@ -131,13 +128,32 @@ class TestTriangleInput:
             [[0.0, 0.0], [1e-156, 0.0], [0.0, 1e-156]],
             # Its longest squared edge, 1e-290, is a normal float.
             [[0.0, 0.0], [1e-145, 0.0], [3e-146, 1e-156]],
-        ],
-        ids=["scaled_1e-160", "scaled_1e-156", "thin"],
+        ]
+        # Twice the area and the longest squared edge underflow to 0.0 here: the
+        # triangle is tested at a larger size, so it is not called collinear.
+        + [[[0.0, 0.0], [s, 0.0], [0.0, s]] for s in (1e-162, 1e-170, 1e-200, 1e-300)],
+        ids=["scaled_1e-160", "scaled_1e-156", "thin", "scaled_1e-162", "scaled_1e-170", "scaled_1e-200", "scaled_1e-300"],
     )
     def test_map_scale_beyond_the_float_range_raises_value_error(self, vertices):
         with pytest.raises(ValueError, match="squared scale of the map to the unit triangle") as info:
             Triangle(*vertices)
         assert type(info.value) is ValueError
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [[[0.0, 0.0], [1e-200, 0.0], [2e-200, 0.0]], [[0.0, 0.0]] * 3, [[0.5, 0.25]] * 3, [[1e-300, 2e-300]] * 3],
+        ids=["tiny_collinear", "equal_at_origin", "equal", "equal_tiny"],
+    )
+    def test_tiny_or_equal_collinear_vertices_raise_degenerate_triangle(self, vertices):
+        with pytest.raises(DegenerateTriangle, match="collinear"):
+            Triangle(*vertices)
+
+    @pytest.mark.parametrize("coords", [[1.0, 2.0, 3.0], [1.0], []], ids=["three", "one", "none"])
+    def test_other_than_two_coordinates_raise_value_error(self, coords):
+        with pytest.raises(ValueError, match="values to unpack"):
+            as_point(coords)
+        with pytest.raises(ValueError, match="values to unpack"):
+            Triangle(coords, [1.0, 0.0], [0.0, 1.0])
 
     @pytest.mark.parametrize(
         "vertices",
@@ -261,8 +277,7 @@ class TestSlopeTransport:
         rng = np.random.default_rng(82)
         for _ in range(40):
             param = EllipseParam(*random_param(rng))
-            conic = inscribed_conic(param)
-            p = tangency_points(param).t3
+            conic, (_, _, p), _ = unit_geometry(param)
             m = AffineMap(*rng.uniform(-2, 2, size=6))
             if abs(m.m11 * m.m22 - m.m12 * m.m21) < 0.05:
                 continue
@@ -279,7 +294,7 @@ class TestSolverInvariance:
         for _ in range(25):
             tri = random_triangle(rng)
             param = EllipseParam(*random_param(rng))
-            world_conic = pull_back(inscribed_conic(param), map_to_unit(tri))
+            world_conic = pull_back(unit_geometry(param)[0], map_to_unit(tri))
             assert verify_inscribed(world_conic, tri).passed
 
     def test_world_count_matches_unit_count(self):
@@ -331,16 +346,15 @@ class TestSolverInvariance:
 def _records():
     """One instance of each result and value record, built by the code that returns it."""
     p1, p2 = Point(0.25, 0.125), Point(0.5, 0.1667)
-    case, (solution, *_) = solve_two_points_unit(p1, p2)
+    case, _ = solve_two_points_unit(p1, p2)
     report = solve_two_points(UNIT_TRIANGLE, p1, p2)
-    certificate = verify_inscribed(solution.conic)
+    certificate = verify_inscribed(report.solutions[0].conic)
     return {
         "PairInvariants": pair_invariants(p1, p2),
         "QuadraticPoly": poly_q(p1),
         "AffineMap": map_to_unit(Triangle(Point(1, 1), Point(4, 2), Point(2, 5))),
         "Triangle": UNIT_TRIANGLE,
         "PairCase": case,
-        "TwoPointSolution": solution,
         "WorldSolution": report.solutions[0],
         "SolveReport": report,
         "NoSolution": solve_point_slope_unit(Point(0.5, 0.25), Slope.finite(0.5)),
@@ -396,23 +410,26 @@ def _query_path_records():
     p1, p2 = Point(0.25, 0.125), Point(0.5, 0.1667)
     param = EllipseParam(0.3, 0.6)
     fwd = map_to_unit(Triangle(Point(1, 1), Point(4, 2), Point(2, 5)))
-    tps = tangency_points(param)
-    case, (solution, *_) = solve_two_points_unit(p1, p2)
+    case, ((solution_param, _), *_) = solve_two_points_unit(p1, p2)
     report = solve_two_points(UNIT_TRIANGLE, p1, p2)
+    # A world answer's tangency points t1, t2, t3, on the images of the horizontal
+    # side, the vertical side and the hypotenuse.
+    t1, t2, t3 = report.solutions[0].tangent_points
+    bottom, left = side_point(Point(0.5, 0.0)), side_point(Point(0.0, 0.5))
     return {
-        "inscribed_conic": (inscribed_conic(param), ConicCoeffs),
-        "pull_back": (pull_back(inscribed_conic(param), fwd), ConicCoeffs),
-        "tangency_points": (tps, TangencyTriple),
-        "tangency_points.t1": (tps.t1, Point),
-        "tangency_points.t2": (tps.t2, Point),
-        "tangency_points.t3": (tps.t3, Point),
-        "inscribed_center": (inscribed_center(param), Point),
+        "pull_back": (pull_back(unit_geometry(param)[0], fwd), ConicCoeffs),
+        "tangency_points.t1": (t1, Point),
+        "tangency_points.t2": (t2, Point),
+        "tangency_points.t3": (t3, Point),
         "pair_invariants": (pair_invariants(p1, p2), PairInvariants),
         "poly_q": (poly_q(p1), QuadraticPoly),
         "poly_R": (poly_R(p1, p2), QuadraticPoly),
         "poly_S": (poly_S(p1, p2), QuadraticPoly),
-        "solution.param": (solution.param, EllipseParam),
-        "TwoPointSolution": (solution, TwoPointSolution),
+        "solution.param": (solution_param, EllipseParam),
+        "solve_point_slope_unit": (solve_point_slope_unit(p1, Slope.finite(-0.7)), EllipseParam),
+        "param_from_tangencies": (param_from_tangencies(bottom, left), EllipseParam),
+        "side_point": (bottom, SidePoint),
+        "as_point": (as_point([1, 2]), Point),
         "PairCase.generic": (case, PairCase),
         "PairCase.j_zero": (classify_pair(Point(0.3, 0.2), Point(0.5, 0.2)), PairCase),
         "PairCase.vertex_line": (classify_pair(Point(0.5, 0.25), Point(0.75, 0.125)), PairCase),

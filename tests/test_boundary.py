@@ -8,7 +8,7 @@ import pytest
 from inellipse.boundary import Side, SidePoint, param_from_tangencies, side_point
 from inellipse.errors import NotOnSide, SameSide, VertexPoint
 from inellipse.geom import Point
-from inellipse.kernel import EllipseParam, inscribed_conic, tangency_points
+from inellipse.kernel import EllipseParam, unit_geometry
 from inellipse.oracle import verify_inscribed
 
 from helpers import random_param
@@ -66,10 +66,10 @@ class TestParamFromTangencies:
         by_side = {Side.BOTTOM: 0, Side.LEFT: 1, Side.HYPOTENUSE: 2}
         for _ in range(100):
             param = EllipseParam(*random_param(rng))
-            contacts = tangency_points(param)
+            _, contacts, _ = unit_geometry(param)
             for sa, sb in itertools.combinations(by_side, 2):
-                s1 = SidePoint(sa, contacts[by_side[sa]])
-                s2 = SidePoint(sb, contacts[by_side[sb]])
+                s1 = SidePoint(sa, Point(*contacts[by_side[sa]]))
+                s2 = SidePoint(sb, Point(*contacts[by_side[sb]]))
                 back = param_from_tangencies(s1, s2)
                 assert abs(back.w - param.w) < 1e-12
                 assert abs(back.t - param.t) < 1e-12
@@ -77,8 +77,8 @@ class TestParamFromTangencies:
     def test_either_order_gives_the_same_param(self):
         rng = np.random.default_rng(74)
         for _ in range(50):
-            contacts = tangency_points(EllipseParam(*random_param(rng)))
-            points = [SidePoint(side, c) for side, c in zip(Side, contacts)]
+            _, contacts, _ = unit_geometry(EllipseParam(*random_param(rng)))
+            points = [SidePoint(side, Point(*c)) for side, c in zip(Side, contacts)]
             for s1, s2 in itertools.combinations(points, 2):
                 assert param_from_tangencies(s1, s2) == param_from_tangencies(s2, s1)
 
@@ -94,11 +94,11 @@ class TestParamFromTangencies:
         rng = np.random.default_rng(72)
         for _ in range(25):
             target = EllipseParam(*random_param(rng))
-            contacts = tangency_points(target)
+            _, contacts, _ = unit_geometry(target)
             param = param_from_tangencies(
-                side_point(contacts.t1), side_point(contacts.t3)
+                side_point(contacts[0]), side_point(contacts[2])
             )
-            got = tangency_points(param)
-            for a, b in zip(got, contacts):
-                assert max(abs(a.x - b.x), abs(a.y - b.y)) < 1e-12
-            assert verify_inscribed(inscribed_conic(param)).passed
+            conic, got, _ = unit_geometry(param)
+            for (ax, ay), (bx, by) in zip(got, contacts):
+                assert max(abs(ax - bx), abs(ay - by)) < 1e-12
+            assert verify_inscribed(conic).passed

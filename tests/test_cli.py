@@ -369,6 +369,28 @@ class TestMalformedInput:
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
         assert "squared scale of the map to the unit triangle" in proc.stderr
 
+    # Every point and vertex is a JSON array of exactly two numbers.
+    PAIR = {"p1": [0.25, 0.125], "p2": [0.5, 0.1667]}
+    MALFORMED_POINTS = {
+        "string_vertices": {"triangle": ["00", "10", "01"], "query": {"two_points": PAIR}},
+        "string_coordinate": {"triangle": [[0, 0], ["1", 0], [0, 1]], "query": {"two_points": PAIR}},
+        "boolean_coordinates": {"triangle": [[0, 0], [True, 0], [0, True]], "query": {"two_points": PAIR}},
+        "three_coordinate_vertex": {"triangle": [[0, 0, 0], [1, 0], [0, 1]], "query": {"two_points": PAIR}},
+        "three_coordinate_point": {"triangle": UNIT, "query": {"two_points": {**PAIR, "p1": [0.25, 0.125, 3]}}},
+        "one_coordinate_point": {"triangle": UNIT, "query": {"two_points": {**PAIR, "p2": [0.5]}}},
+        "boolean_point": {"triangle": UNIT, "query": {"two_points": {**PAIR, "p2": [0.5, False]}}},
+        "missing_point": {"triangle": UNIT, "query": {"two_points": {"p1": [0.25, 0.125]}}},
+        "point_is_an_object": {"triangle": UNIT, "query": {"two_points": {**PAIR, "p1": {"x": 0.25, "y": 0.125}}}},
+        "query_is_a_list": {"triangle": UNIT, "query": {"two_points": [[0.25, 0.125], [0.5, 0.1667]]}},
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_POINTS))
+    def test_malformed_point(self, case):
+        proc = run_cli_process(["two-points", "-"], json.dumps(self.MALFORMED_POINTS[case]))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+
     def test_slope_overflowing_to_infinity(self):
         doc = '{"triangle": [[0, 0], [1, 0], [0, 1]], "query": {"point_slope": {"p": [0.3, 0.3], "slope": 1e400}}}'
         proc = run_cli_process(["point-slope", "-"], doc)

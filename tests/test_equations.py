@@ -3,7 +3,8 @@
 The solvers and the oracle both evaluate :mod:`inellipse.equations`, so the
 oracle cannot catch a transcription error in it.  These tests are that
 check: each equation, in its full and its Jacobian-free form, must equal the
-expression obtained from ``inscribed_conic(w, t)`` written with symbols.
+expression obtained from the conic of ``kernel.unit_geometry((w, t))`` written
+with symbols.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ x, y, w, t, a, b, r = sp.symbols("x y w t a b r")
 
 
 def conic_q():
-    """Q(x, y) of the inscribed family, with the coefficients of kernel.inscribed_conic."""
+    """Q(x, y) of the inscribed family, with the conic coefficients of kernel.unit_geometry."""
     a, b = w * w, t * t
     c = -w * t * (2 * w * t - 2 * w - 2 * t + 1)
     d, e, f = -2 * w * w * t, -2 * t * t * w, t * t * w * w

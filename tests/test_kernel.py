@@ -14,14 +14,12 @@ from inellipse.geom import Point, Vertex
 from inellipse.kernel import (
     EllipseParam,
     QuadraticPoly,
-    inscribed_center,
-    inscribed_conic,
     pair_invariants,
     poly_q,
     poly_R,
     poly_S,
     solve_quadratic,
-    tangency_points,
+    unit_geometry,
 )
 
 from helpers import (
@@ -41,74 +39,71 @@ EX1 = (Point(0.25, 0.125), Point(0.5, 1 / 6))
 
 class TestInscribedConic:
     def test_midpoint_instance(self):
-        conic = inscribed_conic(EllipseParam(0.5, 0.5))
+        conic, _, _ = unit_geometry(EllipseParam(0.5, 0.5))
         assert same_conic(conic, ConicCoeffs(4.0, 4.0, 2.0, -4.0, -4.0, 1.0))
 
     def test_printed_boundary_instance(self):
-        conic = inscribed_conic(EllipseParam(6 / 7, 2 / 3))
+        conic, _, _ = unit_geometry(EllipseParam(6 / 7, 2 / 3))
         assert same_conic(conic, ConicCoeffs(324.0, 196.0, 228.0, -432.0, -336.0, 144.0))
 
     def test_printed_vertical_instance(self):
-        conic = inscribed_conic(EllipseParam(0.5, 0.2))
+        conic, _, _ = unit_geometry(EllipseParam(0.5, 0.2))
         assert same_conic(conic, ConicCoeffs(25.0, 4.0, 2.0, -10.0, -4.0, 1.0))
 
     def test_out_of_domain(self):
         with pytest.raises(OutOfDomain):
-            inscribed_conic(EllipseParam(0.0, 0.5))
+            unit_geometry(EllipseParam(0.0, 0.5))
         with pytest.raises(OutOfDomain):
-            inscribed_conic(EllipseParam(0.5, 1.0))
+            unit_geometry(EllipseParam(0.5, 1.0))
 
 
 class TestTangency:
     def test_midpoints(self):
-        tps = tangency_points(EllipseParam(0.5, 0.5))
-        assert tps.t1 == pytest.approx((0.5, 0.0))
-        assert tps.t2 == pytest.approx((0.0, 0.5))
-        assert tps.t3 == pytest.approx((0.5, 0.5))
+        t1, t2, t3 = unit_geometry(EllipseParam(0.5, 0.5))[1]
+        assert t1 == pytest.approx((0.5, 0.0))
+        assert t2 == pytest.approx((0.0, 0.5))
+        assert t3 == pytest.approx((0.5, 0.5))
 
     def test_printed_boundary_contacts(self):
-        tps = tangency_points(EllipseParam(6 / 7, 2 / 3))
-        assert tps.t1 == pytest.approx((2 / 3, 0.0), abs=1e-15)
-        assert tps.t3 == pytest.approx((0.25, 0.75), abs=1e-15)
+        t1, _, t3 = unit_geometry(EllipseParam(6 / 7, 2 / 3))[1]
+        assert t1 == pytest.approx((2 / 3, 0.0), abs=1e-15)
+        assert t3 == pytest.approx((0.25, 0.75), abs=1e-15)
 
     def test_vertical_side_contact(self):
-        assert tangency_points(EllipseParam(0.5, 0.2)).t2 == pytest.approx((0.0, 0.5))
+        assert unit_geometry(EllipseParam(0.5, 0.2))[1][1] == pytest.approx((0.0, 0.5))
 
     def test_contacts_lie_on_conic_and_sides(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
-            param = EllipseParam(*random_param(rng))
-            conic = inscribed_conic(param)
+            conic, (t1, t2, t3), _ = unit_geometry(EllipseParam(*random_param(rng)))
             scale = max(abs(v) for v in conic)
-            t1, t2, t3 = tangency_points(param)
             for p in (t1, t2, t3):
                 assert abs(sum(conic_terms(conic, p))) < 1e-12 * scale
-            assert t1.y == 0.0 and 0.0 < t1.x < 1.0
-            assert t2.x == 0.0 and 0.0 < t2.y < 1.0
-            assert t3.x + t3.y == pytest.approx(1.0, abs=1e-12)
+            assert t1[1] == 0.0 and 0.0 < t1[0] < 1.0
+            assert t2[0] == 0.0 and 0.0 < t2[1] < 1.0
+            assert t3[0] + t3[1] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestInscribedCenter:
     def test_centroid(self):
-        assert inscribed_center(EllipseParam(0.5, 0.5)) == pytest.approx((1 / 3, 1 / 3))
+        assert unit_geometry(EllipseParam(0.5, 0.5))[2] == pytest.approx((1 / 3, 1 / 3))
 
     def test_closed_form_value(self):
-        assert inscribed_center(EllipseParam(6 / 7, 2 / 3)) == pytest.approx((0.35, 0.45), abs=1e-15)
+        assert unit_geometry(EllipseParam(6 / 7, 2 / 3))[2] == pytest.approx((0.35, 0.45), abs=1e-15)
 
     def test_agrees_with_conic_center(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
-            param = EllipseParam(*random_param(rng))
-            x, y = inscribed_center(param)
-            bx, by = conic_centre(inscribed_conic(param))
+            conic, _, (x, y) = unit_geometry(EllipseParam(*random_param(rng)))
+            bx, by = conic_centre(conic)
             assert max(abs(x - bx), abs(y - by)) < 1e-12
 
     def test_center_in_medial_triangle(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
-            c = inscribed_center(EllipseParam(*random_param(rng)))
-            assert 0.0 < c.x < 0.5
-            assert 0.5 - c.x < c.y < 0.5
+            x, y = unit_geometry(EllipseParam(*random_param(rng)))[2]
+            assert 0.0 < x < 0.5
+            assert 0.5 - x < y < 0.5
 
 
 class TestPairInvariants:
@@ -270,7 +265,7 @@ class TestWQuadratic:
             t = 0.05 + 0.9 * rng.random()
             for w, _ in solve_quadratic(QuadraticPoly(*w_quadratic(p, t))):
                 if 0.0 < w < 1.0:
-                    conic = inscribed_conic(EllipseParam(w, t))
+                    conic = unit_geometry(EllipseParam(w, t))[0]
                     scale = max(abs(v) for v in conic)
                     assert abs(sum(conic_terms(conic, p))) < 1e-12 * scale
 

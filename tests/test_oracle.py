@@ -12,7 +12,7 @@ from inellipse.conic import ConicCoeffs
 from inellipse.errors import NotAnEllipse
 from inellipse.geom import Point, Slope
 from inellipse import oracle
-from inellipse.kernel import EllipseParam, inscribed_conic
+from inellipse.kernel import EllipseParam, unit_geometry
 from inellipse.oracle import brute_force_point_slope, brute_force_two_points, verify_inscribed
 from inellipse.point_slope import residual_system13, solve_point_slope_unit, vertex_slopes
 
@@ -29,7 +29,7 @@ def axis_aligned_ellipse(cx, cy, rx, ry):
 
 class TestVerifyInscribed:
     def test_midpoint_conic_contacts(self):
-        report = verify_inscribed(inscribed_conic(EllipseParam(0.5, 0.5)))
+        report = verify_inscribed(unit_geometry(EllipseParam(0.5, 0.5))[0])
         assert report.passed
         # Contact parameter 1/2 along every side.
         expected = [(0.5, 0.0), (0.5, 0.5), (0.0, 0.5)]
@@ -52,7 +52,7 @@ class TestVerifyInscribed:
     def test_random_inscribed_family_passes(self):
         rng = np.random.default_rng(90)
         for _ in range(200):
-            conic = inscribed_conic(EllipseParam(*random_param(rng)))
+            conic, _, _ = unit_geometry(EllipseParam(*random_param(rng)))
             assert verify_inscribed(conic).passed
 
     def test_random_non_inscribed_fail(self):

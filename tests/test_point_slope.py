@@ -7,7 +7,7 @@ import pytest
 
 from inellipse.errors import NotInterior
 from inellipse.geom import Point, Slope, Vertex
-from inellipse.kernel import EllipseParam, inscribed_conic
+from inellipse.kernel import EllipseParam, unit_geometry
 from inellipse.point_slope import (
     NoSolution,
     residual_system13,
@@ -150,7 +150,7 @@ class TestSolutionQuality:
             out = solve_point_slope_unit(p, Slope.finite(r))
             if isinstance(out, NoSolution):
                 continue
-            qx, qy = conic_gradient(inscribed_conic(out), p)
+            qx, qy = conic_gradient(unit_geometry(out)[0], p)
             assert -qx / qy == pytest.approx(r, rel=1e-8, abs=1e-8)
 
     def test_vertical_conic_tangent(self):
@@ -158,7 +158,7 @@ class TestSolutionQuality:
         for _ in range(50):
             p = random_interior(rng)
             out = solve_point_slope_unit(p, Slope.vertical())
-            qx, qy = conic_gradient(inscribed_conic(out), p)
+            qx, qy = conic_gradient(unit_geometry(out)[0], p)
             assert abs(qy) <= 1e-12 * abs(qx)
 
     def test_finite_formula_approaches_vertical_limit(self):

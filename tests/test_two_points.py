@@ -9,7 +9,7 @@ import pytest
 from inellipse import two_points
 from inellipse.errors import AmbiguousClassification, CoincidentPoints, NotInterior, SolutionCountMismatch
 from inellipse.geom import Point, Vertex
-from inellipse.kernel import EllipseParam, pair_invariants, poly_q, poly_R
+from inellipse.kernel import EllipseParam, pair_invariants, poly_q, poly_R, unit_geometry
 from inellipse.oracle import brute_force_two_points, verify_inscribed
 from inellipse.two_points import PairKind, classify_pair, solve_two_points_unit
 
@@ -30,7 +30,7 @@ EX_TOP = (Point(1 / 3, 0.2), Point(0.25, 0.4))
 
 
 def sorted_tw(solutions):
-    return [(s.param.t, s.param.w) for s in solutions]
+    return [(param.t, param.w) for param, _ in solutions]
 
 
 class TestClassify:
@@ -123,15 +123,15 @@ class TestGenericExample:
 
     def test_residuals_small_at_solutions(self):
         _, sols = solve_two_points_unit(*EX1)
-        for s in sols:
-            assert max(s.residuals) < 1e-10
+        for _, residuals in sols:
+            assert max(residuals) < 1e-10
 
     def test_residual_bounded_away_at_non_solution(self):
         r = pair_residuals(*EX1, EllipseParam(0.5, 0.5))
         assert min(r) > 0.05
 
     def test_residual_swap_symmetry(self):
-        param = solve_two_points_unit(*EX1)[1][0].param
+        (param, _), *_ = solve_two_points_unit(*EX1)[1]
         r12 = pair_residuals(EX1[0], EX1[1], param)
         r21 = pair_residuals(EX1[1], EX1[0], param)
         assert r12 == (r21[1], r21[0])
@@ -172,9 +172,10 @@ class TestDegenerateBranchExample:
             assert r.discriminant < (1e-6 * r.scale) ** 2
             _, sols = solve_two_points_unit(p1, p2)
             assert len(sols) == 4
-            for s in sols:
-                assert term_residual(s.conic, p1) < 1e-9
-                assert term_residual(s.conic, p2) < 1e-9
+            for param, _ in sols:
+                conic, _, _ = unit_geometry(param)
+                assert term_residual(conic, p1) < 1e-9
+                assert term_residual(conic, p2) < 1e-9
 
     def test_pairs_near_the_branch_keep_four_solutions(self):
         rng = np.random.default_rng(5)
@@ -246,19 +247,20 @@ class TestCountsAndQuality:
         for _ in range(20):
             p1, p2 = random_generic_pair(rng)
             _, sols = solve_two_points_unit(p1, p2)
-            for s in sols:
-                assert term_residual(s.conic, p1) < 1e-9
-                assert term_residual(s.conic, p2) < 1e-9
-                assert verify_inscribed(s.conic).passed
+            for param, _ in sols:
+                conic, _, _ = unit_geometry(param)
+                assert term_residual(conic, p1) < 1e-9
+                assert term_residual(conic, p2) < 1e-9
+                assert verify_inscribed(conic).passed
 
     def test_params_strictly_inside_square(self):
         rng = np.random.default_rng(40)
         for _ in range(30):
             p1, p2 = random_generic_pair(rng)
             _, sols = solve_two_points_unit(p1, p2)
-            for s in sols:
-                assert 0.0 < s.param.w < 1.0
-                assert 0.0 < s.param.t < 1.0
+            for param, _ in sols:
+                assert 0.0 < param.w < 1.0
+                assert 0.0 < param.t < 1.0
 
     def test_swap_symmetry_of_solution_set(self):
         rng = np.random.default_rng(42)
@@ -275,8 +277,8 @@ class TestCountsAndQuality:
         p1, p2 = j_zero_pair(rng)
         for pair in (random_generic_pair(rng), (p1, p2), (p2, p1), random_vertex_pair(rng, Vertex.TOP)):
             _, sols = solve_two_points_unit(*pair)
-            for s in sols:
-                assert s.residuals == pair_residuals(*pair, s.param)
+            for param, residuals in sols:
+                assert residuals == pair_residuals(*pair, param)
 
     def test_sign_rule_picks_the_partner_at_every_root(self):
         # Before any polish, each root of R and S in (0, 1) of a generic pair
@@ -314,14 +316,14 @@ class TestCountsAndQuality:
 
     def test_world_solve_builds_each_quadratic_and_conic_once(self, monkeypatch):
         # Per solution of every family: one unit geometry (conic, contacts and
-        # center together) and one pull-back of its conic, and no unit record.
+        # center together) and one pull-back of its conic.
         # A two-point query coerces its two world points and, in classify_pair,
         # their two unit images: four as_point calls.
         from inellipse import affine, conic, geom, kernel, world
         from inellipse.affine import UNIT_TRIANGLE
         from inellipse.geom import Slope
 
-        counted = {kernel: ("poly_q", "unit_geometry", "unit_records"), conic: ("pull_back",), geom: ("as_point",)}
+        counted = {kernel: ("poly_q", "unit_geometry"), conic: ("pull_back",), geom: ("as_point",)}
         calls = collections.Counter()
         for home, names in counted.items():
             for name in names:
@@ -354,42 +356,11 @@ class TestCountsAndQuality:
             assert calls["poly_q"] == (1 if len(cases) <= len(pairs) else 0)
             assert calls["unit_geometry"] == n
             assert calls["pull_back"] == n
-            assert calls["unit_records"] == 0
             if len(cases) <= len(pairs):
                 assert calls["as_point"] == 4
         assert cases == [
             "generic_4", "generic_j_zero", "generic_j_zero", "vertex_line:right", "unique", "unique", "boundary_unique",
         ]
-
-    def test_unit_solver_builds_its_records_through_unit_records(self, monkeypatch):
-        # The unit API keeps its TwoPointSolution records: one unit_records call
-        # per solution, wrapping the same (param, residuals) that kept_params
-        # hands the world solver.
-        from inellipse import kernel
-        from inellipse.conic import ConicCoeffs
-        from inellipse.kernel import TangencyTriple
-
-        calls = collections.Counter()
-        original = kernel.unit_records
-
-        def count(param):
-            calls["unit_records"] += 1
-            return original(param)
-
-        monkeypatch.setattr(two_points, "unit_records", count)
-        rng = np.random.default_rng(49)
-        p1, p2 = j_zero_pair(rng)
-        for pair in (random_generic_pair(rng), (p1, p2), random_vertex_pair(rng, Vertex.ORIGIN)):
-            calls.clear()
-            case, sols = solve_two_points_unit(*pair)
-            assert calls["unit_records"] == len(sols) > 0
-            kept = two_points.kept_params(*pair, case)
-            assert [(s.param, s.residuals) for s in sols] == kept
-            for s, (param, _) in zip(sols, kept):
-                assert type(s) is two_points.TwoPointSolution
-                assert type(s.conic) is ConicCoeffs and type(s.tangency) is TangencyTriple
-                assert type(s.center) is Point and all(type(p) is Point for p in s.tangency)
-                assert (s.conic, s.tangency, s.center) == original(param)
 
     def test_matches_oracle_on_random_pairs(self):
         rng = np.random.default_rng(44)
@@ -435,9 +406,9 @@ class TestAccuracy:
         rng = np.random.default_rng(71)
         for _ in range(100):
             p1, p2 = draw(rng)
-            for s in solve_two_points_unit(p1, p2)[1]:
-                w, t = two_point_reference(p1, p2, *s.param)
-                assert max(abs(s.param.w - w), abs(s.param.t - t)) < 1e-11
+            for param, _ in solve_two_points_unit(p1, p2)[1]:
+                w, t = two_point_reference(p1, p2, *param)
+                assert max(abs(param.w - w), abs(param.t - t)) < 1e-11
 
 
 class TestCoordinateCollisions:
@@ -448,10 +419,11 @@ class TestCoordinateCollisions:
         case, sols = solve_two_points_unit(p1, p2)
         assert case.kind is PairKind.GENERIC
         assert len(sols) == 4
-        for s in sols:
-            assert max(s.residuals) < 1e-10
-            assert term_residual(s.conic, p1) < 1e-9
-            assert term_residual(s.conic, p2) < 1e-9
+        for param, residuals in sols:
+            conic, _, _ = unit_geometry(param)
+            assert max(residuals) < 1e-10
+            assert term_residual(conic, p1) < 1e-9
+            assert term_residual(conic, p2) < 1e-9
 
     def test_equal_y(self):
         p1, p2 = Point(0.2, 0.3), Point(0.55, 0.3)

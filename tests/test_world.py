@@ -1,5 +1,8 @@
 """World layer: transport of conics and centers from the unit triangle."""
 
+import importlib.util
+import pathlib
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,10 +11,11 @@ import pytest
 from inellipse import kernel, world
 from inellipse.affine import Triangle, UNIT_TRIANGLE, apply_point, apply_slope, map_to_unit
 from inellipse.boundary import Side, param_from_tangencies, side_point
+from inellipse.errors import GeometryError
 from inellipse.conic import is_real_ellipse
 from inellipse.geom import Point, Slope, Vertex
-from inellipse.kernel import EllipseParam, inscribed_center, inscribed_conic, tangency_points
-from inellipse.point_slope import solve_point_slope_unit
+from inellipse.kernel import EllipseParam, unit_geometry
+from inellipse.point_slope import NoSolution, residual_system13, solve_point_slope_unit
 from inellipse.two_points import solve_two_points_unit
 from inellipse.world import WorldSolution
 
@@ -82,7 +86,7 @@ def test_every_inscribed_conic_has_a_unique_center():
     # The domain check compares floats; the coefficients are polynomials in (w, t).
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernel, "_check_param", lambda w, t: None)
-        a, b, c, _, _, _ = inscribed_conic(EllipseParam(w, t))
+        (a, b, c, _, _, _), _, _ = unit_geometry(EllipseParam(w, t))
     det = sp.nsimplify(a * b - c * c)
     assert sp.expand(det - 4 * w**2 * t**2 * (1 - w) * (1 - t) * (w + t - w * t)) == 0
 
@@ -118,7 +122,7 @@ def transport_queries(family, rng, make_triangle):
             fwd = map_to_unit(tri)
             p1, p2 = Point(*unit_to_world(tri, u1)), Point(*unit_to_world(tri, u2))
             v1, v2 = apply_point(fwd, p1), apply_point(fwd, p2)
-            params = [s.param for s in solve_two_points_unit(v1, v2)[1]]
+            params = [q for q, _ in solve_two_points_unit(v1, v2)[1]]
             yield tri, world.solve_two_points(tri, p1, p2), [(q, pair_residuals(v1, v2, q)) for q in params]
     elif family == "point_slope":
         for i in range(8):
@@ -138,9 +142,9 @@ def transport_queries(family, rng, make_triangle):
             q1, q2 = (side_point_of(tri, side, 0.15 + 0.7 * rng.random()) for side in SIDE_PAIRS[i % 3])
             s1, s2 = (side_point(apply_point(fwd, q)) for q in (q1, q2))
             q = param_from_tangencies(s1, s2)
-            contacts = dict(zip(Side, tangency_points(q)))
+            contacts = dict(zip(Side, unit_geometry(q)[1]))
             residuals = tuple(
-                max(abs(contacts[s.side].x - s.point.x), abs(contacts[s.side].y - s.point.y)) for s in (s1, s2)
+                max(abs(contacts[s.side][0] - s.point.x), abs(contacts[s.side][1] - s.point.y)) for s in (s1, s2)
             )
             yield tri, world.solve_tangency(tri, q1, q2), [(q, residuals)]
 
@@ -150,8 +154,8 @@ def transport_queries(family, rng, make_triangle):
 def test_solutions_equal_a_fresh_transport(family, kind):
     # One _to_world serves every family.  Every float of each world solution --
     # param, conic, contacts, centre and residuals -- must equal, by ==, the
-    # reference built from a separate unit solve: the kernel's records for its
-    # (w, t), their pull-back and unit_to_world.
+    # reference built from a separate unit solve: the kernel's unit geometry for
+    # its (w, t), its conic's pull-back and unit_to_world.
     rng = np.random.default_rng({"unit": 4101, "box": 4102, "pixel": 4103}[kind])
     make_triangle = {
         "unit": lambda: UNIT_TRIANGLE,
@@ -204,10 +208,78 @@ def test_contacts_and_centers_match_the_exact_vertex_combination(kind):
         )
         for report in reports:
             for sol in report.solutions:
-                units = (*tangency_points(sol.param), inscribed_center(sol.param))
+                _, contacts, center = unit_geometry(sol.param)
+                units = (*contacts, center)
                 for got, u in zip((*sol.tangent_points, sol.center), units):
                     exact = exact_vertex_combination(tri, u)
                     worst = max(worst, max(float(abs(Fraction(g) - e)) for g, e in zip(got, exact)) / scale)
                     checked += 1
     assert checked == 200 * (4 + 1 + 1) * 4  # every query solved, generic pairs to 4 ellipses
     assert worst <= 2e-15
+
+
+def load_workload_gen():
+    """The benchmark's seeded query generators, bench/workload_gen.py."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workload_gen.py"
+    spec = importlib.util.spec_from_file_location("workload_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def outcome(solve):
+    """``repr`` of what ``solve()`` returns, or the type and message of the error it raises."""
+    try:
+        return repr(solve())
+    except GeometryError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def unit_two_points(p1, p2):
+    case, kept = solve_two_points_unit(p1, p2)
+    return str(case), kept
+
+
+def unit_point_slope(p, slope):
+    # The world solver builds each answer's geometry, whose (w, t) check runs here.
+    out = solve_point_slope_unit(p, slope)
+    if isinstance(out, NoSolution):
+        return f"no_solution:{out.vertex.value}", []
+    unit_geometry(out)
+    return "unique", [(out, residual_system13(p, slope, out))]
+
+
+def world_answer(report, residuals=True):
+    return report.case, [(s.param, s.residuals) if residuals else s.param for s in report.solutions]
+
+
+@pytest.mark.parametrize("family", ["two_points", "point_slope", "tangency"])
+def test_unit_solvers_agree_with_the_world_path_on_the_unit_triangle(family):
+    # The unit solvers return parameters; the answers come from world, whose map of
+    # UNIT_TRIANGLE is the identity.  On the benchmark's seeded unit-triangle queries,
+    # every class of each family, the world answer carries the unit solver's params
+    # and residuals (params only, for tangency), repr for repr, or raises the same error.
+    gen = load_workload_gen()
+    rng = random.Random({"two_points": 5, "point_slope": 6, "tangency": 7}[family])
+    classes = {
+        "two_points": ("generic", "j_zero", "vertex_line", "near_vertex_line"),
+        "point_slope": ("finite", "vertical", "excluded", "near_excluded"),
+        "tangency": ("any",),
+    }[family]
+    make = {"two_points": gen.pair_query, "point_slope": gen.slope_query, "tangency": gen.tangency_query}[family]
+    for i in range(1200):
+        q = make(rng, classes[i % len(classes)], "unit", i // len(classes), rng.random())
+        if family == "two_points":
+            p1, p2 = Point(*q["p1"]), Point(*q["p2"])
+            unit = outcome(lambda: unit_two_points(p1, p2))
+            answer = outcome(lambda: world_answer(world.solve_two_points(UNIT_TRIANGLE, p1, p2)))
+        elif family == "point_slope":
+            p = Point(*q["p"])
+            slope = Slope.vertical() if q["slope"] == "vertical" else Slope.finite(q["slope"])
+            unit = outcome(lambda: unit_point_slope(p, slope))
+            answer = outcome(lambda: world_answer(world.solve_point_slope(UNIT_TRIANGLE, p, slope)))
+        else:
+            q1, q2 = Point(*q["p1"]), Point(*q["p2"])
+            unit = outcome(lambda: ("boundary_unique", [param_from_tangencies(side_point(q1), side_point(q2))]))
+            answer = outcome(lambda: world_answer(world.solve_tangency(UNIT_TRIANGLE, q1, q2), residuals=False))
+        assert answer == unit
