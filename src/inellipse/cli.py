@@ -31,6 +31,7 @@ can sit beside a correct ``unique`` answer.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -140,7 +141,12 @@ def _solution_dict(sol: world.WorldSolution, raw: bool) -> dict:
 
 
 def _oracle_check(kind: str, tri: Triangle, points: list[Point], slope, report, grid_n: int) -> dict:
-    """The oracle's verdict on a solved query, from the points and slope already parsed."""
+    """The oracle's verdict on a solved query, from the points and slope already parsed.
+
+    Each solution is matched one-to-one to a basin (at most 4! pairings);
+    ``max_param_deviation`` is the largest (w, t) distance of the pairing
+    whose largest distance is least.
+    """
     from . import oracle  # imports numpy, so only --check loads it
 
     if kind == "boundary_tangency":
@@ -160,8 +166,12 @@ def _oracle_check(kind: str, tri: Triangle, points: list[Point], slope, report, 
     deviation = 0.0
     matched = len(basins) == len(solved)
     if matched and basins:
-        for (bw, bt), (sw, st) in zip(basins, sorted(solved, key=lambda p: (p[1], p[0]))):
-            deviation = max(deviation, abs(bw - sw), abs(bt - st))
+        # One basin per solution, paired to make the largest distance least: two
+        # solutions that share t (a double root of R) can sort in either order.
+        deviation = min(
+            max(max(abs(bw - sw), abs(bt - st)) for (bw, bt), (sw, st) in zip(order, solved))
+            for order in itertools.permutations(basins)
+        )
         matched = deviation < 1e-6
     return {
         "method": "grid_newton",

@@ -10,18 +10,18 @@ each written as a polynomial in (w, t) for a fixed point (and direction).  A
 finite slope r is the direction (1, r) and a vertical tangent is (0, 1)
 (:attr:`inellipse.geom.Slope.direction`), so one equation serves both.  Every
 function returns ``(value, d/dw, d/dt, magnitudes)``, or with
-``jacobian=False`` only ``(value, magnitudes)``: the same value and
-magnitude arithmetic, without the partials, for callers that only test a
-residual (the closed-form solvers' residuals and the Newton polish's stop
-test).  ``magnitudes`` is the triple of the equation's term magnitudes
-grouped by power of w; the through-point q(t) = (x - t)^2 + 4xy t(1 - t) is a
-sum of two terms that are non-negative on [0, 1], so its magnitude there is q
-itself.  The largest normalizes the value into the componentwise backward
-error of Oettli & Prager (Numer. Math. 6, 1964); the triple is returned
-unreduced so that the closed-form solvers take ``max`` on floats and the
-oracle takes ``np.maximum`` on arrays.  The arithmetic works on floats and on
-ndarrays alike, and the module imports nothing from the package, so the
-oracle can share it without importing a solver.
+``jacobian=False`` only ``(value, magnitudes)``, the same arithmetic without
+the partials, for callers that only test a residual.  ``magnitudes`` is the
+triple of the equation's term magnitudes grouped by power of w; the
+through-point q(t) = (x - t)^2 + 4xy t(1 - t) sums two terms non-negative on
+[0, 1], so its magnitude there is q itself, and the value and magnitudes
+share (x - t)^2 and t^2 y^2, computed once.  The largest magnitude
+normalizes the value into the componentwise backward error of Oettli &
+Prager (Numer. Math. 6, 1964); the triple is returned unreduced so that the
+closed-form solvers take ``max`` on floats and the oracle takes
+``np.maximum`` on arrays.  The arithmetic works on floats and on ndarrays
+alike, and the module imports nothing from the package, so the oracle can
+share it without importing a solver.
 """
 
 from __future__ import annotations
@@ -30,11 +30,12 @@ from __future__ import annotations
 def through_point(x, y, w, t, jacobian=True):
     """Q(x, y) = q(t) w^2 + 2ty((2x - 1)t - x) w + t^2 y^2, with q(t) = (x - t)^2 + 4xyt(1 - t)."""
     xy4 = 4.0 * x * y
-    q = (x - t) * (x - t) + xy4 * t * (1.0 - t)
+    square, const = (x - t) * (x - t), t * t * y * y
+    q = square + xy4 * t * (1.0 - t)
     lin = 2.0 * t * y * ((2.0 * x - 1.0) * t - x)
-    value = q * w * w + lin * w + t * t * y * y
-    qmag = (x - t) * (x - t) + xy4 * abs(t * (1.0 - t))
-    mags = (qmag * w * w, abs(lin) * w, t * t * y * y)
+    value = q * w * w + lin * w + const
+    qmag = square + xy4 * abs(t * (1.0 - t))
+    mags = (qmag * w * w, abs(lin) * w, const)
     if not jacobian:
         return value, mags
     dq = 2.0 * (t - x) + xy4 * (1.0 - 2.0 * t)
@@ -59,4 +60,5 @@ def tangent(x, y, a, b, w, t, jacobian=True):
 
 def backward_error(equation) -> float:
     """|value| over the largest monomial magnitude, for one float evaluation of either form."""
-    return abs(equation[0]) / max(*equation[-1], 1e-300)
+    m0, m1, m2 = equation[-1]
+    return abs(equation[0]) / max(m0, m1, m2, 1e-300)

@@ -58,15 +58,22 @@ class Slope(NamedTuple):
 
 
 def as_point(obj) -> Point:
-    """Coerce exactly two coordinates into a finite-coordinate Point (without a ``Point.__new__`` frame)."""
+    """Coerce exactly two numbers into a finite-coordinate Point (without a ``Point.__new__`` frame).
+
+    ``math.isfinite`` reads each coordinate as a number before ``float()``
+    does, so numbers and numpy scalars pass, while strings and bytes, which
+    ``float()`` alone would parse, raise ValueError.
+    """
     try:
         x, y = obj
-        x, y = float(x), float(y)
+        finite = math.isfinite(x) and math.isfinite(y)
     except OverflowError:  # an integer beyond the float range
         raise ValueError("point coordinates must be finite, got an integer too large for a float") from None
-    if not (math.isfinite(x) and math.isfinite(y)):
+    except TypeError:  # not two numbers
+        raise ValueError(f"point coordinates must be numbers, got {obj!r}") from None
+    if not finite:
         raise ValueError(f"point coordinates must be finite, got {(x, y)}")
-    return tuple.__new__(Point, (x, y))
+    return tuple.__new__(Point, (float(x), float(y)))
 
 
 def require_interior(*points: Point) -> None:

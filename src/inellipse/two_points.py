@@ -3,20 +3,19 @@
 A pair of interior points admits four inscribed ellipses through both, or two
 when the points are collinear with a vertex.  Their contacts t are the roots
 of R and S (:mod:`inellipse.kernel`); at each, the sign of L(t) D picks which
-of p1's two closed-form w-roots p2 shares, and both are kept where the sign
-is lost (a double root of R, on the branch j = 0).  The backward error of
-:func:`inellipse.equations.through_point` at each point stops the Newton
-polish, gates each candidate and is reported with its solution.
+of p1's two closed-form w-roots p2 shares, and only that one is computed;
+both are where the sign is lost (zero, or a double root of R on j = 0).  The
+backward error of :func:`inellipse.equations.through_point` at each point,
+evaluated once per candidate and once after each Newton step, stops the
+polish, gates the candidate and is reported with its solution.
 
-Checks: ``as_point`` in :func:`classify_pair` and :func:`solve_two_points_unit`;
-the interior and distinct tests once per pair, in :func:`classify_pair`, whose
-points :func:`kept_params` and the kernel then trust; the (w, t) domain in
-:func:`~inellipse.kernel.unit_geometry`.
+Checks: ``as_point`` (two finite numbers) in :func:`classify_pair` and
+:func:`solve_two_points_unit`; the interior and distinct tests once per pair,
+in :func:`classify_pair`, whose points :func:`kept_params` and the kernel
+trust; the (w, t) domain in :func:`~inellipse.kernel.unit_geometry`.
 Built once per query: p1's quadratic, the case (a shared constant) and each
 kept solution's parameters, in :func:`kept_params`, which builds no other
-record.  :func:`solve_two_points_unit` returns them, as the other unit
-solvers return parameters; ``world`` classifies the pair, calls
-:func:`kept_params` itself and builds the answers.
+record and which ``world`` calls itself after :func:`classify_pair`.
 """
 
 from __future__ import annotations
@@ -48,7 +47,8 @@ _J_ZERO_BAND = 1e-10
 _SQUARE_MARGIN = 1e-9
 _SQUARE_TOP = 1.0 - _SQUARE_MARGIN
 _DEDUPE = 1e-10
-_POLISH_ITERS = 4  # Newton steps on each candidate (w, t)
+_POLISH_ITERS = 4  # Newton steps at most on each candidate (w, t)
+_CONVERGED = 1e-15  # both backward errors under this stop the polish
 # Backward-error gate at both points.  Polished solutions sit below 1e-15 and
 # rejected candidates above 1e-3 (tests/test_two_points.py pins the gap), so
 # any gate in between keeps the same solutions.
@@ -97,21 +97,15 @@ def classify_pair(p1: Point, p2: Point) -> PairCase:
     return _J_ZERO if abs(j) < _J_ZERO_BAND * j_scale else _GENERIC
 
 
-def _newton_polish(p1: Point, p2: Point, w: float, t: float):
-    """A few Newton steps on the through-point system; returns (w, t, residuals).
+def _newton_polish(p1: Point, p2: Point, w: float, t: float, r1: float, r2: float):
+    """Newton steps from a candidate (w, t) whose backward errors r1, r2 are
+    not both at round-off; returns (w, t, r1, r2), the errors at that (w, t).
 
-    ``residuals`` are the backward errors of the last evaluation, which is at
-    the returned (w, t).  The stop test evaluates the equations without their
-    partials; the Jacobian is built only for a step.  Candidates arrive within
-    the quadratic-convergence basin, so undamped steps with a step-size cap
-    are enough to pin residuals at round-off.
+    Each step builds the Jacobian, then evaluates the new point without it.
+    Candidates start in the quadratic-convergence basin: capped, undamped steps suffice.
     """
     (x1, y1), (x2, y2) = p1, p2
-    for step in range(_POLISH_ITERS + 1):
-        r1 = backward_error(through_point(x1, y1, w, t, jacobian=False))
-        r2 = backward_error(through_point(x2, y2, w, t, jacobian=False))
-        if r1 < 1e-15 and r2 < 1e-15 or step == _POLISH_ITERS:
-            break
+    for _ in range(_POLISH_ITERS):
         (f1, a, b, _), (f2, c, d, _) = through_point(x1, y1, w, t), through_point(x2, y2, w, t)
         det = a * d - b * c
         if det == 0.0 or not math.isfinite(det):
@@ -121,27 +115,29 @@ def _newton_polish(p1: Point, p2: Point, w: float, t: float):
         if abs(dw) > 0.1 or abs(dt) > 0.1:
             break
         w, t = w + dw, t + dt
-    return w, t, (r1, r2)
+        r1 = backward_error(through_point(x1, y1, w, t, jacobian=False))
+        r2 = backward_error(through_point(x2, y2, w, t, jacobian=False))
+        if r1 < _CONVERGED and r2 < _CONVERGED:
+            break
+    return w, t, r1, r2
 
 
 def _candidate_params(p1: Point, p2: Point, q1: QuadraticPoly, case: PairCase):
     d_origin, _, _, _, a1, a2 = pair_invariants(p1, p2)
-    x1, y1 = p1
-    _, y2 = p2
+    (x1, y1), (_, y2) = p1, p2
     out = []
-    # At a root of R (or S), 2 sqrt(t(1-t)) D = +-L(t) with D = y2 a1 -+ y1 a2:
-    # p2 shares p1's near w-root when L D > 0 and its far one when L D < 0.
+    # At a root of R (or S), 2 sqrt(t(1-t)) D = +-L(t) with D = y2 a1 -+ y1 a2: p2 shares
+    # p1's near w-root when L D > 0, its far one when L D < 0, both at a double root or L D = 0.
     for poly, d in ((poly_R(p1, p2), y2 * a1 - y1 * a2), (poly_S(p1, p2), y2 * a1 + y1 * a2)):
         for t, multiplicity in solve_quadratic(poly):
             if not 0.0 < t < 1.0:
                 continue
             k = x1 * (1.0 - 2.0 * t) + t + 2.0 * a1 * math.sqrt(t * (1.0 - t))
-            near, far = t * y1 / k, t * y1 * k / q1(t)
             side = (d_origin * (1.0 - 2.0 * t) + t * (y1 - y2)) * d
-            if multiplicity == 2 or side == 0.0:
-                out += [(near, t), (far, t)]
-            else:
-                out.append((near, t) if side > 0.0 else (far, t))
+            if multiplicity == 2 or side >= 0.0:
+                out.append((t * y1 / k, t))  # near
+            if multiplicity == 2 or not side > 0.0:
+                out.append((t * y1 * k / q1(t), t))  # far
     return out, 4 if case.vertex is None else 2
 
 
@@ -149,17 +145,19 @@ def kept_params(p1: Point, p2: Point, case: PairCase) -> list[tuple[EllipseParam
     """Every inscribed ellipse through a classified pair, as (param, residuals) sorted by (t, w).
 
     The points and ``case`` arrive from :func:`classify_pair`, which checked
-    the points.  Each candidate of R and S is polished, then kept inside the
-    square margin, with both backward errors under ``_GATE``, unless it lies
-    within ``_DEDUPE`` of one kept before.  A count other than the case's
-    raises :class:`SolutionCountMismatch`.  No record is built here: callers
-    build what they carry.
+    them.  A candidate of R and S is polished unless its first backward errors
+    are both under ``_CONVERGED``, then kept inside the square margin with
+    both under ``_GATE``, unless within ``_DEDUPE`` of one kept before.  A
+    count other than the case's raises :class:`SolutionCountMismatch`.
     """
+    (x1, y1), (x2, y2) = p1, p2
     raw, expected = _candidate_params(p1, p2, poly_q(p1), case)
     kept = []  # (t, w, residuals)
     for w, t in raw:
-        w, t, residuals = _newton_polish(p1, p2, w, t)
-        r1, r2 = residuals
+        r1 = backward_error(through_point(x1, y1, w, t, jacobian=False))
+        r2 = backward_error(through_point(x2, y2, w, t, jacobian=False))
+        if not (r1 < _CONVERGED and r2 < _CONVERGED):
+            w, t, r1, r2 = _newton_polish(p1, p2, w, t, r1, r2)
         inside = _SQUARE_MARGIN < w < _SQUARE_TOP and _SQUARE_MARGIN < t < _SQUARE_TOP
         if not inside or r1 >= _GATE or r2 >= _GATE:
             continue
@@ -167,7 +165,7 @@ def kept_params(p1: Point, p2: Point, case: PairCase) -> list[tuple[EllipseParam
             if abs(w - kw) < _DEDUPE and abs(t - kt) < _DEDUPE:
                 break
         else:
-            kept.append((t, w, residuals))
+            kept.append((t, w, (r1, r2)))
     if len(kept) != expected:
         raise SolutionCountMismatch(
             f"expected {expected} inscribed ellipses, kept {len(kept)}: "

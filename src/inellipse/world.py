@@ -11,8 +11,9 @@ unit triangle), so they are reported unchanged.
 
 Built once per solution: the unit conic, contacts and center, by one
 :func:`~inellipse.kernel.unit_geometry` call, and the world conic, by one
-``pull_back``.  This module alone builds answer records; unit-triangle answers
-are its answers on ``UNIT_TRIANGLE``, whose map is the identity.  The two-point
+``pull_back``, from each family's ``(param, unit_geometry(param), residuals)``.
+This module alone builds answer records; unit-triangle answers are its
+answers on ``UNIT_TRIANGLE``, whose map is the identity.  The two-point
 family classifies the pair and takes the kept (param, residuals) from
 :func:`~inellipse.two_points.kept_params` itself.
 
@@ -51,21 +52,21 @@ class SolveReport(NamedTuple):
 
 
 def _to_world(tri, fwd, unit_solutions) -> tuple[WorldSolution, ...]:
-    # Per (param, unit conic, unit contacts, unit center, residuals), a unit_geometry
-    # tuple between its param and residuals: one pull_back, and each unit point (x, y)
-    # lands on a + x (b - a) + y (c - a), left to right as tests/helpers.py::unit_to_world.
+    # Per (param, unit_geometry(param), residuals): one pull_back, and each unit point (x, y)
+    # lands on a + x (b - a) + y (c - a), left to right as tests/helpers.py::unit_to_world,
+    # less the legs' zero terms (a +-0.0 term changes only a -0.0 sum, and none here is -0.0).
     # The points written out and the records built by tuple.__new__, without NamedTuple
     # __new__ frames, save 0.5-0.8 and 0.6 us per solution (CPython 3.11).
     (ax, ay), (bx, by), (cx, cy) = tri
     ux, uy, vx, vy = bx - ax, by - ay, cx - ax, cy - ay
     out = []
-    for param, unit_conic, ((x1, y1), (x2, y2), (x3, y3)), (x4, y4), residuals in unit_solutions:
+    for param, (unit_conic, ((t, _), (_, w), (x3, y3)), (x4, y4)), residuals in unit_solutions:
         out.append(tuple.__new__(WorldSolution, (
             param,
             pull_back(unit_conic, fwd),
             (
-                tuple.__new__(Point, (ax + x1 * ux + y1 * vx, ay + x1 * uy + y1 * vy)),
-                tuple.__new__(Point, (ax + x2 * ux + y2 * vx, ay + x2 * uy + y2 * vy)),
+                tuple.__new__(Point, (ax + t * ux, ay + t * uy)),
+                tuple.__new__(Point, (ax + w * vx, ay + w * vy)),
                 tuple.__new__(Point, (ax + x3 * ux + y3 * vx, ay + x3 * uy + y3 * vy)),
             ),
             tuple.__new__(Point, (ax + x4 * ux + y4 * vx, ay + x4 * uy + y4 * vy)),
@@ -79,7 +80,7 @@ def solve_two_points(tri: Triangle, p1: Point, p2: Point) -> SolveReport:
     fwd = map_to_unit(tri)
     u1, u2 = apply_point(fwd, as_point(p1)), apply_point(fwd, as_point(p2))
     case = two_points.classify_pair(u1, u2)
-    unit = [(param, *unit_geometry(param), residuals) for param, residuals in two_points.kept_params(u1, u2, case)]
+    unit = [(param, unit_geometry(param), residuals) for param, residuals in two_points.kept_params(u1, u2, case)]
     return tuple.__new__(SolveReport, (str(case), _to_world(tri, fwd, unit)))
 
 
@@ -96,7 +97,7 @@ def solve_point_slope(tri: Triangle, p: Point, slope: Slope) -> SolveReport:
     if isinstance(outcome, point_slope.NoSolution):
         return tuple.__new__(SolveReport, (f"no_solution:{outcome.vertex.value}", ()))
     residuals = point_slope.residual_system13(u, u_slope, outcome)
-    unit = (outcome, *unit_geometry(outcome), residuals)
+    unit = (outcome, unit_geometry(outcome), residuals)
     return tuple.__new__(SolveReport, ("unique", _to_world(tri, fwd, (unit,))))
 
 
@@ -112,7 +113,6 @@ def solve_tangency(tri: Triangle, q1: Point, q2: Point) -> SolveReport:
     s1 = boundary.side_point(apply_point(fwd, as_point(q1)))
     s2 = boundary.side_point(apply_point(fwd, as_point(q2)))
     param = boundary.param_from_tangencies(s1, s2)
-    conic, contacts, center = unit_geometry(param)
+    _, contacts, _ = geometry = unit_geometry(param)
     residuals = (_contact_distance(contacts, s1), _contact_distance(contacts, s2))
-    unit = (param, conic, contacts, center, residuals)
-    return tuple.__new__(SolveReport, ("boundary_unique", _to_world(tri, fwd, (unit,))))
+    return tuple.__new__(SolveReport, ("boundary_unique", _to_world(tri, fwd, ((param, geometry, residuals),))))

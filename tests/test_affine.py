@@ -5,6 +5,7 @@ import math
 import pickle
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -148,12 +149,40 @@ class TestTriangleInput:
         with pytest.raises(DegenerateTriangle, match="collinear"):
             Triangle(*vertices)
 
-    @pytest.mark.parametrize("coords", [[1.0, 2.0, 3.0], [1.0], []], ids=["three", "one", "none"])
-    def test_other_than_two_coordinates_raise_value_error(self, coords):
-        with pytest.raises(ValueError, match="values to unpack"):
+    @pytest.mark.parametrize(
+        "coords, match",
+        [
+            ([1.0, 2.0, 3.0], "values to unpack"),
+            ([1.0], "values to unpack"),
+            ([], "values to unpack"),
+            ("10", "must be numbers"),
+            ({"1": 0, "2": 0}, "must be numbers"),
+            (["0.25", "0.125"], "must be numbers"),
+            ([0.25, "0.125"], "must be numbers"),
+            ([b"1", b"0"], "must be numbers"),
+            ([None, 0.5], "must be numbers"),
+        ],
+        ids=["three", "one", "none", "string", "string_keys", "strings", "one_string", "bytes", "none_coordinate"],
+    )
+    def test_other_than_two_coordinates_raise_value_error(self, coords, match):
+        with pytest.raises(ValueError, match=match):
             as_point(coords)
-        with pytest.raises(ValueError, match="values to unpack"):
+        with pytest.raises(ValueError, match=match):
             Triangle(coords, [1.0, 0.0], [0.0, 1.0])
+
+    def test_string_points_raise_value_error_on_the_two_point_query(self):
+        with pytest.raises(ValueError, match="must be numbers"):
+            solve_two_points(UNIT_TRIANGLE, ["0.25", "0.125"], (0.5, 1 / 6))
+
+    @pytest.mark.parametrize(
+        "coords",
+        [(1, 2), (True, 0), (np.float64(0.5), np.float32(0.25)), (np.int64(3), 4), (Fraction(1, 3), Decimal("0.5"))],
+        ids=["ints", "bool", "numpy_floats", "numpy_int", "fraction_decimal"],
+    )
+    def test_numbers_and_numpy_scalars_pass(self, coords):
+        p = as_point(coords)
+        assert type(p) is Point and type(p.x) is float and type(p.y) is float
+        assert p == tuple(float(v) for v in coords)
 
     @pytest.mark.parametrize(
         "vertices",

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from inellipse import world
@@ -14,6 +15,8 @@ from inellipse.affine import Triangle
 from inellipse.cli import run
 from inellipse.conic import full_coefficients
 from inellipse.geom import Point, Slope
+
+from helpers import j_zero_pair
 
 UNIT = [[0, 0], [1, 0], [0, 1]]
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -68,6 +71,22 @@ class TestTwoPoints:
         assert check["count_match"] is True
         assert check["max_param_deviation"] < 1e-6
         assert len(check["params"]) == 4
+
+    def test_check_pairs_solutions_that_share_t(self, tmp_path, capsys):
+        # On the j_zero branch two solutions share R's double root t up to
+        # round-off, so the basins and the solutions can sort in different
+        # orders by (t, w); the check pairs each solution with its own basin.
+        rng = np.random.default_rng(72)
+        pairs = [([0.125, 0.45710678118654757], [0.25, 0.5])]
+        pairs += [tuple(list(p) for p in j_zero_pair(rng)) for _ in range(6)]
+        for p1, p2 in pairs:
+            doc = {"triangle": UNIT, "query": {"two_points": {"p1": p1, "p2": p2}}, "options": {"grid_n": 128}}
+            code, report = run_and_parse(capsys, ["two-points", write_doc(tmp_path, doc), "--check"])
+            assert code == 0
+            assert report["case"] == "generic_j_zero"
+            check = report["oracle_check"]
+            assert check["count_match"] is True
+            assert check["max_param_deviation"] < 1e-9
 
     def test_svg_written(self, tmp_path, capsys):
         svg = tmp_path / "fig.svg"

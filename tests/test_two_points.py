@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from inellipse import two_points
+from inellipse import two_points, world
+from inellipse.affine import Triangle
 from inellipse.errors import AmbiguousClassification, CoincidentPoints, NotInterior, SolutionCountMismatch
 from inellipse.geom import Point, Vertex
 from inellipse.kernel import EllipseParam, pair_invariants, poly_q, poly_R, unit_geometry
@@ -21,6 +22,7 @@ from helpers import (
     random_vertex_pair,
     term_residual,
     two_point_reference,
+    unit_to_world,
     w_quadratic,
 )
 
@@ -306,13 +308,59 @@ class TestCountsAndQuality:
             p1, p2 = draws[i % len(draws)](rng)
             raw, _ = two_points._candidate_params(p1, p2, poly_q(p1), classify_pair(p1, p2))
             for w, t in raw:
-                w, t, residuals = two_points._newton_polish(p1, p2, w, t)
+                # As kept_params: the first evaluation, then the polish unless both are converged.
+                r1, r2 = pair_residuals(p1, p2, (w, t))
+                if not (r1 < two_points._CONVERGED and r2 < two_points._CONVERGED):
+                    w, t, r1, r2 = two_points._newton_polish(p1, p2, w, t, r1, r2)
                 if margin < w < 1.0 - margin and margin < t < 1.0 - margin:
-                    r = max(residuals)
+                    r = max(r1, r2)
                     (kept if r < two_points._GATE else rejected).append(r)
         assert kept and rejected
         assert max(kept) < 1e-14
         assert min(rejected) > 1e-3
+
+    def test_each_candidate_is_evaluated_once(self, monkeypatch):
+        # Each candidate's two backward errors are evaluated once, by the
+        # Jacobian-free form, before any polish; a Newton step builds both
+        # Jacobians and then evaluates both errors at its new point.  So per
+        # query: 2 Jacobian-free calls per candidate plus 2 per step, 2
+        # full-form calls per step only, and a polish only where a step runs.
+        calls = collections.Counter()
+        through_point, candidate_params, newton_polish = (
+            two_points.through_point, two_points._candidate_params, two_points._newton_polish
+        )
+
+        def counted_through_point(*args, jacobian=True):
+            calls["jacobian" if jacobian else "free"] += 1
+            return through_point(*args, jacobian=jacobian)
+
+        def counted_candidates(*args):
+            raw, expected = candidate_params(*args)
+            calls["candidates"] += len(raw)
+            return raw, expected
+
+        def counted_polish(*args):
+            calls["polish"] += 1
+            return newton_polish(*args)
+
+        monkeypatch.setattr(two_points, "through_point", counted_through_point)
+        monkeypatch.setattr(two_points, "_candidate_params", counted_candidates)
+        monkeypatch.setattr(two_points, "_newton_polish", counted_polish)
+        rng = np.random.default_rng(71)
+        tri = Triangle((1.0, 2.0), (7.0, 1.0), (3.0, 6.5))
+        steps = 0
+        for _ in range(40):
+            p1, p2 = (unit_to_world(tri, p) for p in random_generic_pair(rng))
+            calls.clear()
+            assert len(world.solve_two_points(tri, p1, p2).solutions) == 4
+            assert calls["candidates"] == 4
+            assert calls["jacobian"] % 2 == 0
+            assert calls["free"] == 2 * calls["candidates"] + calls["jacobian"]
+            assert calls["polish"] <= calls["jacobian"] // 2
+            steps += calls["jacobian"] // 2
+        # Most candidates of a generic pair are at round-off before any
+        # step, but not all: the polish ran here.
+        assert 0 < steps < 40 * 4
 
     def test_world_solve_builds_each_quadratic_and_conic_once(self, monkeypatch):
         # Per solution of every family: one unit geometry (conic, contacts and
