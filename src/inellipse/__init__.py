@@ -26,6 +26,8 @@ oracle names load :mod:`inellipse.oracle` (and numpy) on first use, which
 Every value and result type is an immutable NamedTuple: read its fields by
 name or unpack it, and derive a changed copy with ``_replace``.  Equality is
 tuple equality, so ``PairCase(PairKind.GENERIC) == (PairKind.GENERIC, None)``.
+A :class:`Slope` is its direction (a, b), which a map carries unnormalized:
+compare two slopes by their ``.value`` (b / a, or None for vertical).
 They are not data classes: the ``replace`` and ``asdict`` helpers do not apply.
 """
 

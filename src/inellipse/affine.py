@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import DegenerateTriangle, SingularMap
+from .errors import DegenerateTriangle
 from .geom import Point, Slope, as_point
 
 _COLLINEAR_BAND = 1e-12
-_SINGULAR_BAND = 1e-14
 
 
 class _Vertices(NamedTuple):
@@ -41,7 +40,7 @@ class Triangle(_Vertices):
         a, b, c = as_point(a), as_point(b), as_point(c)
         (ax, ay), (bx, by), (cx, cy) = a, b, c
         ux, uy, vx, vy, wx, wy = bx - ax, by - ay, cx - ax, cy - ay, cx - bx, cy - by
-        # signed_area2 over the longest squared edge: the relative height, free of scale.
+        # Twice the signed area over the longest squared edge: the relative height, free of scale.
         # Products, not ** 2, which raises OverflowError where a product turns infinite.
         longest2 = max(ux * ux + uy * uy, vx * vx + vy * vy, wx * wx + wy * wy)
         if not math.isfinite(longest2):
@@ -71,11 +70,6 @@ class Triangle(_Vertices):
     def _make(cls, iterable):
         return cls(*iterable)
 
-    def signed_area2(self) -> float:
-        """Twice the signed area."""
-        ax, ay = self.a
-        return (self.b.x - ax) * (self.c.y - ay) - (self.c.x - ax) * (self.b.y - ay)
-
     @property
     def vertices(self) -> tuple[Point, Point, Point]:
         return (self.a, self.b, self.c)
@@ -102,25 +96,16 @@ def apply_point(m: AffineMap, p: Point) -> Point:
 
 
 def apply_slope(m: AffineMap, s: Slope) -> Slope:
-    """Transport a tangent direction through the linear part.
-
-    The slope's :attr:`~inellipse.geom.Slope.direction` (a, b) maps to
-    (dx, dy), which yields dy/dx, or vertical when dx vanishes.  A singular
-    linear part (its determinant within ``_SINGULAR_BAND`` of its largest entry
-    squared), possible in a map built by hand, raises :class:`SingularMap`.
-    """
+    """Transport a tangent direction (a, b) through the linear part, unnormalized.  Where
+    |dx| + |dy| would overflow, (a, b) is first scaled below 1 by a power of two."""
     m11, m12, m21, m22, _, _ = m
-    scale = max(abs(m11), abs(m12), abs(m21), abs(m22), 1e-300)
-    if abs(m11 * m22 - m12 * m21) <= _SINGULAR_BAND * scale * scale:
-        raise SingularMap(f"linear part of {m} is singular")
-    a, b = s.direction
-    dx = m11 * a + m12 * b
-    dy = m21 * a + m22 * b
-    if abs(dx) <= 1e-14 * (scale * max(abs(a), abs(b))):
-        return Slope.vertical()
-    r = dy / dx
-    # An overflowed ratio goes through Slope.finite, which raises its ValueError.
-    return tuple.__new__(Slope, (r,)) if math.isfinite(r) else Slope.finite(r)
+    a, b = s
+    dx, dy = m11 * a + m12 * b, m21 * a + m22 * b
+    if not math.isfinite(abs(dx) + abs(dy)):
+        e = -math.frexp(max(abs(a), abs(b)))[1]
+        a, b = math.ldexp(a, e), math.ldexp(b, e)
+        dx, dy = m11 * a + m12 * b, m21 * a + m22 * b
+    return tuple.__new__(Slope, (dx, dy))
 
 
 def map_to_unit(tri: Triangle) -> AffineMap:

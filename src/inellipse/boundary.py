@@ -9,6 +9,9 @@ inversions
     t = w (1 - y3) / (y3 + w - 2 y3 w),      given w,
 
 whose denominators are positive throughout the open square.
+
+Checks: the bands of :func:`side_point`; points on two different open sides give a
+(w, t) inside, which enters the float square by :func:`~inellipse.kernel.open_param`.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ from enum import Enum
 from typing import NamedTuple
 
 from .affine import UNIT_TRIANGLE
-from .errors import NotOnSide, OutOfDomain, SameSide, VertexPoint
+from .errors import NotOnSide, SameSide, VertexPoint
 from .geom import Point, as_point
-from .kernel import EllipseParam
+from .kernel import EllipseParam, open_param
 
 # Boundary points within this distance of a vertex are rejected.
 _VERTEX_EXCLUSION = 1e-8
@@ -74,17 +77,11 @@ def param_from_tangencies(s1: SidePoint, s2: SidePoint) -> EllipseParam:
         s1, s2 = s2, s1
     (side1, q1), (side2, q2) = s1, s2
     if side1 is Side.BOTTOM and side2 is Side.LEFT:
-        return _checked(q2.y, q1.x)
+        return open_param(q2.y, q1.x)
     if side1 is Side.BOTTOM and side2 is Side.HYPOTENUSE:
         t, x3 = q1.x, q2.x
-        return _checked(t * (1.0 - x3) / (x3 * (1.0 - 2.0 * t) + t), t)
+        return open_param(t * (1.0 - x3) / (x3 * (1.0 - 2.0 * t) + t), t)
     if side1 is Side.LEFT and side2 is Side.HYPOTENUSE:
         w, y3 = q1.y, q2.y
-        return _checked(w, w * (1.0 - y3) / (y3 + w - 2.0 * y3 * w))
+        return open_param(w, w * (1.0 - y3) / (y3 + w - 2.0 * y3 * w))
     raise TypeError(f"side points must carry a Side, got {side1!r} and {side2!r}")
-
-
-def _checked(w: float, t: float) -> EllipseParam:
-    if not (0.0 < w < 1.0 and 0.0 < t < 1.0):
-        raise OutOfDomain(f"inconsistent tangency points: (w, t) = {(w, t)}")
-    return tuple.__new__(EllipseParam, (w, t))

@@ -8,7 +8,7 @@ With Q(x, y) the inscribed conic of parameters (w, t) (see
 
 each written as a polynomial in (w, t) for a fixed point (and direction).  A
 finite slope r is the direction (1, r) and a vertical tangent is (0, 1)
-(:attr:`inellipse.geom.Slope.direction`), so one equation serves both.  Every
+(:class:`inellipse.geom.Slope`), so one equation serves both.  Every
 function returns ``(value, d/dw, d/dt, magnitudes)``, or with
 ``jacobian=False`` only ``(value, magnitudes)``, the same arithmetic without
 the partials, for callers that only test a residual.  ``magnitudes`` is the

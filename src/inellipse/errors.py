@@ -10,7 +10,7 @@ class GeometryError(ValueError):
 
 
 class OutOfDomain(GeometryError):
-    """Ellipse parameters fell outside the open unit square (0,1)x(0,1)."""
+    """An answer's w or t underflowed to zero (or is NaN): its true value is below the float range."""
 
 
 class NotInterior(GeometryError):
@@ -23,10 +23,6 @@ class CoincidentPoints(GeometryError):
 
 class DegenerateConic(GeometryError):
     """The conic is degenerate: all of its coefficients vanish."""
-
-
-class SingularMap(GeometryError):
-    """The affine map has a (numerically) singular linear part."""
 
 
 class DegenerateTriangle(GeometryError):

@@ -2,8 +2,8 @@
 
 The canonical domain is the unit triangle with vertices (0,0), (1,0), (0,1);
 general triangles are reduced to it by an affine map.  Points are plain
-(x, y) named tuples.  A slope is a tagged value: either a finite number or
-the vertical direction -- never an infinity encoded as a huge float.
+(x, y) named tuples.  A slope is its tangent direction (a, b), so a vertical
+slope is (0, 1) -- never an infinity encoded as a huge float.
 """
 
 from __future__ import annotations
@@ -29,9 +29,14 @@ class Vertex(Enum):
 
 
 class Slope(NamedTuple):
-    """Tangent direction: ``value`` is the finite slope, or None for vertical."""
+    """Tangent direction (a, b): (1, r) for a finite slope r, (0, 1) for vertical.
 
-    value: Optional[float]
+    ``value`` is b / a, or None for vertical.  :func:`~inellipse.affine.apply_slope`
+    does not normalize (a, b), so compare slopes by their ``value``.
+    """
+
+    a: float
+    b: float
 
     @staticmethod
     def finite(r: float) -> "Slope":
@@ -41,30 +46,31 @@ class Slope(NamedTuple):
             raise ValueError("finite slope required, got an integer too large for a float") from None
         if not math.isfinite(r):
             raise ValueError("finite slope required; use Slope.vertical()")
-        return tuple.__new__(Slope, (r,))
+        return tuple.__new__(Slope, (1.0, r))
 
     @staticmethod
     def vertical() -> "Slope":
-        return tuple.__new__(Slope, (None,))
+        return tuple.__new__(Slope, (0.0, 1.0))
 
     @property
-    def is_vertical(self) -> bool:
-        return self.value is None
+    def value(self) -> Optional[float]:
+        a, b = self
+        return None if a == 0.0 else b / a
 
-    @property
-    def direction(self) -> tuple[float, float]:
-        """A tangent vector (a, b): (1, r) for a finite slope r, (0, 1) for vertical."""
-        return (0.0, 1.0) if self.value is None else (1.0, self.value)
+
+_BYTES = frozenset((bytes, bytearray, memoryview))
 
 
 def as_point(obj) -> Point:
     """Coerce exactly two numbers into a finite-coordinate Point (without a ``Point.__new__`` frame).
 
     ``math.isfinite`` reads each coordinate as a number before ``float()``
-    does, so numbers and numpy scalars pass, while strings and bytes, which
-    ``float()`` alone would parse, raise ValueError.
+    does, so numbers and numpy scalars pass, while strings, which ``float()``
+    would parse, and bytes, bytearrays and memoryviews, which unpack to ints, raise ValueError.
     """
     try:
+        if type(obj) in _BYTES:
+            raise TypeError
         x, y = obj
         finite = math.isfinite(x) and math.isfinite(y)
     except OverflowError:  # an integer beyond the float range

@@ -12,8 +12,10 @@ quadratic in w whose coefficients are polynomials in t; the two-point solver
 works entirely with those polynomials, built here.
 
 A solution's unit geometry (conic coefficients, contacts, center) is written
-once, as plain tuples, in :func:`unit_geometry`, which also checks the (w, t)
-domain; :mod:`inellipse.world` builds the answer records from them.
+once, as plain tuples, in :func:`unit_geometry`; :mod:`inellipse.world` builds
+the answer records from them.  It checks no (w, t): the two-point family keeps
+its own inside the square, and the others enter it by :func:`open_param`, the
+one edge rule for closed-form answers.
 
 Polynomial conventions: dense coefficient records, highest degree first in
 the field names (c2, c1, c0), evaluated by Horner.  Points arrive checked:
@@ -51,19 +53,6 @@ class QuadraticPoly(NamedTuple):
         c2, c1, c0 = self
         return (c2 * t + c1) * t + c0
 
-    @property
-    def discriminant(self) -> float:
-        return self.c1 * self.c1 - 4.0 * self.c2 * self.c0
-
-    @property
-    def vertex(self) -> float:
-        """Stationary point -c1/(2 c2); the double root when the discriminant is 0."""
-        return -self.c1 / (2.0 * self.c2)
-
-    @property
-    def scale(self) -> float:
-        return max(abs(self.c2), abs(self.c1), abs(self.c0))
-
 
 class PairInvariants(NamedTuple):
     """Classification data for a pair of interior points.
@@ -84,9 +73,16 @@ class PairInvariants(NamedTuple):
     a2: float
 
 
-def _check_param(w: float, t: float) -> None:
-    if not (0.0 < w < 1.0 and 0.0 < t < 1.0):
-        raise OutOfDomain(f"(w, t) = {(w, t)} outside the open unit square")
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+
+
+def open_param(w: float, t: float) -> EllipseParam:
+    """(w, t), exact values in (0, 1), in the open square: a w or t rounded to 1.0 (or
+    above) is reported as ``_BELOW_ONE``, the float nearest it inside; zero or NaN, an
+    underflowed answer, raises :class:`OutOfDomain`."""
+    if not (w > 0.0 and t > 0.0):
+        raise OutOfDomain(f"(w, t) = {(w, t)} underflowed to zero")
+    return tuple.__new__(EllipseParam, (w if w < 1.0 else _BELOW_ONE, t if t < 1.0 else _BELOW_ONE))
 
 
 def unit_geometry(param: EllipseParam):
@@ -98,7 +94,6 @@ def unit_geometry(param: EllipseParam):
     is always interior to the medial triangle.
     """
     w, t = param
-    _check_param(w, t)
     den = t + (1.0 - 2.0 * t) * w  # = t(1-w) + w(1-t) > 0 on the open square
     den_center = 2.0 * (w + (1.0 - w) * t)
     return (
@@ -198,7 +193,6 @@ def solve_quadratic(q: QuadraticPoly) -> list[tuple[float, int]]:
     and the other c0 / (c2 * r1), avoiding cancellation.
     """
     c2, c1, c0 = q
-    # QuadraticPoly's properties, written out on locals: no attribute lookups.
     scale = max(abs(c2), abs(c1), abs(c0))
     if scale == 0.0:
         raise ZeroPolynomial("all coefficients vanish")

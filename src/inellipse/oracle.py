@@ -126,7 +126,7 @@ def _two_point_system(p1, p2):
 
 def _point_slope_system(p, slope):
     x, y = p
-    a, b = slope.direction
+    a, b = slope
 
     def system(w, t, jacobian=True):
         return equations.through_point(x, y, w, t, jacobian), equations.tangent(x, y, a, b, w, t, jacobian)

@@ -1,9 +1,9 @@
 """The unique inscribed ellipse through a point with a prescribed tangent direction.
 
-A slope travels as its direction (a, b): (1, r) for a finite slope r and
-(0, 1) for a vertical one (:attr:`inellipse.geom.Slope.direction`).  For an
-interior point (x, y), each vertex v of the unit triangle gives the linear
-form
+A slope is its direction (a, b) (:class:`inellipse.geom.Slope`): (1, r) for
+a finite slope r, (0, 1) for a vertical one, and any multiple of it once
+carried to the unit triangle.  For an interior point (x, y), each vertex v of
+the unit triangle gives the linear form
 
     L_v = a (v_y - y) - b (v_x - x),
 
@@ -20,11 +20,9 @@ an error.
 
 Checks: ``as_point`` and the interior test in each public function but
 :func:`residual_system13`, which trusts its point, and the exclusion bands
-before any parameter is built; the (w, t) domain is checked by
-:func:`~inellipse.kernel.unit_geometry` when ``world`` builds the geometry.
-Built once per query: the parameters, by ``tuple.__new__`` after those
-checks, and each residual, from one evaluation of its equation without the
-partials (:mod:`inellipse.equations`).
+before any parameter is built, which enters the open square by
+:func:`~inellipse.kernel.open_param`.  Each residual is one evaluation of its
+equation without the partials (:mod:`inellipse.equations`).
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from typing import NamedTuple, Union
 
 from . import equations
 from .geom import Point, Slope, Vertex, as_point, require_interior
-from .kernel import EllipseParam
+from .kernel import EllipseParam, open_param
 
 # |L_v| below this fraction of (|a| + |b|) |v_x - x| means the direction aims
 # at vertex v, and no inscribed ellipse attains it.  For (1, r) that is
@@ -65,7 +63,7 @@ def solve_point_slope_unit(p: Point, slope: Slope) -> Union[EllipseParam, NoSolu
     p = as_point(p)
     require_interior(p)
     x, y = p
-    a, b = slope.direction
+    a, b = slope
     band = _SLOPE_EXCLUSION * (abs(a) + abs(b))
     # L_v and its band at v = origin, right, top, in that order (|v_x - x| = x, 1 - x, x).
     l_origin = b * x - a * y
@@ -77,20 +75,24 @@ def solve_point_slope_unit(p: Point, slope: Slope) -> Union[EllipseParam, NoSolu
     l_top = a * (1.0 - y) + b * x
     if abs(l_top) < band * x:
         return NoSolution(Vertex.TOP)
-    inside = 1.0 - x - y
-    return tuple.__new__(EllipseParam, (_share(inside, l_origin, y, l_top), _share(inside, l_origin, x, l_right)))
+    s = _term(1.0 - x - y, l_origin)
+    return open_param(_share(s, _term(y, l_top)), _share(s, _term(x, l_right)))
 
 
-def _share(weight: float, form: float, other_weight: float, other_form: float) -> float:
-    """weight form^2 / (weight form^2 + other_weight other_form^2).
+def _term(weight: float, form: float) -> tuple[float, int]:
+    """weight form^2 as m 2^e, m in [1/8, 1): the float product's bits where that is normal, never underflowing."""
+    mw, ew = math.frexp(weight)
+    mf, ef = math.frexp(form)
+    return mw * mf * mf, ew + 2 * ef
 
-    The forms are first scaled by one power of two, which is exact, so that
-    two tiny forms (a point next to a side) cannot both square to zero.
-    """
-    e = -math.frexp(max(abs(form), abs(other_form)))[1]
-    form, other_form = math.ldexp(form, e), math.ldexp(other_form, e)
-    s = weight * form * form
-    return s / (s + other_weight * other_form * other_form)
+
+def _share(term: tuple[float, int], other: tuple[float, int]) -> float:
+    """term / (term + other), scaled by the power of two putting the larger in [1/2, 4): no
+    smaller than as a float product of forms below 1, so normal products keep their bits."""
+    (m, e), (n, f) = term, other
+    top = max(e, f) - 2
+    m = math.ldexp(m, e - top)
+    return m / (m + math.ldexp(n, f - top))
 
 
 def residual_system13(p: Point, slope: Slope, param: EllipseParam) -> tuple[float, float]:
@@ -101,7 +103,7 @@ def residual_system13(p: Point, slope: Slope, param: EllipseParam) -> tuple[floa
     scale-free and safe against internal cancellation.  The equations are
     evaluated without their partials.  ``p`` is not checked.
     """
-    (x, y), (w, t), (a, b) = p, param, slope.direction
+    (x, y), (w, t), (a, b) = p, param, slope
     return (
         equations.backward_error(equations.through_point(x, y, w, t, jacobian=False)),
         equations.backward_error(equations.tangent(x, y, a, b, w, t, jacobian=False)),

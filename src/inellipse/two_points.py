@@ -12,7 +12,7 @@ polish, gates the candidate and is reported with its solution.
 Checks: ``as_point`` (two finite numbers) in :func:`classify_pair` and
 :func:`solve_two_points_unit`; the interior and distinct tests once per pair,
 in :func:`classify_pair`, whose points :func:`kept_params` and the kernel
-trust; the (w, t) domain in :func:`~inellipse.kernel.unit_geometry`.
+trust; the (w, t) domain by the square margin of :func:`kept_params`.
 Built once per query: p1's quadratic, the case (a shared constant) and each
 kept solution's parameters, in :func:`kept_params`, which builds no other
 record and which ``world`` calls itself after :func:`classify_pair`.

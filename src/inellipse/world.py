@@ -21,8 +21,8 @@ Checks: :class:`~inellipse.affine.Triangle` when it is built, ``as_point`` on
 each world point here, then each unit solver's own, once per query (interior
 and coincident in :func:`~inellipse.two_points.classify_pair`, which also
 coerces the two unit points; interior, excluded slope, side and vertex bands
-in the others) and the kernel's (w, t) domain in
-:func:`~inellipse.kernel.unit_geometry`.
+in the others).  :func:`~inellipse.kernel.unit_geometry` checks none: each
+solver hands it a (w, t) inside the open square.
 """
 
 from __future__ import annotations

@@ -181,6 +181,23 @@ def same_conic(c1, c2, rtol: float = 1e-9) -> bool:
     return all(math.isclose(u, v, rel_tol=rtol, abs_tol=rtol) for u, v in zip(n1, n2))
 
 
+def discriminant(q) -> float:
+    """c1^2 - 4 c2 c0 of a quadratic (c2, c1, c0)."""
+    c2, c1, c0 = q
+    return c1 * c1 - 4.0 * c2 * c0
+
+
+def stationary_point(q) -> float:
+    """-c1 / (2 c2) of a quadratic (c2, c1, c0); its double root when the discriminant is 0."""
+    c2, c1, _ = q
+    return -c1 / (2.0 * c2)
+
+
+def coefficient_scale(q) -> float:
+    """The largest coefficient magnitude of a quadratic (c2, c1, c0)."""
+    return max(abs(c) for c in q)
+
+
 def w_quadratic(p: Point, t: float) -> tuple[float, float, float]:
     """(c2, c1, c0) with Q(p) = c2 w^2 + c1 w + c0 for the inscribed ellipse (w, t), p and t fixed.
 
@@ -198,7 +215,7 @@ def pair_residuals(p1: Point, p2: Point, param) -> tuple[float, float]:
 
 def slope_residuals(p: Point, slope, param) -> tuple[float, float]:
     """Backward errors of the through-point and tangent equations, from their full forms."""
-    (x, y), (a, b) = p, slope.direction
+    (x, y), (a, b) = p, slope
     return backward_error(through_point(x, y, *param)), backward_error(tangent(x, y, a, b, *param))
 
 

@@ -18,12 +18,15 @@ from inellipse.geom import Point, Slope, Vertex
 from inellipse.kernel import EllipseParam, pair_invariants, poly_q, poly_R, poly_S, unit_geometry
 
 from helpers import (
+    coefficient_scale,
+    discriminant,
     random_generic_pair,
     random_interior,
     random_param,
     random_triangle,
     random_vertex_pair,
     same_conic,
+    stationary_point,
     term_residual,
     unit_to_world,
 )
@@ -84,7 +87,7 @@ def test_03_vertex_line_regression():
         assert case.kind is ie.PairKind.VERTEX_LINE
         assert case.vertex is Vertex.TOP
         r = poly_R(*EX_TOP)
-        assert abs(r.vertex - 5 / 12) < 1e-12
+        assert abs(stationary_point(r) - 5 / 12) < 1e-12
         _, sols = ie.solve_two_points_unit(*EX_TOP)
         assert len(sols) == 2
         match_sorted_tw(sols, [(0.04, 0.04), (0.93, 0.43)])
@@ -188,14 +191,14 @@ def test_09_identity_suite():
 
             # endpoints (absolute floor at coefficient scale: evaluation at
             # the interval ends cancels against the full coefficients)
-            assert r(0.0) == pytest.approx(-inv.d_origin ** 2, rel=1e-9, abs=1e-9 * r.scale)
-            assert s(0.0) == pytest.approx(-inv.d_origin ** 2, rel=1e-9, abs=1e-9 * s.scale)
-            assert r(1.0) == pytest.approx(-inv.d_vertex10 ** 2, rel=1e-9, abs=1e-9 * r.scale)
-            assert s(1.0) == pytest.approx(-inv.d_vertex10 ** 2, rel=1e-9, abs=1e-9 * s.scale)
+            assert r(0.0) == pytest.approx(-inv.d_origin ** 2, rel=1e-9, abs=1e-9 * coefficient_scale(r))
+            assert s(0.0) == pytest.approx(-inv.d_origin ** 2, rel=1e-9, abs=1e-9 * coefficient_scale(s))
+            assert r(1.0) == pytest.approx(-inv.d_vertex10 ** 2, rel=1e-9, abs=1e-9 * coefficient_scale(r))
+            assert s(1.0) == pytest.approx(-inv.d_vertex10 ** 2, rel=1e-9, abs=1e-9 * coefficient_scale(s))
 
             # discriminant signs
-            assert s.discriminant > 0.0
-            assert r.discriminant > -1e-9 * r.scale ** 2
+            assert discriminant(s) > 0.0
+            assert discriminant(r) > -1e-9 * coefficient_scale(r) ** 2
 
             # q positivity
             q1, q2 = poly_q(p1), poly_q(p2)

@@ -1,10 +1,15 @@
 """Prescribed tangency points on two sides determine the ellipse uniquely."""
 
 import itertools
+import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from inellipse import world
+from inellipse.affine import UNIT_TRIANGLE
 from inellipse.boundary import Side, SidePoint, param_from_tangencies, side_point
 from inellipse.errors import NotOnSide, SameSide, VertexPoint
 from inellipse.geom import Point
@@ -102,3 +107,25 @@ class TestParamFromTangencies:
             for (ax, ay), (bx, by) in zip(got, contacts):
                 assert max(abs(ax - bx), abs(ay - by)) < 1e-12
             assert verify_inscribed(conic).passed
+
+    def test_contacts_next_to_the_right_vertex_stay_inside_the_square(self):
+        # (t, 0) and (x3, 1 - x3) each about 1e-8 from a vertex: the exact 1 - w is
+        # about 1e-16, so w = t (1 - x3) / (x3 (1 - 2t) + t) rounds to 1.0 on about
+        # one draw in seven.  Both points pass side_point, so the answer is unique:
+        # w is reported as the float nearest its exact value inside (0, 1).
+        rng = random.Random(1)
+        below = math.nextafter(1.0, 0.0)
+        nudged = 0
+        for _ in range(2000):
+            t = 1.0 - 1e-8 * (1.0 + rng.random() / 2.0)
+            x3 = 7.0711e-9 * (1.0 + rng.random() / 2.0)
+            report = world.solve_tangency(UNIT_TRIANGLE, Point(t, 0.0), Point(x3, 1.0 - x3))
+            (sol,) = report.solutions
+            w, got_t = sol.param
+            assert report.case == "boundary_unique" and got_t == t
+            assert 0.0 < w < 1.0
+            ft, fx = Fraction(t), Fraction(x3)
+            exact = ft * (1 - fx) / (fx * (1 - 2 * ft) + ft)
+            assert exact < 1 and abs(Fraction(w) - exact) <= 2 * Fraction(math.ulp(below))
+            nudged += w == below
+        assert nudged > 100

@@ -14,6 +14,7 @@ from inellipse.geom import Point, Vertex
 from inellipse.kernel import (
     EllipseParam,
     QuadraticPoly,
+    open_param,
     pair_invariants,
     poly_q,
     poly_R,
@@ -23,14 +24,17 @@ from inellipse.kernel import (
 )
 
 from helpers import (
+    coefficient_scale,
     conic_centre,
     conic_terms,
+    discriminant,
     j_zero_pair,
     random_generic_pair,
     random_interior,
     random_param,
     random_vertex_pair,
     same_conic,
+    stationary_point,
     w_quadratic,
 )
 
@@ -51,10 +55,15 @@ class TestInscribedConic:
         assert same_conic(conic, ConicCoeffs(25.0, 4.0, 2.0, -10.0, -4.0, 1.0))
 
     def test_out_of_domain(self):
+        # open_param is the one edge rule: an underflowed (zero) or NaN parameter
+        # raises, and one rounded to 1.0 becomes the nearest float inside.
         with pytest.raises(OutOfDomain):
-            unit_geometry(EllipseParam(0.0, 0.5))
+            open_param(0.0, 0.5)
         with pytest.raises(OutOfDomain):
-            unit_geometry(EllipseParam(0.5, 1.0))
+            open_param(0.5, math.nan)
+        below = math.nextafter(1.0, 0.0)
+        assert open_param(0.5, 1.0) == (0.5, below) and open_param(1.0, 0.25) == (below, 0.25)
+        assert type(open_param(0.5, 0.25)) is EllipseParam and open_param(0.5, 0.25) == (0.5, 0.25)
 
 
 class TestTangency:
@@ -117,7 +126,7 @@ class TestPairInvariants:
         p2 = Point(0.25, 0.5)
         inv = pair_invariants(p1, p2)
         assert abs(inv.j) < 1e-15
-        assert poly_R(p1, p2).vertex == pytest.approx(math.sqrt(2) / 4, abs=1e-12)
+        assert stationary_point(poly_R(p1, p2)) == pytest.approx(math.sqrt(2) / 4, abs=1e-12)
 
     def test_top_vertex_example(self):
         inv = pair_invariants(Point(1 / 3, 0.2), Point(0.25, 0.4))
@@ -141,8 +150,8 @@ class TestPolyQ:
         # 16 x^2 y (x + y - 1) evaluated independently.
         x, y = 0.25, 0.125
         q = poly_q(Point(x, y))
-        assert q.discriminant == pytest.approx(16 * x * x * y * (x + y - 1), rel=1e-14)
-        assert q.discriminant == pytest.approx(-5 / 64, rel=1e-14)
+        assert discriminant(q) == pytest.approx(16 * x * x * y * (x + y - 1), rel=1e-14)
+        assert discriminant(q) == pytest.approx(-5 / 64, rel=1e-14)
 
     def test_positive_on_unit_interval(self):
         rng = np.random.default_rng(10)
@@ -175,7 +184,7 @@ class TestPolyRS:
         # (1/128)(2 sqrt(2) - 3)(4t - sqrt(2))^2, concave down with a double root.
         lead = (2 * math.sqrt(2) - 3) / 128 * 16
         assert r.c2 == pytest.approx(lead, rel=1e-9)
-        assert r.vertex == pytest.approx(math.sqrt(2) / 4, abs=1e-12)
+        assert stationary_point(r) == pytest.approx(math.sqrt(2) / 4, abs=1e-12)
         s_roots = [x for x, _ in solve_quadratic(poly_S(p1, p2))]
         assert s_roots[0] == pytest.approx(0.01, abs=0.005)
         assert s_roots[1] == pytest.approx(0.96, abs=0.005)
@@ -207,7 +216,7 @@ class TestPolyRS:
             for poly in (poly_R(p1, p2), poly_S(p1, p2)):
                 # Evaluation at the endpoints cancels against the coefficient
                 # scale; keep an absolute floor at that scale.
-                floor = 1e-12 * poly.scale
+                floor = 1e-12 * coefficient_scale(poly)
                 assert poly(0.0) == pytest.approx(-inv.d_origin ** 2, rel=1e-12, abs=floor)
                 assert poly(1.0) == pytest.approx(-inv.d_vertex10 ** 2, rel=1e-12, abs=floor)
 
@@ -216,15 +225,15 @@ class TestPolyRS:
         for _ in range(100):
             p1, p2 = random_generic_pair(rng)
             r, s = poly_R(p1, p2), poly_S(p1, p2)
-            assert s.discriminant > 0.0
-            assert r.discriminant > -1e-12 * r.scale ** 2
+            assert discriminant(s) > 0.0
+            assert discriminant(r) > -1e-12 * coefficient_scale(r) ** 2
 
     def test_discriminant_vanishes_on_degenerate_branch(self):
         rng = np.random.default_rng(20)
         for _ in range(25):
             p1, p2 = j_zero_pair(rng)
             r = poly_R(p1, p2)
-            assert abs(r.discriminant) < 1e-10 * r.scale ** 2
+            assert abs(discriminant(r)) < 1e-10 * coefficient_scale(r) ** 2
 
     def test_factorizations(self, monkeypatch):
         # R, S = 4t(1-t) D^2 - L^2 with L = d_origin (1-2t) + t (y1 - y2) and
@@ -317,37 +326,37 @@ class TestSolveQuadratic:
 # band 1e-8.  The merged solver must give the same floats.
 def _reference_solve_quadratic(q):
     c2, c1, c0 = q
-    scale = q.scale
+    scale = coefficient_scale(q)
     if scale == 0.0:
         raise ZeroPolynomial("all coefficients vanish")
     if abs(c2) <= 2.2e-16 * max(abs(c1), abs(c0)):
         if c1 == 0.0:
             return []
         return [(-c0 / c1, 1)]
-    disc = q.discriminant
+    disc = discriminant(q)
     if disc < 0.0:
         return []
     if disc == 0.0:
-        return [(q.vertex, 2)]
+        return [(stationary_point(q), 2)]
     s = math.sqrt(disc)
     u = -(c1 + math.copysign(s, c1)) / 2.0 if c1 != 0.0 else s / 2.0
     r1 = u / c2
-    r2 = c0 / u if u != 0.0 else q.vertex
+    r2 = c0 / u if u != 0.0 else stationary_point(q)
     lo, hi = (r1, r2) if r1 <= r2 else (r2, r1)
     return [(lo, 1), (hi, 1)]
 
 
 def _reference_solve(q, band=1e-8):
-    gate = (band * q.scale) ** 2
-    disc = q.discriminant
+    gate = (band * coefficient_scale(q)) ** 2
+    disc = discriminant(q)
     if disc >= gate:
         return _reference_solve_quadratic(q)
     if abs(q.c2) <= 2.2e-16 * max(abs(q.c1), abs(q.c0)):
         return _reference_solve_quadratic(q)
     if disc <= 0.0:
-        return [(q.vertex, 2)]
+        return [(stationary_point(q), 2)]
     half = 0.5 * math.sqrt(disc) / abs(q.c2)
-    v = q.vertex
+    v = stationary_point(q)
     return [(v - half, 1), (v + half, 1)]
 
 
@@ -381,7 +390,7 @@ class TestMergedSolverMatchesReference:
             for poly in (poly_R(p1, p2), poly_S(p1, p2)):
                 roots = solve_quadratic(poly)
                 assert roots == _reference_solve(poly), (p1, p2, poly)
-                clamped += poly.discriminant < (1e-8 * poly.scale) ** 2
+                clamped += discriminant(poly) < (1e-8 * coefficient_scale(poly)) ** 2
         assert len(draws) == 2000
         assert clamped > 0  # the j_zero pairs reach the band
 
@@ -411,10 +420,10 @@ class TestMergedSolverMatchesReference:
 
     def test_gate_cases_sit_where_named(self):
         under, at = self.HAND["positive_under_gate"][0], self.HAND["positive_at_gate"][0]
-        assert 0.0 < under.discriminant < self.GATE == at.discriminant
+        assert 0.0 < discriminant(under) < self.GATE == discriminant(at)
         # Under the gate the roots come from the vertex, at it from the stable branch.
-        half = 0.5 * math.sqrt(under.discriminant)
+        half = 0.5 * math.sqrt(discriminant(under))
         assert solve_quadratic(under) == [(-half, 1), (half, 1)]
         assert [m for _, m in solve_quadratic(at)] == [1, 1]
         q = self.HAND["gate_underflow_zero_disc"][0]
-        assert (1e-8 * q.scale) ** 2 == 0.0 and q.discriminant == 0.0
+        assert (1e-8 * coefficient_scale(q)) ** 2 == 0.0 and discriminant(q) == 0.0

@@ -76,7 +76,8 @@ class TestVerifyInscribed:
         s = a + b + c
         cx = (a * tri.a.x + b * tri.b.x + c * tri.c.x) / s
         cy = (a * tri.a.y + b * tri.b.y + c * tri.c.y) / s
-        area2 = abs(tri.signed_area2())
+        (ax, ay), (bx, by), (cx_, cy_) = tri
+        area2 = abs((bx - ax) * (cy_ - ay) - (cx_ - ax) * (by - ay))
         r = area2 / s
         assert verify_inscribed(axis_aligned_ellipse(cx, cy, r, r), tri).passed
 

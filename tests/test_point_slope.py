@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from inellipse import world
+from inellipse.affine import UNIT_TRIANGLE
 from inellipse.errors import NotInterior
 from inellipse.geom import Point, Slope, Vertex
 from inellipse.kernel import EllipseParam, unit_geometry
@@ -72,6 +74,11 @@ class TestClosedForm:
         # unless the forms are scaled first.
         param = solve_point_slope_unit(p, Slope.vertical())
         assert param.w == pytest.approx((1.0 - p.x - p.y) / (1.0 - p.x), rel=1e-15)
+        # t = S / (S + X) = (1 - x - y) x / ((1 - x - y) x + (1 - x)^2), about 1e-300: a
+        # normal float, which the sums must not underflow to 0.
+        inside = 1.0 - p.x - p.y
+        assert 0.0 < param.t < 1.0
+        assert param.t == pytest.approx(inside * p.x / (inside * p.x + (1.0 - p.x) ** 2), rel=1e-15)
 
     def test_interior_required(self):
         with pytest.raises(NotInterior):
@@ -205,3 +212,26 @@ class TestAccuracy:
             for got, ref in zip(out, point_slope_reference(p, r)):
                 assert abs(got - ref) <= 8 * math.ulp(ref), (p, r)
         assert checked >= 200
+
+
+class TestNearVertexSlopeInsideTheSquare:
+    def test_world_answers_1e8_off_a_vertex_slope(self):
+        # TestAccuracy's draws 1e-8 off the right and the top vertex slope.  On
+        # most, the true 1 - w or 1 - t is below half an ulp of 1, so it rounds to
+        # 1.0; the answer is still the unique ellipse, reported with that parameter
+        # as the float below 1, and no draw raises.
+        solvable = at_edge = 0
+        for vertex in (Vertex.RIGHT, Vertex.TOP):
+            rng = np.random.default_rng(68)
+            for _ in range(1000):
+                p = random_interior(rng)
+                vs = dict(zip(Vertex, vertex_slopes(p)))[vertex].value
+                report = world.solve_point_slope(UNIT_TRIANGLE, p, Slope.finite(vs * (1.0 + 1e-8)))
+                if report.case != "unique":
+                    continue  # |vs| 1e-8 is inside the band 1e-9 (1 + |r|)
+                solvable += 1
+                (w, t) = report.solutions[0].param
+                assert 0.0 < w < 1.0 and 0.0 < t < 1.0
+                at_edge += max(w, t) == math.nextafter(1.0, 0.0)
+        assert solvable == 1914
+        assert at_edge > 1000

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from inellipse import kernel, world
+from inellipse import world
 from inellipse.affine import Triangle, UNIT_TRIANGLE, apply_point, apply_slope, map_to_unit
 from inellipse.boundary import Side, param_from_tangencies, side_point
 from inellipse.errors import GeometryError
@@ -83,10 +83,8 @@ def test_every_inscribed_conic_has_a_unique_center():
     # AB - C^2 > 0 on the whole open square, so world needs no centre check.
     sp = pytest.importorskip("sympy")
     w, t = sp.symbols("w t")
-    # The domain check compares floats; the coefficients are polynomials in (w, t).
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernel, "_check_param", lambda w, t: None)
-        (a, b, c, _, _, _), _, _ = unit_geometry(EllipseParam(w, t))
+    # unit_geometry checks no domain, so the coefficients come out as polynomials in (w, t).
+    (a, b, c, _, _, _), _, _ = unit_geometry(EllipseParam(w, t))
     det = sp.nsimplify(a * b - c * c)
     assert sp.expand(det - 4 * w**2 * t**2 * (1 - w) * (1 - t) * (w + t - w * t)) == 0
 
