@@ -10,34 +10,31 @@ Three query families on any non-degenerate triangle:
 
 The package namespace is the query API: the world queries
 :func:`solve_two_points`, :func:`solve_point_slope` and
-:func:`solve_tangency` with their report types, the triangle, the three
-unit-triangle solvers with their outcome types, the value types, and the
-oracle.  The unit solvers return parameters; answers come from the world
-queries, on ``UNIT_TRIANGLE`` for the unit triangle.  Everything is solved in
-closed form on the unit triangle and transported by affine maps; the
-internals stay in their modules
-(:mod:`~inellipse.kernel` for the polynomials, :mod:`~inellipse.affine` and
-:mod:`~inellipse.conic` for the maps and conics, :mod:`~inellipse.equations`
-for the defining equations).  :mod:`inellipse.oracle` provides an independent
-numerical witness for all of it.  The closed-form path imports no numpy; the
-oracle names load :mod:`inellipse.oracle` (and numpy) on first use, which
-``from inellipse import *`` is.
+:func:`solve_tangency` with their report types, the triangle, the value
+types, and the oracle.  A unit-triangle answer is the world answer on
+``UNIT_TRIANGLE``.  The world queries check their inputs once, then solve in
+closed form on the unit triangle and transport the answers by affine maps;
+the internals stay in their modules (the unit solvers in
+:mod:`~inellipse.two_points`, :mod:`~inellipse.point_slope` and
+:mod:`~inellipse.boundary`, the polynomials in :mod:`~inellipse.kernel`, the
+maps and conics in :mod:`~inellipse.affine` and :mod:`~inellipse.conic`, the
+defining equations in :mod:`~inellipse.equations`).  :mod:`inellipse.oracle`
+provides an independent numerical witness for all of it.  The closed-form
+path imports no numpy; the oracle names load :mod:`inellipse.oracle` (and
+numpy) on first use, which ``from inellipse import *`` is.
 
 Every value and result type is an immutable NamedTuple: read its fields by
 name or unpack it, and derive a changed copy with ``_replace``.  Equality is
-tuple equality, so ``PairCase(PairKind.GENERIC) == (PairKind.GENERIC, None)``.
+tuple equality, so ``Point(0.5, 0.25) == (0.5, 0.25)``.
 A :class:`Slope` is its direction (a, b), which a map carries unnormalized:
 compare two slopes by their ``.value`` (b / a, or None for vertical).
 They are not data classes: the ``replace`` and ``asdict`` helpers do not apply.
 """
 
 from .affine import Triangle, UNIT_TRIANGLE
-from .boundary import Side, SidePoint, param_from_tangencies, side_point
 from .conic import ConicCoeffs
-from .geom import Point, Slope, Vertex
+from .geom import Point, Slope
 from .kernel import EllipseParam
-from .point_slope import NoSolution, solve_point_slope_unit, vertex_slopes
-from .two_points import PairCase, PairKind, classify_pair, solve_two_points_unit
 from .world import SolveReport, WorldSolution, solve_point_slope, solve_tangency, solve_two_points
 
 __version__ = "0.1.0"
@@ -65,22 +62,9 @@ __all__ = [
     "WorldSolution",
     "Triangle",
     "UNIT_TRIANGLE",
-    # Unit-triangle solvers and their outcome types.
-    "solve_two_points_unit",
-    "classify_pair",
-    "PairCase",
-    "PairKind",
-    "solve_point_slope_unit",
-    "NoSolution",
-    "vertex_slopes",
-    "side_point",
-    "param_from_tangencies",
-    "Side",
-    "SidePoint",
     # Value types.
     "Point",
     "Slope",
-    "Vertex",
     "EllipseParam",
     "ConicCoeffs",
     # The oracle, loaded on first use.

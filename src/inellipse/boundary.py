@@ -10,8 +10,9 @@ inversions
 
 whose denominators are positive throughout the open square.
 
-Checks: the bands of :func:`side_point`; points on two different open sides give a
-(w, t) inside, which enters the float square by :func:`~inellipse.kernel.open_param`.
+Checks: the bands of :func:`side_point`, on a point ``world`` coerced before mapping it;
+points on two different open sides give a (w, t) inside, which enters the float square by
+:func:`~inellipse.kernel.open_param`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import NamedTuple
 
 from .affine import UNIT_TRIANGLE
 from .errors import NotOnSide, SameSide, VertexPoint
-from .geom import Point, as_point
+from .geom import Point
 from .kernel import EllipseParam, open_param
 
 # Boundary points within this distance of a vertex are rejected.
@@ -49,7 +50,6 @@ def side_point(p: Point) -> SidePoint:
     and :class:`NotOnSide` when no side's linear form vanishes within
     ``_SIDE_MEMBERSHIP`` (absolute) or the point falls off the segment.
     """
-    p = as_point(p)
     x, y = p
     for vx, vy in UNIT_TRIANGLE:
         if math.hypot(x - vx, y - vy) <= _VERTEX_EXCLUSION:

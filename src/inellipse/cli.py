@@ -37,7 +37,7 @@ import sys
 
 from . import world
 from .affine import Triangle, apply_point, apply_slope, map_to_unit
-from .geom import Point, Slope, as_point
+from .geom import Slope
 from .conic import full_coefficients
 
 _DEFAULT_GRID = 256
@@ -118,11 +118,11 @@ def _option(options: dict, key: str, kind, default):
     return value
 
 
-def _point(raw, what: str) -> Point:
-    """A JSON point: an array of exactly two numbers, which ``as_point`` checks finite."""
+def _point(raw, what: str) -> list:
+    """A JSON point: an array of exactly two numbers, which ``Triangle`` or ``world`` checks finite."""
     if type(raw) is not list or len(raw) != 2 or not all(type(v) in (int, float) for v in raw):
         raise InputError(f"{what} must be an array of two numbers, got {raw!r}")
-    return as_point(raw)
+    return raw
 
 
 def _solution_dict(sol: world.WorldSolution, raw: bool) -> dict:
@@ -140,7 +140,7 @@ def _solution_dict(sol: world.WorldSolution, raw: bool) -> dict:
     }
 
 
-def _oracle_check(kind: str, tri: Triangle, points: list[Point], slope, report, grid_n: int) -> dict:
+def _oracle_check(kind: str, tri: Triangle, points: list, slope, report, grid_n: int) -> dict:
     """The oracle's verdict on a solved query, from the points and slope already parsed.
 
     Each solution is matched one-to-one to a basin (at most 4! pairings);

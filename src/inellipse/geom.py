@@ -58,7 +58,7 @@ class Slope(NamedTuple):
         return None if a == 0.0 else b / a
 
 
-_BYTES = frozenset((bytes, bytearray, memoryview))
+_BYTES = (bytes, bytearray, memoryview)
 
 
 def as_point(obj) -> Point:
@@ -66,10 +66,11 @@ def as_point(obj) -> Point:
 
     ``math.isfinite`` reads each coordinate as a number before ``float()``
     does, so numbers and numpy scalars pass, while strings, which ``float()``
-    would parse, and bytes, bytearrays and memoryviews, which unpack to ints, raise ValueError.
+    would parse, and bytes, bytearray and memoryview objects (subclasses too), which unpack to ints,
+    raise ValueError.
     """
     try:
-        if type(obj) in _BYTES:
+        if isinstance(obj, _BYTES):
             raise TypeError
         x, y = obj
         finite = math.isfinite(x) and math.isfinite(y)

@@ -18,10 +18,10 @@ finite and vertical slopes alike.  When (a, b) aims at a vertex no inscribed
 ellipse attains it, and the solver reports that as an ordinary outcome, not
 an error.
 
-Checks: ``as_point`` and the interior test in each public function but
-:func:`residual_system13`, which trusts its point, and the exclusion bands
-before any parameter is built, which enters the open square by
-:func:`~inellipse.kernel.open_param`.  Each residual is one evaluation of its
+Checks: the interior test in :func:`solve_point_slope_unit`, on a point and
+a nonzero direction that ``world`` checked before mapping them, and the
+exclusion bands before any parameter is built, which enters the open square
+by :func:`~inellipse.kernel.open_param`.  Each residual is one evaluation of its
 equation without the partials (:mod:`inellipse.equations`).
 """
 
@@ -31,7 +31,7 @@ import math
 from typing import NamedTuple, Union
 
 from . import equations
-from .geom import Point, Slope, Vertex, as_point, require_interior
+from .geom import Point, Slope, Vertex, require_interior
 from .kernel import EllipseParam, open_param
 
 # |L_v| below this fraction of (|a| + |b|) |v_x - x| means the direction aims
@@ -46,21 +46,8 @@ class NoSolution(NamedTuple):
     vertex: Vertex
 
 
-def vertex_slopes(p: Point) -> tuple[Slope, Slope, Slope]:
-    """Slopes of the lines from p toward (0,0), (1,0), (0,1).
-
-    All three are finite for interior p (0 < x < 1 keeps every denominator
-    away from zero).
-    """
-    p = as_point(p)
-    require_interior(p)
-    x, y = p
-    return (Slope.finite(y / x), Slope.finite(-y / (1.0 - x)), Slope.finite((1.0 - y) / -x))
-
-
 def solve_point_slope_unit(p: Point, slope: Slope) -> Union[EllipseParam, NoSolution]:
     """Closed-form parameters, or :class:`NoSolution` on an excluded slope."""
-    p = as_point(p)
     require_interior(p)
     x, y = p
     a, b = slope

@@ -9,13 +9,12 @@ backward error of :func:`inellipse.equations.through_point` at each point,
 evaluated once per candidate and once after each Newton step, stops the
 polish, gates the candidate and is reported with its solution.
 
-Checks: ``as_point`` (two finite numbers) in :func:`classify_pair` and
-:func:`solve_two_points_unit`; the interior and distinct tests once per pair,
-in :func:`classify_pair`, whose points :func:`kept_params` and the kernel
-trust; the (w, t) domain by the square margin of :func:`kept_params`.
-Built once per query: p1's quadratic, the case (a shared constant) and each
-kept solution's parameters, in :func:`kept_params`, which builds no other
-record and which ``world`` calls itself after :func:`classify_pair`.
+Checks: none on the points' form, which ``world`` coerced before mapping them;
+the interior and distinct tests once per pair, in :func:`classify_pair`, whose
+points :func:`kept_params` and the kernel trust; the (w, t) domain by the
+square margin of :func:`kept_params`.  Built once per query: p1's quadratic,
+the case (a shared constant) and each kept solution's parameters, in
+:func:`kept_params`, which builds no other record.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import NamedTuple, Optional
 
 from .equations import backward_error, through_point
 from .errors import AmbiguousClassification, SolutionCountMismatch
-from .geom import Point, Vertex, as_point, require_distinct, require_interior
+from .geom import Point, Vertex, require_distinct, require_interior
 from .kernel import (
     EllipseParam,
     QuadraticPoly,
@@ -78,7 +77,6 @@ _ON_ORIGIN, _ON_RIGHT, _ON_TOP = (PairCase(PairKind.VERTEX_LINE, v) for v in Ver
 
 def classify_pair(p1: Point, p2: Point) -> PairCase:
     """Vertex-line / degenerate / generic classification of an interior pair."""
-    p1, p2 = as_point(p1), as_point(p2)
     require_interior(p1, p2)
     require_distinct(p1, p2)
     d_origin, d_right, d_top, j, _, _ = pair_invariants(p1, p2)
@@ -176,9 +174,7 @@ def kept_params(p1: Point, p2: Point, case: PairCase) -> list[tuple[EllipseParam
 
 
 def solve_two_points_unit(p1: Point, p2: Point) -> tuple[PairCase, list[tuple[EllipseParam, tuple[float, float]]]]:
-    """The pair's case and every inscribed ellipse through both points, as
-    ``(case, kept_params(p1, p2, case))``: four (param, residuals) in the generic cases,
-    two in the vertex-line cases."""
-    p1, p2 = as_point(p1), as_point(p2)
+    """``(case, kept_params(p1, p2, case))``: the pair's case and its four inscribed ellipses
+    through both points (two in the vertex-line cases), as (param, residuals)."""
     case = classify_pair(p1, p2)
     return case, kept_params(p1, p2, case)

@@ -11,26 +11,25 @@ unit triangle), so they are reported unchanged.
 
 Built once per solution: the unit conic, contacts and center, by one
 :func:`~inellipse.kernel.unit_geometry` call, and the world conic, by one
-``pull_back``, from each family's ``(param, unit_geometry(param), residuals)``.
-This module alone builds answer records; unit-triangle answers are its
-answers on ``UNIT_TRIANGLE``, whose map is the identity.  The two-point
-family classifies the pair and takes the kept (param, residuals) from
-:func:`~inellipse.two_points.kept_params` itself.
+``pull_back``.  This module alone builds answer records; unit-triangle
+answers are its answers on ``UNIT_TRIANGLE``, whose map is the identity.
 
-Checks: :class:`~inellipse.affine.Triangle` when it is built, ``as_point`` on
-each world point here, then each unit solver's own, once per query (interior
-and coincident in :func:`~inellipse.two_points.classify_pair`, which also
-coerces the two unit points; interior, excluded slope, side and vertex bands
-in the others).  :func:`~inellipse.kernel.unit_geometry` checks none: each
-solver hands it a (w, t) inside the open square.
+Checks, once per query, on the caller's values: the triangle (built as a
+:class:`~inellipse.affine.Triangle` unless it is one), ``as_point`` on each
+point, and a slope of two finite numbers, not both zero.  The unit steps
+trust these and test only their domains, on the mapped values (interior,
+distinct, exclusion, side and vertex bands), so a point mapped beyond the
+float range is not interior, or not on a side.  ``unit_geometry`` checks
+none: each solver hands it a (w, t) inside the open square.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from . import boundary, point_slope, two_points
-from .affine import Triangle, apply_point, apply_slope, map_to_unit
+from .affine import AffineMap, Triangle, apply_point, apply_slope, map_to_unit
 from .conic import ConicCoeffs, pull_back
 from .geom import Point, Slope, as_point
 from .kernel import EllipseParam, unit_geometry
@@ -75,12 +74,17 @@ def _to_world(tri, fwd, unit_solutions) -> tuple[WorldSolution, ...]:
     return tuple(out)
 
 
+def _frame(tri) -> tuple[Triangle, AffineMap]:
+    tri = tri if isinstance(tri, Triangle) else Triangle(*tri)
+    return tri, map_to_unit(tri)
+
+
 def solve_two_points(tri: Triangle, p1: Point, p2: Point) -> SolveReport:
     """Every inscribed ellipse of ``tri`` through the two world points."""
-    fwd = map_to_unit(tri)
+    tri, fwd = _frame(tri)
     u1, u2 = apply_point(fwd, as_point(p1)), apply_point(fwd, as_point(p2))
-    case = two_points.classify_pair(u1, u2)
-    unit = [(param, unit_geometry(param), residuals) for param, residuals in two_points.kept_params(u1, u2, case)]
+    case, kept = two_points.solve_two_points_unit(u1, u2)
+    unit = [(param, unit_geometry(param), residuals) for param, residuals in kept]
     return tuple.__new__(SolveReport, (str(case), _to_world(tri, fwd, unit)))
 
 
@@ -91,8 +95,16 @@ def solve_point_slope(tri: Triangle, p: Point, slope: Slope) -> SolveReport:
     ``no_solution:<vertex>`` case tag; vertices are named by their images in
     the unit triangle (a -> origin, b -> right, c -> top).
     """
-    fwd = map_to_unit(tri)
-    u, u_slope = apply_point(fwd, as_point(p)), apply_slope(fwd, slope)
+    tri, fwd = _frame(tri)
+    u = apply_point(fwd, as_point(p))
+    try:
+        a, b = slope
+        direction = math.isfinite(a) and math.isfinite(b) and not a == b == 0.0
+    except (TypeError, OverflowError):  # not numbers, or an integer beyond the float range
+        direction = False
+    if not direction:
+        raise ValueError(f"a slope is a direction of two finite numbers, not both zero, got {slope!r}")
+    u_slope = apply_slope(fwd, slope)
     outcome = point_slope.solve_point_slope_unit(u, u_slope)
     if isinstance(outcome, point_slope.NoSolution):
         return tuple.__new__(SolveReport, (f"no_solution:{outcome.vertex.value}", ()))
@@ -109,7 +121,7 @@ def _contact_distance(contacts, s: boundary.SidePoint) -> float:
 
 def solve_tangency(tri: Triangle, q1: Point, q2: Point) -> SolveReport:
     """The unique inscribed ellipse tangent to ``tri`` at two boundary points."""
-    fwd = map_to_unit(tri)
+    tri, fwd = _frame(tri)
     s1 = boundary.side_point(apply_point(fwd, as_point(q1)))
     s2 = boundary.side_point(apply_point(fwd, as_point(q2)))
     param = boundary.param_from_tangencies(s1, s2)

@@ -2,7 +2,7 @@
 
 All sampling is seeded by the caller, so every test run is reproducible.  The
 references (a conic's terms, gradient and centre, equality up to scale, the
-w-quadratic, the unit-to-world map and a numpy map inverse) are written here
+w-quadratic, the vertex slopes, the unit-to-world map and a numpy map inverse) are written here
 in their smallest form, apart from the package; the residuals reuse the full
 forms of :mod:`inellipse.equations`, which ``tests/test_equations.py``
 derives symbolically, and the world answer of a unit solution is rebuilt from
@@ -16,7 +16,7 @@ import numpy as np
 from inellipse.affine import AffineMap, Triangle, map_to_unit
 from inellipse.conic import pull_back
 from inellipse.equations import backward_error, tangent, through_point
-from inellipse.geom import Point, Vertex
+from inellipse.geom import Point, Slope, Vertex
 from inellipse.kernel import unit_geometry
 from inellipse.two_points import PairKind, classify_pair
 from inellipse.world import WorldSolution
@@ -113,6 +113,12 @@ def interior_in_triangle(rng: np.random.Generator, tri: Triangle) -> Point:
         a.x + u.x * (b.x - a.x) + u.y * (c.x - a.x),
         a.y + u.x * (b.y - a.y) + u.y * (c.y - a.y),
     )
+
+
+def vertex_slopes(p: Point) -> tuple[Slope, Slope, Slope]:
+    """Slopes of the lines from an interior p toward (0,0), (1,0), (0,1); 0 < x < 1 keeps all three finite."""
+    x, y = p
+    return (Slope.finite(y / x), Slope.finite(-y / (1.0 - x)), Slope.finite((1.0 - y) / -x))
 
 
 def point_slope_reference(p: Point, r: float) -> tuple[float, float]:

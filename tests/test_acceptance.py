@@ -29,6 +29,7 @@ from helpers import (
     stationary_point,
     term_residual,
     unit_to_world,
+    vertex_slopes,
 )
 
 EX1 = (Point(0.25, 0.125), Point(0.5, 1 / 6))
@@ -48,7 +49,7 @@ def criterion(number, label):
 
 
 def match_sorted_tw(solutions, expected, tol=0.01):
-    got = sorted((param.t, param.w) for param, _ in solutions)
+    got = sorted((sol.param.t, sol.param.w) for sol in solutions)
     assert len(got) == len(expected)
     for (t, w), (te, we) in zip(got, sorted(expected)):
         assert abs(t - te) < tol
@@ -60,35 +61,33 @@ def test_01_generic_two_point_regression():
         inv = pair_invariants(*EX1)
         assert abs(inv.j - (-1 / 576)) < 1e-15
         solve_start = time.perf_counter()
-        case, sols = ie.solve_two_points_unit(*EX1)
+        case, sols = ie.solve_two_points(UNIT, *EX1)
         elapsed = time.perf_counter() - solve_start
-        assert case.kind is ie.PairKind.GENERIC
+        assert case == "generic_4"
         assert len(sols) == 4
         match_sorted_tw(sols, [(0.43, 0.74), (0.13, 0.03), (0.008, 0.003), (0.94, 0.22)])
-        for _, residuals in sols:
-            assert max(residuals) < 1e-10
+        for sol in sols:
+            assert max(sol.residuals) < 1e-10
         assert elapsed < 0.050
 
 
 def test_02_degenerate_branch_regression():
     with criterion(2, "shared-contact (double-root) example"):
         t0 = math.sqrt(2) / 4
-        case, sols = ie.solve_two_points_unit(*EX2)
-        assert case.kind is ie.PairKind.GENERIC_J_ZERO
+        case, sols = ie.solve_two_points(UNIT, *EX2)
+        assert case == "generic_j_zero"
         assert len(sols) == 4
         match_sorted_tw(sols, [(0.35, 0.27), (0.35, 0.94), (0.01, 0.03), (0.96, 0.58)])
-        shared = [param for param, _ in sols if abs(param.t - t0) < 1e-9]
+        shared = [sol.param for sol in sols if abs(sol.param.t - t0) < 1e-9]
         assert len(shared) == 2
 
 
 def test_03_vertex_line_regression():
     with criterion(3, "vertex-line example"):
-        case = ie.classify_pair(*EX_TOP)
-        assert case.kind is ie.PairKind.VERTEX_LINE
-        assert case.vertex is Vertex.TOP
+        case, sols = ie.solve_two_points(UNIT, *EX_TOP)
+        assert case == f"vertex_line:{Vertex.TOP.value}"
         r = poly_R(*EX_TOP)
         assert abs(stationary_point(r) - 5 / 12) < 1e-12
-        _, sols = ie.solve_two_points_unit(*EX_TOP)
         assert len(sols) == 2
         match_sorted_tw(sols, [(0.04, 0.04), (0.93, 0.43)])
 
@@ -122,33 +121,27 @@ def test_06_excluded_slope_nonexistence():
         rng = np.random.default_rng(100)
         for _ in range(100):
             p = random_interior(rng)
-            for vs in ie.vertex_slopes(p):
-                out = ie.solve_point_slope_unit(p, vs)
-                assert isinstance(out, ie.NoSolution)
+            for vertex, vs in zip(Vertex, vertex_slopes(p)):
+                report = ie.solve_point_slope(UNIT, p, vs)
+                assert report == (f"no_solution:{vertex.value}", ())
                 assert ie.brute_force_point_slope(p, vs) == []
 
 
 def test_07_boundary_regression_and_round_trip():
     with criterion(7, "boundary tangency"):
-        s1 = ie.side_point(Point(2 / 3, 0.0))
-        s2 = ie.side_point(Point(0.25, 0.75))
-        param = ie.param_from_tangencies(s1, s2)
-        assert abs(param.w - 6 / 7) < 1e-12
-        assert abs(param.t - 2 / 3) < 1e-12
-        assert same_conic(
-            ie.solve_tangency(UNIT, s1.point, s2.point).solutions[0].conic,
-            ie.ConicCoeffs(324.0, 196.0, 228.0, -432.0, -336.0, 144.0),
-        )
+        (sol,) = ie.solve_tangency(UNIT, Point(2 / 3, 0.0), Point(0.25, 0.75)).solutions
+        assert abs(sol.param.w - 6 / 7) < 1e-12
+        assert abs(sol.param.t - 2 / 3) < 1e-12
+        assert same_conic(sol.conic, ie.ConicCoeffs(324.0, 196.0, 228.0, -432.0, -336.0, 144.0))
         rng = np.random.default_rng(102)
-        side_index = {ie.Side.BOTTOM: 0, ie.Side.LEFT: 1, ie.Side.HYPOTENUSE: 2}
         for _ in range(100):
             target = EllipseParam(*random_param(rng))
             _, contacts, _ = unit_geometry(target)
-            for sa, sb in itertools.combinations(side_index, 2):
-                back = ie.param_from_tangencies(
-                    ie.SidePoint(sa, Point(*contacts[side_index[sa]])),
-                    ie.SidePoint(sb, Point(*contacts[side_index[sb]])),
-                )
+            # Bottom, left and hypotenuse contacts, each pair of sides in turn.
+            for qa, qb in itertools.combinations(contacts, 2):
+                case, (back_sol,) = ie.solve_tangency(UNIT, Point(*qa), Point(*qb))
+                back = back_sol.param
+                assert case == "boundary_unique"
                 assert abs(back.w - target.w) < 1e-12
                 assert abs(back.t - target.t) < 1e-12
 
@@ -226,7 +219,7 @@ def test_10_oracle_concordance():
         rng = np.random.default_rng(108)
         for _ in range(20):
             p1, p2 = random_generic_pair(rng)
-            closed = sorted((param.t, param.w) for param, _ in ie.solve_two_points_unit(p1, p2)[1])
+            closed = sorted((sol.param.t, sol.param.w) for sol in ie.solve_two_points(UNIT, p1, p2).solutions)
             basins = [(t, w) for w, t in ie.brute_force_two_points(p1, p2, 256)]
             assert len(basins) == len(closed) == 4
             for (t1, w1), (t2, w2) in zip(closed, basins):
@@ -235,12 +228,13 @@ def test_10_oracle_concordance():
         for _ in range(20):
             p = random_interior(rng)
             r = 3.0 * rng.standard_cauchy()
-            out = ie.solve_point_slope_unit(p, Slope.finite(r))
+            report = ie.solve_point_slope(UNIT, p, Slope.finite(r))
             basins = ie.brute_force_point_slope(p, Slope.finite(r), 256)
-            if isinstance(out, ie.NoSolution):
-                assert basins == []
+            if report.case.startswith("no_solution:"):
+                assert basins == [] and report.solutions == ()
                 continue
             assert len(basins) == 1
+            (out,) = (sol.param for sol in report.solutions)
             assert abs(basins[0][0] - out.w) < 1e-6
             assert abs(basins[0][1] - out.t) < 1e-6
         assert time.perf_counter() - start < 60.0

@@ -165,10 +165,11 @@ class TestTriangleInput:
             (b"10", "must be numbers"),
             (bytearray(b"10"), "must be numbers"),
             (memoryview(b"10"), "must be numbers"),
+            (type("Bytes", (bytes,), {})(b"10"), "must be numbers"),
         ],
         ids=[
             "three", "one", "none", "string", "string_keys", "strings", "one_string", "bytes", "none_coordinate",
-            "bytes_object", "bytearray", "memoryview",
+            "bytes_object", "bytearray", "memoryview", "bytes_subclass",
         ],
     )
     def test_other_than_two_coordinates_raise_value_error(self, coords, match):

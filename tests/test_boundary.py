@@ -101,7 +101,7 @@ class TestParamFromTangencies:
             target = EllipseParam(*random_param(rng))
             _, contacts, _ = unit_geometry(target)
             param = param_from_tangencies(
-                side_point(contacts[0]), side_point(contacts[2])
+                side_point(Point(*contacts[0])), side_point(Point(*contacts[2]))
             )
             conic, got, _ = unit_geometry(param)
             for (ax, ay), (bx, by) in zip(got, contacts):

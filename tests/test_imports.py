@@ -104,10 +104,7 @@ ORACLE_NAMES = ["VerificationReport", "brute_force_point_slope", "brute_force_tw
 QUERY_API = sorted([
     "solve_two_points", "solve_point_slope", "solve_tangency", "SolveReport", "WorldSolution",
     "Triangle", "UNIT_TRIANGLE",
-    "solve_two_points_unit", "classify_pair", "PairCase", "PairKind",
-    "solve_point_slope_unit", "NoSolution", "vertex_slopes",
-    "side_point", "param_from_tangencies", "Side", "SidePoint",
-    "Point", "Slope", "Vertex", "EllipseParam", "ConicCoeffs",
+    "Point", "Slope", "EllipseParam", "ConicCoeffs",
     *ORACLE_NAMES,
 ])
 
@@ -116,7 +113,7 @@ def test_package_namespace_is_the_query_api():
     import inellipse
 
     assert sorted(inellipse.__all__) == QUERY_API
-    assert len(QUERY_API) == 27
+    assert len(QUERY_API) == 15
     for name in QUERY_API:
         assert getattr(inellipse, name) is not None
 

@@ -14,9 +14,9 @@ from inellipse.geom import Point, Slope
 from inellipse import oracle
 from inellipse.kernel import EllipseParam, unit_geometry
 from inellipse.oracle import brute_force_point_slope, brute_force_two_points, verify_inscribed
-from inellipse.point_slope import residual_system13, solve_point_slope_unit, vertex_slopes
+from inellipse.point_slope import residual_system13, solve_point_slope_unit
 
-from helpers import pair_residuals, random_generic_pair, random_interior, random_param
+from helpers import pair_residuals, random_generic_pair, random_interior, random_param, vertex_slopes
 
 EX1 = (Point(0.25, 0.125), Point(0.5, 1 / 6))
 

@@ -10,14 +10,9 @@ from inellipse.affine import UNIT_TRIANGLE
 from inellipse.errors import NotInterior
 from inellipse.geom import Point, Slope, Vertex
 from inellipse.kernel import EllipseParam, unit_geometry
-from inellipse.point_slope import (
-    NoSolution,
-    residual_system13,
-    solve_point_slope_unit,
-    vertex_slopes,
-)
+from inellipse.point_slope import NoSolution, residual_system13, solve_point_slope_unit
 
-from helpers import conic_gradient, point_slope_reference, random_interior
+from helpers import conic_gradient, point_slope_reference, random_interior, vertex_slopes
 
 
 class TestClosedForm:
@@ -98,8 +93,9 @@ class TestVertexSlopes:
         rng = np.random.default_rng(50)
         for _ in range(30):
             p = random_interior(rng)
-            for vs in vertex_slopes(p):
-                assert isinstance(solve_point_slope_unit(p, vs), NoSolution)
+            for vertex, vs in zip(Vertex, vertex_slopes(p)):
+                report = world.solve_point_slope(UNIT_TRIANGLE, p, vs)
+                assert report == (f"no_solution:{vertex.value}", ())
 
 
 class TestRationals:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from inellipse import two_points, world
-from inellipse.affine import Triangle
+from inellipse.affine import UNIT_TRIANGLE, Triangle
 from inellipse.errors import AmbiguousClassification, CoincidentPoints, NotInterior, SolutionCountMismatch
 from inellipse.geom import Point, Vertex
 from inellipse.kernel import EllipseParam, pair_invariants, poly_q, poly_R, unit_geometry
@@ -368,10 +368,8 @@ class TestCountsAndQuality:
     def test_world_solve_builds_each_quadratic_and_conic_once(self, monkeypatch):
         # Per solution of every family: one unit geometry (conic, contacts and
         # center together) and one pull-back of its conic.
-        # A two-point query coerces its two world points and, in classify_pair,
-        # their two unit images: four as_point calls.
+        # as_point runs once per caller point, in world, and never on a unit image.
         from inellipse import affine, conic, geom, kernel, world
-        from inellipse.affine import UNIT_TRIANGLE
         from inellipse.geom import Slope
 
         counted = {kernel: ("poly_q", "unit_geometry"), conic: ("pull_back",), geom: ("as_point",)}
@@ -407,8 +405,7 @@ class TestCountsAndQuality:
             assert calls["poly_q"] == (1 if len(cases) <= len(pairs) else 0)
             assert calls["unit_geometry"] == n
             assert calls["pull_back"] == n
-            if len(cases) <= len(pairs):
-                assert calls["as_point"] == 4
+            assert calls["as_point"] == (1 if report.case == "unique" else 2)
         assert cases == [
             "generic_4", "generic_j_zero", "generic_j_zero", "vertex_line:right", "unique", "unique", "boundary_unique",
         ]
@@ -528,12 +525,12 @@ class TestErrors:
         with pytest.raises(CoincidentPoints):
             entry(Point(0.25, 0.25), Point(0.25, 0.25))
 
-    @CHECKED_ENTRIES
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite(self, entry, bad):
+    def test_non_finite(self, bad):
+        # world coerces each caller point once, before the unit steps, which trust it.
         for p1, p2 in (((bad, 0.25), (0.25, 0.125)), ((0.25, 0.125), (0.25, bad))):
             with pytest.raises(ValueError, match="must be finite"):
-                entry(p1, p2)
+                world.solve_two_points(UNIT_TRIANGLE, p1, p2)
 
     def test_unresolvable_near_degenerate_pair_is_reported(self):
         # A pair 1e-6 off a vertex line classifies as generic, but two of its

@@ -1,6 +1,7 @@
 """World layer: transport of conics and centers from the unit triangle."""
 
 import importlib.util
+import math
 import pathlib
 import random
 from fractions import Fraction
@@ -11,7 +12,7 @@ import pytest
 from inellipse import world
 from inellipse.affine import Triangle, UNIT_TRIANGLE, apply_point, apply_slope, map_to_unit
 from inellipse.boundary import Side, param_from_tangencies, side_point
-from inellipse.errors import GeometryError
+from inellipse.errors import DegenerateTriangle, GeometryError, NotInterior, NotOnSide
 from inellipse.conic import is_real_ellipse
 from inellipse.geom import Point, Slope, Vertex
 from inellipse.kernel import EllipseParam, unit_geometry
@@ -281,3 +282,39 @@ def test_unit_solvers_agree_with_the_world_path_on_the_unit_triangle(family):
             unit = outcome(lambda: ("boundary_unique", [param_from_tangencies(side_point(q1), side_point(q2))]))
             answer = outcome(lambda: world_answer(world.solve_tangency(UNIT_TRIANGLE, q1, q2), residuals=False))
         assert answer == unit
+
+
+# The world queries check the caller's values once, and the unit steps only their domains.
+TINY = Triangle(Point(0.0, 0.0), Point(1e-3, 0.0), Point(0.0, 1e-3))
+QUERIES = {
+    "two_points": lambda tri, p: world.solve_two_points(tri, p, Point(2e-4, 3e-4)),
+    "point_slope": lambda tri, p: world.solve_point_slope(tri, p, Slope.finite(1.0)),
+    "tangency": lambda tri, p: world.solve_tangency(tri, p, Point(5e-4, 0.0)),
+}
+
+
+@pytest.mark.parametrize(
+    "family, error", [("two_points", NotInterior), ("point_slope", NotInterior), ("tangency", NotOnSide)]
+)
+def test_a_finite_point_whose_unit_image_overflows_is_refused_by_its_domain(family, error):
+    # (1e308, 1e308) is finite; only its image under TINY's unit map is not.
+    with pytest.raises(error):
+        QUERIES[family](TINY, Point(1e308, 1e308))
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 0.0), (math.nan, 1.0), (math.inf, 1.0)], ids=["zero", "nan", "inf"])
+def test_a_slope_that_is_no_direction_raises_value_error(a, b):
+    with pytest.raises(ValueError, match="direction of two finite numbers, not both zero"):
+        world.solve_point_slope(UNIT_TRIANGLE, Point(0.3, 0.3), Slope(a, b))
+
+
+@pytest.mark.parametrize("family", sorted(QUERIES))
+def test_a_raw_triangle_is_checked_as_a_triangle(family):
+    query = QUERIES[family]
+    with pytest.raises(DegenerateTriangle):
+        query(((0, 0), (1, 0), (2, 0)), Point(0.3, 0.0))
+    # The error names the vertex as the caller wrote it.
+    with pytest.raises(ValueError, match=r"got \(0, nan\)"):
+        query(((0, 0), (1, 0), (0, math.nan)), Point(0.3, 0.0))
+    p = Point(0.0, 3e-4) if family == "tangency" else Point(3e-4, 1e-4)
+    assert query(((0.0, 0.0), (1e-3, 0.0), (0.0, 1e-3)), p) == query(TINY, p)
