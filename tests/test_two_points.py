@@ -525,12 +525,17 @@ class TestErrors:
         with pytest.raises(CoincidentPoints):
             entry(Point(0.25, 0.25), Point(0.25, 0.25))
 
+    @CHECKED_ENTRIES
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite(self, bad):
-        # world coerces each caller point once, before the unit steps, which trust it.
+    def test_non_finite(self, entry, bad, monkeypatch):
+        # world coerces each caller point once, before the unit steps, which trust it:
+        # the query fails there and never reaches ``entry``.
+        reached = []
+        monkeypatch.setattr(two_points, entry.__name__, lambda *args: reached.append(args))
         for p1, p2 in (((bad, 0.25), (0.25, 0.125)), ((0.25, 0.125), (0.25, bad))):
             with pytest.raises(ValueError, match="must be finite"):
                 world.solve_two_points(UNIT_TRIANGLE, p1, p2)
+        assert reached == []
 
     def test_unresolvable_near_degenerate_pair_is_reported(self):
         # A pair 1e-6 off a vertex line classifies as generic, but two of its
