@@ -96,16 +96,14 @@ def apply_point(m: AffineMap, p: Point) -> Point:
 
 
 def apply_slope(m: AffineMap, s: Slope) -> Slope:
-    """Transport a tangent direction (a, b) through the linear part, unnormalized.  Where
-    |dx| + |dy| would overflow, (a, b) is first scaled below 1 by a power of two."""
+    """Transport a tangent direction (a, b) through the linear part, unnormalized, after
+    scaling (a, b) by the power of two that puts max(|a|, |b|) in [1/2, 1): a subnormal
+    direction keeps its bits, and no product overflows, since ``Triangle`` bounds the map."""
     m11, m12, m21, m22, _, _ = m
     a, b = s
-    dx, dy = m11 * a + m12 * b, m21 * a + m22 * b
-    if not math.isfinite(abs(dx) + abs(dy)):
-        e = -math.frexp(max(abs(a), abs(b)))[1]
-        a, b = math.ldexp(a, e), math.ldexp(b, e)
-        dx, dy = m11 * a + m12 * b, m21 * a + m22 * b
-    return tuple.__new__(Slope, (dx, dy))
+    e = -math.frexp(max(abs(a), abs(b)))[1]
+    a, b = math.ldexp(a, e), math.ldexp(b, e)
+    return tuple.__new__(Slope, (m11 * a + m12 * b, m21 * a + m22 * b))
 
 
 def map_to_unit(tri: Triangle) -> AffineMap:

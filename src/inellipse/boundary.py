@@ -1,18 +1,12 @@
 """The unique inscribed ellipse tangent at prescribed points on two sides.
 
-The contact points of an inscribed ellipse determine its parameters
-directly: the horizontal side carries t, the vertical side carries w, and a
-hypotenuse contact (x3, y3) combines with either known value through the
-inversions
+The contacts t on the horizontal side, w on the vertical side and (x3, y3)
+on the hypotenuse of the ellipse with perspector (P^2, Q^2, R^2) satisfy
+P^2 : Q^2 = t : 1 - t, P^2 : R^2 = w : 1 - w and R^2 : Q^2 = x3 : y3, so any
+two fix the perspector as products of these, with nothing to cancel or divide
+(x3 and y3 both: 1 - x3 would lose y3's bits next to the right vertex).
 
-    w = t (1 - x3) / (x3 (1 - 2t) + t),      given t,
-    t = w (1 - y3) / (y3 + w - 2 y3 w),      given w,
-
-whose denominators are positive throughout the open square.
-
-Checks: the bands of :func:`side_point`, on a point ``world`` coerced before mapping it;
-points on two different open sides give a (w, t) inside, which enters the float square by
-:func:`~inellipse.kernel.open_param`.
+Checks: the bands of :func:`side_point`, on a point ``world`` coerced before mapping it.
 """
 
 from __future__ import annotations
@@ -24,7 +18,6 @@ from typing import NamedTuple
 from .affine import UNIT_TRIANGLE
 from .errors import NotOnSide, SameSide, VertexPoint
 from .geom import Point
-from .kernel import EllipseParam, open_param
 
 # Boundary points within this distance of a vertex are rejected.
 _VERTEX_EXCLUSION = 1e-8
@@ -68,8 +61,8 @@ def side_point(p: Point) -> SidePoint:
     return tuple.__new__(SidePoint, (side, p))
 
 
-def param_from_tangencies(s1: SidePoint, s2: SidePoint) -> EllipseParam:
-    """The unique (w, t) whose contact points include both given side points."""
+def param_from_tangencies(s1: SidePoint, s2: SidePoint) -> tuple[float, float, float]:
+    """The perspector (P^2, Q^2, R^2) of the unique ellipse whose contacts include both side points."""
     if s1.side is s2.side:
         raise SameSide(f"both tangency points lie on the {s1.side.value} side")
     # Order the pair bottom, left, hypotenuse.
@@ -77,11 +70,12 @@ def param_from_tangencies(s1: SidePoint, s2: SidePoint) -> EllipseParam:
         s1, s2 = s2, s1
     (side1, q1), (side2, q2) = s1, s2
     if side1 is Side.BOTTOM and side2 is Side.LEFT:
-        return open_param(q2.y, q1.x)
+        t, w = q1.x, q2.y
+        return w * t, w * (1.0 - t), (1.0 - w) * t
     if side1 is Side.BOTTOM and side2 is Side.HYPOTENUSE:
-        t, x3 = q1.x, q2.x
-        return open_param(t * (1.0 - x3) / (x3 * (1.0 - 2.0 * t) + t), t)
+        t, (x3, y3) = q1.x, q2
+        return t * y3, (1.0 - t) * y3, (1.0 - t) * x3
     if side1 is Side.LEFT and side2 is Side.HYPOTENUSE:
-        w, y3 = q1.y, q2.y
-        return open_param(w, w * (1.0 - y3) / (y3 + w - 2.0 * y3 * w))
+        w, (x3, y3) = q1.y, q2
+        return w * x3, (1.0 - w) * y3, (1.0 - w) * x3
     raise TypeError(f"side points must carry a Side, got {side1!r} and {side2!r}")

@@ -87,7 +87,7 @@ def require_interior(*points: Point) -> None:
     """Strict membership in the open unit triangle 0<x, 0<y, x+y<1."""
     for x, y in points:
         if not (0.0 < x and 0.0 < y and x + y < 1.0):
-            raise NotInterior(f"point {(x, y)} is not interior to the unit triangle")
+            raise NotInterior(f"point {(x, y)} is not interior to the triangle")
 
 
 # Two points closer than this, relative to their coordinate size, coincide.

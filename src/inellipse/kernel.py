@@ -11,11 +11,10 @@ fixed interior point into this family and collecting powers of w yields a
 quadratic in w whose coefficients are polynomials in t; the two-point solver
 works entirely with those polynomials, built here.
 
-A solution's unit geometry (conic coefficients, contacts, center) is written
-once, as plain tuples, in :func:`unit_geometry`; :mod:`inellipse.world` builds
-the answer records from them.  It checks no (w, t): the two-point family keeps
-its own inside the square, and the others enter it by :func:`open_param`, the
-one edge rule for closed-form answers.
+Every family's answer -- (w, t), conic, contacts, center -- is written once,
+as plain tuples, by :func:`unit_geometry` from the ellipse's perspector
+(Brianchon point) (P^2 : Q^2 : R^2), under the one edge rule for (w, t);
+:mod:`inellipse.world` builds the answer records from them.
 
 Polynomial conventions: dense coefficient records, highest degree first in
 the field names (c2, c1, c0), evaluated by Horner.  Points arrive checked:
@@ -76,27 +75,23 @@ class PairInvariants(NamedTuple):
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
-def open_param(w: float, t: float) -> EllipseParam:
-    """(w, t), exact values in (0, 1), in the open square: a w or t rounded to 1.0 (or
-    above) is reported as ``_BELOW_ONE``, the float nearest it inside; zero or NaN, an
-    underflowed answer, raises :class:`OutOfDomain`."""
+def unit_geometry(perspector):
+    """``(param, conic, contacts, center)`` of the inscribed ellipse with perspector
+    (P^2, Q^2, R^2), three non-negative floats in any common scale: each a ratio of
+    sums of them (the center interior to the medial triangle), but the conic, whose
+    :class:`~inellipse.conic.ConicCoeffs` are written from (w, t).  The one edge rule
+    reports a w or t rounded to 1.0 as ``_BELOW_ONE``, the float nearest it inside,
+    and raises :class:`OutOfDomain` on zero or NaN, an underflowed answer.
+    """
+    p2, q2, r2 = perspector
+    w, t = p2 / (p2 + r2), p2 / (p2 + q2)
     if not (w > 0.0 and t > 0.0):
         raise OutOfDomain(f"(w, t) = {(w, t)} underflowed to zero")
-    return tuple.__new__(EllipseParam, (w if w < 1.0 else _BELOW_ONE, t if t < 1.0 else _BELOW_ONE))
-
-
-def unit_geometry(param: EllipseParam):
-    """The conic, contacts and center of the inscribed ellipse (w, t), as plain tuples.
-
-    Returns ``(conic, contacts, center)``: the six coefficients in
-    :class:`~inellipse.conic.ConicCoeffs` order, the contacts (t, 0), (0, w)
-    and the hypotenuse contact, and the center (t, w)/(2(w + (1-w)t)), which
-    is always interior to the medial triangle.
-    """
-    w, t = param
-    den = t + (1.0 - 2.0 * t) * w  # = t(1-w) + w(1-t) > 0 on the open square
-    den_center = 2.0 * (w + (1.0 - w) * t)
+    w, t = w if w < 1.0 else _BELOW_ONE, t if t < 1.0 else _BELOW_ONE
+    hyp = q2 + r2
+    den_center = 2.0 * (p2 + q2 + r2)
     return (
+        tuple.__new__(EllipseParam, (w, t)),
         (
             w * w,
             t * t,
@@ -105,8 +100,8 @@ def unit_geometry(param: EllipseParam):
             -2.0 * t * t * w,
             t * t * w * w,
         ),
-        ((t, 0.0), (0.0, w), (t * (1.0 - w) / den, w * (1.0 - t) / den)),
-        (t / den_center, w / den_center),
+        ((t, 0.0), (0.0, w), (r2 / hyp, q2 / hyp)),
+        ((p2 + r2) / den_center, (p2 + q2) / den_center),
     )
 
 

@@ -11,7 +11,7 @@ which vanishes exactly when (a, b) aims from (x, y) at v.  With the sums
 
     S = (1 - x - y) L_origin^2,    Y = y L_top^2,    X = x L_right^2,
 
-the unique parameters are w = S / (S + Y) and t = S / (S + X), so that
+the ellipse's perspector is (S, X, Y): w = S / (S + Y), t = S / (S + X),
 1 - w = Y / (S + Y) and 1 - t = X / (S + X).  Every term is non-negative, so
 nothing cancels as the direction nears a vertex, and one formula serves
 finite and vertical slopes alike.  When (a, b) aims at a vertex no inscribed
@@ -20,9 +20,8 @@ an error.
 
 Checks: the interior test in :func:`solve_point_slope_unit`, on a point and
 a nonzero direction that ``world`` checked before mapping them, and the
-exclusion bands before any parameter is built, which enters the open square
-by :func:`~inellipse.kernel.open_param`.  Each residual is one evaluation of its
-equation without the partials (:mod:`inellipse.equations`).
+exclusion bands before the perspector is built.  Each residual is one
+evaluation of its equation without the partials (:mod:`inellipse.equations`).
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from typing import NamedTuple, Union
 
 from . import equations
 from .geom import Point, Slope, Vertex, require_interior
-from .kernel import EllipseParam, open_param
+from .kernel import EllipseParam
 
 # |L_v| below this fraction of (|a| + |b|) |v_x - x| means the direction aims
 # at vertex v, and no inscribed ellipse attains it.  For (1, r) that is
@@ -46,8 +45,8 @@ class NoSolution(NamedTuple):
     vertex: Vertex
 
 
-def solve_point_slope_unit(p: Point, slope: Slope) -> Union[EllipseParam, NoSolution]:
-    """Closed-form parameters, or :class:`NoSolution` on an excluded slope."""
+def solve_point_slope_unit(p: Point, slope: Slope) -> Union[tuple[float, float, float], NoSolution]:
+    """The perspector (S, X, Y), or :class:`NoSolution` on an excluded slope."""
     require_interior(p)
     x, y = p
     a, b = slope
@@ -62,8 +61,7 @@ def solve_point_slope_unit(p: Point, slope: Slope) -> Union[EllipseParam, NoSolu
     l_top = a * (1.0 - y) + b * x
     if abs(l_top) < band * x:
         return NoSolution(Vertex.TOP)
-    s = _term(1.0 - x - y, l_origin)
-    return open_param(_share(s, _term(y, l_top)), _share(s, _term(x, l_right)))
+    return _perspector(_term(1.0 - x - y, l_origin), _term(x, l_right), _term(y, l_top))
 
 
 def _term(weight: float, form: float) -> tuple[float, int]:
@@ -73,13 +71,10 @@ def _term(weight: float, form: float) -> tuple[float, int]:
     return mw * mf * mf, ew + 2 * ef
 
 
-def _share(term: tuple[float, int], other: tuple[float, int]) -> float:
-    """term / (term + other), scaled by the power of two putting the larger in [1/2, 4): no
-    smaller than as a float product of forms below 1, so normal products keep their bits."""
-    (m, e), (n, f) = term, other
-    top = max(e, f) - 2
-    m = math.ldexp(m, e - top)
-    return m / (m + math.ldexp(n, f - top))
+def _perspector(s, x, y) -> tuple[float, float, float]:
+    """The terms (m, e), each m 2^e, as floats scaled by the one power of two putting the largest in [1/2, 4)."""
+    top = max(s[1], x[1], y[1]) - 2
+    return math.ldexp(s[0], s[1] - top), math.ldexp(x[0], x[1] - top), math.ldexp(y[0], y[1] - top)
 
 
 def residual_system13(p: Point, slope: Slope, param: EllipseParam) -> tuple[float, float]:

@@ -9,9 +9,10 @@ carries them to within a few ulps of the coordinate scale.  The (w, t)
 parameters are affine invariants of the solution (contact abscissae on the
 unit triangle), so they are reported unchanged.
 
-Built once per solution: the unit conic, contacts and center, by one
-:func:`~inellipse.kernel.unit_geometry` call, and the world conic, by one
-``pull_back``.  This module alone builds answer records; unit-triangle
+Built once per solution: the unit (w, t), conic, contacts and center, by one
+:func:`~inellipse.kernel.unit_geometry` call on its perspector (a kept
+two-point (w, t) enters as (wt, w(1 - t), (1 - w)t)), and the world conic, by
+one ``pull_back``.  This module alone builds answer records; unit-triangle
 answers are its answers on ``UNIT_TRIANGLE``, whose map is the identity.
 
 Checks, once per query, on the caller's values: the triangle (built as a
@@ -19,18 +20,20 @@ Checks, once per query, on the caller's values: the triangle (built as a
 point, and a slope of two finite numbers, not both zero.  The unit steps
 trust these and test only their domains, on the mapped values (interior,
 distinct, exclusion, side and vertex bands), so a point mapped beyond the
-float range is not interior, or not on a side.  ``unit_geometry`` checks
-none: each solver hands it a (w, t) inside the open square.
+float range is not interior, or not on a side; their errors are raised again
+naming the caller's points and vertices.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from typing import NamedTuple
 
 from . import boundary, point_slope, two_points
-from .affine import AffineMap, Triangle, apply_point, apply_slope, map_to_unit
+from .affine import UNIT_TRIANGLE, AffineMap, Triangle, apply_point, apply_slope, map_to_unit
 from .conic import ConicCoeffs, pull_back
+from .errors import AmbiguousClassification, CoincidentPoints, NotInterior, NotOnSide, VertexPoint
 from .geom import Point, Slope, as_point
 from .kernel import EllipseParam, unit_geometry
 
@@ -51,7 +54,7 @@ class SolveReport(NamedTuple):
 
 
 def _to_world(tri, fwd, unit_solutions) -> tuple[WorldSolution, ...]:
-    # Per (param, unit_geometry(param), residuals): one pull_back, and each unit point (x, y)
+    # Per (unit_geometry(perspector), residuals): one pull_back, and each unit point (x, y)
     # lands on a + x (b - a) + y (c - a), left to right as tests/helpers.py::unit_to_world,
     # less the legs' zero terms (a +-0.0 term changes only a -0.0 sum, and none here is -0.0).
     # The points written out and the records built by tuple.__new__, without NamedTuple
@@ -59,7 +62,7 @@ def _to_world(tri, fwd, unit_solutions) -> tuple[WorldSolution, ...]:
     (ax, ay), (bx, by), (cx, cy) = tri
     ux, uy, vx, vy = bx - ax, by - ay, cx - ax, cy - ay
     out = []
-    for param, (unit_conic, ((t, _), (_, w), (x3, y3)), (x4, y4)), residuals in unit_solutions:
+    for (param, unit_conic, ((t, _), (_, w), (x3, y3)), (x4, y4)), residuals in unit_solutions:
         out.append(tuple.__new__(WorldSolution, (
             param,
             pull_back(unit_conic, fwd),
@@ -79,12 +82,25 @@ def _frame(tri) -> tuple[Triangle, AffineMap]:
     return tri, map_to_unit(tri)
 
 
+def _unit_step(step, tri, points, units, *args):
+    """``step(*units, *args)``, the units being the images of the caller's points; a domain
+    error it raises is raised again naming the caller's points and vertices instead."""
+    try:
+        return step(*units, *args)
+    except (NotInterior, CoincidentPoints, NotOnSide, VertexPoint, AmbiguousClassification) as err:
+        callers = {}  # a unit value's repr -> the caller values it stands for, in message order
+        for unit, caller in zip((*units, *UNIT_TRIANGLE), (*points, *tri)):
+            callers.setdefault(str(tuple(unit)), []).append(str(tuple(caller)))
+        raise type(err)(re.sub(r"\([^()]*\)", lambda m: (callers.get(m[0]) or [m[0]]).pop(0), str(err))) from None
+
+
 def solve_two_points(tri: Triangle, p1: Point, p2: Point) -> SolveReport:
     """Every inscribed ellipse of ``tri`` through the two world points."""
     tri, fwd = _frame(tri)
-    u1, u2 = apply_point(fwd, as_point(p1)), apply_point(fwd, as_point(p2))
-    case, kept = two_points.solve_two_points_unit(u1, u2)
-    unit = [(param, unit_geometry(param), residuals) for param, residuals in kept]
+    p1, p2 = as_point(p1), as_point(p2)
+    units = apply_point(fwd, p1), apply_point(fwd, p2)
+    case, kept = _unit_step(two_points.solve_two_points_unit, tri, (p1, p2), units)
+    unit = [(unit_geometry((w * t, w * (1.0 - t), (1.0 - w) * t)), residuals) for (w, t), residuals in kept]
     return tuple.__new__(SolveReport, (str(case), _to_world(tri, fwd, unit)))
 
 
@@ -96,7 +112,8 @@ def solve_point_slope(tri: Triangle, p: Point, slope: Slope) -> SolveReport:
     the unit triangle (a -> origin, b -> right, c -> top).
     """
     tri, fwd = _frame(tri)
-    u = apply_point(fwd, as_point(p))
+    p = as_point(p)
+    u = apply_point(fwd, p)
     try:
         a, b = slope
         direction = math.isfinite(a) and math.isfinite(b) and not a == b == 0.0
@@ -105,12 +122,12 @@ def solve_point_slope(tri: Triangle, p: Point, slope: Slope) -> SolveReport:
     if not direction:
         raise ValueError(f"a slope is a direction of two finite numbers, not both zero, got {slope!r}")
     u_slope = apply_slope(fwd, slope)
-    outcome = point_slope.solve_point_slope_unit(u, u_slope)
+    outcome = _unit_step(point_slope.solve_point_slope_unit, tri, (p,), (u,), u_slope)
     if isinstance(outcome, point_slope.NoSolution):
         return tuple.__new__(SolveReport, (f"no_solution:{outcome.vertex.value}", ()))
-    residuals = point_slope.residual_system13(u, u_slope, outcome)
-    unit = (outcome, unit_geometry(outcome), residuals)
-    return tuple.__new__(SolveReport, ("unique", _to_world(tri, fwd, (unit,))))
+    geometry = unit_geometry(outcome)
+    residuals = point_slope.residual_system13(u, u_slope, geometry[0])
+    return tuple.__new__(SolveReport, ("unique", _to_world(tri, fwd, ((geometry, residuals),))))
 
 
 def _contact_distance(contacts, s: boundary.SidePoint) -> float:
@@ -122,9 +139,9 @@ def _contact_distance(contacts, s: boundary.SidePoint) -> float:
 def solve_tangency(tri: Triangle, q1: Point, q2: Point) -> SolveReport:
     """The unique inscribed ellipse tangent to ``tri`` at two boundary points."""
     tri, fwd = _frame(tri)
-    s1 = boundary.side_point(apply_point(fwd, as_point(q1)))
-    s2 = boundary.side_point(apply_point(fwd, as_point(q2)))
-    param = boundary.param_from_tangencies(s1, s2)
-    _, contacts, _ = geometry = unit_geometry(param)
+    q1, q2 = as_point(q1), as_point(q2)
+    s1 = _unit_step(boundary.side_point, tri, (q1,), (apply_point(fwd, q1),))
+    s2 = _unit_step(boundary.side_point, tri, (q2,), (apply_point(fwd, q2),))
+    _, _, contacts, _ = geometry = unit_geometry(boundary.param_from_tangencies(s1, s2))
     residuals = (_contact_distance(contacts, s1), _contact_distance(contacts, s2))
-    return tuple.__new__(SolveReport, ("boundary_unique", _to_world(tri, fwd, ((param, geometry, residuals),))))
+    return tuple.__new__(SolveReport, ("boundary_unique", _to_world(tri, fwd, ((geometry, residuals),))))

@@ -2,24 +2,30 @@
 
 All sampling is seeded by the caller, so every test run is reproducible.  The
 references (a conic's terms, gradient and centre, equality up to scale, the
-w-quadratic, the vertex slopes, the unit-to-world map and a numpy map inverse) are written here
-in their smallest form, apart from the package; the residuals reuse the full
-forms of :mod:`inellipse.equations`, which ``tests/test_equations.py``
-derives symbolically, and the world answer of a unit solution is rebuilt from
-the kernel's unit geometry one step at a time.
+w-quadratic, the vertex slopes, the unit-to-world map, a numpy map inverse and
+the 60-digit perspector answers) are written here in their smallest form,
+apart from the package; the residuals reuse the full forms of
+:mod:`inellipse.equations`, which ``tests/test_equations.py`` derives
+symbolically, and the world answer of a unit solution is rebuilt from the
+kernel's unit geometry one step at a time.  The shims ``geometry_at``,
+``unit_point_slope`` and ``unit_tangency`` reach the kernel's geometry of a
+(w, t), and the unit point-slope and tangency answers, through the package's
+own entry points.
 """
 
 import math
 
 import numpy as np
 
-from inellipse.affine import AffineMap, Triangle, map_to_unit
+from inellipse.affine import UNIT_TRIANGLE, AffineMap, Triangle, map_to_unit
+from inellipse.boundary import SidePoint
 from inellipse.conic import pull_back
 from inellipse.equations import backward_error, tangent, through_point
 from inellipse.geom import Point, Slope, Vertex
 from inellipse.kernel import unit_geometry
+from inellipse.point_slope import NoSolution
 from inellipse.two_points import PairKind, classify_pair
-from inellipse.world import WorldSolution
+from inellipse.world import WorldSolution, solve_point_slope, solve_tangency
 
 VERTEX_POINTS = {Vertex.ORIGIN: Point(0.0, 0.0), Vertex.RIGHT: Point(1.0, 0.0), Vertex.TOP: Point(0.0, 1.0)}
 
@@ -154,6 +160,64 @@ def two_point_reference(p1: Point, p2: Point, w: float, t: float) -> tuple[float
         return float(root[0]), float(root[1])
 
 
+def perspector_reference(tri: Triangle, family: str, *query) -> list[tuple[float, float]]:
+    """Every answer's (w, t) to a world query on ``tri``, sorted by (t, w), from its perspector.
+
+    Written in 60-digit mpmath on the exact float inputs, in world barycentrics
+    (alpha, beta, gamma) from orientation determinants, apart from the package: an
+    inscribed ellipse with perspector (P^2, Q^2, R^2) has w = P^2/(P^2 + R^2) and
+    t = P^2/(P^2 + Q^2), and touches the sides at (Q^2 : P^2 : 0), (R^2 : 0 : P^2)
+    and (0 : R^2 : Q^2).  ``family`` and ``query`` are ``"two_points", p1, p2`` (each
+    (P, Q, R) of one sign that is a cross product of (sqrt alpha, sqrt beta, sqrt gamma)
+    at p1 and at p2 with one sign flipped in each), ``"point_slope", p, (a, b)`` (the
+    perspector (alpha L_A^2, beta L_B^2, gamma L_C^2) with L_V = a (V_y - p_y) - b (V_x - p_x))
+    or ``"tangency", q1, q2`` (each contact fixes the ratio of two components).
+    """
+    import mpmath as mp
+
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
+
+    with mp.workdps(60):
+        a, b, c = vertices = [[mp.mpf(v) for v in q] for q in tri]
+        # The query's points: both, or the point-slope query's one point.
+        points = [[mp.mpf(v) for v in q] for q in (query if family != "point_slope" else query[:1])]
+        area = orient(a, b, c)
+        bary = [[orient(p, b, c) / area, orient(a, p, c) / area, orient(a, b, p) / area] for p in points]
+        if family == "two_points":
+            lines = [
+                [[-mp.sqrt(v) if i == k else mp.sqrt(v) for i, v in enumerate(abc)] for k in range(3)] for abc in bary
+            ]
+            perspectors = []
+            for l1 in lines[0]:
+                for l2 in lines[1]:
+                    pqr = [l1[1] * l2[2] - l1[2] * l2[1], l1[2] * l2[0] - l1[0] * l2[2], l1[0] * l2[1] - l1[1] * l2[0]]
+                    if all(v > 0 for v in pqr) or all(v < 0 for v in pqr):
+                        perspectors.append([v * v for v in pqr])
+        elif family == "point_slope":
+            (px, py), (sa, sb) = points[0], [mp.mpf(v) for v in query[1]]
+            forms = [sa * (vy - py) - sb * (vx - px) for vx, vy in vertices]
+            perspectors = [[weight * form ** 2 for weight, form in zip(bary[0], forms)]]
+        else:
+            # Side AB (gamma = 0) fixes P^2 : Q^2 = beta : alpha, AC (beta = 0) P^2 : R^2 = gamma : alpha,
+            # and BC (alpha = 0) R^2 : Q^2 = beta : gamma; two sides fix the perspector up to scale.
+            ratios = {}
+            for al, be, ga in bary:
+                side = min(range(3), key=lambda i: abs((al, be, ga)[i]))
+                ratios[side] = {2: (be, al), 1: (ga, al), 0: (be, ga)}[side]
+            if 0 not in ratios:
+                (pq, qq), (pr, rr) = ratios[2], ratios[1]
+                perspectors = [[pq * pr, qq * pr, rr * pq]]
+            elif 1 not in ratios:
+                (pq, qq), (rq, qr) = ratios[2], ratios[0]
+                perspectors = [[pq * qr, qq * qr, rq * qq]]
+            else:
+                (pr, rr), (rq, qr) = ratios[1], ratios[0]
+                perspectors = [[pr * rq, rr * qr, rr * rq]]
+        params = [(float(p2 / (p2 + r2)), float(p2 / (p2 + q2))) for p2, q2, r2 in perspectors]
+    return sorted(params, key=lambda wt: (wt[1], wt[0]))
+
+
 def conic_terms(conic, p) -> tuple[float, ...]:
     """The six terms of Q(p) = A x^2 + B y^2 + 2C xy + D x + E y + F, whose c field holds C."""
     a, b, c, d, e, f = conic
@@ -225,11 +289,38 @@ def slope_residuals(p: Point, slope, param) -> tuple[float, float]:
     return backward_error(through_point(x, y, *param)), backward_error(tangent(x, y, a, b, *param))
 
 
-def reference_world_solution(tri: Triangle, param, residuals) -> WorldSolution:
-    """The world answer for a unit solution: the kernel's unit geometry for ``param``,
+def param_perspector(w: float, t: float) -> tuple[float, float, float]:
+    """The perspector (P^2, Q^2, R^2) = (w t, w (1 - t), (1 - w) t) of the inscribed ellipse (w, t)."""
+    return w * t, w * (1.0 - t), (1.0 - w) * t
+
+
+def geometry_at(w: float, t: float):
+    """``(conic, contacts, centre)`` of the kernel's unit geometry for the ellipse (w, t), written
+    from its perspector: the (w, t) the kernel writes them from lies within a few ulps of the input."""
+    return unit_geometry(param_perspector(w, t))[1:]
+
+
+def unit_point_slope(p: Point, slope: Slope):
+    """The unit-triangle point-slope answer through the world query: its ``EllipseParam``, or
+    ``NoSolution`` naming the vertex the slope aims at."""
+    report = solve_point_slope(UNIT_TRIANGLE, p, slope)
+    if not report.solutions:
+        return NoSolution(Vertex(report.case.split(":")[1]))
+    return report.solutions[0].param
+
+
+def unit_tangency(q1, q2):
+    """The ``EllipseParam`` of the unit-triangle tangency answer through the world query; side
+    points pass as their points."""
+    q1, q2 = (q.point if isinstance(q, SidePoint) else q for q in (q1, q2))
+    return solve_tangency(UNIT_TRIANGLE, q1, q2).solutions[0].param
+
+
+def reference_world_solution(tri: Triangle, perspector, residuals) -> WorldSolution:
+    """The world answer for a unit solution: the kernel's unit geometry for ``perspector``,
     the conic's pull-back along ``map_to_unit(tri)``, and the contacts and centre
     through :func:`unit_to_world`."""
-    conic, contacts, center = unit_geometry(param)
+    param, conic, contacts, center = unit_geometry(perspector)
     return WorldSolution(
         param,
         pull_back(conic, map_to_unit(tri)),

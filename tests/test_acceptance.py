@@ -15,11 +15,12 @@ import pytest
 import inellipse as ie
 from inellipse.conic import normalize_conic
 from inellipse.geom import Point, Slope, Vertex
-from inellipse.kernel import EllipseParam, pair_invariants, poly_q, poly_R, poly_S, unit_geometry
+from inellipse.kernel import EllipseParam, pair_invariants, poly_q, poly_R, poly_S
 
 from helpers import (
     coefficient_scale,
     discriminant,
+    geometry_at,
     random_generic_pair,
     random_interior,
     random_param,
@@ -136,7 +137,7 @@ def test_07_boundary_regression_and_round_trip():
         rng = np.random.default_rng(102)
         for _ in range(100):
             target = EllipseParam(*random_param(rng))
-            _, contacts, _ = unit_geometry(target)
+            _, contacts, _ = geometry_at(*target)
             # Bottom, left and hypotenuse contacts, each pair of sides in turn.
             for qa, qb in itertools.combinations(contacts, 2):
                 case, (back_sol,) = ie.solve_tangency(UNIT, Point(*qa), Point(*qb))

@@ -20,7 +20,7 @@ from inellipse.affine import (
     apply_slope,
     map_to_unit,
 )
-from inellipse.boundary import SidePoint, param_from_tangencies, side_point
+from inellipse.boundary import SidePoint, side_point
 from inellipse.conic import ConicCoeffs, pull_back
 from inellipse.errors import DegenerateTriangle
 from inellipse.geom import Point, Slope, as_point
@@ -32,7 +32,6 @@ from inellipse.kernel import (
     poly_q,
     poly_R,
     poly_S,
-    unit_geometry,
 )
 from inellipse.oracle import verify_inscribed
 from inellipse.point_slope import solve_point_slope_unit
@@ -41,12 +40,15 @@ from inellipse.world import SolveReport, WorldSolution, solve_point_slope, solve
 
 from helpers import (
     conic_gradient,
+    geometry_at,
     interior_in_triangle,
     inverse_map,
     random_generic_pair,
     random_param,
     random_triangle,
     same_conic,
+    unit_point_slope,
+    unit_tangency,
     unit_to_world,
 )
 
@@ -312,11 +314,24 @@ class TestSlopeTransport:
         want = solve_point_slope(half, p, Slope.vertical()).solutions[0].param
         assert got == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("tiny", [5e-324, 1e-320, 1e-310])
+    def test_subnormal_direction_keeps_its_bits(self, tiny):
+        # (a, b) is scaled to max(|a|, |b|) in [1/2, 1) before the map: a subnormal
+        # direction answers as its normal multiple would, and 2^-1074 as (1, 1) does.
+        a, b = apply_slope(map_to_unit(UNIT_TRIANGLE), Slope(tiny, tiny))
+        assert a == b and 0.5 <= a < 1.0
+        p = Point(0.3, 0.2)
+        got = solve_point_slope(UNIT_TRIANGLE, p, Slope(tiny, tiny)).solutions[0].param
+        want = solve_point_slope(UNIT_TRIANGLE, p, Slope(1.0, 1.0)).solutions[0].param
+        if tiny == 5e-324:
+            assert got == want
+        for g, v in zip(got, want):
+            assert abs(g - v) <= 4 * math.ulp(v)
+
     def test_covariance_with_conic_transport(self):
         rng = np.random.default_rng(82)
         for _ in range(40):
-            param = EllipseParam(*random_param(rng))
-            conic, (_, _, p), _ = unit_geometry(param)
+            conic, (_, _, p), _ = geometry_at(*random_param(rng))
             m = AffineMap(*rng.uniform(-2, 2, size=6))
             if abs(m.m11 * m.m22 - m.m12 * m.m21) < 0.05:
                 continue
@@ -332,8 +347,7 @@ class TestSolverInvariance:
         rng = np.random.default_rng(84)
         for _ in range(25):
             tri = random_triangle(rng)
-            param = EllipseParam(*random_param(rng))
-            world_conic = pull_back(unit_geometry(param)[0], map_to_unit(tri))
+            world_conic = pull_back(geometry_at(*random_param(rng))[0], map_to_unit(tri))
             assert verify_inscribed(world_conic, tri).passed
 
     def test_world_count_matches_unit_count(self):
@@ -447,7 +461,6 @@ class TestRecords:
 def _query_path_records():
     """Each record a query builds without its NamedTuple constructor, with the type it must be."""
     p1, p2 = Point(0.25, 0.125), Point(0.5, 0.1667)
-    param = EllipseParam(0.3, 0.6)
     fwd = map_to_unit(Triangle(Point(1, 1), Point(4, 2), Point(2, 5)))
     case, ((solution_param, _), *_) = solve_two_points_unit(p1, p2)
     report = solve_two_points(UNIT_TRIANGLE, p1, p2)
@@ -456,7 +469,7 @@ def _query_path_records():
     t1, t2, t3 = report.solutions[0].tangent_points
     bottom, left = side_point(Point(0.5, 0.0)), side_point(Point(0.0, 0.5))
     return {
-        "pull_back": (pull_back(unit_geometry(param)[0], fwd), ConicCoeffs),
+        "pull_back": (pull_back(geometry_at(0.3, 0.6)[0], fwd), ConicCoeffs),
         "tangency_points.t1": (t1, Point),
         "tangency_points.t2": (t2, Point),
         "tangency_points.t3": (t3, Point),
@@ -465,8 +478,9 @@ def _query_path_records():
         "poly_R": (poly_R(p1, p2), QuadraticPoly),
         "poly_S": (poly_S(p1, p2), QuadraticPoly),
         "solution.param": (solution_param, EllipseParam),
-        "solve_point_slope_unit": (solve_point_slope_unit(p1, Slope.finite(-0.7)), EllipseParam),
-        "param_from_tangencies": (param_from_tangencies(bottom, left), EllipseParam),
+        # The parameters of the unit point-slope and tangency answers, through world.
+        "solve_point_slope_unit": (unit_point_slope(p1, Slope.finite(-0.7)), EllipseParam),
+        "param_from_tangencies": (unit_tangency(bottom, left), EllipseParam),
         "side_point": (bottom, SidePoint),
         "as_point": (as_point([1, 2]), Point),
         "PairCase.generic": (case, PairCase),

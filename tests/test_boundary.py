@@ -13,10 +13,10 @@ from inellipse.affine import UNIT_TRIANGLE
 from inellipse.boundary import Side, SidePoint, param_from_tangencies, side_point
 from inellipse.errors import NotOnSide, SameSide, VertexPoint
 from inellipse.geom import Point
-from inellipse.kernel import EllipseParam, unit_geometry
+from inellipse.kernel import EllipseParam
 from inellipse.oracle import verify_inscribed
 
-from helpers import random_param
+from helpers import geometry_at, random_param, unit_tangency
 
 
 class TestSidePoint:
@@ -41,22 +41,16 @@ class TestSidePoint:
 
 class TestParamFromTangencies:
     def test_bottom_plus_hypotenuse_regression(self):
-        param = param_from_tangencies(
-            side_point(Point(2 / 3, 0.0)), side_point(Point(0.25, 0.75))
-        )
+        param = unit_tangency(Point(2 / 3, 0.0), Point(0.25, 0.75))
         assert param.w == pytest.approx(6 / 7, abs=1e-12)
         assert param.t == pytest.approx(2 / 3, abs=1e-12)
 
     def test_bottom_plus_left_midpoints(self):
-        param = param_from_tangencies(
-            side_point(Point(0.5, 0.0)), side_point(Point(0.0, 0.5))
-        )
+        param = unit_tangency(Point(0.5, 0.0), Point(0.0, 0.5))
         assert param == pytest.approx((0.5, 0.5))
 
     def test_left_plus_hypotenuse(self):
-        param = param_from_tangencies(
-            side_point(Point(0.0, 0.5)), side_point(Point(0.5, 0.5))
-        )
+        param = unit_tangency(Point(0.0, 0.5), Point(0.5, 0.5))
         assert param.w == pytest.approx(0.5, abs=1e-12)
         assert param.t == pytest.approx(0.5, abs=1e-12)
 
@@ -71,21 +65,21 @@ class TestParamFromTangencies:
         by_side = {Side.BOTTOM: 0, Side.LEFT: 1, Side.HYPOTENUSE: 2}
         for _ in range(100):
             param = EllipseParam(*random_param(rng))
-            _, contacts, _ = unit_geometry(param)
+            _, contacts, _ = geometry_at(*param)
             for sa, sb in itertools.combinations(by_side, 2):
                 s1 = SidePoint(sa, Point(*contacts[by_side[sa]]))
                 s2 = SidePoint(sb, Point(*contacts[by_side[sb]]))
-                back = param_from_tangencies(s1, s2)
+                back = unit_tangency(s1, s2)
                 assert abs(back.w - param.w) < 1e-12
                 assert abs(back.t - param.t) < 1e-12
 
     def test_either_order_gives_the_same_param(self):
         rng = np.random.default_rng(74)
         for _ in range(50):
-            _, contacts, _ = unit_geometry(EllipseParam(*random_param(rng)))
+            _, contacts, _ = geometry_at(*random_param(rng))
             points = [SidePoint(side, Point(*c)) for side, c in zip(Side, contacts)]
             for s1, s2 in itertools.combinations(points, 2):
-                assert param_from_tangencies(s1, s2) == param_from_tangencies(s2, s1)
+                assert unit_tangency(s1, s2) == unit_tangency(s2, s1)
 
     def test_side_must_be_a_side_member(self):
         hypotenuse = side_point(Point(0.5, 0.5))
@@ -98,12 +92,9 @@ class TestParamFromTangencies:
     def test_reproduces_inputs_and_touches_third_side(self):
         rng = np.random.default_rng(72)
         for _ in range(25):
-            target = EllipseParam(*random_param(rng))
-            _, contacts, _ = unit_geometry(target)
-            param = param_from_tangencies(
-                side_point(Point(*contacts[0])), side_point(Point(*contacts[2]))
-            )
-            conic, got, _ = unit_geometry(param)
+            _, contacts, _ = geometry_at(*random_param(rng))
+            (sol,) = world.solve_tangency(UNIT_TRIANGLE, Point(*contacts[0]), Point(*contacts[2])).solutions
+            conic, got = sol.conic, sol.tangent_points
             for (ax, ay), (bx, by) in zip(got, contacts):
                 assert max(abs(ax - bx), abs(ay - by)) < 1e-12
             assert verify_inscribed(conic).passed

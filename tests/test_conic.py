@@ -13,10 +13,10 @@ import pytest
 from inellipse.affine import AffineMap, Triangle
 from inellipse.conic import ConicCoeffs, full_coefficients, is_real_ellipse, normalize_conic, pull_back
 from inellipse.geom import Point
-from inellipse.kernel import EllipseParam, unit_geometry
+from inellipse.kernel import EllipseParam
 from inellipse.oracle import verify_inscribed
 
-from helpers import conic_centre, conic_gradient, conic_terms, inverse_map, random_param, same_conic
+from helpers import conic_centre, conic_gradient, conic_terms, geometry_at, inverse_map, random_param, same_conic
 
 UNIT_CIRCLE = ConicCoeffs(1.0, 1.0, 0.0, 0.0, 0.0, -1.0)
 # Inscribed-family member for w = t = 1/2 (contact at the side midpoints).
@@ -40,7 +40,7 @@ def random_map(rng) -> AffineMap:
 
 class TestEvaluate:
     def test_midpoint_conic_at_contact(self):
-        steiner = unit_geometry(EllipseParam(0.5, 0.5))[0]
+        steiner = geometry_at(0.5, 0.5)[0]
         assert abs(sum(conic_terms(steiner, Point(0.5, 0.0)))) < 1e-15
 
     def test_half_cross_convention(self):
@@ -68,7 +68,7 @@ class TestIsRealEllipse:
         rng = np.random.default_rng(7)
         for _ in range(100):
             w, t = random_param(rng)
-            assert is_real_ellipse(unit_geometry(EllipseParam(w, t))[0])
+            assert is_real_ellipse(geometry_at(w, t)[0])
 
     def test_small_ellipse_far_from_the_origin(self):
         # The inscribed ellipse (w, t) = (1.8e-8, 7.7e-8) carried to a world
@@ -90,7 +90,7 @@ class TestIsRealEllipse:
         for _ in range(300):
             m = random_map(rng)
             w, t = 10.0 ** rng.uniform(-9.0, -3.0, size=2)
-            assert is_real_ellipse(pull_back(unit_geometry(EllipseParam(w, t))[0], inverse_map(m)))
+            assert is_real_ellipse(pull_back(geometry_at(w, t)[0], inverse_map(m)))
 
     def test_non_finite(self):
         assert not is_real_ellipse(UNIT_CIRCLE._replace(f=math.nan))
@@ -107,7 +107,7 @@ class TestSlopeAt:
         rng = np.random.default_rng(11)
         for _ in range(50):
             param = EllipseParam(*random_param(rng))
-            conic, contacts, _ = unit_geometry(param)
+            conic, contacts, _ = geometry_at(*param)
             (qx1, qy1), (qx2, qy2), (qx3, qy3) = (conic_gradient(conic, p) for p in contacts)
             assert -qx1 / qy1 == pytest.approx(0.0, abs=1e-9)
             assert abs(qy2) <= 1e-12 * abs(qx2)  # vertical
@@ -116,13 +116,13 @@ class TestSlopeAt:
 
 class TestConicCenter:
     def test_midpoint_conic_centroid(self):
-        steiner = unit_geometry(EllipseParam(0.5, 0.5))[0]
+        steiner = geometry_at(0.5, 0.5)[0]
         assert conic_centre(steiner) == pytest.approx((1 / 3, 1 / 3), abs=1e-15)
 
     def test_against_center_formula(self):
         # Independent route: the closed-form center in terms of (w, t).
         w, t = 6 / 7, 2 / 3
-        c = conic_centre(unit_geometry(EllipseParam(w, t))[0])
+        c = conic_centre(geometry_at(w, t)[0])
         den = 2.0 * (w + (1.0 - w) * t)
         assert c == pytest.approx((t / den, w / den), abs=1e-15)
         assert c == pytest.approx((7 / 20, 9 / 20), abs=1e-15)

@@ -14,7 +14,6 @@ from inellipse.geom import Point, Vertex
 from inellipse.kernel import (
     EllipseParam,
     QuadraticPoly,
-    open_param,
     pair_invariants,
     poly_q,
     poly_R,
@@ -28,6 +27,7 @@ from helpers import (
     conic_centre,
     conic_terms,
     discriminant,
+    geometry_at,
     j_zero_pair,
     random_generic_pair,
     random_interior,
@@ -43,48 +43,50 @@ EX1 = (Point(0.25, 0.125), Point(0.5, 1 / 6))
 
 class TestInscribedConic:
     def test_midpoint_instance(self):
-        conic, _, _ = unit_geometry(EllipseParam(0.5, 0.5))
+        conic, _, _ = geometry_at(0.5, 0.5)
         assert same_conic(conic, ConicCoeffs(4.0, 4.0, 2.0, -4.0, -4.0, 1.0))
 
     def test_printed_boundary_instance(self):
-        conic, _, _ = unit_geometry(EllipseParam(6 / 7, 2 / 3))
+        conic, _, _ = geometry_at(6 / 7, 2 / 3)
         assert same_conic(conic, ConicCoeffs(324.0, 196.0, 228.0, -432.0, -336.0, 144.0))
 
     def test_printed_vertical_instance(self):
-        conic, _, _ = unit_geometry(EllipseParam(0.5, 0.2))
+        conic, _, _ = geometry_at(0.5, 0.2)
         assert same_conic(conic, ConicCoeffs(25.0, 4.0, 2.0, -10.0, -4.0, 1.0))
 
     def test_out_of_domain(self):
-        # open_param is the one edge rule: an underflowed (zero) or NaN parameter
+        # unit_geometry holds the one edge rule: an underflowed (zero) or NaN parameter
         # raises, and one rounded to 1.0 becomes the nearest float inside.
         with pytest.raises(OutOfDomain):
-            open_param(0.0, 0.5)
+            unit_geometry((0.0, 0.5, 0.5))  # w = 0
         with pytest.raises(OutOfDomain):
-            open_param(0.5, math.nan)
+            unit_geometry((0.5, math.nan, 0.5))  # t = NaN
         below = math.nextafter(1.0, 0.0)
-        assert open_param(0.5, 1.0) == (0.5, below) and open_param(1.0, 0.25) == (below, 0.25)
-        assert type(open_param(0.5, 0.25)) is EllipseParam and open_param(0.5, 0.25) == (0.5, 0.25)
+        assert unit_geometry((1.0, 1e-300, 1.0))[0] == (0.5, below)
+        assert unit_geometry((1.0, 3.0, 1e-300))[0] == (below, 0.25)
+        param = unit_geometry((0.125, 0.375, 0.125))[0]  # the perspector of (0.5, 0.25)
+        assert type(param) is EllipseParam and param == (0.5, 0.25)
 
 
 class TestTangency:
     def test_midpoints(self):
-        t1, t2, t3 = unit_geometry(EllipseParam(0.5, 0.5))[1]
+        t1, t2, t3 = geometry_at(0.5, 0.5)[1]
         assert t1 == pytest.approx((0.5, 0.0))
         assert t2 == pytest.approx((0.0, 0.5))
         assert t3 == pytest.approx((0.5, 0.5))
 
     def test_printed_boundary_contacts(self):
-        t1, _, t3 = unit_geometry(EllipseParam(6 / 7, 2 / 3))[1]
+        t1, _, t3 = geometry_at(6 / 7, 2 / 3)[1]
         assert t1 == pytest.approx((2 / 3, 0.0), abs=1e-15)
         assert t3 == pytest.approx((0.25, 0.75), abs=1e-15)
 
     def test_vertical_side_contact(self):
-        assert unit_geometry(EllipseParam(0.5, 0.2))[1][1] == pytest.approx((0.0, 0.5))
+        assert geometry_at(0.5, 0.2)[1][1] == pytest.approx((0.0, 0.5))
 
     def test_contacts_lie_on_conic_and_sides(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
-            conic, (t1, t2, t3), _ = unit_geometry(EllipseParam(*random_param(rng)))
+            conic, (t1, t2, t3), _ = geometry_at(*random_param(rng))
             scale = max(abs(v) for v in conic)
             for p in (t1, t2, t3):
                 assert abs(sum(conic_terms(conic, p))) < 1e-12 * scale
@@ -95,22 +97,22 @@ class TestTangency:
 
 class TestInscribedCenter:
     def test_centroid(self):
-        assert unit_geometry(EllipseParam(0.5, 0.5))[2] == pytest.approx((1 / 3, 1 / 3))
+        assert geometry_at(0.5, 0.5)[2] == pytest.approx((1 / 3, 1 / 3))
 
     def test_closed_form_value(self):
-        assert unit_geometry(EllipseParam(6 / 7, 2 / 3))[2] == pytest.approx((0.35, 0.45), abs=1e-15)
+        assert geometry_at(6 / 7, 2 / 3)[2] == pytest.approx((0.35, 0.45), abs=1e-15)
 
     def test_agrees_with_conic_center(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
-            conic, _, (x, y) = unit_geometry(EllipseParam(*random_param(rng)))
+            conic, _, (x, y) = geometry_at(*random_param(rng))
             bx, by = conic_centre(conic)
             assert max(abs(x - bx), abs(y - by)) < 1e-12
 
     def test_center_in_medial_triangle(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
-            x, y = unit_geometry(EllipseParam(*random_param(rng)))[2]
+            x, y = geometry_at(*random_param(rng))[2]
             assert 0.0 < x < 0.5
             assert 0.5 - x < y < 0.5
 
@@ -274,7 +276,7 @@ class TestWQuadratic:
             t = 0.05 + 0.9 * rng.random()
             for w, _ in solve_quadratic(QuadraticPoly(*w_quadratic(p, t))):
                 if 0.0 < w < 1.0:
-                    conic = unit_geometry(EllipseParam(w, t))[0]
+                    conic = geometry_at(w, t)[0]
                     scale = max(abs(v) for v in conic)
                     assert abs(sum(conic_terms(conic, p))) < 1e-12 * scale
 

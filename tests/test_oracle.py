@@ -12,11 +12,19 @@ from inellipse.conic import ConicCoeffs
 from inellipse.errors import NotAnEllipse
 from inellipse.geom import Point, Slope
 from inellipse import oracle
-from inellipse.kernel import EllipseParam, unit_geometry
+from inellipse.kernel import EllipseParam
 from inellipse.oracle import brute_force_point_slope, brute_force_two_points, verify_inscribed
-from inellipse.point_slope import residual_system13, solve_point_slope_unit
+from inellipse.point_slope import residual_system13
 
-from helpers import pair_residuals, random_generic_pair, random_interior, random_param, vertex_slopes
+from helpers import (
+    geometry_at,
+    pair_residuals,
+    random_generic_pair,
+    random_interior,
+    random_param,
+    unit_point_slope,
+    vertex_slopes,
+)
 
 EX1 = (Point(0.25, 0.125), Point(0.5, 1 / 6))
 
@@ -29,7 +37,7 @@ def axis_aligned_ellipse(cx, cy, rx, ry):
 
 class TestVerifyInscribed:
     def test_midpoint_conic_contacts(self):
-        report = verify_inscribed(unit_geometry(EllipseParam(0.5, 0.5))[0])
+        report = verify_inscribed(geometry_at(0.5, 0.5)[0])
         assert report.passed
         # Contact parameter 1/2 along every side.
         expected = [(0.5, 0.0), (0.5, 0.5), (0.0, 0.5)]
@@ -52,7 +60,7 @@ class TestVerifyInscribed:
     def test_random_inscribed_family_passes(self):
         rng = np.random.default_rng(90)
         for _ in range(200):
-            conic, _, _ = unit_geometry(EllipseParam(*random_param(rng)))
+            conic, _, _ = geometry_at(*random_param(rng))
             assert verify_inscribed(conic).passed
 
     def test_random_non_inscribed_fail(self):
@@ -156,7 +164,7 @@ class TestBruteForcePointSlope:
                 slope = Slope.finite(vs.value * (1.0 + rng.choice((-1e-3, 1e-3))))
                 basins = brute_force_point_slope(p, slope)
                 assert len(basins) == 1, (p, slope)
-                w, t = solve_point_slope_unit(p, slope)
+                w, t = unit_point_slope(p, slope)
                 assert basins[0] == pytest.approx((w, t), abs=1e-9)
 
 

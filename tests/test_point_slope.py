@@ -9,38 +9,45 @@ from inellipse import world
 from inellipse.affine import UNIT_TRIANGLE
 from inellipse.errors import NotInterior
 from inellipse.geom import Point, Slope, Vertex
-from inellipse.kernel import EllipseParam, unit_geometry
+from inellipse.kernel import EllipseParam
 from inellipse.point_slope import NoSolution, residual_system13, solve_point_slope_unit
 
-from helpers import conic_gradient, point_slope_reference, random_interior, vertex_slopes
+from helpers import (
+    conic_gradient,
+    geometry_at,
+    point_slope_reference,
+    random_interior,
+    unit_point_slope,
+    vertex_slopes,
+)
 
 
 class TestClosedForm:
     def test_finite_slope_regression(self):
-        param = solve_point_slope_unit(Point(0.5, 0.25), Slope.finite(2.0))
+        param = unit_point_slope(Point(0.5, 0.25), Slope.finite(2.0))
         assert param.w == pytest.approx(9 / 58, abs=1e-12)
         assert param.t == pytest.approx(9 / 59, abs=1e-12)
 
     def test_vertical_regression(self):
-        param = solve_point_slope_unit(Point(1 / 3, 1 / 3), Slope.vertical())
+        param = unit_point_slope(Point(1 / 3, 1 / 3), Slope.vertical())
         assert param.w == pytest.approx(0.5, abs=1e-12)
         assert param.t == pytest.approx(0.2, abs=1e-12)
 
     def test_slope_aiming_at_origin(self):
-        out = solve_point_slope_unit(Point(0.5, 0.25), Slope.finite(0.5))
+        out = unit_point_slope(Point(0.5, 0.25), Slope.finite(0.5))
         assert isinstance(out, NoSolution)
         assert out.vertex is Vertex.ORIGIN
 
     def test_slope_aiming_at_right_vertex(self):
-        out = solve_point_slope_unit(Point(0.5, 0.25), Slope.finite(-0.5))
+        out = unit_point_slope(Point(0.5, 0.25), Slope.finite(-0.5))
         assert isinstance(out, NoSolution) and out.vertex is Vertex.RIGHT
 
     def test_slope_aiming_at_top_vertex(self):
-        out = solve_point_slope_unit(Point(0.5, 0.25), Slope.finite(-1.5))
+        out = unit_point_slope(Point(0.5, 0.25), Slope.finite(-1.5))
         assert isinstance(out, NoSolution) and out.vertex is Vertex.TOP
 
     def test_band_around_excluded_slope(self):
-        out = solve_point_slope_unit(Point(0.5, 0.25), Slope.finite(0.5 + 1e-11))
+        out = unit_point_slope(Point(0.5, 0.25), Slope.finite(0.5 + 1e-11))
         assert isinstance(out, NoSolution)
 
     @pytest.mark.parametrize("vertex", list(Vertex))
@@ -52,22 +59,22 @@ class TestClosedForm:
             p = random_interior(rng)
             vs = dict(zip(Vertex, vertex_slopes(p)))[vertex].value
             for sign in (1.0, -1.0):
-                near = solve_point_slope_unit(p, Slope.finite(vs + sign * 0.5e-9 * (1.0 + abs(vs))))
+                near = unit_point_slope(p, Slope.finite(vs + sign * 0.5e-9 * (1.0 + abs(vs))))
                 assert near == NoSolution(vertex)
-                far = solve_point_slope_unit(p, Slope.finite(vs + sign * 2e-9 * (1.0 + abs(vs))))
+                far = unit_point_slope(p, Slope.finite(vs + sign * 2e-9 * (1.0 + abs(vs))))
                 assert isinstance(far, EllipseParam)
 
     def test_vertical_is_never_excluded(self):
         rng = np.random.default_rng(49)
         edges = [Point(1e-12, 0.5), Point(1.0 - 1e-9, 5e-10), Point(0.5, 0.5 - 1e-12)]
         for p in edges + [random_interior(rng, margin=0.0) for _ in range(500)]:
-            assert isinstance(solve_point_slope_unit(p, Slope.vertical()), EllipseParam)
+            assert isinstance(unit_point_slope(p, Slope.vertical()), EllipseParam)
 
     @pytest.mark.parametrize("p", [Point(1e-300, 0.5), Point(1e-300, 1e-300)])
     def test_vertical_next_to_the_left_side(self, p):
         # Along (0, 1) both vertex forms of w equal x, and x^2 underflows
         # unless the forms are scaled first.
-        param = solve_point_slope_unit(p, Slope.vertical())
+        param = unit_point_slope(p, Slope.vertical())
         assert param.w == pytest.approx((1.0 - p.x - p.y) / (1.0 - p.x), rel=1e-15)
         # t = S / (S + X) = (1 - x - y) x / ((1 - x - y) x + (1 - x)^2), about 1e-300: a
         # normal float, which the sums must not underflow to 0.
@@ -107,7 +114,7 @@ class TestRationals:
         for _ in range(1000):
             p = random_interior(rng)
             r = 3.0 * rng.standard_cauchy()
-            out = solve_point_slope_unit(p, Slope.finite(r))
+            out = unit_point_slope(p, Slope.finite(r))
             if isinstance(out, NoSolution):
                 continue
             assert out.w > 0.0
@@ -121,7 +128,7 @@ class TestRationals:
             p = random_interior(rng)
             x, y = p
             r0 = y * (2.0 * x + y - 1.0) / (x * (2.0 * x + y - 2.0))
-            param = solve_point_slope_unit(p, Slope.finite(r0))
+            param = unit_point_slope(p, Slope.finite(r0))
             assert isinstance(param, EllipseParam)
             assert param.t == pytest.approx(p.x / (1.0 - p.y), rel=1e-9)
             assert max(residual_system13(p, Slope.finite(r0), param)) < 1e-10
@@ -133,7 +140,7 @@ class TestSolutionQuality:
         for _ in range(100):
             p = random_interior(rng)
             r = math.tan(math.pi * (rng.random() - 0.5) * 0.98)
-            out = solve_point_slope_unit(p, Slope.finite(r))
+            out = unit_point_slope(p, Slope.finite(r))
             if isinstance(out, NoSolution):
                 continue
             assert max(residual_system13(p, Slope.finite(r), out)) < 1e-10
@@ -142,7 +149,7 @@ class TestSolutionQuality:
         rng = np.random.default_rng(58)
         for _ in range(100):
             p = random_interior(rng)
-            out = solve_point_slope_unit(p, Slope.vertical())
+            out = unit_point_slope(p, Slope.vertical())
             assert max(residual_system13(p, Slope.vertical(), out)) < 1e-10
 
     def test_conic_attains_requested_slope(self):
@@ -150,27 +157,27 @@ class TestSolutionQuality:
         for _ in range(100):
             p = random_interior(rng)
             r = 2.0 * rng.standard_normal()
-            out = solve_point_slope_unit(p, Slope.finite(r))
+            out = unit_point_slope(p, Slope.finite(r))
             if isinstance(out, NoSolution):
                 continue
-            qx, qy = conic_gradient(unit_geometry(out)[0], p)
+            qx, qy = conic_gradient(geometry_at(*out)[0], p)
             assert -qx / qy == pytest.approx(r, rel=1e-8, abs=1e-8)
 
     def test_vertical_conic_tangent(self):
         rng = np.random.default_rng(62)
         for _ in range(50):
             p = random_interior(rng)
-            out = solve_point_slope_unit(p, Slope.vertical())
-            qx, qy = conic_gradient(unit_geometry(out)[0], p)
+            out = unit_point_slope(p, Slope.vertical())
+            qx, qy = conic_gradient(geometry_at(*out)[0], p)
             assert abs(qy) <= 1e-12 * abs(qx)
 
     def test_finite_formula_approaches_vertical_limit(self):
         rng = np.random.default_rng(64)
         for _ in range(25):
             p = random_interior(rng)
-            limit = solve_point_slope_unit(p, Slope.vertical())
+            limit = unit_point_slope(p, Slope.vertical())
             for r in (1e8, -1e8):
-                param = solve_point_slope_unit(p, Slope.finite(r))
+                param = unit_point_slope(p, Slope.finite(r))
                 assert param.w == pytest.approx(limit.w, abs=1e-6)
                 assert param.t == pytest.approx(limit.t, abs=1e-6)
 
@@ -179,7 +186,7 @@ class TestSolutionQuality:
         for _ in range(200):
             p = random_interior(rng)
             r = 3.0 * rng.standard_cauchy()
-            out = solve_point_slope_unit(p, Slope.finite(r))
+            out = unit_point_slope(p, Slope.finite(r))
             if isinstance(out, NoSolution):
                 continue
             assert 0.0 < out.w < 1.0
@@ -199,7 +206,7 @@ class TestAccuracy:
             p = random_interior(rng)
             vs = dict(zip(Vertex, vertex_slopes(p)))[vertex].value
             r = vs * (1.0 + offset)
-            out = solve_point_slope_unit(p, Slope.finite(r))
+            out = unit_point_slope(p, Slope.finite(r))
             if isinstance(out, NoSolution):
                 continue  # |vs| 1e-8 is inside the band 1e-9 (1 + |r|)
             if not (0.0 < out.w < 1.0 and 0.0 < out.t < 1.0):

@@ -10,13 +10,14 @@ from inellipse import two_points, world
 from inellipse.affine import UNIT_TRIANGLE, Triangle
 from inellipse.errors import AmbiguousClassification, CoincidentPoints, NotInterior, SolutionCountMismatch
 from inellipse.geom import Point, Vertex
-from inellipse.kernel import EllipseParam, pair_invariants, poly_q, poly_R, unit_geometry
+from inellipse.kernel import EllipseParam, pair_invariants, poly_q, poly_R
 from inellipse.oracle import brute_force_two_points, verify_inscribed
 from inellipse.two_points import PairKind, classify_pair, solve_two_points_unit
 
 from helpers import (
     coefficient_scale,
     discriminant,
+    geometry_at,
     j_zero_pair,
     pair_residuals,
     random_generic_pair,
@@ -178,7 +179,7 @@ class TestDegenerateBranchExample:
             _, sols = solve_two_points_unit(p1, p2)
             assert len(sols) == 4
             for param, _ in sols:
-                conic, _, _ = unit_geometry(param)
+                conic, _, _ = geometry_at(*param)
                 assert term_residual(conic, p1) < 1e-9
                 assert term_residual(conic, p2) < 1e-9
 
@@ -253,7 +254,7 @@ class TestCountsAndQuality:
             p1, p2 = random_generic_pair(rng)
             _, sols = solve_two_points_unit(p1, p2)
             for param, _ in sols:
-                conic, _, _ = unit_geometry(param)
+                conic, _, _ = geometry_at(*param)
                 assert term_residual(conic, p1) < 1e-9
                 assert term_residual(conic, p2) < 1e-9
                 assert verify_inscribed(conic).passed
@@ -468,7 +469,7 @@ class TestCoordinateCollisions:
         assert case.kind is PairKind.GENERIC
         assert len(sols) == 4
         for param, residuals in sols:
-            conic, _, _ = unit_geometry(param)
+            conic, _, _ = geometry_at(*param)
             assert max(residuals) < 1e-10
             assert term_residual(conic, p1) < 1e-9
             assert term_residual(conic, p2) < 1e-9

@@ -12,10 +12,18 @@ import pytest
 from inellipse import world
 from inellipse.affine import Triangle, UNIT_TRIANGLE, apply_point, apply_slope, map_to_unit
 from inellipse.boundary import Side, param_from_tangencies, side_point
-from inellipse.errors import DegenerateTriangle, GeometryError, NotInterior, NotOnSide
+from inellipse.errors import (
+    AmbiguousClassification,
+    CoincidentPoints,
+    DegenerateTriangle,
+    GeometryError,
+    NotInterior,
+    NotOnSide,
+    VertexPoint,
+)
 from inellipse.conic import is_real_ellipse
 from inellipse.geom import Point, Slope, Vertex
-from inellipse.kernel import EllipseParam, unit_geometry
+from inellipse.kernel import unit_geometry
 from inellipse.point_slope import NoSolution, residual_system13, solve_point_slope_unit
 from inellipse.two_points import solve_two_points_unit
 from inellipse.world import WorldSolution
@@ -24,6 +32,8 @@ from helpers import (
     inverse_map,
     j_zero_pair,
     pair_residuals,
+    param_perspector,
+    perspector_reference,
     point_slope_reference,
     random_generic_pair,
     random_interior,
@@ -81,13 +91,19 @@ def test_inscribed_conic_near_the_corner_is_solved(tri):
 
 
 def test_every_inscribed_conic_has_a_unique_center():
-    # AB - C^2 > 0 on the whole open square, so world needs no centre check.
-    sp = pytest.importorskip("sympy")
-    w, t = sp.symbols("w t")
-    # unit_geometry checks no domain, so the coefficients come out as polynomials in (w, t).
-    (a, b, c, _, _, _), _, _ = unit_geometry(EllipseParam(w, t))
-    det = sp.nsimplify(a * b - c * c)
-    assert sp.expand(det - 4 * w**2 * t**2 * (1 - w) * (1 - t) * (w + t - w * t)) == 0
+    # AB - C^2 > 0 on the whole open square, so world needs no centre check.  A, B
+    # and C are polynomials of degree at most 2 in each of w and t, so AB - C^2 and
+    # the factored form below, of degree at most 4 in each, are the same polynomial
+    # once they agree on a 5 x 5 grid.  On the dyadic grid k/8 every perspector
+    # component, sum and coefficient is exact, so the kernel's conic is compared
+    # in exact rationals.
+    grid = [Fraction(k, 8) for k in range(1, 8)]
+    for w in grid:
+        for t in grid:
+            param, (a, b, c, _, _, _), _, _ = unit_geometry(param_perspector(float(w), float(t)))
+            assert param == (w, t)
+            det = Fraction(a) * Fraction(b) - Fraction(c) ** 2
+            assert det == 4 * w**2 * t**2 * (1 - w) * (1 - t) * (w + t - w * t) > 0
 
 
 def pixel_triangle(rng) -> Triangle:
@@ -111,7 +127,7 @@ def transport_queries(family, rng, make_triangle):
     """(triangle, world report, the reference world solutions) per query.
 
     The references start from a separate unit solve of the query's unit image:
-    its parameters, freshly computed residuals, then :func:`reference_world_solution`.
+    its perspectors, freshly computed residuals, then :func:`reference_world_solution`.
     """
     if family == "two_points":
         pairs = [random_generic_pair(rng) for _ in range(4)] + [j_zero_pair(rng) for _ in range(4)]
@@ -122,7 +138,8 @@ def transport_queries(family, rng, make_triangle):
             p1, p2 = Point(*unit_to_world(tri, u1)), Point(*unit_to_world(tri, u2))
             v1, v2 = apply_point(fwd, p1), apply_point(fwd, p2)
             params = [q for q, _ in solve_two_points_unit(v1, v2)[1]]
-            yield tri, world.solve_two_points(tri, p1, p2), [(q, pair_residuals(v1, v2, q)) for q in params]
+            unit = [(param_perspector(*q), pair_residuals(v1, v2, q)) for q in params]
+            yield tri, world.solve_two_points(tri, p1, p2), unit
     elif family == "point_slope":
         for i in range(8):
             tri = make_triangle()
@@ -133,7 +150,8 @@ def transport_queries(family, rng, make_triangle):
             p, slope = apply_point(back, u), apply_slope(back, s)
             v, v_slope = apply_point(fwd, p), apply_slope(fwd, slope)
             q = solve_point_slope_unit(v, v_slope)
-            yield tri, world.solve_point_slope(tri, p, slope), [(q, slope_residuals(v, v_slope, q))]
+            param = unit_geometry(q)[0]
+            yield tri, world.solve_point_slope(tri, p, slope), [(q, slope_residuals(v, v_slope, param))]
     else:
         for i in range(9):
             tri = make_triangle()
@@ -141,7 +159,7 @@ def transport_queries(family, rng, make_triangle):
             q1, q2 = (side_point_of(tri, side, 0.15 + 0.7 * rng.random()) for side in SIDE_PAIRS[i % 3])
             s1, s2 = (side_point(apply_point(fwd, q)) for q in (q1, q2))
             q = param_from_tangencies(s1, s2)
-            contacts = dict(zip(Side, unit_geometry(q)[1]))
+            contacts = dict(zip(Side, unit_geometry(q)[2]))
             residuals = tuple(
                 max(abs(contacts[s.side][0] - s.point.x), abs(contacts[s.side][1] - s.point.y)) for s in (s1, s2)
             )
@@ -154,7 +172,7 @@ def test_solutions_equal_a_fresh_transport(family, kind):
     # One _to_world serves every family.  Every float of each world solution --
     # param, conic, contacts, centre and residuals -- must equal, by ==, the
     # reference built from a separate unit solve: the kernel's unit geometry for
-    # its (w, t), its conic's pull-back and unit_to_world.
+    # its perspector, its conic's pull-back and unit_to_world.
     rng = np.random.default_rng({"unit": 4101, "box": 4102, "pixel": 4103}[kind])
     make_triangle = {
         "unit": lambda: UNIT_TRIANGLE,
@@ -174,6 +192,71 @@ def test_solutions_equal_a_fresh_transport(family, kind):
         "point_slope": {"unique"},
         "tangency": {"boundary_unique"},
     }[family]
+
+
+@pytest.mark.parametrize("kind", ["unit", "box"])
+def test_two_point_and_point_slope_answers_match_the_perspector_reference(kind):
+    # The 60-digit perspector reference works in world barycentrics, apart from the
+    # unit map and the R/S route: every generic pair's four (w, t) and every
+    # point-slope (w, t) agree with it to 1e-10 (relative).
+    rng = np.random.default_rng({"unit": 4301, "box": 4302}[kind])
+    for _ in range(20):
+        tri = UNIT_TRIANGLE if kind == "unit" else random_triangle(rng)
+        p1, p2 = (Point(*unit_to_world(tri, u)) for u in random_generic_pair(rng))
+        p = Point(*unit_to_world(tri, random_interior(rng)))
+        slope = Slope.finite(np.tan(np.pi * (rng.random() - 0.5)))
+        answers = (
+            ([s.param for s in world.solve_two_points(tri, p1, p2).solutions], ("two_points", p1, p2)),
+            ([s.param for s in world.solve_point_slope(tri, p, slope).solutions], ("point_slope", p, slope)),
+        )
+        for got, query in answers:
+            want = perspector_reference(tri, *query)
+            assert len(got) == len(want) == (4 if query[0] == "two_points" else 1)
+            for param, ref in zip(sorted(got, key=lambda wt: (wt[1], wt[0])), want):
+                for g, r in zip(param, ref):
+                    assert abs(g - r) <= 1e-10 * r, (query, param, ref)
+
+
+def kernel_perspectors(tri: Triangle, family: str, *query) -> list:
+    """The perspectors a world query hands the kernel, from its unit steps rerun on the mapped inputs."""
+    fwd = map_to_unit(tri)
+    if family == "two_points":
+        return [param_perspector(*q) for q, _ in solve_two_points_unit(*(apply_point(fwd, p) for p in query))[1]]
+    if family == "point_slope":
+        return [solve_point_slope_unit(apply_point(fwd, query[0]), apply_slope(fwd, query[1]))]
+    return [param_from_tangencies(*(side_point(apply_point(fwd, q)) for q in query))]
+
+
+@pytest.mark.parametrize("kind", ["unit", "box", "pixel"])
+def test_near_vertex_contacts_meet_the_prescribed_points(kind):
+    # Two tangency points on different sides, each 2e-8 to 1e-3 of its side (log-uniform)
+    # from either end; the legs' vertex exclusion is 1e-8.  Each answer's contact on a
+    # prescribed point's side is that point, to 1e-12 of the coordinate scale (the contacts
+    # once missed by up to 1.6e-8, written from a rounded (w, t)), and on the unit
+    # triangle, where no map rounds the inputs, (w, t) is within 4 ulp of the 60-digit
+    # perspector reference.
+    rng = np.random.default_rng(5)
+    make_triangle = {
+        "unit": lambda: UNIT_TRIANGLE,
+        "box": lambda: random_triangle(rng),
+        "pixel": lambda: pixel_triangle(rng),
+    }[kind]
+    worst = 0.0
+    for i in range(2000):
+        tri = make_triangle()
+        scale = max(abs(v) for p in tri for v in p)
+        sides = SIDE_PAIRS[i % 3]
+        offsets = 10.0 ** rng.uniform(math.log10(2e-8), -3.0, size=2)
+        qs = [side_point_of(tri, side, s if rng.random() < 0.5 else 1.0 - s) for side, s in zip(sides, offsets)]
+        (sol,) = world.solve_tangency(tri, *qs).solutions
+        for side, q in zip(sides, qs):
+            contact = sol.tangent_points[(0, 2, 1)[side]]  # sides AB, BC, CA carry contacts 0, 2, 1
+            worst = max(worst, max(abs(contact.x - q.x), abs(contact.y - q.y)) / scale)
+        if kind == "unit" and i % 4 == 0:
+            (ref,) = perspector_reference(tri, "tangency", *qs)
+            for got, want in zip(sol.param, ref):
+                assert abs(got - want) <= 4 * math.ulp(want), (qs, sol.param, ref)
+    assert worst <= 1e-12
 
 
 def exact_vertex_combination(tri: Triangle, u) -> tuple[Fraction, Fraction]:
@@ -200,14 +283,15 @@ def test_contacts_and_centers_match_the_exact_vertex_combination(kind):
         p1, p2 = (Point(*unit_to_world(tri, u)) for u in random_generic_pair(rng))
         p, q = (Point(*unit_to_world(tri, random_interior(rng))) for _ in range(2))
         q1, q2 = (side_point_of(tri, side, 0.15 + 0.7 * rng.random()) for side in SIDE_PAIRS[i % 3])
-        reports = (
-            world.solve_two_points(tri, p1, p2),
-            world.solve_point_slope(tri, p, Slope.finite((q.y - p.y) / (q.x - p.x))),
-            world.solve_tangency(tri, q1, q2),
+        queries = (
+            ("two_points", p1, p2),
+            ("point_slope", p, Slope.finite((q.y - p.y) / (q.x - p.x))),
+            ("tangency", q1, q2),
         )
-        for report in reports:
-            for sol in report.solutions:
-                _, contacts, center = unit_geometry(sol.param)
+        for family, *query in queries:
+            report = getattr(world, f"solve_{family}")(tri, *query)
+            for sol, perspector in zip(report.solutions, kernel_perspectors(tri, family, *query), strict=True):
+                _, _, contacts, center = unit_geometry(perspector)
                 units = (*contacts, center)
                 for got, u in zip((*sol.tangent_points, sol.center), units):
                     exact = exact_vertex_combination(tri, u)
@@ -235,17 +319,18 @@ def outcome(solve):
 
 
 def unit_two_points(p1, p2):
+    # Each kept (w, t) reaches the kernel as its perspector, which writes the reported (w, t).
     case, kept = solve_two_points_unit(p1, p2)
-    return str(case), kept
+    return str(case), [(unit_geometry(param_perspector(*q))[0], r) for q, r in kept]
 
 
 def unit_point_slope(p, slope):
-    # The world solver builds each answer's geometry, whose (w, t) check runs here.
+    # The kernel writes the answer's (w, t) from the unit step's perspector.
     out = solve_point_slope_unit(p, slope)
     if isinstance(out, NoSolution):
         return f"no_solution:{out.vertex.value}", []
-    unit_geometry(out)
-    return "unique", [(out, residual_system13(p, slope, out))]
+    param = unit_geometry(out)[0]
+    return "unique", [(param, residual_system13(p, slope, param))]
 
 
 def world_answer(report, residuals=True):
@@ -279,7 +364,9 @@ def test_unit_solvers_agree_with_the_world_path_on_the_unit_triangle(family):
             answer = outcome(lambda: world_answer(world.solve_point_slope(UNIT_TRIANGLE, p, slope)))
         else:
             q1, q2 = Point(*q["p1"]), Point(*q["p2"])
-            unit = outcome(lambda: ("boundary_unique", [param_from_tangencies(side_point(q1), side_point(q2))]))
+            unit = outcome(
+                lambda: ("boundary_unique", [unit_geometry(param_from_tangencies(side_point(q1), side_point(q2)))[0]])
+            )
             answer = outcome(lambda: world_answer(world.solve_tangency(UNIT_TRIANGLE, q1, q2), residuals=False))
         assert answer == unit
 
@@ -300,6 +387,33 @@ def test_a_finite_point_whose_unit_image_overflows_is_refused_by_its_domain(fami
     # (1e308, 1e308) is finite; only its image under TINY's unit map is not.
     with pytest.raises(error):
         QUERIES[family](TINY, Point(1e308, 1e308))
+
+
+@pytest.mark.parametrize(
+    "query, error, message",
+    [
+        (QUERIES["two_points"], NotInterior, "point (1e+308, 1e+308) is not interior to the triangle"),
+        (QUERIES["point_slope"], NotInterior, "point (1e+308, 1e+308) is not interior to the triangle"),
+        (QUERIES["tangency"], NotOnSide, "(1e+308, 1e+308) does not lie on exactly one open side"),
+        (lambda tri, p: world.solve_two_points(tri, Point(2e-4, 3e-4), Point(2e-4, 3e-4)), CoincidentPoints,
+         "points (0.0002, 0.0003) and (0.0002, 0.0003) coincide"),
+        (lambda tri, p: world.solve_tangency(tri, Point(5e-4, 0.0), Point(2e-3, 0.0)), NotOnSide,
+         "(0.002, 0.0) lies outside its side segment"),
+        (lambda tri, p: world.solve_tangency(tri, Point(5e-4, 0.0), Point(1e-3, 0.0)), VertexPoint,
+         "(0.001, 0.0) coincides with triangle vertex (0.001, 0.0)"),
+        (lambda tri, p: world.solve_two_points(tri, Point(2.5e-4, 2.5e-4), Point(2.5e-4 + 1e-15, 2.5e-4 + 1e-15)),
+         AmbiguousClassification,
+         "points (0.00025, 0.00025), (0.000250000000001, 0.000250000000001) sit on 3 vertex lines at once"),
+    ],
+    ids=["two_points", "point_slope", "tangency", "coincident", "off_segment", "vertex", "ambiguous"],
+)
+def test_a_domain_error_names_the_callers_values(query, error, message):
+    # The unit steps see and name the unit images, here (inf, inf), (0.2, 0.3),
+    # (2.0, 0.0), (1.0, 0.0) and (0.25, 0.25); the error names the points and
+    # vertices as passed.
+    with pytest.raises(error) as raised:
+        query(TINY, Point(1e308, 1e308))
+    assert str(raised.value) == message
 
 
 @pytest.mark.parametrize("a, b", [(0.0, 0.0), (math.nan, 1.0), (math.inf, 1.0)], ids=["zero", "nan", "inf"])
