@@ -3,13 +3,15 @@
 The canonical domain is the unit triangle with vertices (0,0), (1,0), (0,1);
 general triangles are reduced to it by an affine map.  Points are plain
 (x, y) named tuples.  A slope is its tangent direction (a, b), so a vertical
-slope is (0, 1) -- never an infinity encoded as a huge float.
+slope is (0, 1) -- never an infinity encoded as a huge float.  A caller's
+point or slope is checked once, by :func:`as_point` or :func:`as_slope`.
+The vertices are named by the strings the reports print: ``origin``,
+``right`` and ``top``.
 """
 
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import NamedTuple, Optional
 
 from .errors import CoincidentPoints, NotInterior
@@ -18,14 +20,6 @@ from .errors import CoincidentPoints, NotInterior
 class Point(NamedTuple):
     x: float
     y: float
-
-
-class Vertex(Enum):
-    """The three vertices of the unit triangle, by position."""
-
-    ORIGIN = "origin"
-    RIGHT = "right"
-    TOP = "top"
 
 
 class Slope(NamedTuple):
@@ -81,6 +75,17 @@ def as_point(obj) -> Point:
     if not finite:
         raise ValueError(f"point coordinates must be finite, got {(x, y)}")
     return tuple.__new__(Point, (float(x), float(y)))
+
+
+def as_slope(obj) -> Slope:
+    """Coerce a direction (a, b) into a Slope: what :func:`as_point` refuses, and (0, 0), raise ValueError."""
+    try:
+        a, b = as_point(obj)
+    except ValueError:
+        a = b = 0.0
+    if a == b == 0.0:
+        raise ValueError(f"a slope is a direction of two finite numbers, not both zero, got {obj!r}")
+    return tuple.__new__(Slope, (a, b))
 
 
 def require_interior(*points: Point) -> None:

@@ -25,6 +25,7 @@ oracle can miss a solution that the closed form finds correctly.
 from __future__ import annotations
 
 import logging
+import operator
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -33,7 +34,7 @@ from . import equations
 from .affine import Triangle, UNIT_TRIANGLE
 from .conic import ConicCoeffs, is_real_ellipse, normalize_conic
 from .errors import NotAnEllipse
-from .geom import Point, Slope, as_point, require_distinct, require_interior
+from .geom import Point, Slope, as_point, as_slope, require_distinct, require_interior
 
 log = logging.getLogger(__name__)
 
@@ -65,7 +66,8 @@ class VerificationReport(NamedTuple):
 
 
 def verify_inscribed(conic: ConicCoeffs, tri: Triangle = UNIT_TRIANGLE) -> VerificationReport:
-    """Check that an ellipse is tangent to all three sides, from first principles."""
+    """Check that an ellipse is tangent to all three sides of ``tri`` (any three vertices), from first principles."""
+    verts = tri if isinstance(tri, Triangle) else Triangle(*tri)
     if not is_real_ellipse(conic):
         raise NotAnEllipse(f"{conic} is not a real ellipse")
     a, b, c, d, e, f = normalize_conic(conic)
@@ -73,7 +75,6 @@ def verify_inscribed(conic: ConicCoeffs, tri: Triangle = UNIT_TRIANGLE) -> Verif
         a, b, c, d, e, f = -a, -b, -c, -d, -e, -f
 
     reports = []
-    verts = tri.vertices
     for i in range(3):
         px, py = verts[i]
         qx, qy = verts[(i + 1) % 3]
@@ -207,8 +208,10 @@ def _box_minima(system, w_lo, w_hi, t_lo, t_hi, nw, nt):
 
 def _run_grid(system, grid_n):
     # Before any array: an integer beyond the float range must not reach 1.0 / grid_n.
-    if not _GRID_MIN <= grid_n <= _GRID_MAX:
-        raise ValueError(f"grid_n must be from {_GRID_MIN} to {_GRID_MAX}, got {grid_n}")
+    n = operator.index(grid_n) if hasattr(grid_n, "__index__") else 0  # a float, a string or None is 0
+    if not _GRID_MIN <= n <= _GRID_MAX:
+        raise ValueError(f"grid_n must be from {_GRID_MIN} to {_GRID_MAX}, got {grid_n!r}")
+    grid_n = n
     # Newton seeds: each coarse basin center, the minima of a fine sub-grid
     # over its 3x3 neighborhood (one coarse cell can straddle several
     # attractors), and the minima of thin high-resolution strips along the
@@ -253,9 +256,9 @@ def brute_force_two_points(p1: Point, p2: Point, grid_n: int = 256) -> list[tupl
     """All (w, t) solving the two-point system, found by grid + Newton.
 
     Returns (w, t) pairs sorted by (t, w); every returned pair has both
-    normalized residuals below 1e-12.  ``grid_n`` runs from 64 to 2048: the
-    coarse pass holds about 80 bytes per cell of the grid_n^2 grid at once, so
-    the ceiling bounds it near 340 MB; any other value raises ``ValueError``.
+    normalized residuals below 1e-12.  ``grid_n`` is an integer from 64 to
+    2048: the coarse pass holds about 80 bytes per cell of the grid_n^2 grid at
+    once, so the ceiling bounds it near 340 MB; any other value raises ``ValueError``.
     """
     p1, p2 = as_point(p1), as_point(p2)
     require_interior(p1, p2)
@@ -267,7 +270,8 @@ def brute_force_point_slope(
     p: Point, slope: Slope, grid_n: int = 256
 ) -> list[tuple[float, float]]:
     """All (w, t) solving the point-with-slope system; one off the excluded
-    slopes, none on them.  ``grid_n`` as in :func:`brute_force_two_points`."""
-    p = as_point(p)
+    slopes, none on them.  The slope passes ``as_slope``, as in the world query;
+    ``grid_n`` as in :func:`brute_force_two_points`."""
+    p, slope = as_point(p), as_slope(slope)
     require_interior(p)
     return _run_grid(_point_slope_system(p, slope), grid_n)

@@ -15,22 +15,23 @@ the ellipse's perspector is (S, X, Y): w = S / (S + Y), t = S / (S + X),
 1 - w = Y / (S + Y) and 1 - t = X / (S + X).  Every term is non-negative, so
 nothing cancels as the direction nears a vertex, and one formula serves
 finite and vertical slopes alike.  When (a, b) aims at a vertex no inscribed
-ellipse attains it, and the solver reports that as an ordinary outcome, not
-an error.
+ellipse attains it, and :func:`solve_point_slope_unit` returns that as the
+report's case ``no_solution:<vertex>``, not as an error; otherwise the case
+is ``unique`` with the perspector.
 
 Checks: the interior test in :func:`solve_point_slope_unit`, on a point and
-a nonzero direction that ``world`` checked before mapping them, and the
-exclusion bands before the perspector is built.  Each residual is one
+a nonzero direction that ``world`` checked before mapping them, and each
+vertex's exclusion band before its term is built.  Each residual is one
 evaluation of its equation without the partials (:mod:`inellipse.equations`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Union
 
 from . import equations
-from .geom import Point, Slope, Vertex, require_interior
+from .affine import UNIT_TRIANGLE
+from .geom import Point, Slope, require_interior
 from .kernel import EllipseParam
 
 # |L_v| below this fraction of (|a| + |b|) |v_x - x| means the direction aims
@@ -39,29 +40,19 @@ from .kernel import EllipseParam
 _SLOPE_EXCLUSION = 1e-9
 
 
-class NoSolution(NamedTuple):
-    """The slope aims from the point at this triangle vertex."""
-
-    vertex: Vertex
-
-
-def solve_point_slope_unit(p: Point, slope: Slope) -> Union[tuple[float, float, float], NoSolution]:
-    """The perspector (S, X, Y), or :class:`NoSolution` on an excluded slope."""
+def solve_point_slope_unit(p: Point, slope: Slope) -> tuple[str, tuple[float, float, float] | None]:
+    """``("unique", (S, X, Y))``, or ``("no_solution:<vertex>", None)`` on an excluded slope."""
     require_interior(p)
     x, y = p
     a, b = slope
     band = _SLOPE_EXCLUSION * (abs(a) + abs(b))
-    # L_v and its band at v = origin, right, top, in that order (|v_x - x| = x, 1 - x, x).
-    l_origin = b * x - a * y
-    if abs(l_origin) < band * x:
-        return NoSolution(Vertex.ORIGIN)
-    l_right = -a * y - b * (1.0 - x)
-    if abs(l_right) < band * (1.0 - x):
-        return NoSolution(Vertex.RIGHT)
-    l_top = a * (1.0 - y) + b * x
-    if abs(l_top) < band * x:
-        return NoSolution(Vertex.TOP)
-    return _perspector(_term(1.0 - x - y, l_origin), _term(x, l_right), _term(y, l_top))
+    terms = []
+    for (vx, vy), weight, vertex in zip(UNIT_TRIANGLE, (1.0 - x - y, x, y), ("origin", "right", "top")):
+        form = a * (vy - y) - b * (vx - x)
+        if abs(form) < band * abs(vx - x):
+            return f"no_solution:{vertex}", None
+        terms.append(_term(weight, form))
+    return "unique", _perspector(*terms)
 
 
 def _term(weight: float, form: float) -> tuple[float, int]:

@@ -12,29 +12,19 @@ polish, gates the candidate and is reported with its solution.
 Checks: none on the points' form, which ``world`` coerced before mapping them;
 the interior and distinct tests once per pair, in :func:`classify_pair`, whose
 points :func:`kept_params` and the kernel trust; the (w, t) domain by the
-square margin of :func:`kept_params`.  Built once per query: p1's quadratic,
-the case (a shared constant) and each kept solution's parameters, in
-:func:`kept_params`, which builds no other record.
+square margin of :func:`kept_params`.  Built once per query: p1's quadratic
+and each kept solution's parameters, in :func:`kept_params`, which builds no
+other record; the case is the string the report prints.
 """
 
 from __future__ import annotations
 
 import math
-from enum import Enum
-from typing import NamedTuple, Optional
 
 from .equations import backward_error, through_point
 from .errors import AmbiguousClassification, SolutionCountMismatch
-from .geom import Point, Vertex, require_distinct, require_interior
-from .kernel import (
-    EllipseParam,
-    QuadraticPoly,
-    pair_invariants,
-    poly_q,
-    poly_R,
-    poly_S,
-    solve_quadratic,
-)
+from .geom import Point, require_distinct, require_interior
+from .kernel import EllipseParam, QuadraticPoly, pair_invariants, poly_q, poly_R, poly_S, solve_quadratic
 
 # Relative bands under which a vertex-line determinant, or the pair invariant
 # j, counts as zero.
@@ -54,29 +44,9 @@ _CONVERGED = 1e-15  # both backward errors under this stop the polish
 _GATE = 1e-9
 
 
-class PairKind(Enum):
-    GENERIC = "generic"
-    GENERIC_J_ZERO = "generic_j_zero"
-    VERTEX_LINE = "vertex_line"
-
-
-class PairCase(NamedTuple):
-    kind: PairKind
-    vertex: Optional[Vertex] = None
-
-    def __str__(self) -> str:
-        if self.kind is PairKind.VERTEX_LINE:
-            return f"vertex_line:{self.vertex.value}"
-        return "generic_4" if self.kind is PairKind.GENERIC else "generic_j_zero"
-
-
-# Immutable, so every query shares the case record classify_pair returns.
-_GENERIC, _J_ZERO = PairCase(PairKind.GENERIC), PairCase(PairKind.GENERIC_J_ZERO)
-_ON_ORIGIN, _ON_RIGHT, _ON_TOP = (PairCase(PairKind.VERTEX_LINE, v) for v in Vertex)
-
-
-def classify_pair(p1: Point, p2: Point) -> PairCase:
-    """Vertex-line / degenerate / generic classification of an interior pair."""
+def classify_pair(p1: Point, p2: Point) -> str:
+    """The case of an interior pair: ``vertex_line:<vertex>`` (origin, right or top),
+    else ``generic_j_zero`` on the j = 0 branch, else ``generic_4``."""
     require_interior(p1, p2)
     require_distinct(p1, p2)
     d_origin, d_right, d_top, j, _, _ = pair_invariants(p1, p2)
@@ -90,9 +60,9 @@ def classify_pair(p1: Point, p2: Point) -> PairCase:
             f"points {tuple(p1)}, {tuple(p2)} sit on {origin + right + top} vertex lines at once"
         )
     if origin or right or top:
-        return _ON_ORIGIN if origin else _ON_RIGHT if right else _ON_TOP
+        return "vertex_line:origin" if origin else "vertex_line:right" if right else "vertex_line:top"
     j_scale = max(abs(x2 * (1 - x2 - y2) * y1 * y1), abs(x1 * (1 - x1 - y1) * y2 * y2))
-    return _J_ZERO if abs(j) < _J_ZERO_BAND * j_scale else _GENERIC
+    return "generic_j_zero" if abs(j) < _J_ZERO_BAND * j_scale else "generic_4"
 
 
 def _newton_polish(p1: Point, p2: Point, w: float, t: float, r1: float, r2: float):
@@ -120,7 +90,7 @@ def _newton_polish(p1: Point, p2: Point, w: float, t: float, r1: float, r2: floa
     return w, t, r1, r2
 
 
-def _candidate_params(p1: Point, p2: Point, q1: QuadraticPoly, case: PairCase):
+def _candidate_params(p1: Point, p2: Point, q1: QuadraticPoly):
     d_origin, _, _, _, a1, a2 = pair_invariants(p1, p2)
     (x1, y1), (_, y2) = p1, p2
     out = []
@@ -136,20 +106,22 @@ def _candidate_params(p1: Point, p2: Point, q1: QuadraticPoly, case: PairCase):
                 out.append((t * y1 / k, t))  # near
             if multiplicity == 2 or not side > 0.0:
                 out.append((t * y1 * k / q1(t), t))  # far
-    return out, 4 if case.vertex is None else 2
+    return out
 
 
-def kept_params(p1: Point, p2: Point, case: PairCase) -> list[tuple[EllipseParam, tuple[float, float]]]:
+def kept_params(p1: Point, p2: Point, case: str) -> list[tuple[EllipseParam, tuple[float, float]]]:
     """Every inscribed ellipse through a classified pair, as (param, residuals) sorted by (t, w).
 
     The points and ``case`` arrive from :func:`classify_pair`, which checked
     them.  A candidate of R and S is polished unless its first backward errors
     are both under ``_CONVERGED``, then kept inside the square margin with
     both under ``_GATE``, unless within ``_DEDUPE`` of one kept before.  A
-    count other than the case's raises :class:`SolutionCountMismatch`.
+    count other than the case's, 2 for ``vertex_line:*`` and 4 otherwise, raises
+    :class:`SolutionCountMismatch`.
     """
     (x1, y1), (x2, y2) = p1, p2
-    raw, expected = _candidate_params(p1, p2, poly_q(p1), case)
+    raw = _candidate_params(p1, p2, poly_q(p1))
+    expected = 2 if case.startswith("vertex_line") else 4
     kept = []  # (t, w, residuals)
     for w, t in raw:
         r1 = backward_error(through_point(x1, y1, w, t, jacobian=False))
@@ -173,7 +145,7 @@ def kept_params(p1: Point, p2: Point, case: PairCase) -> list[tuple[EllipseParam
     return [(tuple.__new__(EllipseParam, (w, t)), residuals) for t, w, residuals in kept]
 
 
-def solve_two_points_unit(p1: Point, p2: Point) -> tuple[PairCase, list[tuple[EllipseParam, tuple[float, float]]]]:
+def solve_two_points_unit(p1: Point, p2: Point) -> tuple[str, list[tuple[EllipseParam, tuple[float, float]]]]:
     """``(case, kept_params(p1, p2, case))``: the pair's case and its four inscribed ellipses
     through both points (two in the vertex-line cases), as (param, residuals)."""
     case = classify_pair(p1, p2)

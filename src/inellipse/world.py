@@ -14,19 +14,21 @@ Built once per solution: the unit (w, t), conic, contacts and center, by one
 two-point (w, t) enters as (wt, w(1 - t), (1 - w)t)), and the world conic, by
 one ``pull_back``.  This module alone builds answer records; unit-triangle
 answers are its answers on ``UNIT_TRIANGLE``, whose map is the identity.
+The unit steps return the report's vocabulary: the case string, passed on as
+is, and each tangency point's contact index k, its residual being its
+distance to ``contacts[k]``.
 
 Checks, once per query, on the caller's values: the triangle (built as a
 :class:`~inellipse.affine.Triangle` unless it is one), ``as_point`` on each
-point, and a slope of two finite numbers, not both zero.  The unit steps
-trust these and test only their domains, on the mapped values (interior,
-distinct, exclusion, side and vertex bands), so a point mapped beyond the
-float range is not interior, or not on a side; their errors are raised again
-naming the caller's points and vertices.
+point and ``as_slope`` on the slope.  The unit steps trust these and test
+only their domains, on the mapped values (interior, distinct, exclusion,
+side and vertex bands), so a point mapped beyond the float range is not
+interior, or not on a side; their errors are raised again naming the
+caller's points and vertices.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from typing import NamedTuple
 
@@ -34,7 +36,7 @@ from . import boundary, point_slope, two_points
 from .affine import UNIT_TRIANGLE, AffineMap, Triangle, apply_point, apply_slope, map_to_unit
 from .conic import ConicCoeffs, pull_back
 from .errors import AmbiguousClassification, CoincidentPoints, NotInterior, NotOnSide, VertexPoint
-from .geom import Point, Slope, as_point
+from .geom import Point, Slope, as_point, as_slope
 from .kernel import EllipseParam, unit_geometry
 
 
@@ -101,7 +103,7 @@ def solve_two_points(tri: Triangle, p1: Point, p2: Point) -> SolveReport:
     units = apply_point(fwd, p1), apply_point(fwd, p2)
     case, kept = _unit_step(two_points.solve_two_points_unit, tri, (p1, p2), units)
     unit = [(unit_geometry((w * t, w * (1.0 - t), (1.0 - w) * t)), residuals) for (w, t), residuals in kept]
-    return tuple.__new__(SolveReport, (str(case), _to_world(tri, fwd, unit)))
+    return tuple.__new__(SolveReport, (case, _to_world(tri, fwd, unit)))
 
 
 def solve_point_slope(tri: Triangle, p: Point, slope: Slope) -> SolveReport:
@@ -114,34 +116,23 @@ def solve_point_slope(tri: Triangle, p: Point, slope: Slope) -> SolveReport:
     tri, fwd = _frame(tri)
     p = as_point(p)
     u = apply_point(fwd, p)
-    try:
-        a, b = slope
-        direction = math.isfinite(a) and math.isfinite(b) and not a == b == 0.0
-    except (TypeError, OverflowError):  # not numbers, or an integer beyond the float range
-        direction = False
-    if not direction:
-        raise ValueError(f"a slope is a direction of two finite numbers, not both zero, got {slope!r}")
-    u_slope = apply_slope(fwd, slope)
-    outcome = _unit_step(point_slope.solve_point_slope_unit, tri, (p,), (u,), u_slope)
-    if isinstance(outcome, point_slope.NoSolution):
-        return tuple.__new__(SolveReport, (f"no_solution:{outcome.vertex.value}", ()))
-    geometry = unit_geometry(outcome)
+    u_slope = apply_slope(fwd, as_slope(slope))
+    case, perspector = _unit_step(point_slope.solve_point_slope_unit, tri, (p,), (u,), u_slope)
+    if perspector is None:
+        return tuple.__new__(SolveReport, (case, ()))
+    geometry = unit_geometry(perspector)
     residuals = point_slope.residual_system13(u, u_slope, geometry[0])
-    return tuple.__new__(SolveReport, ("unique", _to_world(tri, fwd, ((geometry, residuals),))))
-
-
-def _contact_distance(contacts, s: boundary.SidePoint) -> float:
-    side, (qx, qy) = s
-    x, y = contacts[0 if side is boundary.Side.BOTTOM else 1 if side is boundary.Side.LEFT else 2]
-    return max(abs(x - qx), abs(y - qy))
+    return tuple.__new__(SolveReport, (case, _to_world(tri, fwd, ((geometry, residuals),))))
 
 
 def solve_tangency(tri: Triangle, q1: Point, q2: Point) -> SolveReport:
     """The unique inscribed ellipse tangent to ``tri`` at two boundary points."""
     tri, fwd = _frame(tri)
     q1, q2 = as_point(q1), as_point(q2)
-    s1 = _unit_step(boundary.side_point, tri, (q1,), (apply_point(fwd, q1),))
-    s2 = _unit_step(boundary.side_point, tri, (q2,), (apply_point(fwd, q2),))
+    u1, u2 = apply_point(fwd, q1), apply_point(fwd, q2)
+    s1 = _unit_step(boundary.side_point, tri, (q1,), (u1,))
+    s2 = _unit_step(boundary.side_point, tri, (q2,), (u2,))
     _, _, contacts, _ = geometry = unit_geometry(boundary.param_from_tangencies(s1, s2))
-    residuals = (_contact_distance(contacts, s1), _contact_distance(contacts, s2))
+    (x1, y1), (x2, y2) = contacts[s1[0]], contacts[s2[0]]
+    residuals = (max(abs(x1 - u1.x), abs(y1 - u1.y)), max(abs(x2 - u2.x), abs(y2 - u2.y)))
     return tuple.__new__(SolveReport, ("boundary_unique", _to_world(tri, fwd, ((geometry, residuals),))))

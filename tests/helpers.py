@@ -18,16 +18,19 @@ import math
 import numpy as np
 
 from inellipse.affine import UNIT_TRIANGLE, AffineMap, Triangle, map_to_unit
-from inellipse.boundary import SidePoint
 from inellipse.conic import pull_back
 from inellipse.equations import backward_error, tangent, through_point
-from inellipse.geom import Point, Slope, Vertex
+from inellipse.geom import Point, Slope
 from inellipse.kernel import unit_geometry
-from inellipse.point_slope import NoSolution
-from inellipse.two_points import PairKind, classify_pair
+from inellipse.two_points import classify_pair
 from inellipse.world import WorldSolution, solve_point_slope, solve_tangency
 
-VERTEX_POINTS = {Vertex.ORIGIN: Point(0.0, 0.0), Vertex.RIGHT: Point(1.0, 0.0), Vertex.TOP: Point(0.0, 1.0)}
+VERTEX_POINTS = {"origin": Point(0.0, 0.0), "right": Point(1.0, 0.0), "top": Point(0.0, 1.0)}
+
+
+def vertex_id(name: str) -> str:
+    """The test id of a vertex-parametrized case: ``Vertex.ORIGIN`` for ``origin``."""
+    return f"Vertex.{name.upper()}"
 
 
 def random_interior(rng: np.random.Generator, margin: float = 0.02) -> Point:
@@ -51,12 +54,12 @@ def random_generic_pair(rng: np.random.Generator) -> tuple[Point, Point]:
         p1, p2 = random_interior(rng), random_interior(rng)
         if max(abs(p1.x - p2.x), abs(p1.y - p2.y)) < 1e-3:
             continue
-        if classify_pair(p1, p2).kind is PairKind.GENERIC:
+        if classify_pair(p1, p2) == "generic_4":
             return p1, p2
 
 
-def random_vertex_pair(rng: np.random.Generator, vertex: Vertex) -> tuple[Point, Point]:
-    """Two interior points exactly collinear with the given triangle vertex."""
+def random_vertex_pair(rng: np.random.Generator, vertex: str) -> tuple[Point, Point]:
+    """Two interior points exactly collinear with the triangle vertex named ``vertex``."""
     v = VERTEX_POINTS[vertex]
     while True:
         p1 = random_interior(rng, margin=0.05)
@@ -89,7 +92,7 @@ def j_zero_pair(rng: np.random.Generator) -> tuple[Point, Point]:
             continue
         if max(abs(p1.x - p2.x), abs(p1.y - p2.y)) < 1e-3:
             continue
-        if classify_pair(p1, p2).kind is PairKind.GENERIC_J_ZERO:
+        if classify_pair(p1, p2) == "generic_j_zero":
             return p1, p2
 
 
@@ -302,17 +305,15 @@ def geometry_at(w: float, t: float):
 
 def unit_point_slope(p: Point, slope: Slope):
     """The unit-triangle point-slope answer through the world query: its ``EllipseParam``, or
-    ``NoSolution`` naming the vertex the slope aims at."""
+    its case ``no_solution:<vertex>`` naming the vertex the slope aims at."""
     report = solve_point_slope(UNIT_TRIANGLE, p, slope)
     if not report.solutions:
-        return NoSolution(Vertex(report.case.split(":")[1]))
+        return report.case
     return report.solutions[0].param
 
 
 def unit_tangency(q1, q2):
-    """The ``EllipseParam`` of the unit-triangle tangency answer through the world query; side
-    points pass as their points."""
-    q1, q2 = (q.point if isinstance(q, SidePoint) else q for q in (q1, q2))
+    """The ``EllipseParam`` of the unit-triangle tangency answer through the world query."""
     return solve_tangency(UNIT_TRIANGLE, q1, q2).solutions[0].param
 
 

@@ -14,7 +14,7 @@ import pytest
 
 import inellipse as ie
 from inellipse.conic import normalize_conic
-from inellipse.geom import Point, Slope, Vertex
+from inellipse.geom import Point, Slope
 from inellipse.kernel import EllipseParam, pair_invariants, poly_q, poly_R, poly_S
 
 from helpers import (
@@ -31,6 +31,7 @@ from helpers import (
     term_residual,
     unit_to_world,
     vertex_slopes,
+    VERTEX_POINTS,
 )
 
 EX1 = (Point(0.25, 0.125), Point(0.5, 1 / 6))
@@ -86,7 +87,7 @@ def test_02_degenerate_branch_regression():
 def test_03_vertex_line_regression():
     with criterion(3, "vertex-line example"):
         case, sols = ie.solve_two_points(UNIT, *EX_TOP)
-        assert case == f"vertex_line:{Vertex.TOP.value}"
+        assert case == "vertex_line:top"
         r = poly_R(*EX_TOP)
         assert abs(stationary_point(r) - 5 / 12) < 1e-12
         assert len(sols) == 2
@@ -122,9 +123,9 @@ def test_06_excluded_slope_nonexistence():
         rng = np.random.default_rng(100)
         for _ in range(100):
             p = random_interior(rng)
-            for vertex, vs in zip(Vertex, vertex_slopes(p)):
+            for vertex, vs in zip(VERTEX_POINTS, vertex_slopes(p)):
                 report = ie.solve_point_slope(UNIT, p, vs)
-                assert report == (f"no_solution:{vertex.value}", ())
+                assert report == (f"no_solution:{vertex}", ())
                 assert ie.brute_force_point_slope(p, vs) == []
 
 
@@ -163,7 +164,7 @@ def test_08_affine_counting_property():
                     assert ie.verify_inscribed(sol.conic, tri).passed
         for i in range(50):
             tri = random_triangle(rng)
-            u1, u2 = random_vertex_pair(rng, list(Vertex)[i % 3])
+            u1, u2 = random_vertex_pair(rng, list(VERTEX_POINTS)[i % 3])
             report = ie.solve_two_points(tri, unit_to_world(tri, u1), unit_to_world(tri, u2))
             assert len(report.solutions) == 2
 

@@ -20,7 +20,6 @@ from inellipse.affine import (
     apply_slope,
     map_to_unit,
 )
-from inellipse.boundary import SidePoint, side_point
 from inellipse.conic import ConicCoeffs, pull_back
 from inellipse.errors import DegenerateTriangle
 from inellipse.geom import Point, Slope, as_point
@@ -34,8 +33,7 @@ from inellipse.kernel import (
     poly_S,
 )
 from inellipse.oracle import verify_inscribed
-from inellipse.point_slope import solve_point_slope_unit
-from inellipse.two_points import PairCase, classify_pair, solve_two_points_unit
+from inellipse.two_points import solve_two_points_unit
 from inellipse.world import SolveReport, WorldSolution, solve_point_slope, solve_two_points
 
 from helpers import (
@@ -399,7 +397,6 @@ class TestSolverInvariance:
 def _records():
     """One instance of each result and value record, built by the code that returns it."""
     p1, p2 = Point(0.25, 0.125), Point(0.5, 0.1667)
-    case, _ = solve_two_points_unit(p1, p2)
     report = solve_two_points(UNIT_TRIANGLE, p1, p2)
     certificate = verify_inscribed(report.solutions[0].conic)
     return {
@@ -407,11 +404,8 @@ def _records():
         "QuadraticPoly": poly_q(p1),
         "AffineMap": map_to_unit(Triangle(Point(1, 1), Point(4, 2), Point(2, 5))),
         "Triangle": UNIT_TRIANGLE,
-        "PairCase": case,
         "WorldSolution": report.solutions[0],
         "SolveReport": report,
-        "NoSolution": solve_point_slope_unit(Point(0.5, 0.25), Slope.finite(0.5)),
-        "SidePoint": side_point(Point(0.5, 0.0)),
         "SideReport": certificate.sides[0],
         "VerificationReport": certificate,
     }
@@ -462,12 +456,11 @@ def _query_path_records():
     """Each record a query builds without its NamedTuple constructor, with the type it must be."""
     p1, p2 = Point(0.25, 0.125), Point(0.5, 0.1667)
     fwd = map_to_unit(Triangle(Point(1, 1), Point(4, 2), Point(2, 5)))
-    case, ((solution_param, _), *_) = solve_two_points_unit(p1, p2)
+    _, ((solution_param, _), *_) = solve_two_points_unit(p1, p2)
     report = solve_two_points(UNIT_TRIANGLE, p1, p2)
     # A world answer's tangency points t1, t2, t3, on the images of the horizontal
     # side, the vertical side and the hypotenuse.
     t1, t2, t3 = report.solutions[0].tangent_points
-    bottom, left = side_point(Point(0.5, 0.0)), side_point(Point(0.0, 0.5))
     return {
         "pull_back": (pull_back(geometry_at(0.3, 0.6)[0], fwd), ConicCoeffs),
         "tangency_points.t1": (t1, Point),
@@ -480,12 +473,8 @@ def _query_path_records():
         "solution.param": (solution_param, EllipseParam),
         # The parameters of the unit point-slope and tangency answers, through world.
         "solve_point_slope_unit": (unit_point_slope(p1, Slope.finite(-0.7)), EllipseParam),
-        "param_from_tangencies": (unit_tangency(bottom, left), EllipseParam),
-        "side_point": (bottom, SidePoint),
+        "param_from_tangencies": (unit_tangency(Point(0.5, 0.0), Point(0.0, 0.5)), EllipseParam),
         "as_point": (as_point([1, 2]), Point),
-        "PairCase.generic": (case, PairCase),
-        "PairCase.j_zero": (classify_pair(Point(0.3, 0.2), Point(0.5, 0.2)), PairCase),
-        "PairCase.vertex_line": (classify_pair(Point(0.5, 0.25), Point(0.75, 0.125)), PairCase),
         "map_to_unit": (fwd, AffineMap),
         "apply_point": (apply_point(fwd, Point(2, 2)), Point),
         "Slope.finite": (Slope.finite(0.5), Slope),

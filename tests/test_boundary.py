@@ -10,7 +10,7 @@ import pytest
 
 from inellipse import world
 from inellipse.affine import UNIT_TRIANGLE
-from inellipse.boundary import Side, SidePoint, param_from_tangencies, side_point
+from inellipse.boundary import param_from_tangencies, side_point
 from inellipse.errors import NotOnSide, SameSide, VertexPoint
 from inellipse.geom import Point
 from inellipse.kernel import EllipseParam
@@ -21,9 +21,10 @@ from helpers import geometry_at, random_param, unit_tangency
 
 class TestSidePoint:
     def test_classification(self):
-        assert side_point(Point(0.3, 0.0)).side is Side.BOTTOM
-        assert side_point(Point(0.0, 0.7)).side is Side.LEFT
-        assert side_point(Point(0.25, 0.75)).side is Side.HYPOTENUSE
+        # The contact index (0 bottom, 1 left, 2 hypotenuse) and the barycentrics on the side.
+        assert side_point(Point(0.3, 0.0)) == (0, (1.0 - 0.3, 0.3, 0.0))
+        assert side_point(Point(0.0, 0.7)) == (1, (1.0 - 0.7, 0.0, 0.7))
+        assert side_point(Point(0.25, 0.75)) == (2, (0.0, 0.25, 0.75))
 
     def test_not_on_side(self):
         with pytest.raises(NotOnSide):
@@ -62,14 +63,12 @@ class TestParamFromTangencies:
 
     def test_round_trip_all_side_pairs(self):
         rng = np.random.default_rng(70)
-        by_side = {Side.BOTTOM: 0, Side.LEFT: 1, Side.HYPOTENUSE: 2}
         for _ in range(100):
             param = EllipseParam(*random_param(rng))
             _, contacts, _ = geometry_at(*param)
-            for sa, sb in itertools.combinations(by_side, 2):
-                s1 = SidePoint(sa, Point(*contacts[by_side[sa]]))
-                s2 = SidePoint(sb, Point(*contacts[by_side[sb]]))
-                back = unit_tangency(s1, s2)
+            for ka, kb in itertools.combinations(range(3), 2):
+                assert (side_point(Point(*contacts[ka]))[0], side_point(Point(*contacts[kb]))[0]) == (ka, kb)
+                back = unit_tangency(Point(*contacts[ka]), Point(*contacts[kb]))
                 assert abs(back.w - param.w) < 1e-12
                 assert abs(back.t - param.t) < 1e-12
 
@@ -77,17 +76,9 @@ class TestParamFromTangencies:
         rng = np.random.default_rng(74)
         for _ in range(50):
             _, contacts, _ = geometry_at(*random_param(rng))
-            points = [SidePoint(side, Point(*c)) for side, c in zip(Side, contacts)]
-            for s1, s2 in itertools.combinations(points, 2):
-                assert unit_tangency(s1, s2) == unit_tangency(s2, s1)
-
-    def test_side_must_be_a_side_member(self):
-        hypotenuse = side_point(Point(0.5, 0.5))
-        for side in ("left", None):
-            odd = SidePoint(side, Point(0.0, 0.3))
-            for pair in ((odd, hypotenuse), (hypotenuse, odd)):
-                with pytest.raises(TypeError):
-                    param_from_tangencies(*pair)
+            points = [Point(*c) for c in contacts]
+            for q1, q2 in itertools.combinations(points, 2):
+                assert unit_tangency(q1, q2) == unit_tangency(q2, q1)
 
     def test_reproduces_inputs_and_touches_third_side(self):
         rng = np.random.default_rng(72)

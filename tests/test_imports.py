@@ -159,3 +159,25 @@ def test_every_module_level_name_is_reached_by_the_package():
         if name not in reached and not (name.startswith("__") and name.endswith("__"))
     ]
     assert unreached == [], unreached
+
+
+def imported_names(tree: ast.Module):
+    """The names a module's import statements bind, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0]
+
+
+def test_every_imported_name_is_read_by_its_module():
+    # An import its module never reads is dead weight; the package's re-exports and
+    # the __future__ annotations flag are read by Python itself.
+    import inellipse
+
+    unread = []
+    for path in sorted(pathlib.Path(SRC, "inellipse").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        exempt = {"annotations"} | (set(inellipse.__all__) if path.stem == "__init__" else set())
+        unread += [f"{path.stem}.{name}" for name in imported_names(tree) if name not in read | exempt]
+    assert unread == [], unread

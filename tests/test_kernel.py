@@ -10,7 +10,7 @@ from inellipse import kernel
 from inellipse.conic import ConicCoeffs
 from inellipse.equations import backward_error, through_point
 from inellipse.errors import OutOfDomain, ZeroPolynomial
-from inellipse.geom import Point, Vertex
+from inellipse.geom import Point
 from inellipse.kernel import (
     EllipseParam,
     QuadraticPoly,
@@ -36,6 +36,7 @@ from helpers import (
     same_conic,
     stationary_point,
     w_quadratic,
+    VERTEX_POINTS,
 )
 
 EX1 = (Point(0.25, 0.125), Point(0.5, 1 / 6))
@@ -374,7 +375,7 @@ def _near_vertex_line_pair(rng, vertex):
     # vertices, p2.x for the top one.
     p1, p2 = random_vertex_pair(rng, vertex)
     eps = 10.0 ** rng.uniform(-9.0, -4.0) * rng.choice((-1.0, 1.0))
-    if vertex is Vertex.TOP:
+    if vertex == "top":
         return p1, Point(p2.x + eps, p2.y)
     return p1, Point(p2.x, p2.y + eps)
 
@@ -383,7 +384,7 @@ class TestMergedSolverMatchesReference:
     def test_r_and_s_of_seeded_pairs(self):
         rng = np.random.default_rng(151)
         draws = [lambda: random_generic_pair(rng)] * 400 + [lambda: j_zero_pair(rng)] * 400
-        for v in Vertex:
+        for v in VERTEX_POINTS:
             draws += [lambda v=v: random_vertex_pair(rng, v)] * 200
             draws += [lambda v=v: _near_vertex_line_pair(rng, v)] * 200
         clamped = 0

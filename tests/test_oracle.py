@@ -9,7 +9,7 @@ import pytest
 
 from inellipse.affine import Triangle
 from inellipse.conic import ConicCoeffs
-from inellipse.errors import NotAnEllipse
+from inellipse.errors import DegenerateTriangle, NotAnEllipse
 from inellipse.geom import Point, Slope
 from inellipse import oracle
 from inellipse.kernel import EllipseParam
@@ -36,6 +36,12 @@ def axis_aligned_ellipse(cx, cy, rx, ry):
 
 
 class TestVerifyInscribed:
+    def test_raw_vertices_are_checked_as_a_triangle(self):
+        conic = geometry_at(0.3, 0.6)[0]
+        assert verify_inscribed(conic, ((0, 0), (1, 0), (0, 1))) == verify_inscribed(conic)
+        with pytest.raises(DegenerateTriangle):
+            verify_inscribed(conic, ((0, 0), (1, 0), (2, 0)))
+
     def test_midpoint_conic_contacts(self):
         report = verify_inscribed(geometry_at(0.5, 0.5)[0])
         assert report.passed
@@ -130,6 +136,41 @@ def test_grid_ceiling_is_checked_before_any_grid(monkeypatch, family, grid_n):
             brute_force_two_points(*EX1, grid_n=grid_n)
         else:
             brute_force_point_slope(EX1[0], Slope.finite(2.0), grid_n=grid_n)
+    assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize("grid_n", [100.5, "128", None], ids=["float", "string", "none"])
+@pytest.mark.parametrize("family", ["two_points", "point_slope"])
+def test_a_grid_n_that_is_no_integer_raises_value_error(monkeypatch, family, grid_n):
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(oracle, "_box_minima", no_grid)
+    with pytest.raises(ValueError, match="grid_n must be from 64 to 2048") as info:
+        if family == "two_points":
+            brute_force_two_points(*EX1, grid_n=grid_n)
+        else:
+            brute_force_point_slope(EX1[0], Slope.finite(2.0), grid_n=grid_n)
+    assert type(info.value) is ValueError
+
+
+def test_a_numpy_integer_grid_n_is_an_integer():
+    assert brute_force_two_points(*EX1, grid_n=np.int64(64)) == brute_force_two_points(*EX1, grid_n=64)
+
+
+@pytest.mark.parametrize(
+    "slope",
+    [Slope(1.0, math.inf), Slope(math.nan, 1.0), Slope(0.0, 0.0), 0.5, b"ab", bytearray(b"ab")],
+    ids=["inf", "nan", "zero", "float", "bytes", "bytearray"],
+)
+def test_a_slope_that_is_no_direction_raises_value_error(monkeypatch, slope):
+    # As in the world query: no empty basin list for a slope that is not a direction.
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(oracle, "_box_minima", no_grid)
+    with pytest.raises(ValueError, match="direction of two finite numbers, not both zero") as info:
+        brute_force_point_slope(EX1[0], slope)
     assert type(info.value) is ValueError
 
 

@@ -9,10 +9,10 @@ import pytest
 from inellipse import two_points, world
 from inellipse.affine import UNIT_TRIANGLE, Triangle
 from inellipse.errors import AmbiguousClassification, CoincidentPoints, NotInterior, SolutionCountMismatch
-from inellipse.geom import Point, Vertex
+from inellipse.geom import Point
 from inellipse.kernel import EllipseParam, pair_invariants, poly_q, poly_R
 from inellipse.oracle import brute_force_two_points, verify_inscribed
-from inellipse.two_points import PairKind, classify_pair, solve_two_points_unit
+from inellipse.two_points import classify_pair, solve_two_points_unit
 
 from helpers import (
     coefficient_scale,
@@ -27,7 +27,9 @@ from helpers import (
     term_residual,
     two_point_reference,
     unit_to_world,
+    vertex_id,
     w_quadratic,
+    VERTEX_POINTS,
 )
 
 EX1 = (Point(0.25, 0.125), Point(0.5, 1 / 6))
@@ -39,30 +41,31 @@ def sorted_tw(solutions):
     return [(param.t, param.w) for param, _ in solutions]
 
 
+def unit_case(p1, p2) -> str:
+    """The case the world query reports for a pair in the unit triangle."""
+    return world.solve_two_points(UNIT_TRIANGLE, p1, p2).case
+
+
 class TestClassify:
     def test_generic(self):
-        assert classify_pair(*EX1).kind is PairKind.GENERIC
+        assert unit_case(*EX1) == "generic_4"
 
     def test_top_vertex_line(self):
-        case = classify_pair(*EX_TOP)
-        assert case.kind is PairKind.VERTEX_LINE
-        assert case.vertex is Vertex.TOP
+        assert unit_case(*EX_TOP) == "vertex_line:top"
 
     def test_origin_vertex_line(self):
-        case = classify_pair(Point(0.25, 0.125), Point(0.5, 0.25))
-        assert case.kind is PairKind.VERTEX_LINE
-        assert case.vertex is Vertex.ORIGIN
+        assert unit_case(Point(0.25, 0.125), Point(0.5, 0.25)) == "vertex_line:origin"
 
     def test_degenerate_branch(self):
-        assert classify_pair(*EX2).kind is PairKind.GENERIC_J_ZERO
+        assert unit_case(*EX2) == "generic_j_zero"
 
     # A pair on each vertex line.  Moving p2 off it shifts the determinant by
     # -x1 (origin) or -(1 - x1) (right) per unit of p2.y, or by 1 - y1 (top)
     # per unit of p2.x.
     ON_LINE = {
-        Vertex.ORIGIN: (Point(0.3, 0.2), Point(0.45, 0.3)),
-        Vertex.RIGHT: (Point(0.3, 0.2), Point(0.65, 0.1)),
-        Vertex.TOP: (Point(0.2, 0.3), Point(0.12, 0.58)),
+        "origin": (Point(0.3, 0.2), Point(0.45, 0.3)),
+        "right": (Point(0.3, 0.2), Point(0.65, 0.1)),
+        "top": (Point(0.2, 0.3), Point(0.12, 0.58)),
     }
 
     @staticmethod
@@ -70,31 +73,31 @@ class TestClassify:
         """The vertex-line determinant and the scale its band is relative to."""
         inv = pair_invariants(p1, p2)
         (x1, y1), (x2, y2) = p1, p2
-        if vertex is Vertex.ORIGIN:
+        if vertex == "origin":
             return inv.d_origin, max(abs(x2 * y1), abs(x1 * y2))
-        if vertex is Vertex.RIGHT:
+        if vertex == "right":
             return inv.d_vertex10, max(abs((1 - x2) * y1), abs((1 - x1) * y2))
         return inv.d_vertex01, max(abs(x2 * (1 - y1)), abs(x1 * (1 - y2)))
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("factor", [0.5, 2.0])
-    @pytest.mark.parametrize("vertex", list(Vertex))
+    @pytest.mark.parametrize("vertex", list(VERTEX_POINTS), ids=vertex_id)
     def test_vertex_line_band_edges(self, vertex, factor, sign):
         p1, (x2, y2) = self.ON_LINE[vertex]
         _, scale = self.det_and_scale(vertex, p1, Point(x2, y2))
         target = sign * factor * two_points._CLASSIFY_BAND * scale
-        if vertex is Vertex.TOP:
+        if vertex == "top":
             p2 = Point(x2 + target / (1 - p1.y), y2)
         else:
-            p2 = Point(x2, y2 - target / (p1.x if vertex is Vertex.ORIGIN else 1 - p1.x))
+            p2 = Point(x2, y2 - target / (p1.x if vertex == "origin" else 1 - p1.x))
         det, scale = self.det_and_scale(vertex, p1, p2)
         assert det / (two_points._CLASSIFY_BAND * scale) == pytest.approx(sign * factor, rel=0.05)
         for pair in ((p1, p2), (p2, p1)):
             case = classify_pair(*pair)
             if factor < 1.0:
-                assert str(case) == f"vertex_line:{vertex.value}"
+                assert case == f"vertex_line:{vertex}"
             else:
-                assert case.kind is PairKind.GENERIC
+                assert case == "generic_4"
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("factor", [0.5, 2.0])
@@ -107,8 +110,8 @@ class TestClassify:
         p2 = Point(x2, y2 + sign * factor * two_points._J_ZERO_BAND * j_scale / rate)
         ratio = pair_invariants(p1, p2).j / (two_points._J_ZERO_BAND * j_scale)
         assert ratio == pytest.approx(sign * factor, rel=0.05)
-        expected = PairKind.GENERIC_J_ZERO if factor < 1.0 else PairKind.GENERIC
-        assert classify_pair(p1, p2).kind is expected
+        expected = "generic_j_zero" if factor < 1.0 else "generic_4"
+        assert classify_pair(p1, p2) == expected
 
     def test_ambiguous_when_points_nearly_coincide(self):
         # 1e-11 apart, the pair sits within the classification band of all
@@ -119,8 +122,8 @@ class TestClassify:
 
 class TestGenericExample:
     def test_four_solutions_match_published_values(self):
-        case, sols = solve_two_points_unit(*EX1)
-        assert case.kind is PairKind.GENERIC
+        _, sols = solve_two_points_unit(*EX1)
+        assert unit_case(*EX1) == "generic_4"
         expected = [(0.008, 0.003), (0.13, 0.03), (0.43, 0.74), (0.94, 0.22)]
         got = sorted_tw(sols)
         for (t, w), (te, we) in zip(got, expected):
@@ -145,8 +148,8 @@ class TestGenericExample:
 
 class TestDegenerateBranchExample:
     def test_four_solutions_with_shared_contact(self):
-        case, sols = solve_two_points_unit(*EX2)
-        assert case.kind is PairKind.GENERIC_J_ZERO
+        _, sols = solve_two_points_unit(*EX2)
+        assert unit_case(*EX2) == "generic_j_zero"
         expected = [(0.01, 0.03), (0.35, 0.27), (0.35, 0.94), (0.96, 0.58)]
         got = sorted_tw(sols)
         for (t, w), (te, we) in zip(got, expected):
@@ -173,7 +176,7 @@ class TestDegenerateBranchExample:
         for _ in range(20):
             p1, p2 = j_zero_pair(rng)
             p2 = Point(p2.x, p2.y * (1.0 + 1e-8))
-            assert classify_pair(p1, p2).kind is PairKind.GENERIC
+            assert unit_case(p1, p2) == "generic_4"
             r = poly_R(p1, p2)
             assert discriminant(r) < (1e-6 * coefficient_scale(r)) ** 2
             _, sols = solve_two_points_unit(p1, p2)
@@ -213,8 +216,8 @@ class TestDegenerateBranchExample:
 
 class TestVertexLineExample:
     def test_two_solutions(self):
-        case, sols = solve_two_points_unit(*EX_TOP)
-        assert case.kind is PairKind.VERTEX_LINE and case.vertex is Vertex.TOP
+        _, sols = solve_two_points_unit(*EX_TOP)
+        assert unit_case(*EX_TOP) == "vertex_line:top"
         got = sorted_tw(sols)
         expected = [(0.04, 0.04), (0.93, 0.43)]
         for (t, w), (te, we) in zip(got, expected):
@@ -223,13 +226,12 @@ class TestVertexLineExample:
 
     def test_counts_for_all_three_vertices(self):
         rng = np.random.default_rng(32)
-        for vertex in Vertex:
+        for vertex in VERTEX_POINTS:
             for _ in range(10):
                 p1, p2 = random_vertex_pair(rng, vertex)
-                case, sols = solve_two_points_unit(p1, p2)
-                assert case.kind is PairKind.VERTEX_LINE
-                assert case.vertex is vertex
-                assert len(sols) == 2
+                report = world.solve_two_points(UNIT_TRIANGLE, p1, p2)
+                assert report.case == f"vertex_line:{vertex}"
+                assert len(report.solutions) == 2
 
 
 class TestCountsAndQuality:
@@ -243,7 +245,7 @@ class TestCountsAndQuality:
     def test_vertex_pairs_have_two_solutions(self):
         rng = np.random.default_rng(36)
         for i in range(50):
-            vertex = list(Vertex)[i % 3]
+            vertex = list(VERTEX_POINTS)[i % 3]
             p1, p2 = random_vertex_pair(rng, vertex)
             _, sols = solve_two_points_unit(p1, p2)
             assert len(sols) == 2
@@ -281,7 +283,7 @@ class TestCountsAndQuality:
     def test_solution_residuals_match_residual_system3(self):
         rng = np.random.default_rng(46)
         p1, p2 = j_zero_pair(rng)
-        for pair in (random_generic_pair(rng), (p1, p2), (p2, p1), random_vertex_pair(rng, Vertex.TOP)):
+        for pair in (random_generic_pair(rng), (p1, p2), (p2, p1), random_vertex_pair(rng, "top")):
             _, sols = solve_two_points_unit(*pair)
             for param, residuals in sols:
                 assert residuals == pair_residuals(*pair, param)
@@ -292,9 +294,8 @@ class TestCountsAndQuality:
         rng = np.random.default_rng(48)
         for _ in range(500):
             p1, p2 = random_generic_pair(rng)
-            case = classify_pair(p1, p2)
-            raw, expected = two_points._candidate_params(p1, p2, poly_q(p1), case)
-            assert len(raw) == expected == 4
+            raw = two_points._candidate_params(p1, p2, poly_q(p1))
+            assert classify_pair(p1, p2) == "generic_4" and len(raw) == 4
             for w, t in raw:
                 assert pair_residuals(p1, p2, EllipseParam(w, t))[1] < 1e-9
 
@@ -304,13 +305,13 @@ class TestCountsAndQuality:
         # so any gate between the two keeps the same solutions.
         rng = np.random.default_rng(70)
         draws = [random_generic_pair, j_zero_pair] + [
-            lambda rng, v=v: random_vertex_pair(rng, v) for v in Vertex
+            lambda rng, v=v: random_vertex_pair(rng, v) for v in VERTEX_POINTS
         ]
         margin = two_points._SQUARE_MARGIN
         kept, rejected = [], []
         for i in range(1500):
             p1, p2 = draws[i % len(draws)](rng)
-            raw, _ = two_points._candidate_params(p1, p2, poly_q(p1), classify_pair(p1, p2))
+            raw = two_points._candidate_params(p1, p2, poly_q(p1))
             for w, t in raw:
                 # As kept_params: the first evaluation, then the polish unless both are converged.
                 r1, r2 = pair_residuals(p1, p2, (w, t))
@@ -339,9 +340,9 @@ class TestCountsAndQuality:
             return through_point(*args, jacobian=jacobian)
 
         def counted_candidates(*args):
-            raw, expected = candidate_params(*args)
+            raw = candidate_params(*args)
             calls["candidates"] += len(raw)
-            return raw, expected
+            return raw
 
         def counted_polish(*args):
             calls["polish"] += 1
@@ -369,7 +370,7 @@ class TestCountsAndQuality:
     def test_world_solve_builds_each_quadratic_and_conic_once(self, monkeypatch):
         # Per solution of every family: one unit geometry (conic, contacts and
         # center together) and one pull-back of its conic.
-        # as_point runs once per caller point, in world, and never on a unit image.
+        # as_point runs once per caller point or slope, in world, and never on a unit image.
         from inellipse import affine, conic, geom, kernel, world
         from inellipse.geom import Slope
 
@@ -389,7 +390,7 @@ class TestCountsAndQuality:
                         monkeypatch.setattr(module, name, count)
         rng = np.random.default_rng(47)
         p1, p2 = j_zero_pair(rng)
-        pairs = [random_generic_pair(rng), (p1, p2), (p2, p1), random_vertex_pair(rng, Vertex.RIGHT)]
+        pairs = [random_generic_pair(rng), (p1, p2), (p2, p1), random_vertex_pair(rng, "right")]
         queries = [lambda pair=pair: world.solve_two_points(UNIT_TRIANGLE, *pair) for pair in pairs]
         queries += [
             lambda: world.solve_point_slope(UNIT_TRIANGLE, Point(0.3, 0.2), Slope.finite(-0.7)),
@@ -406,7 +407,7 @@ class TestCountsAndQuality:
             assert calls["poly_q"] == (1 if len(cases) <= len(pairs) else 0)
             assert calls["unit_geometry"] == n
             assert calls["pull_back"] == n
-            assert calls["as_point"] == (1 if report.case == "unique" else 2)
+            assert calls["as_point"] == 2
         assert cases == [
             "generic_4", "generic_j_zero", "generic_j_zero", "vertex_line:right", "unique", "unique", "boundary_unique",
         ]
@@ -465,8 +466,8 @@ class TestCoordinateCollisions:
 
     def test_equal_x(self):
         p1, p2 = Point(0.3, 0.2), Point(0.3, 0.5)
-        case, sols = solve_two_points_unit(p1, p2)
-        assert case.kind is PairKind.GENERIC
+        _, sols = solve_two_points_unit(p1, p2)
+        assert unit_case(p1, p2) == "generic_4"
         assert len(sols) == 4
         for param, residuals in sols:
             conic, _, _ = geometry_at(*param)
@@ -482,8 +483,8 @@ class TestCoordinateCollisions:
 
     def test_equal_third_coordinate(self):
         p1, p2 = Point(0.2, 0.5), Point(0.45, 0.25)
-        case, sols = solve_two_points_unit(p1, p2)
-        assert case.kind is PairKind.GENERIC
+        _, sols = solve_two_points_unit(p1, p2)
+        assert unit_case(p1, p2) == "generic_4"
         assert len(sols) == 4
         assert_matches_oracle(p1, p2, sols)
 
@@ -492,8 +493,8 @@ class TestCoordinateCollisions:
         rng = np.random.default_rng({"x": 50, "y": 51, "third": 52}[kind])
         for _ in range(20):
             p1, p2 = collision_pair(rng, kind)
-            case, sols = solve_two_points_unit(p1, p2)
-            assert len(sols) == (2 if case.kind is PairKind.VERTEX_LINE else 4)
+            _, sols = solve_two_points_unit(p1, p2)
+            assert len(sols) == (2 if unit_case(p1, p2).startswith("vertex_line") else 4)
             assert_matches_oracle(p1, p2, sols)
 
     def test_equal_x_collinear_with_vertex(self):
@@ -501,8 +502,8 @@ class TestCoordinateCollisions:
         # y-collision with an origin line does exercise both branches at once.
         p1 = Point(0.2, 0.1)
         p2 = Point(0.4, 0.2)  # collinear with the origin
-        case, sols = solve_two_points_unit(p1, p2)
-        assert case.vertex is Vertex.ORIGIN
+        _, sols = solve_two_points_unit(p1, p2)
+        assert unit_case(p1, p2) == "vertex_line:origin"
         assert len(sols) == 2
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from inellipse import world
 from inellipse.affine import Triangle, UNIT_TRIANGLE, apply_point, apply_slope, map_to_unit
-from inellipse.boundary import Side, param_from_tangencies, side_point
+from inellipse.boundary import param_from_tangencies, side_point
 from inellipse.errors import (
     AmbiguousClassification,
     CoincidentPoints,
@@ -22,9 +22,9 @@ from inellipse.errors import (
     VertexPoint,
 )
 from inellipse.conic import is_real_ellipse
-from inellipse.geom import Point, Slope, Vertex
+from inellipse.geom import Point, Slope
 from inellipse.kernel import unit_geometry
-from inellipse.point_slope import NoSolution, residual_system13, solve_point_slope_unit
+from inellipse.point_slope import residual_system13, solve_point_slope_unit
 from inellipse.two_points import solve_two_points_unit
 from inellipse.world import WorldSolution
 
@@ -43,6 +43,7 @@ from helpers import (
     slope_residuals,
     term_residual,
     unit_to_world,
+    VERTEX_POINTS,
 )
 
 # Apex height 1e-6 over a unit base: the world conics of this triangle have a
@@ -131,7 +132,7 @@ def transport_queries(family, rng, make_triangle):
     """
     if family == "two_points":
         pairs = [random_generic_pair(rng) for _ in range(4)] + [j_zero_pair(rng) for _ in range(4)]
-        pairs += [random_vertex_pair(rng, v) for v in Vertex]
+        pairs += [random_vertex_pair(rng, v) for v in VERTEX_POINTS]
         for u1, u2 in pairs:
             tri = make_triangle()
             fwd = map_to_unit(tri)
@@ -149,7 +150,7 @@ def transport_queries(family, rng, make_triangle):
             s = Slope.vertical() if i % 4 == 0 else Slope.finite(np.tan(np.pi * (rng.random() - 0.5)))
             p, slope = apply_point(back, u), apply_slope(back, s)
             v, v_slope = apply_point(fwd, p), apply_slope(fwd, slope)
-            q = solve_point_slope_unit(v, v_slope)
+            _, q = solve_point_slope_unit(v, v_slope)
             param = unit_geometry(q)[0]
             yield tri, world.solve_point_slope(tri, p, slope), [(q, slope_residuals(v, v_slope, param))]
     else:
@@ -157,11 +158,12 @@ def transport_queries(family, rng, make_triangle):
             tri = make_triangle()
             fwd = map_to_unit(tri)
             q1, q2 = (side_point_of(tri, side, 0.15 + 0.7 * rng.random()) for side in SIDE_PAIRS[i % 3])
-            s1, s2 = (side_point(apply_point(fwd, q)) for q in (q1, q2))
+            u1, u2 = apply_point(fwd, q1), apply_point(fwd, q2)
+            s1, s2 = side_point(u1), side_point(u2)
             q = param_from_tangencies(s1, s2)
-            contacts = dict(zip(Side, unit_geometry(q)[2]))
+            contacts = unit_geometry(q)[2]
             residuals = tuple(
-                max(abs(contacts[s.side][0] - s.point.x), abs(contacts[s.side][1] - s.point.y)) for s in (s1, s2)
+                max(abs(contacts[k][0] - u.x), abs(contacts[k][1] - u.y)) for (k, _), u in ((s1, u1), (s2, u2))
             )
             yield tri, world.solve_tangency(tri, q1, q2), [(q, residuals)]
 
@@ -223,7 +225,7 @@ def kernel_perspectors(tri: Triangle, family: str, *query) -> list:
     if family == "two_points":
         return [param_perspector(*q) for q, _ in solve_two_points_unit(*(apply_point(fwd, p) for p in query))[1]]
     if family == "point_slope":
-        return [solve_point_slope_unit(apply_point(fwd, query[0]), apply_slope(fwd, query[1]))]
+        return [solve_point_slope_unit(apply_point(fwd, query[0]), apply_slope(fwd, query[1]))[1]]
     return [param_from_tangencies(*(side_point(apply_point(fwd, q)) for q in query))]
 
 
@@ -321,16 +323,16 @@ def outcome(solve):
 def unit_two_points(p1, p2):
     # Each kept (w, t) reaches the kernel as its perspector, which writes the reported (w, t).
     case, kept = solve_two_points_unit(p1, p2)
-    return str(case), [(unit_geometry(param_perspector(*q))[0], r) for q, r in kept]
+    return case, [(unit_geometry(param_perspector(*q))[0], r) for q, r in kept]
 
 
 def unit_point_slope(p, slope):
     # The kernel writes the answer's (w, t) from the unit step's perspector.
-    out = solve_point_slope_unit(p, slope)
-    if isinstance(out, NoSolution):
-        return f"no_solution:{out.vertex.value}", []
-    param = unit_geometry(out)[0]
-    return "unique", [(param, residual_system13(p, slope, param))]
+    case, perspector = solve_point_slope_unit(p, slope)
+    if perspector is None:
+        return case, []
+    param = unit_geometry(perspector)[0]
+    return case, [(param, residual_system13(p, slope, param))]
 
 
 def world_answer(report, residuals=True):
@@ -420,6 +422,23 @@ def test_a_domain_error_names_the_callers_values(query, error, message):
 def test_a_slope_that_is_no_direction_raises_value_error(a, b):
     with pytest.raises(ValueError, match="direction of two finite numbers, not both zero"):
         world.solve_point_slope(UNIT_TRIANGLE, Point(0.3, 0.3), Slope(a, b))
+
+
+@pytest.mark.parametrize(
+    "slope",
+    [b"ab", bytearray(b"ab"), memoryview(b"ab"), type("Bytes", (bytes,), {})(b"ab"), "ab", 0.5, (1.0, 2.0, 3.0)],
+    ids=["bytes", "bytearray", "memoryview", "bytes_subclass", "string", "float", "three"],
+)
+def test_a_slope_that_as_point_refuses_raises_value_error(slope):
+    # Bytes unpack into their byte values: b"ab" would read as the direction (97, 98).
+    with pytest.raises(ValueError, match="direction of two finite numbers, not both zero"):
+        world.solve_point_slope(UNIT_TRIANGLE, Point(0.25, 0.125), slope)
+
+
+def test_a_slope_of_two_numbers_is_its_float_direction():
+    assert world.solve_point_slope(UNIT_TRIANGLE, Point(0.5, 0.25), (1, 2)) == world.solve_point_slope(
+        UNIT_TRIANGLE, Point(0.5, 0.25), Slope.finite(2.0)
+    )
 
 
 @pytest.mark.parametrize("family", sorted(QUERIES))
