@@ -12,13 +12,13 @@ The package namespace is the query API: the world queries
 :func:`solve_two_points`, :func:`solve_point_slope` and
 :func:`solve_tangency` with their report types, the triangle, the value
 types, and the oracle.  A unit-triangle answer is the world answer on
-``UNIT_TRIANGLE``.  The world queries check their inputs once, then solve in
-closed form on the unit triangle and transport the answers by affine maps;
-the internals stay in their modules (the unit solvers in
-:mod:`~inellipse.two_points`, :mod:`~inellipse.point_slope` and
-:mod:`~inellipse.boundary`, the polynomials in :mod:`~inellipse.kernel`, the
-maps and conics in :mod:`~inellipse.affine` and :mod:`~inellipse.conic`, the
-defining equations in :mod:`~inellipse.equations`).  :mod:`inellipse.oracle`
+``UNIT_TRIANGLE``.  The world queries take each point into the unit frame
+once, as its barycentrics, check every input there, solve in closed form and
+carry the answers back as vertex combinations; the internals stay in their
+modules (the unit solvers in :mod:`~inellipse.two_points`,
+:mod:`~inellipse.point_slope` and :mod:`~inellipse.boundary`, the polynomials
+in :mod:`~inellipse.kernel`, the maps and conics in :mod:`~inellipse.affine`
+and :mod:`~inellipse.conic`, the defining equations in :mod:`~inellipse.equations`).  :mod:`inellipse.oracle`
 provides an independent numerical witness for all of it.  The closed-form
 path imports no numpy; the oracle names load :mod:`inellipse.oracle` (and
 numpy) on first use, which ``from inellipse import *`` is.

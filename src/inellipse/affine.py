@@ -1,9 +1,9 @@
 """Affine maps between an arbitrary triangle and the unit triangle.
 
 Every solver works on the unit triangle.  This module holds the validated
-:class:`Triangle` and the forward conjugation: ``map_to_unit`` sends the
-triangle onto the unit triangle, and points and slopes travel through
-``apply_point`` / ``apply_slope``.  No map is inverted: results return as
+:class:`Triangle` and the way in: a point as its :func:`barycentrics`, which no
+translation term rounds at the vertices' scale, a slope through the linear part
+of ``map_to_unit`` (``apply_slope``).  No map is inverted: results return as
 vertex combinations (:mod:`inellipse.world`) and conics as pull-backs.
 """
 
@@ -90,9 +90,32 @@ class AffineMap(NamedTuple):
 
 
 def apply_point(m: AffineMap, p: Point) -> Point:
-    m11, m12, m21, m22, tx, ty = m
-    x, y = p
+    """The map's image of a point (the queries enter by :func:`barycentrics` instead)."""
+    (m11, m12, m21, m22, tx, ty), (x, y) = m, p
     return tuple.__new__(Point, (m11 * x + m12 * y + tx, m21 * x + m22 * y + ty))
+
+
+def barycentrics(tri: Triangle, *points) -> list[tuple[float, float, float]]:
+    """(alpha, beta, gamma) of each point: the cross product of edge bc, ca or ab with p minus
+    the edge's nearer endpoint (1-norm), over twice the signed area, computed once.  A point's
+    unit image is (beta, gamma), on ``UNIT_TRIANGLE`` the point itself, bit for bit."""
+    (ax, ay), (bx, by), (cx, cy) = tri
+    abx, aby, bcx, bcy, cax, cay = bx - ax, by - ay, cx - bx, cy - by, ax - cx, ay - cy
+    area2 = cax * aby - abx * cay
+    if abs(area2) < 2.0 ** -600:
+        # A tiny triangle, at 2**300 times its size (exact, same ratios): no cross product underflows.
+        k = 2.0 ** 300
+        return barycentrics(tuple((x * k, y * k) for x, y in tri), *((x * k, y * k) for x, y in points))
+    out = []
+    for x, y in points:
+        dax, day, dbx, dby, dcx, dcy = x - ax, y - ay, x - bx, y - by, x - cx, y - cy
+        na, nb, nc = abs(dax) + abs(day), abs(dbx) + abs(dby), abs(dcx) + abs(dcy)
+        out.append((
+            (bcx * dby - bcy * dbx if nb <= nc else bcx * dcy - bcy * dcx) / area2,
+            (cax * dcy - cay * dcx if nc <= na else cax * day - cay * dax) / area2,
+            (abx * day - aby * dax if na <= nb else abx * dby - aby * dbx) / area2,
+        ))
+    return out
 
 
 def apply_slope(m: AffineMap, s: Slope) -> Slope:

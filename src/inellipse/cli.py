@@ -36,7 +36,7 @@ import json
 import sys
 
 from . import world
-from .affine import Triangle, apply_point, apply_slope, map_to_unit
+from .affine import Triangle, apply_slope, barycentrics, map_to_unit
 from .geom import Slope
 from .conic import full_coefficients
 
@@ -141,7 +141,8 @@ def _solution_dict(sol: world.WorldSolution, raw: bool) -> dict:
 
 
 def _oracle_check(kind: str, tri: Triangle, points: list, slope, report, grid_n: int) -> dict:
-    """The oracle's verdict on a solved query, from the points and slope already parsed.
+    """The oracle's verdict on a solved query, at the unit images the solve used: (beta, gamma)
+    of the parsed points' barycentrics, and the slope through the unit map.
 
     Each solution is matched one-to-one to a basin (at most 4! pairings);
     ``max_param_deviation`` is the largest (w, t) distance of the pairing
@@ -156,12 +157,11 @@ def _oracle_check(kind: str, tri: Triangle, points: list, slope, report, grid_n:
             "passed": cert.passed,
             "side_residuals": [s.residual for s in cert.sides],
         }
-    fwd = map_to_unit(tri)
-    unit = [apply_point(fwd, p) for p in points]
+    unit = [bary[1:] for bary in barycentrics(tri, *points)]
     if kind == "two_points":
         basins = oracle.brute_force_two_points(*unit, grid_n)
     else:
-        basins = oracle.brute_force_point_slope(*unit, apply_slope(fwd, slope), grid_n)
+        basins = oracle.brute_force_point_slope(*unit, apply_slope(map_to_unit(tri), slope), grid_n)
     solved = [(s.param.w, s.param.t) for s in report.solutions]
     deviation = 0.0
     matched = len(basins) == len(solved)

@@ -99,8 +99,13 @@ def require_interior(*points: Point) -> None:
 _COINCIDENT_BAND = 1e-14
 
 
-def require_distinct(p1: Point, p2: Point) -> None:
+def coincide(p1: Point, p2: Point) -> bool:
+    """Whether two points lie within the relative band of each other."""
     (x1, y1), (x2, y2) = p1, p2
     scale = max(abs(x1), abs(y1), abs(x2), abs(y2), 1e-300)
-    if max(abs(x1 - x2), abs(y1 - y2)) <= _COINCIDENT_BAND * scale:
+    return max(abs(x1 - x2), abs(y1 - y2)) <= _COINCIDENT_BAND * scale
+
+
+def require_distinct(p1: Point, p2: Point) -> None:
+    if coincide(p1, p2):
         raise CoincidentPoints(f"points {tuple(p1)} and {tuple(p2)} coincide")

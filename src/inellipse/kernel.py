@@ -18,8 +18,7 @@ as plain tuples, by :func:`unit_geometry` from the ellipse's perspector
 
 Polynomial conventions: dense coefficient records, highest degree first in
 the field names (c2, c1, c0), evaluated by Horner.  Points arrive checked:
-:func:`~inellipse.two_points.classify_pair` tests them interior and distinct
-before the two-point solver builds anything here.
+``world`` tests them interior and distinct before the solvers reach here.
 """
 
 from __future__ import annotations
@@ -126,7 +125,7 @@ def pair_invariants(p1: Point, p2: Point) -> PairInvariants:
     d_vertex10 = (1.0 - x2) * y1 - (1.0 - x1) * y2
     d_vertex01 = x2 * (1.0 - y1) - x1 * (1.0 - y2)
     j = x2 * (1.0 - x2 - y2) * y1 * y1 - x1 * (1.0 - x1 - y1) * y2 * y2
-    # classify_pair checked fl(x + y) < 1, which puts fl(1 - x) within 2^-54 of
+    # world checked fl(x + y) < 1, which puts fl(1 - x) within 2^-54 of
     # 1 - x, above y: no radicand is negative.
     a1 = math.sqrt(x1 * (1.0 - x1 - y1))
     a2 = math.sqrt(x2 * (1.0 - x2 - y2))

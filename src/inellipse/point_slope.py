@@ -19,9 +19,8 @@ ellipse attains it, and :func:`solve_point_slope_unit` returns that as the
 report's case ``no_solution:<vertex>``, not as an error; otherwise the case
 is ``unique`` with the perspector.
 
-Checks: the interior test in :func:`solve_point_slope_unit`, on a point and
-a nonzero direction that ``world`` checked before mapping them, and each
-vertex's exclusion band before its term is built.  Each residual is one
+Checks: each vertex's exclusion band before its term is built, on a point
+whose barycentrics, its weights, ``world`` computed and tested interior.  Each residual is one
 evaluation of its equation without the partials (:mod:`inellipse.equations`).
 """
 
@@ -31,7 +30,7 @@ import math
 
 from . import equations
 from .affine import UNIT_TRIANGLE
-from .geom import Point, Slope, require_interior
+from .geom import Point, Slope
 from .kernel import EllipseParam
 
 # |L_v| below this fraction of (|a| + |b|) |v_x - x| means the direction aims
@@ -40,14 +39,14 @@ from .kernel import EllipseParam
 _SLOPE_EXCLUSION = 1e-9
 
 
-def solve_point_slope_unit(p: Point, slope: Slope) -> tuple[str, tuple[float, float, float] | None]:
-    """``("unique", (S, X, Y))``, or ``("no_solution:<vertex>", None)`` on an excluded slope."""
-    require_interior(p)
-    x, y = p
+def solve_point_slope_unit(bary, slope: Slope) -> tuple[str, tuple[float, float, float] | None]:
+    """``("unique", (S, X, Y))``, or ``("no_solution:<vertex>", None)`` on an excluded slope,
+    for the interior point with barycentrics ``bary`` = (alpha, beta, gamma), at (beta, gamma)."""
+    _, x, y = bary
     a, b = slope
     band = _SLOPE_EXCLUSION * (abs(a) + abs(b))
     terms = []
-    for (vx, vy), weight, vertex in zip(UNIT_TRIANGLE, (1.0 - x - y, x, y), ("origin", "right", "top")):
+    for (vx, vy), weight, vertex in zip(UNIT_TRIANGLE, bary, ("origin", "right", "top")):
         form = a * (vy - y) - b * (vx - x)
         if abs(form) < band * abs(vx - x):
             return f"no_solution:{vertex}", None
@@ -69,13 +68,8 @@ def _perspector(s, x, y) -> tuple[float, float, float]:
 
 
 def residual_system13(p: Point, slope: Slope, param: EllipseParam) -> tuple[float, float]:
-    """Backward errors of the through-point and tangent conditions.
-
-    Each residual divides by the largest term magnitude of its equation
-    (:func:`inellipse.equations.backward_error`), so the values are
-    scale-free and safe against internal cancellation.  The equations are
-    evaluated without their partials.  ``p`` is not checked.
-    """
+    """Backward errors of the through-point and tangent conditions, each over the largest
+    term magnitude of its equation (:func:`inellipse.equations.backward_error`): scale-free."""
     (x, y), (w, t), (a, b) = p, param, slope
     return (
         equations.backward_error(equations.through_point(x, y, w, t, jacobian=False)),

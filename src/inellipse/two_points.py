@@ -9,12 +9,11 @@ backward error of :func:`inellipse.equations.through_point` at each point,
 evaluated once per candidate and once after each Newton step, stops the
 polish, gates the candidate and is reported with its solution.
 
-Checks: none on the points' form, which ``world`` coerced before mapping them;
-the interior and distinct tests once per pair, in :func:`classify_pair`, whose
-points :func:`kept_params` and the kernel trust; the (w, t) domain by the
-square margin of :func:`kept_params`.  Built once per query: p1's quadratic
-and each kept solution's parameters, in :func:`kept_params`, which builds no
-other record; the case is the string the report prints.
+Checks: none on the points, which ``world`` tested interior and distinct
+(:func:`classify_pair`'s ``ambiguous:<n>`` case it refuses too); the (w, t)
+domain by the square margin of :func:`kept_params`.  Built once per query: p1's quadratic and each kept
+solution's parameters, in :func:`kept_params`, which builds no other record;
+the case is the string the report prints.
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ from __future__ import annotations
 import math
 
 from .equations import backward_error, through_point
-from .errors import AmbiguousClassification, SolutionCountMismatch
-from .geom import Point, require_distinct, require_interior
+from .errors import SolutionCountMismatch
+from .geom import Point
 from .kernel import EllipseParam, QuadraticPoly, pair_invariants, poly_q, poly_R, poly_S, solve_quadratic
 
 # Relative bands under which a vertex-line determinant, or the pair invariant
@@ -45,10 +44,9 @@ _GATE = 1e-9
 
 
 def classify_pair(p1: Point, p2: Point) -> str:
-    """The case of an interior pair: ``vertex_line:<vertex>`` (origin, right or top),
-    else ``generic_j_zero`` on the j = 0 branch, else ``generic_4``."""
-    require_interior(p1, p2)
-    require_distinct(p1, p2)
+    """The case of an interior pair: ``ambiguous:<n>`` on n > 1 vertex lines at once, else
+    ``vertex_line:<vertex>`` (origin, right or top), else ``generic_j_zero`` on the j = 0
+    branch, else ``generic_4``."""
     d_origin, d_right, d_top, j, _, _ = pair_invariants(p1, p2)
     (x1, y1), (x2, y2) = p1, p2
     # Each vertex-line determinant against its band, scaled by its two products.
@@ -56,9 +54,7 @@ def classify_pair(p1: Point, p2: Point) -> str:
     right = abs(d_right) < _CLASSIFY_BAND * max(abs((1 - x2) * y1), abs((1 - x1) * y2))
     top = abs(d_top) < _CLASSIFY_BAND * max(abs(x2 * (1 - y1)), abs(x1 * (1 - y2)))
     if origin + right + top > 1:
-        raise AmbiguousClassification(
-            f"points {tuple(p1)}, {tuple(p2)} sit on {origin + right + top} vertex lines at once"
-        )
+        return f"ambiguous:{origin + right + top}"
     if origin or right or top:
         return "vertex_line:origin" if origin else "vertex_line:right" if right else "vertex_line:top"
     j_scale = max(abs(x2 * (1 - x2 - y2) * y1 * y1), abs(x1 * (1 - x1 - y1) * y2 * y2))
@@ -112,8 +108,8 @@ def _candidate_params(p1: Point, p2: Point, q1: QuadraticPoly):
 def kept_params(p1: Point, p2: Point, case: str) -> list[tuple[EllipseParam, tuple[float, float]]]:
     """Every inscribed ellipse through a classified pair, as (param, residuals) sorted by (t, w).
 
-    The points and ``case`` arrive from :func:`classify_pair`, which checked
-    them.  A candidate of R and S is polished unless its first backward errors
+    The points arrive checked by ``world``, ``case`` from :func:`classify_pair`.
+    A candidate of R and S is polished unless its first backward errors
     are both under ``_CONVERGED``, then kept inside the square margin with
     both under ``_GATE``, unless within ``_DEDUPE`` of one kept before.  A
     count other than the case's, 2 for ``vertex_line:*`` and 4 otherwise, raises
@@ -145,8 +141,8 @@ def kept_params(p1: Point, p2: Point, case: str) -> list[tuple[EllipseParam, tup
     return [(tuple.__new__(EllipseParam, (w, t)), residuals) for t, w, residuals in kept]
 
 
-def solve_two_points_unit(p1: Point, p2: Point) -> tuple[str, list[tuple[EllipseParam, tuple[float, float]]]]:
-    """``(case, kept_params(p1, p2, case))``: the pair's case and its four inscribed ellipses
-    through both points (two in the vertex-line cases), as (param, residuals)."""
+def solve_two_points_unit(p1: Point, p2: Point) -> tuple[str, list[tuple[EllipseParam, tuple]] | None]:
+    """``(case, kept_params(p1, p2, case))``, the four inscribed ellipses through both points (two
+    in the vertex-line cases) as (param, residuals), or ``(case, None)`` for an ``ambiguous:<n>`` pair."""
     case = classify_pair(p1, p2)
-    return case, kept_params(p1, p2, case)
+    return case, None if case.startswith("ambiguous") else kept_params(p1, p2, case)

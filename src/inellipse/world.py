@@ -1,43 +1,41 @@
-"""Solvers on arbitrary triangles: conjugate to the unit triangle and back.
+"""Solvers on arbitrary triangles: enter the unit triangle once and come back.
 
-Each query family maps its data through the triangle's unit map ``fwd`` and
-solves there.  One transport, ``_to_world``, carries every family's unit
-solutions back: the conic as its pull-back along ``fwd``, and each contact
-point and the center as the vertex combination a + x (b - a) + y (c - a) of
-the triangle itself, with no inverted map, so a thin or pixel-scale triangle
-carries them to within a few ulps of the coordinate scale.  The (w, t)
-parameters are affine invariants of the solution (contact abscissae on the
-unit triangle), so they are reported unchanged.
+A caller point enters once, as its :func:`~inellipse.affine.barycentrics`
+(alpha, beta, gamma), its unit image being (beta, gamma); a slope goes through
+the unit map ``fwd``.  One transport, ``_to_world``, carries every family's
+unit solutions back: the conic as its pull-back along ``fwd``, each contact
+and the center as the vertex combination a + x (b - a) + y (c - a), with no
+inverted map, to within a few ulps of the coordinate scale.  The (w, t) are
+affine invariants, reported unchanged.
 
 Built once per solution: the unit (w, t), conic, contacts and center, by one
 :func:`~inellipse.kernel.unit_geometry` call on its perspector (a kept
 two-point (w, t) enters as (wt, w(1 - t), (1 - w)t)), and the world conic, by
-one ``pull_back``.  This module alone builds answer records; unit-triangle
-answers are its answers on ``UNIT_TRIANGLE``, whose map is the identity.
-The unit steps return the report's vocabulary: the case string, passed on as
-is, and each tangency point's contact index k, its residual being its
-distance to ``contacts[k]``.
+one ``pull_back``.  This module alone builds answer records, unit-triangle
+answers included.  The unit steps return the report's case string, and each
+tangency point's contact index k, its residual being its distance to ``contacts[k]``.
 
-Checks, once per query, on the caller's values: the triangle (built as a
-:class:`~inellipse.affine.Triangle` unless it is one), ``as_point`` on each
-point and ``as_slope`` on the slope.  The unit steps trust these and test
-only their domains, on the mapped values (interior, distinct, exclusion,
-side and vertex bands), so a point mapped beyond the float range is not
-interior, or not on a side; their errors are raised again naming the
-caller's points and vertices.
+Checks, once per query and all here, each error naming the caller's values:
+the triangle (a :class:`~inellipse.affine.Triangle` unless given), ``as_point``
+and ``as_slope``, then the domains on the barycentrics (interior, distinct,
+:func:`_side_point`'s bands; an overflowed one fails them) and the pair bands'
+``ambiguous:<n>`` case.  The unit steps trust these and test the slope exclusion.
 """
 
 from __future__ import annotations
 
-import re
+import math
 from typing import NamedTuple
 
 from . import boundary, point_slope, two_points
-from .affine import UNIT_TRIANGLE, AffineMap, Triangle, apply_point, apply_slope, map_to_unit
+from .affine import UNIT_TRIANGLE, AffineMap, Triangle, apply_slope, barycentrics, map_to_unit
 from .conic import ConicCoeffs, pull_back
 from .errors import AmbiguousClassification, CoincidentPoints, NotInterior, NotOnSide, VertexPoint
-from .geom import Point, Slope, as_point, as_slope
+from .geom import Point, Slope, as_point, as_slope, coincide
 from .kernel import EllipseParam, unit_geometry
+
+_VERTEX_EXCLUSION = 1e-8  # a tangency point this close to a vertex is refused
+_SIDE_MEMBERSHIP = 1e-10  # absolute band on a side's linear form for membership in that side
 
 
 class WorldSolution(NamedTuple):
@@ -84,40 +82,58 @@ def _frame(tri) -> tuple[Triangle, AffineMap]:
     return tri, map_to_unit(tri)
 
 
-def _unit_step(step, tri, points, units, *args):
-    """``step(*units, *args)``, the units being the images of the caller's points; a domain
-    error it raises is raised again naming the caller's points and vertices instead."""
-    try:
-        return step(*units, *args)
-    except (NotInterior, CoincidentPoints, NotOnSide, VertexPoint, AmbiguousClassification) as err:
-        callers = {}  # a unit value's repr -> the caller values it stands for, in message order
-        for unit, caller in zip((*units, *UNIT_TRIANGLE), (*points, *tri)):
-            callers.setdefault(str(tuple(unit)), []).append(str(tuple(caller)))
-        raise type(err)(re.sub(r"\([^()]*\)", lambda m: (callers.get(m[0]) or [m[0]]).pop(0), str(err))) from None
+def _interior(p, bary) -> tuple[float, float]:
+    """p's unit image (x, y), its barycentrics ``bary`` all positive, with the fl(x + y) < 1 radicands need."""
+    a, x, y = bary
+    if not (a > 0.0 and 0.0 < x and 0.0 < y and x + y < 1.0):
+        raise NotInterior(f"point {tuple(p)} is not interior to the triangle")
+    return x, y
+
+
+def _side_point(tri, q, bary) -> tuple[int, tuple[float, float, float]]:
+    """``(k, b)``: q's open side's contact index (0 bottom, 1 left, 2 hypotenuse), b its ``bary``, 0 opposite."""
+    a, x, y = bary
+    for vertex, (vx, vy) in zip(tri, UNIT_TRIANGLE):
+        if math.hypot(x - vx, y - vy) <= _VERTEX_EXCLUSION:
+            raise VertexPoint(f"{tuple(q)} coincides with triangle vertex {tuple(vertex)}")
+    # Two side forms within the band would put q within 3e-10 of a vertex: one holds at most.
+    if abs(y) < _SIDE_MEMBERSHIP:
+        along, side = x, (0, (a, x, 0.0))
+    elif abs(x) < _SIDE_MEMBERSHIP:
+        along, side = y, (1, (a, 0.0, y))
+    elif abs(x + y - 1.0) < _SIDE_MEMBERSHIP:
+        along, side = x, (2, (0.0, x, y))
+    else:
+        raise NotOnSide(f"{tuple(q)} does not lie on exactly one open side")
+    if not (0.0 < along < 1.0):
+        raise NotOnSide(f"{tuple(q)} lies outside its side segment")
+    return side
 
 
 def solve_two_points(tri: Triangle, p1: Point, p2: Point) -> SolveReport:
     """Every inscribed ellipse of ``tri`` through the two world points."""
     tri, fwd = _frame(tri)
     p1, p2 = as_point(p1), as_point(p2)
-    units = apply_point(fwd, p1), apply_point(fwd, p2)
-    case, kept = _unit_step(two_points.solve_two_points_unit, tri, (p1, p2), units)
+    b1, b2 = barycentrics(tri, p1, p2)
+    u1, u2 = _interior(p1, b1), _interior(p2, b2)
+    if coincide(u1, u2):
+        raise CoincidentPoints(f"points {tuple(p1)} and {tuple(p2)} coincide")
+    case, kept = two_points.solve_two_points_unit(u1, u2)
+    if kept is None:
+        raise AmbiguousClassification(f"points {tuple(p1)}, {tuple(p2)} sit on {case[-1]} vertex lines at once")
     unit = [(unit_geometry((w * t, w * (1.0 - t), (1.0 - w) * t)), residuals) for (w, t), residuals in kept]
     return tuple.__new__(SolveReport, (case, _to_world(tri, fwd, unit)))
 
 
 def solve_point_slope(tri: Triangle, p: Point, slope: Slope) -> SolveReport:
-    """The unique inscribed ellipse through a world point with a world slope.
-
-    Slopes aiming at a vertex yield an empty report with a
-    ``no_solution:<vertex>`` case tag; vertices are named by their images in
-    the unit triangle (a -> origin, b -> right, c -> top).
-    """
+    """The unique inscribed ellipse through a world point with a world slope, or an empty report
+    cased ``no_solution:<vertex>`` when the slope aims at a vertex (a origin, b right, c top)."""
     tri, fwd = _frame(tri)
     p = as_point(p)
-    u = apply_point(fwd, p)
     u_slope = apply_slope(fwd, as_slope(slope))
-    case, perspector = _unit_step(point_slope.solve_point_slope_unit, tri, (p,), (u,), u_slope)
+    (bary,) = barycentrics(tri, p)
+    u = _interior(p, bary)
+    case, perspector = point_slope.solve_point_slope_unit(bary, u_slope)
     if perspector is None:
         return tuple.__new__(SolveReport, (case, ()))
     geometry = unit_geometry(perspector)
@@ -129,10 +145,9 @@ def solve_tangency(tri: Triangle, q1: Point, q2: Point) -> SolveReport:
     """The unique inscribed ellipse tangent to ``tri`` at two boundary points."""
     tri, fwd = _frame(tri)
     q1, q2 = as_point(q1), as_point(q2)
-    u1, u2 = apply_point(fwd, q1), apply_point(fwd, q2)
-    s1 = _unit_step(boundary.side_point, tri, (q1,), (u1,))
-    s2 = _unit_step(boundary.side_point, tri, (q2,), (u2,))
+    b1, b2 = barycentrics(tri, q1, q2)
+    s1, s2 = _side_point(tri, q1, b1), _side_point(tri, q2, b2)
     _, _, contacts, _ = geometry = unit_geometry(boundary.param_from_tangencies(s1, s2))
     (x1, y1), (x2, y2) = contacts[s1[0]], contacts[s2[0]]
-    residuals = (max(abs(x1 - u1.x), abs(y1 - u1.y)), max(abs(x2 - u2.x), abs(y2 - u2.y)))
+    residuals = (max(abs(x1 - b1[1]), abs(y1 - b1[2])), max(abs(x2 - b2[1]), abs(y2 - b2[2])))
     return tuple.__new__(SolveReport, ("boundary_unique", _to_world(tri, fwd, ((geometry, residuals),))))

@@ -10,14 +10,15 @@ symbolically, and the world answer of a unit solution is rebuilt from the
 kernel's unit geometry one step at a time.  The shims ``geometry_at``,
 ``unit_point_slope`` and ``unit_tangency`` reach the kernel's geometry of a
 (w, t), and the unit point-slope and tangency answers, through the package's
-own entry points.
+own entry points; ``side_point`` reaches the world query's side test.
 """
 
 import math
 
 import numpy as np
 
-from inellipse.affine import UNIT_TRIANGLE, AffineMap, Triangle, map_to_unit
+from inellipse import world
+from inellipse.affine import UNIT_TRIANGLE, AffineMap, Triangle, barycentrics, map_to_unit
 from inellipse.conic import pull_back
 from inellipse.equations import backward_error, tangent, through_point
 from inellipse.geom import Point, Slope
@@ -310,6 +311,17 @@ def unit_point_slope(p: Point, slope: Slope):
     if not report.solutions:
         return report.case
     return report.solutions[0].param
+
+
+def unit_image(tri: Triangle, p) -> Point:
+    """(beta, gamma) of p's barycentrics on ``tri``: the unit point a world query solves at."""
+    return Point(*barycentrics(tri, p)[0][1:])
+
+
+def side_point(q, tri: Triangle = UNIT_TRIANGLE):
+    """``(k, b)`` of a tangency point, the contact index and side barycentrics that the world
+    query builds from q's barycentrics on ``tri`` after its side checks."""
+    return world._side_point(tri, q, barycentrics(tri, q)[0])
 
 
 def unit_tangency(q1, q2):

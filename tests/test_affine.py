@@ -18,6 +18,7 @@ from inellipse.affine import (
     UNIT_TRIANGLE,
     apply_point,
     apply_slope,
+    barycentrics,
     map_to_unit,
 )
 from inellipse.conic import ConicCoeffs, pull_back
@@ -286,6 +287,66 @@ class TestPointMaps:
         assert apply_point(ident, Point(0.3, 0.4)) == (0.3, 0.4)
         half = AffineMap(0.5, 0.0, 0.0, 0.5)
         assert apply_point(half, Point(1.0, 1.0)) == (0.5, 0.5)
+
+
+def exact_barycentrics(tri: Triangle, p) -> tuple[Fraction, Fraction, Fraction]:
+    """(alpha, beta, gamma) of p on tri in exact rationals, from orientation determinants."""
+    a, b, c = (tuple(map(Fraction, v)) for v in tri)
+    q = tuple(map(Fraction, p))
+
+    def orient(u, v, w):
+        return (v[0] - u[0]) * (w[1] - u[1]) - (w[0] - u[0]) * (v[1] - u[1])
+
+    k = orient(a, b, c)
+    return orient(q, b, c) / k, orient(a, q, c) / k, orient(a, b, q) / k
+
+
+class TestBarycentrics:
+    def test_unit_triangle_image_is_the_point_bit_for_bit(self):
+        rng = random.Random(3)
+        for _ in range(2000):
+            p = Point(rng.uniform(-2.0, 2.0) * 10.0 ** rng.randint(-300, 0), rng.uniform(-2.0, 2.0))
+            alpha, beta, gamma = barycentrics(UNIT_TRIANGLE, p)[0]
+            assert (beta, gamma) == p and alpha == pytest.approx(1.0 - p.x - p.y, abs=1e-15)
+
+    def test_one_area_serves_every_point(self):
+        tri = Triangle(Point(1.0, 2.0), Point(7.0, 1.0), Point(3.0, 6.5))
+        points = [Point(3.0, 3.0), Point(4.0, 3.2), Point(5.0, 3.75)]
+        assert barycentrics(tri, *points) == [barycentrics(tri, p)[0] for p in points]
+        assert barycentrics(tri) == []
+
+    def test_a_point_near_a_vertex_keeps_its_small_coordinates(self):
+        # A point 1e-12 to 1e-2 of the way from a vertex into the triangle: each coordinate,
+        # the two small ones included, is within 1e-12 (relative) of its exact value, which
+        # the unit map's image misses by up to 4e-2 (its translation rounds at the vertices'
+        # scale).
+        rng = np.random.default_rng(11)
+        for i in range(1000):
+            tri = random_triangle(rng)
+            q = interior_in_triangle(rng, tri)
+            v, s = tri[i % 3], 10.0 ** rng.uniform(-12.0, -2.0)
+            p = Point(v.x + s * (q.x - v.x), v.y + s * (q.y - v.y))
+            for got, want in zip(barycentrics(tri, p)[0], exact_barycentrics(tri, p)):
+                assert abs(Fraction(got) - want) <= Fraction(1e-12) * abs(want), (tri, p)
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [[[0.0, 0.0], [1e-154, 0.0], [0.0, 1e-154]], [[0.0, 0.0], [1e-140, 0.0], [3e-141, 1e-150]]],
+        ids=["scaled_1e-154", "thin"],
+    )
+    def test_a_tiny_triangle_keeps_the_near_vertex_bits(self, vertices):
+        # On scaled_1e-154 twice the area is 1e-308, so an edge's cross product with a point
+        # 1e-16 to 1e-2 of the way from a vertex would be subnormal or 0 at the triangle's own
+        # scale; thin is as small, not as square.  Each coordinate must be within 1e-12
+        # (relative) of its exact value.
+        tri = Triangle(*vertices)
+        rng = np.random.default_rng(17)
+        for i in range(300):
+            q = interior_in_triangle(rng, tri)
+            v, s = tri[i % 3], 10.0 ** rng.uniform(-16.0, -2.0)
+            p = Point(v.x + s * (q.x - v.x), v.y + s * (q.y - v.y))
+            for got, want in zip(barycentrics(tri, p)[0], exact_barycentrics(tri, p)):
+                assert abs(Fraction(got) - want) <= Fraction(1e-12) * abs(want), (tri, p)
 
 
 class TestSlopeTransport:

@@ -10,13 +10,13 @@ import pytest
 
 from inellipse import world
 from inellipse.affine import UNIT_TRIANGLE
-from inellipse.boundary import param_from_tangencies, side_point
+from inellipse.boundary import param_from_tangencies
 from inellipse.errors import NotOnSide, SameSide, VertexPoint
 from inellipse.geom import Point
 from inellipse.kernel import EllipseParam
 from inellipse.oracle import verify_inscribed
 
-from helpers import geometry_at, random_param, unit_tangency
+from helpers import geometry_at, random_param, side_point, unit_tangency
 
 
 class TestSidePoint:

@@ -144,6 +144,10 @@ def test_every_module_level_name_is_reached_by_the_package():
 
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(pathlib.Path(SRC, "inellipse").glob("*.py"))}
     reached = set(inellipse.__all__) | {"main"}  # cli.main is the console script
+    # The one exemption: the queries enter by affine.barycentrics, and only
+    # bench/test_bench.py still imports affine.apply_point.  Delete apply_point and
+    # this line once that test reads barycentrics (ROADMAP item 1).
+    reached.add("apply_point")
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):

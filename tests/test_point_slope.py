@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from inellipse import world
+from inellipse import point_slope, world
 from inellipse.affine import UNIT_TRIANGLE
 from inellipse.errors import NotInterior
 from inellipse.geom import Point, Slope
 from inellipse.kernel import EllipseParam
-from inellipse.point_slope import residual_system13, solve_point_slope_unit
+from inellipse.point_slope import residual_system13
 
 from helpers import (
     conic_gradient,
@@ -83,9 +83,13 @@ class TestClosedForm:
         assert 0.0 < param.t < 1.0
         assert param.t == pytest.approx(inside * p.x / (inside * p.x + (1.0 - p.x) ** 2), rel=1e-15)
 
-    def test_interior_required(self):
+    def test_interior_required(self, monkeypatch):
+        # world tests the point on its barycentrics; the unit step never sees it.
+        reached = []
+        monkeypatch.setattr(point_slope, "solve_point_slope_unit", lambda *args: reached.append(args))
         with pytest.raises(NotInterior):
-            solve_point_slope_unit(Point(0.7, 0.5), Slope.finite(1.0))
+            world.solve_point_slope(UNIT_TRIANGLE, Point(0.7, 0.5), Slope.finite(1.0))
+        assert reached == []
 
 
 class TestVertexSlopes:

@@ -115,9 +115,13 @@ class TestClassify:
 
     def test_ambiguous_when_points_nearly_coincide(self):
         # 1e-11 apart, the pair sits within the classification band of all
-        # three vertex lines at once.
-        with pytest.raises(AmbiguousClassification):
-            classify_pair(Point(0.3, 0.2), Point(0.30000000001, 0.2))
+        # three vertex lines at once: the unit step returns it unsolved, and
+        # the world query refuses it.
+        p1, p2 = Point(0.3, 0.2), Point(0.30000000001, 0.2)
+        assert classify_pair(p1, p2) == "ambiguous:3"
+        assert solve_two_points_unit(p1, p2) == ("ambiguous:3", None)
+        with pytest.raises(AmbiguousClassification, match="sit on 3 vertex lines at once"):
+            world.solve_two_points(UNIT_TRIANGLE, p1, p2)
 
 
 class TestGenericExample:
@@ -507,37 +511,39 @@ class TestCoordinateCollisions:
         assert len(sols) == 2
 
 
-# classify_pair holds the two-point path's only interior and distinct checks;
-# solve_two_points_unit must reach them before the kernel sees the points.
+# world tests each pair interior and distinct, on its barycentrics, before either unit step
+# sees it: a refused query never reaches ``entry``.
 CHECKED_ENTRIES = pytest.mark.parametrize(
     "entry", [classify_pair, solve_two_points_unit], ids=lambda f: f.__name__
 )
 
 
+def refused_before(entry, monkeypatch, pairs, error, match=None):
+    reached = []
+    monkeypatch.setattr(two_points, entry.__name__, lambda *args: reached.append(args))
+    for p1, p2 in pairs:
+        with pytest.raises(error, match=match):
+            world.solve_two_points(UNIT_TRIANGLE, p1, p2)
+    assert reached == []
+
+
 class TestErrors:
     @CHECKED_ENTRIES
-    def test_not_interior(self, entry):
-        with pytest.raises(NotInterior):
-            entry(Point(0.6, 0.6), Point(0.25, 0.25))
-        with pytest.raises(NotInterior):
-            entry(Point(0.25, 0.25), Point(0.5, 0.5))  # on the hypotenuse
+    def test_not_interior(self, entry, monkeypatch):
+        # Outside, then on the hypotenuse.
+        pairs = ((0.6, 0.6), (0.25, 0.25)), ((0.25, 0.25), (0.5, 0.5))
+        refused_before(entry, monkeypatch, pairs, NotInterior)
 
     @CHECKED_ENTRIES
-    def test_coincident(self, entry):
-        with pytest.raises(CoincidentPoints):
-            entry(Point(0.25, 0.25), Point(0.25, 0.25))
+    def test_coincident(self, entry, monkeypatch):
+        refused_before(entry, monkeypatch, [((0.25, 0.25), (0.25, 0.25))], CoincidentPoints)
 
     @CHECKED_ENTRIES
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite(self, entry, bad, monkeypatch):
-        # world coerces each caller point once, before the unit steps, which trust it:
-        # the query fails there and never reaches ``entry``.
-        reached = []
-        monkeypatch.setattr(two_points, entry.__name__, lambda *args: reached.append(args))
-        for p1, p2 in (((bad, 0.25), (0.25, 0.125)), ((0.25, 0.125), (0.25, bad))):
-            with pytest.raises(ValueError, match="must be finite"):
-                world.solve_two_points(UNIT_TRIANGLE, p1, p2)
-        assert reached == []
+        # world coerces each caller point once, before the unit steps, which trust it.
+        pairs = ((bad, 0.25), (0.25, 0.125)), ((0.25, 0.125), (0.25, bad))
+        refused_before(entry, monkeypatch, pairs, ValueError, match="must be finite")
 
     def test_unresolvable_near_degenerate_pair_is_reported(self):
         # A pair 1e-6 off a vertex line classifies as generic, but two of its

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from inellipse import world
-from inellipse.affine import Triangle, UNIT_TRIANGLE, apply_point, apply_slope, map_to_unit
-from inellipse.boundary import param_from_tangencies, side_point
+from inellipse.affine import Triangle, UNIT_TRIANGLE, apply_point, apply_slope, barycentrics, map_to_unit
+from inellipse.boundary import param_from_tangencies
 from inellipse.errors import (
     AmbiguousClassification,
     CoincidentPoints,
@@ -40,8 +40,10 @@ from helpers import (
     random_triangle,
     random_vertex_pair,
     reference_world_solution,
+    side_point,
     slope_residuals,
     term_residual,
+    unit_image,
     unit_to_world,
     VERTEX_POINTS,
 )
@@ -127,17 +129,17 @@ def side_point_of(tri: Triangle, side: int, s: float) -> Point:
 def transport_queries(family, rng, make_triangle):
     """(triangle, world report, the reference world solutions) per query.
 
-    The references start from a separate unit solve of the query's unit image:
-    its perspectors, freshly computed residuals, then :func:`reference_world_solution`.
+    The references start from a separate unit solve of the query's unit image, (beta, gamma)
+    of its barycentrics: its perspectors, freshly computed residuals, then
+    :func:`reference_world_solution`.
     """
     if family == "two_points":
         pairs = [random_generic_pair(rng) for _ in range(4)] + [j_zero_pair(rng) for _ in range(4)]
         pairs += [random_vertex_pair(rng, v) for v in VERTEX_POINTS]
         for u1, u2 in pairs:
             tri = make_triangle()
-            fwd = map_to_unit(tri)
             p1, p2 = Point(*unit_to_world(tri, u1)), Point(*unit_to_world(tri, u2))
-            v1, v2 = apply_point(fwd, p1), apply_point(fwd, p2)
+            v1, v2 = unit_image(tri, p1), unit_image(tri, p2)
             params = [q for q, _ in solve_two_points_unit(v1, v2)[1]]
             unit = [(param_perspector(*q), pair_residuals(v1, v2, q)) for q in params]
             yield tri, world.solve_two_points(tri, p1, p2), unit
@@ -149,17 +151,17 @@ def transport_queries(family, rng, make_triangle):
             u = random_interior(rng)
             s = Slope.vertical() if i % 4 == 0 else Slope.finite(np.tan(np.pi * (rng.random() - 0.5)))
             p, slope = apply_point(back, u), apply_slope(back, s)
-            v, v_slope = apply_point(fwd, p), apply_slope(fwd, slope)
-            _, q = solve_point_slope_unit(v, v_slope)
+            bary, v_slope = barycentrics(tri, p)[0], apply_slope(fwd, slope)
+            v = Point(*bary[1:])
+            _, q = solve_point_slope_unit(bary, v_slope)
             param = unit_geometry(q)[0]
             yield tri, world.solve_point_slope(tri, p, slope), [(q, slope_residuals(v, v_slope, param))]
     else:
         for i in range(9):
             tri = make_triangle()
-            fwd = map_to_unit(tri)
             q1, q2 = (side_point_of(tri, side, 0.15 + 0.7 * rng.random()) for side in SIDE_PAIRS[i % 3])
-            u1, u2 = apply_point(fwd, q1), apply_point(fwd, q2)
-            s1, s2 = side_point(u1), side_point(u2)
+            u1, u2 = unit_image(tri, q1), unit_image(tri, q2)
+            s1, s2 = side_point(q1, tri), side_point(q2, tri)
             q = param_from_tangencies(s1, s2)
             contacts = unit_geometry(q)[2]
             residuals = tuple(
@@ -196,14 +198,19 @@ def test_solutions_equal_a_fresh_transport(family, kind):
     }[family]
 
 
-@pytest.mark.parametrize("kind", ["unit", "box"])
+@pytest.mark.parametrize("kind", ["unit", "box", "pixel"])
 def test_two_point_and_point_slope_answers_match_the_perspector_reference(kind):
     # The 60-digit perspector reference works in world barycentrics, apart from the
     # unit map and the R/S route: every generic pair's four (w, t) and every
     # point-slope (w, t) agree with it to 1e-10 (relative).
-    rng = np.random.default_rng({"unit": 4301, "box": 4302}[kind])
+    rng = np.random.default_rng({"unit": 4301, "box": 4302, "pixel": 4303}[kind])
+    make_triangle = {
+        "unit": lambda: UNIT_TRIANGLE,
+        "box": lambda: random_triangle(rng),
+        "pixel": lambda: pixel_triangle(rng),
+    }[kind]
     for _ in range(20):
-        tri = UNIT_TRIANGLE if kind == "unit" else random_triangle(rng)
+        tri = make_triangle()
         p1, p2 = (Point(*unit_to_world(tri, u)) for u in random_generic_pair(rng))
         p = Point(*unit_to_world(tri, random_interior(rng)))
         slope = Slope.finite(np.tan(np.pi * (rng.random() - 0.5)))
@@ -220,13 +227,12 @@ def test_two_point_and_point_slope_answers_match_the_perspector_reference(kind):
 
 
 def kernel_perspectors(tri: Triangle, family: str, *query) -> list:
-    """The perspectors a world query hands the kernel, from its unit steps rerun on the mapped inputs."""
-    fwd = map_to_unit(tri)
+    """The perspectors a world query hands the kernel, from its unit steps rerun on the inputs' barycentrics."""
     if family == "two_points":
-        return [param_perspector(*q) for q, _ in solve_two_points_unit(*(apply_point(fwd, p) for p in query))[1]]
+        return [param_perspector(*q) for q, _ in solve_two_points_unit(*(unit_image(tri, p) for p in query))[1]]
     if family == "point_slope":
-        return [solve_point_slope_unit(apply_point(fwd, query[0]), apply_slope(fwd, query[1]))[1]]
-    return [param_from_tangencies(*(side_point(apply_point(fwd, q)) for q in query))]
+        return [solve_point_slope_unit(barycentrics(tri, query[0])[0], apply_slope(map_to_unit(tri), query[1]))[1]]
+    return [param_from_tangencies(*(side_point(q, tri) for q in query))]
 
 
 @pytest.mark.parametrize("kind", ["unit", "box", "pixel"])
@@ -234,9 +240,10 @@ def test_near_vertex_contacts_meet_the_prescribed_points(kind):
     # Two tangency points on different sides, each 2e-8 to 1e-3 of its side (log-uniform)
     # from either end; the legs' vertex exclusion is 1e-8.  Each answer's contact on a
     # prescribed point's side is that point, to 1e-12 of the coordinate scale (the contacts
-    # once missed by up to 1.6e-8, written from a rounded (w, t)), and on the unit
-    # triangle, where no map rounds the inputs, (w, t) is within 4 ulp of the 60-digit
-    # perspector reference.
+    # once missed by up to 1.6e-8, written from a rounded (w, t)), and on every fourth
+    # draw (w, t) is within the kind's bound of the 60-digit perspector reference: the
+    # worst case of these draws, where the side coordinates come from the point's own
+    # barycentrics (through the unit map, 1.4e8 ulp on box and 7.2e9 on pixel triangles).
     rng = np.random.default_rng(5)
     make_triangle = {
         "unit": lambda: UNIT_TRIANGLE,
@@ -254,10 +261,10 @@ def test_near_vertex_contacts_meet_the_prescribed_points(kind):
         for side, q in zip(sides, qs):
             contact = sol.tangent_points[(0, 2, 1)[side]]  # sides AB, BC, CA carry contacts 0, 2, 1
             worst = max(worst, max(abs(contact.x - q.x), abs(contact.y - q.y)) / scale)
-        if kind == "unit" and i % 4 == 0:
+        if i % 4 == 0:
             (ref,) = perspector_reference(tri, "tangency", *qs)
             for got, want in zip(sol.param, ref):
-                assert abs(got - want) <= 4 * math.ulp(want), (qs, sol.param, ref)
+                assert abs(got - want) <= {"unit": 4, "box": 4, "pixel": 72}[kind] * math.ulp(want), (qs, sol.param, ref)
     assert worst <= 1e-12
 
 
@@ -328,7 +335,7 @@ def unit_two_points(p1, p2):
 
 def unit_point_slope(p, slope):
     # The kernel writes the answer's (w, t) from the unit step's perspector.
-    case, perspector = solve_point_slope_unit(p, slope)
+    case, perspector = solve_point_slope_unit(barycentrics(UNIT_TRIANGLE, p)[0], slope)
     if perspector is None:
         return case, []
     param = unit_geometry(perspector)[0]
@@ -373,7 +380,7 @@ def test_unit_solvers_agree_with_the_world_path_on_the_unit_triangle(family):
         assert answer == unit
 
 
-# The world queries check the caller's values once, and the unit steps only their domains.
+# The world queries check the caller's values, and their domains on the barycentrics, once.
 TINY = Triangle(Point(0.0, 0.0), Point(1e-3, 0.0), Point(0.0, 1e-3))
 QUERIES = {
     "two_points": lambda tri, p: world.solve_two_points(tri, p, Point(2e-4, 3e-4)),
@@ -410,9 +417,9 @@ def test_a_finite_point_whose_unit_image_overflows_is_refused_by_its_domain(fami
     ids=["two_points", "point_slope", "tangency", "coincident", "off_segment", "vertex", "ambiguous"],
 )
 def test_a_domain_error_names_the_callers_values(query, error, message):
-    # The unit steps see and name the unit images, here (inf, inf), (0.2, 0.3),
-    # (2.0, 0.0), (1.0, 0.0) and (0.25, 0.25); the error names the points and
-    # vertices as passed.
+    # The domain tests see the unit images (beta, gamma), here about (inf, inf), (0.2, 0.3),
+    # (2.0, 0.0), (1.0, 0.0) and (0.25, 0.25); the error names the points and vertices as
+    # passed, and no message is rewritten on the way.
     with pytest.raises(error) as raised:
         query(TINY, Point(1e308, 1e308))
     assert str(raised.value) == message
