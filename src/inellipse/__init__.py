@@ -26,7 +26,7 @@ numpy) on first use, which ``from inellipse import *`` is.
 Every value and result type is an immutable NamedTuple: read its fields by
 name or unpack it, and derive a changed copy with ``_replace``.  Equality is
 tuple equality, so ``Point(0.5, 0.25) == (0.5, 0.25)``.
-A :class:`Slope` is its direction (a, b), which a map carries unnormalized:
+A :class:`Slope` is its direction (a, b), kept unnormalized as given:
 compare two slopes by their ``.value`` (b / a, or None for vertical).
 They are not data classes: the ``replace`` and ``asdict`` helpers do not apply.
 """

@@ -1,10 +1,11 @@
 """Affine maps between an arbitrary triangle and the unit triangle.
 
-Every solver works on the unit triangle.  This module holds the validated
-:class:`Triangle` and the way in: a point as its :func:`barycentrics`, which no
-translation term rounds at the vertices' scale, a slope through the linear part
-of ``map_to_unit`` (``apply_slope``).  No map is inverted: results return as
-vertex combinations (:mod:`inellipse.world`) and conics as pull-backs.
+This module holds the validated :class:`Triangle` and the way into the unit
+frame: a point as its :func:`barycentrics`, which no translation term rounds at
+the vertices' scale.  No slope goes through a map: the point-slope query is
+solved on the caller's values (:mod:`inellipse.point_slope`).  No map is
+inverted either: results return as vertex combinations (:mod:`inellipse.world`)
+and conics as pull-backs along ``map_to_unit``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from typing import NamedTuple
 
 from .errors import DegenerateTriangle
-from .geom import Point, Slope, as_point
+from .geom import Point, as_point
 
 _COLLINEAR_BAND = 1e-12
 
@@ -116,17 +117,6 @@ def barycentrics(tri: Triangle, *points) -> list[tuple[float, float, float]]:
             (abx * day - aby * dax if na <= nb else abx * dby - aby * dbx) / area2,
         ))
     return out
-
-
-def apply_slope(m: AffineMap, s: Slope) -> Slope:
-    """Transport a tangent direction (a, b) through the linear part, unnormalized, after
-    scaling (a, b) by the power of two that puts max(|a|, |b|) in [1/2, 1): a subnormal
-    direction keeps its bits, and no product overflows, since ``Triangle`` bounds the map."""
-    m11, m12, m21, m22, _, _ = m
-    a, b = s
-    e = -math.frexp(max(abs(a), abs(b)))[1]
-    a, b = math.ldexp(a, e), math.ldexp(b, e)
-    return tuple.__new__(Slope, (m11 * a + m12 * b, m21 * a + m22 * b))
 
 
 def map_to_unit(tri: Triangle) -> AffineMap:

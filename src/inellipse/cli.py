@@ -35,8 +35,8 @@ import itertools
 import json
 import sys
 
-from . import world
-from .affine import Triangle, apply_slope, barycentrics, map_to_unit
+from . import point_slope, world
+from .affine import Triangle, barycentrics
 from .geom import Slope
 from .conic import full_coefficients
 
@@ -142,7 +142,8 @@ def _solution_dict(sol: world.WorldSolution, raw: bool) -> dict:
 
 def _oracle_check(kind: str, tri: Triangle, points: list, slope, report, grid_n: int) -> dict:
     """The oracle's verdict on a solved query, at the unit images the solve used: (beta, gamma)
-    of the parsed points' barycentrics, and the slope through the unit map.
+    of the parsed points' barycentrics, and the slope's unit-frame direction from the
+    point-slope step (:func:`~inellipse.point_slope.solve_point_slope_unit`).
 
     Each solution is matched one-to-one to a basin (at most 4! pairings);
     ``max_param_deviation`` is the largest (w, t) distance of the pairing
@@ -157,11 +158,12 @@ def _oracle_check(kind: str, tri: Triangle, points: list, slope, report, grid_n:
             "passed": cert.passed,
             "side_residuals": [s.residual for s in cert.sides],
         }
-    unit = [bary[1:] for bary in barycentrics(tri, *points)]
+    barys = barycentrics(tri, *points)
     if kind == "two_points":
-        basins = oracle.brute_force_two_points(*unit, grid_n)
+        basins = oracle.brute_force_two_points(*(bary[1:] for bary in barys), grid_n)
     else:
-        basins = oracle.brute_force_point_slope(*unit, apply_slope(map_to_unit(tri), slope), grid_n)
+        _, _, direction = point_slope.solve_point_slope_unit(tri, points[0], barys[0], slope)
+        basins = oracle.brute_force_point_slope(barys[0][1:], direction, grid_n)
     solved = [(s.param.w, s.param.t) for s in report.solutions]
     deviation = 0.0
     matched = len(basins) == len(solved)

@@ -25,8 +25,8 @@ class Point(NamedTuple):
 class Slope(NamedTuple):
     """Tangent direction (a, b): (1, r) for a finite slope r, (0, 1) for vertical.
 
-    ``value`` is b / a, or None for vertical.  :func:`~inellipse.affine.apply_slope`
-    does not normalize (a, b), so compare slopes by their ``value``.
+    ``value`` is b / a, or None for vertical.  (a, b) is not normalized (a direction
+    given as two numbers is kept as given), so compare slopes by their ``value``.
     """
 
     a: float

@@ -1,26 +1,27 @@
 """The unique inscribed ellipse through a point with a prescribed tangent direction.
 
-A slope is its direction (a, b) (:class:`inellipse.geom.Slope`): (1, r) for
-a finite slope r, (0, 1) for a vertical one, and any multiple of it once
-carried to the unit triangle.  For an interior point (x, y), each vertex v of
-the unit triangle gives the linear form
+A slope is its direction (a, b) (:class:`inellipse.geom.Slope`): (1, r) for a
+finite slope r, (0, 1) for a vertical one.  The query is solved on the caller's
+triangle, point and direction; no slope goes through a map.  For an interior
+point p, each vertex V of the triangle gives the linear form
 
-    L_v = a (v_y - y) - b (v_x - x),
+    L_V = a (V_y - p_y) - b (V_x - p_x),
 
-which vanishes exactly when (a, b) aims from (x, y) at v.  With the sums
+which vanishes exactly when (a, b) aims from p at V.  An affine map scales all
+three forms by one factor, so with p's barycentrics (alpha, beta, gamma) the
+ellipse's perspector is (S, X, Y) = (alpha L_A^2, beta L_B^2, gamma L_C^2)
+(Yiu, *Introduction to the Geometry of the Triangle*, inconics): w = S / (S + Y),
+t = S / (S + X), 1 - w = Y / (S + Y) and 1 - t = X / (S + X).  Every term is
+non-negative, so nothing cancels as the direction nears a vertex, and one
+formula serves finite and vertical slopes alike.  When (a, b) aims at a vertex
+no inscribed ellipse attains it, and :func:`solve_point_slope_unit` returns
+that as the report's case ``no_solution:<vertex>``, not as an error; otherwise
+the case is ``unique`` with the perspector.  Either way it also returns
+(L_C - L_A, L_A - L_B), the unit map's image of (a, b) up to scale, for the
+residuals and the oracle.
 
-    S = (1 - x - y) L_origin^2,    Y = y L_top^2,    X = x L_right^2,
-
-the ellipse's perspector is (S, X, Y): w = S / (S + Y), t = S / (S + X),
-1 - w = Y / (S + Y) and 1 - t = X / (S + X).  Every term is non-negative, so
-nothing cancels as the direction nears a vertex, and one formula serves
-finite and vertical slopes alike.  When (a, b) aims at a vertex no inscribed
-ellipse attains it, and :func:`solve_point_slope_unit` returns that as the
-report's case ``no_solution:<vertex>``, not as an error; otherwise the case
-is ``unique`` with the perspector.
-
-Checks: each vertex's exclusion band before its term is built, on a point
-whose barycentrics, its weights, ``world`` computed and tested interior.  Each residual is one
+Checks: each vertex's exclusion band, on a point whose barycentrics, its
+weights, ``world`` computed and tested interior.  Each residual is one
 evaluation of its equation without the partials (:mod:`inellipse.equations`).
 """
 
@@ -29,29 +30,33 @@ from __future__ import annotations
 import math
 
 from . import equations
-from .affine import UNIT_TRIANGLE
 from .geom import Point, Slope
 from .kernel import EllipseParam
 
-# |L_v| below this fraction of (|a| + |b|) |v_x - x| means the direction aims
-# at vertex v, and no inscribed ellipse attains it.  For (1, r) that is
-# |r - vertex slope| < _SLOPE_EXCLUSION (1 + |r|); it never holds for (0, 1).
+# (a, b) aims at vertex V when |L_V| <= _SLOPE_EXCLUSION (|a (V_y - p_y)| + |b (V_x - p_x)|),
+# a bound on the forward error of the caller's values; no inscribed ellipse attains it.  For
+# (1, r) and a vertex in the world slope v from p that is |r - v| <= _SLOPE_EXCLUSION (|r| + |v|),
+# and a vertical (a, b) is excluded only by a vertex straight above or below p.
 _SLOPE_EXCLUSION = 1e-9
 
 
-def solve_point_slope_unit(bary, slope: Slope) -> tuple[str, tuple[float, float, float] | None]:
-    """``("unique", (S, X, Y))``, or ``("no_solution:<vertex>", None)`` on an excluded slope,
-    for the interior point with barycentrics ``bary`` = (alpha, beta, gamma), at (beta, gamma)."""
-    _, x, y = bary
-    a, b = slope
-    band = _SLOPE_EXCLUSION * (abs(a) + abs(b))
+def solve_point_slope_unit(tri, p: Point, bary, slope: Slope):
+    """``(case, perspector, direction)`` for the interior point ``p`` of ``tri`` with barycentrics
+    ``bary``: ``("unique", (S, X, Y), ...)``, or ``("no_solution:<vertex>", None, ...)`` on an excluded slope."""
+    # (a, b) times the power of two putting max(|a|, |b|) in [1/2, 1): a subnormal keeps its bits, no form overflows.
+    (px, py), (a, b) = p, slope
+    e = -math.frexp(max(abs(a), abs(b)))[1]
+    a, b = math.ldexp(a, e), math.ldexp(b, e)
+    (ax, ay), (bx, by), (cx, cy) = tri
+    direction = (a * (cy - ay) - b * (cx - ax), a * (ay - by) - b * (ax - bx))  # (L_C - L_A, L_A - L_B)
     terms = []
-    for (vx, vy), weight, vertex in zip(UNIT_TRIANGLE, bary, ("origin", "right", "top")):
-        form = a * (vy - y) - b * (vx - x)
-        if abs(form) < band * abs(vx - x):
-            return f"no_solution:{vertex}", None
+    for (vx, vy), weight, vertex in zip(tri, bary, ("origin", "right", "top")):
+        along, across = a * (vy - py), b * (vx - px)
+        form = along - across
+        if abs(form) <= _SLOPE_EXCLUSION * (abs(along) + abs(across)):
+            return f"no_solution:{vertex}", None, direction
         terms.append(_term(weight, form))
-    return "unique", _perspector(*terms)
+    return "unique", _perspector(*terms), direction
 
 
 def _term(weight: float, form: float) -> tuple[float, int]:

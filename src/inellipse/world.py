@@ -1,12 +1,13 @@
 """Solvers on arbitrary triangles: enter the unit triangle once and come back.
 
 A caller point enters once, as its :func:`~inellipse.affine.barycentrics`
-(alpha, beta, gamma), its unit image being (beta, gamma); a slope goes through
-the unit map ``fwd``.  One transport, ``_to_world``, carries every family's
-unit solutions back: the conic as its pull-back along ``fwd``, each contact
-and the center as the vertex combination a + x (b - a) + y (c - a), with no
-inverted map, to within a few ulps of the coordinate scale.  The (w, t) are
-affine invariants, reported unchanged.
+(alpha, beta, gamma), its unit image being (beta, gamma).  A slope goes through
+no map: :mod:`~inellipse.point_slope` solves it with the triangle and point as
+given, and returns its unit-frame direction for the residuals.  One transport,
+``_to_world``, carries every family's unit solutions back: the conic as its
+pull-back along ``fwd``, each contact and the center as the vertex combination
+a + x (b - a) + y (c - a), with no inverted map, to within a few ulps of the
+coordinate scale.  The (w, t) are affine invariants, reported unchanged.
 
 Built once per solution: the unit (w, t), conic, contacts and center, by one
 :func:`~inellipse.kernel.unit_geometry` call on its perspector (a kept
@@ -19,7 +20,8 @@ Checks, once per query and all here, each error naming the caller's values:
 the triangle (a :class:`~inellipse.affine.Triangle` unless given), ``as_point``
 and ``as_slope``, then the domains on the barycentrics (interior, distinct,
 :func:`_side_point`'s bands; an overflowed one fails them) and the pair bands'
-``ambiguous:<n>`` case.  The unit steps trust these and test the slope exclusion.
+``ambiguous:<n>`` case.  The unit steps trust these; the point-slope step tests
+the slope exclusion, on the caller's values.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import math
 from typing import NamedTuple
 
 from . import boundary, point_slope, two_points
-from .affine import UNIT_TRIANGLE, AffineMap, Triangle, apply_slope, barycentrics, map_to_unit
+from .affine import UNIT_TRIANGLE, AffineMap, Triangle, barycentrics, map_to_unit
 from .conic import ConicCoeffs, pull_back
 from .errors import AmbiguousClassification, CoincidentPoints, NotInterior, NotOnSide, VertexPoint
 from .geom import Point, Slope, as_point, as_slope, coincide
@@ -129,11 +131,10 @@ def solve_point_slope(tri: Triangle, p: Point, slope: Slope) -> SolveReport:
     """The unique inscribed ellipse through a world point with a world slope, or an empty report
     cased ``no_solution:<vertex>`` when the slope aims at a vertex (a origin, b right, c top)."""
     tri, fwd = _frame(tri)
-    p = as_point(p)
-    u_slope = apply_slope(fwd, as_slope(slope))
+    p, slope = as_point(p), as_slope(slope)
     (bary,) = barycentrics(tri, p)
     u = _interior(p, bary)
-    case, perspector = point_slope.solve_point_slope_unit(bary, u_slope)
+    case, perspector, u_slope = point_slope.solve_point_slope_unit(tri, p, bary, slope)
     if perspector is None:
         return tuple.__new__(SolveReport, (case, ()))
     geometry = unit_geometry(perspector)

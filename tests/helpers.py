@@ -352,6 +352,12 @@ def unit_to_world(tri: Triangle, u) -> tuple[float, float]:
     )
 
 
+def world_direction(tri: Triangle, s) -> Slope:
+    """The world direction a (b - a) + b (c - a) of ``tri`` that the unit direction s = (a, b) stands for."""
+    (a, b), ((ax, ay), (bx, by), (cx, cy)) = s, tri
+    return Slope(a * (bx - ax) + b * (cx - ax), a * (by - ay) + b * (cy - ay))
+
+
 def inverse_map(m: AffineMap) -> AffineMap:
     """The inverse affine map, from numpy's inverse of the homogeneous 3x3 matrix."""
     (i11, i12, tx), (i21, i22, ty), _ = np.linalg.inv([[m.m11, m.m12, m.tx], [m.m21, m.m22, m.ty], [0.0, 0.0, 1.0]])

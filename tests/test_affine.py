@@ -1,4 +1,4 @@
-"""Affine conjugation: maps, slope transport, and invariance of the solvers."""
+"""Affine conjugation: maps, the caller-frame slope, and invariance of the solvers."""
 
 import copy
 import math
@@ -17,7 +17,6 @@ from inellipse.affine import (
     Triangle,
     UNIT_TRIANGLE,
     apply_point,
-    apply_slope,
     barycentrics,
     map_to_unit,
 )
@@ -349,56 +348,56 @@ class TestBarycentrics:
                 assert abs(Fraction(got) - want) <= Fraction(1e-12) * abs(want), (tri, p)
 
 
-class TestSlopeTransport:
-    def test_identity(self):
-        assert apply_slope(AffineMap(1, 0, 0, 1), Slope.finite(2.0)).value == 2.0
+BOX = Triangle((1.0, 2.0), (7.0, 1.0), (3.0, 6.5))
 
+
+class TestSlopeTransport:
+    # No slope goes through a map: a world query's answer is the unit answer of its
+    # point's and slope's unit images, and its conic attains the world slope.
     def test_x_stretch_halves_slope(self):
-        out = apply_slope(AffineMap(2.0, 0.0, 0.0, 1.0), Slope.finite(3.0))
-        assert out.value == pytest.approx(1.5)
+        # This triangle's unit map is (x, y) -> (2x, y).
+        squeezed = Triangle((0.0, 0.0), (0.5, 0.0), (0.0, 1.0))
+        got = solve_point_slope(squeezed, Point(0.15, 0.2), Slope.finite(3.0)).solutions[0].param
+        assert tuple(got) == pytest.approx(tuple(unit_point_slope(Point(0.3, 0.2), Slope.finite(1.5))), rel=1e-14)
 
     def test_rotation_sends_flat_to_vertical(self):
-        quarter = AffineMap(0.0, -1.0, 1.0, 0.0)
-        assert apply_slope(quarter, Slope.finite(0.0)).value is None
+        # This triangle's unit map is the quarter turn (x, y) -> (-y, x).
+        turned = Triangle((0.0, 0.0), (0.0, -1.0), (1.0, 0.0))
+        got = solve_point_slope(turned, Point(0.2, -0.3), Slope.finite(0.0)).solutions[0].param
+        assert tuple(got) == pytest.approx(tuple(unit_point_slope(Point(0.3, 0.2), Slope.vertical())), rel=1e-14)
 
     @pytest.mark.parametrize("r", [1.5e308, -1.5e308, 1e300])
     def test_steep_slope_through_an_expanding_map_stays_finite(self, r):
-        # 2 r overflows for the larger r: (a, b) is scaled below 1 first, so the
-        # direction stays finite and the answer is that of a nearly vertical slope.
+        # 2 r overflows for the larger r: (a, b) is scaled below 1 first, so every form
+        # stays finite and the answer is that of a nearly vertical slope.
         half = Triangle((0.0, 0.0), (0.5, 0.0), (0.0, 0.5))
-        a, b = apply_slope(map_to_unit(half), Slope.finite(r))
-        assert math.isfinite(a) and math.isfinite(b) and b / a == pytest.approx(r, rel=1e-15)
-        p = Point(0.1, 0.15)
-        got = solve_point_slope(half, p, Slope.finite(r)).solutions[0].param
-        want = solve_point_slope(half, p, Slope.vertical()).solutions[0].param
-        assert got == pytest.approx(want, rel=1e-12)
+        for tri, p in ((half, Point(0.1, 0.15)), (BOX, Point(3.5, 3.0))):
+            got = solve_point_slope(tri, p, Slope.finite(r)).solutions[0].param
+            want = solve_point_slope(tri, p, Slope.vertical()).solutions[0].param
+            assert tuple(got) == pytest.approx(tuple(want), rel=1e-12)
 
     @pytest.mark.parametrize("tiny", [5e-324, 1e-320, 1e-310])
     def test_subnormal_direction_keeps_its_bits(self, tiny):
-        # (a, b) is scaled to max(|a|, |b|) in [1/2, 1) before the map: a subnormal
+        # (a, b) is scaled to max(|a|, |b|) in [1/2, 1) before any form: a subnormal
         # direction answers as its normal multiple would, and 2^-1074 as (1, 1) does.
-        a, b = apply_slope(map_to_unit(UNIT_TRIANGLE), Slope(tiny, tiny))
-        assert a == b and 0.5 <= a < 1.0
-        p = Point(0.3, 0.2)
-        got = solve_point_slope(UNIT_TRIANGLE, p, Slope(tiny, tiny)).solutions[0].param
-        want = solve_point_slope(UNIT_TRIANGLE, p, Slope(1.0, 1.0)).solutions[0].param
-        if tiny == 5e-324:
-            assert got == want
-        for g, v in zip(got, want):
-            assert abs(g - v) <= 4 * math.ulp(v)
+        for tri, p in ((UNIT_TRIANGLE, Point(0.3, 0.2)), (BOX, Point(3.0, 3.0))):
+            got = solve_point_slope(tri, p, Slope(tiny, tiny)).solutions[0].param
+            want = solve_point_slope(tri, p, Slope(1.0, 1.0)).solutions[0].param
+            if tiny == 5e-324:
+                assert got == want
+            for g, v in zip(got, want):
+                assert abs(g - v) <= 4 * math.ulp(v)
 
     def test_covariance_with_conic_transport(self):
+        # The world conic of a world point-slope answer has the world slope at the point.
         rng = np.random.default_rng(82)
         for _ in range(40):
-            conic, (_, _, p), _ = geometry_at(*random_param(rng))
-            m = AffineMap(*rng.uniform(-2, 2, size=6))
-            if abs(m.m11 * m.m22 - m.m12 * m.m21) < 0.05:
-                continue
-            qx, qy = conic_gradient(pull_back(conic, inverse_map(m)), apply_point(m, p))
-            direct = Slope.finite(-qx / qy)
-            qx, qy = conic_gradient(conic, p)
-            transported = apply_slope(m, Slope.finite(-qx / qy))
-            assert slopes_close(direct, transported)
+            tri = random_triangle(rng)
+            p = interior_in_triangle(rng, tri)
+            r = math.tan(math.pi * (rng.random() - 0.5))
+            (sol,) = solve_point_slope(tri, p, Slope.finite(r)).solutions
+            qx, qy = conic_gradient(sol.conic, p)
+            assert slopes_close(Slope(-qy, qx), Slope.finite(r))
 
 
 class TestSolverInvariance:
@@ -540,7 +539,6 @@ def _query_path_records():
         "apply_point": (apply_point(fwd, Point(2, 2)), Point),
         "Slope.finite": (Slope.finite(0.5), Slope),
         "Slope.vertical": (Slope.vertical(), Slope),
-        "apply_slope": (apply_slope(fwd, Slope.finite(0.5)), Slope),
         "SolveReport": (report, SolveReport),
         "WorldSolution": (report.solutions[0], WorldSolution),
         "WorldSolution.center": (report.solutions[0].center, Point),

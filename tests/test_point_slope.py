@@ -53,16 +53,17 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("vertex", list(VERTEX_POINTS), ids=vertex_id)
     def test_band_edges_for_every_vertex(self, vertex):
-        # The band is |r - vertex slope| < 1e-9 (1 + |r|): half of it is
-        # excluded, twice it is solved.
+        # The band is |r - v| <= 1e-9 (|r| + |v|) about the vertex slope v, about
+        # 2e-9 |v| wide: half of it is excluded, twice it is solved.
         rng = np.random.default_rng(48)
         for _ in range(200):
             p = random_interior(rng)
             vs = dict(zip(VERTEX_POINTS, vertex_slopes(p)))[vertex].value
+            band = 1e-9 * 2.0 * abs(vs)
             for sign in (1.0, -1.0):
-                near = unit_point_slope(p, Slope.finite(vs + sign * 0.5e-9 * (1.0 + abs(vs))))
+                near = unit_point_slope(p, Slope.finite(vs + sign * 0.5 * band))
                 assert near == f"no_solution:{vertex}"
-                far = unit_point_slope(p, Slope.finite(vs + sign * 2e-9 * (1.0 + abs(vs))))
+                far = unit_point_slope(p, Slope.finite(vs + sign * 2.0 * band))
                 assert isinstance(far, EllipseParam)
 
     def test_vertical_is_never_excluded(self):
@@ -213,7 +214,7 @@ class TestAccuracy:
             r = vs * (1.0 + offset)
             out = unit_point_slope(p, Slope.finite(r))
             if isinstance(out, str):  # no_solution:<vertex>
-                continue  # |vs| 1e-8 is inside the band 1e-9 (1 + |r|)
+                continue  # never: |vs| 1e-8 is outside the band 1e-9 (|r| + |vs|)
             if not (0.0 < out.w < 1.0 and 0.0 < out.t < 1.0):
                 continue  # the true 1 - w or 1 - t is below half an ulp of 1
             checked += 1
@@ -224,8 +225,9 @@ class TestAccuracy:
 
 class TestNearVertexSlopeInsideTheSquare:
     def test_world_answers_1e8_off_a_vertex_slope(self):
-        # TestAccuracy's draws 1e-8 off the right and the top vertex slope.  On
-        # most, the true 1 - w or 1 - t is below half an ulp of 1, so it rounds to
+        # TestAccuracy's draws 1e-8 off the right and the top vertex slope, every one
+        # of them outside the band |r - v| <= 1e-9 (|r| + |v|), so every one is solved.
+        # On most, the true 1 - w or 1 - t is below half an ulp of 1, so it rounds to
         # 1.0; the answer is still the unique ellipse, reported with that parameter
         # as the float below 1, and no draw raises.
         solvable = at_edge = 0
@@ -236,10 +238,10 @@ class TestNearVertexSlopeInsideTheSquare:
                 vs = dict(zip(VERTEX_POINTS, vertex_slopes(p)))[vertex].value
                 report = world.solve_point_slope(UNIT_TRIANGLE, p, Slope.finite(vs * (1.0 + 1e-8)))
                 if report.case != "unique":
-                    continue  # |vs| 1e-8 is inside the band 1e-9 (1 + |r|)
+                    continue
                 solvable += 1
                 (w, t) = report.solutions[0].param
                 assert 0.0 < w < 1.0 and 0.0 < t < 1.0
                 at_edge += max(w, t) == math.nextafter(1.0, 0.0)
-        assert solvable == 1914
+        assert solvable == 2000
         assert at_edge > 1000

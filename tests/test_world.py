@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from inellipse import world
-from inellipse.affine import Triangle, UNIT_TRIANGLE, apply_point, apply_slope, barycentrics, map_to_unit
+from inellipse.affine import Triangle, UNIT_TRIANGLE, barycentrics
 from inellipse.boundary import param_from_tangencies
 from inellipse.errors import (
     AmbiguousClassification,
@@ -29,7 +29,6 @@ from inellipse.two_points import solve_two_points_unit
 from inellipse.world import WorldSolution
 
 from helpers import (
-    inverse_map,
     j_zero_pair,
     pair_residuals,
     param_perspector,
@@ -46,6 +45,7 @@ from helpers import (
     unit_image,
     unit_to_world,
     VERTEX_POINTS,
+    world_direction,
 )
 
 # Apex height 1e-6 over a unit base: the world conics of this triangle have a
@@ -81,10 +81,9 @@ def test_inscribed_conic_near_the_corner_is_solved(tri):
     # (w, t) ~ 1e-13: an ellipse tucked into the corner, which exists and has
     # a unique center (test_every_inscribed_conic_has_a_unique_center).
     pytest.importorskip("mpmath")
-    back = inverse_map(map_to_unit(tri))
     u = Point(0.3, 0.2)
     r = (2.0 / 3.0) * (1.0 + 1e-6)
-    report = world.solve_point_slope(tri, apply_point(back, u), apply_slope(back, Slope.finite(r)))
+    report = world.solve_point_slope(tri, Point(*unit_to_world(tri, u)), world_direction(tri, Slope.finite(r)))
     assert report.case == "unique"
     (sol,) = report.solutions
     assert is_real_ellipse(sol.conic)
@@ -146,14 +145,12 @@ def transport_queries(family, rng, make_triangle):
     elif family == "point_slope":
         for i in range(8):
             tri = make_triangle()
-            fwd = map_to_unit(tri)
-            back = inverse_map(fwd)
             u = random_interior(rng)
             s = Slope.vertical() if i % 4 == 0 else Slope.finite(np.tan(np.pi * (rng.random() - 0.5)))
-            p, slope = apply_point(back, u), apply_slope(back, s)
-            bary, v_slope = barycentrics(tri, p)[0], apply_slope(fwd, slope)
+            p, slope = Point(*unit_to_world(tri, u)), world_direction(tri, s)
+            bary = barycentrics(tri, p)[0]
             v = Point(*bary[1:])
-            _, q = solve_point_slope_unit(bary, v_slope)
+            _, q, v_slope = solve_point_slope_unit(tri, p, bary, slope)
             param = unit_geometry(q)[0]
             yield tri, world.solve_point_slope(tri, p, slope), [(q, slope_residuals(v, v_slope, param))]
     else:
@@ -201,14 +198,18 @@ def test_solutions_equal_a_fresh_transport(family, kind):
 @pytest.mark.parametrize("kind", ["unit", "box", "pixel"])
 def test_two_point_and_point_slope_answers_match_the_perspector_reference(kind):
     # The 60-digit perspector reference works in world barycentrics, apart from the
-    # unit map and the R/S route: every generic pair's four (w, t) and every
-    # point-slope (w, t) agree with it to 1e-10 (relative).
+    # unit map and the R/S route: every generic pair's four (w, t) agree with it to
+    # 1e-10 (relative), and every point-slope (w, t) to within the kind's bound in ulp,
+    # the worst case of these draws (the box one a slope near the origin's direction,
+    # whose L_A cancels).  Through the unit map, the forms were up to 34 ulp off on box
+    # and 69 on pixel triangles here.
     rng = np.random.default_rng({"unit": 4301, "box": 4302, "pixel": 4303}[kind])
     make_triangle = {
         "unit": lambda: UNIT_TRIANGLE,
         "box": lambda: random_triangle(rng),
         "pixel": lambda: pixel_triangle(rng),
     }[kind]
+    slope_ulps = {"unit": 3, "box": 36, "pixel": 10}[kind]
     for _ in range(20):
         tri = make_triangle()
         p1, p2 = (Point(*unit_to_world(tri, u)) for u in random_generic_pair(rng))
@@ -223,7 +224,10 @@ def test_two_point_and_point_slope_answers_match_the_perspector_reference(kind):
             assert len(got) == len(want) == (4 if query[0] == "two_points" else 1)
             for param, ref in zip(sorted(got, key=lambda wt: (wt[1], wt[0])), want):
                 for g, r in zip(param, ref):
-                    assert abs(g - r) <= 1e-10 * r, (query, param, ref)
+                    if query[0] == "two_points":
+                        assert abs(g - r) <= 1e-10 * r, (query, param, ref)
+                    else:
+                        assert abs(g - r) <= slope_ulps * math.ulp(r), (query, param, ref)
 
 
 def kernel_perspectors(tri: Triangle, family: str, *query) -> list:
@@ -231,7 +235,7 @@ def kernel_perspectors(tri: Triangle, family: str, *query) -> list:
     if family == "two_points":
         return [param_perspector(*q) for q, _ in solve_two_points_unit(*(unit_image(tri, p) for p in query))[1]]
     if family == "point_slope":
-        return [solve_point_slope_unit(barycentrics(tri, query[0])[0], apply_slope(map_to_unit(tri), query[1]))[1]]
+        return [solve_point_slope_unit(tri, query[0], barycentrics(tri, query[0])[0], query[1])[1]]
     return [param_from_tangencies(*(side_point(q, tri) for q in query))]
 
 
@@ -335,11 +339,11 @@ def unit_two_points(p1, p2):
 
 def unit_point_slope(p, slope):
     # The kernel writes the answer's (w, t) from the unit step's perspector.
-    case, perspector = solve_point_slope_unit(barycentrics(UNIT_TRIANGLE, p)[0], slope)
+    case, perspector, direction = solve_point_slope_unit(UNIT_TRIANGLE, p, barycentrics(UNIT_TRIANGLE, p)[0], slope)
     if perspector is None:
         return case, []
     param = unit_geometry(perspector)[0]
-    return case, [(param, residual_system13(p, slope, param))]
+    return case, [(param, residual_system13(p, direction, param))]
 
 
 def world_answer(report, residuals=True):
@@ -427,8 +431,10 @@ def test_a_domain_error_names_the_callers_values(query, error, message):
 
 @pytest.mark.parametrize("a, b", [(0.0, 0.0), (math.nan, 1.0), (math.inf, 1.0)], ids=["zero", "nan", "inf"])
 def test_a_slope_that_is_no_direction_raises_value_error(a, b):
-    with pytest.raises(ValueError, match="direction of two finite numbers, not both zero"):
-        world.solve_point_slope(UNIT_TRIANGLE, Point(0.3, 0.3), Slope(a, b))
+    # The slope is checked before the point's domain: an exterior point raises the same error.
+    for p in (Point(0.3, 0.3), Point(0.9, 0.9)):
+        with pytest.raises(ValueError, match="direction of two finite numbers, not both zero"):
+            world.solve_point_slope(UNIT_TRIANGLE, p, Slope(a, b))
 
 
 @pytest.mark.parametrize(
@@ -458,3 +464,40 @@ def test_a_raw_triangle_is_checked_as_a_triangle(family):
         query(((0, 0), (1, 0), (0, math.nan)), Point(0.3, 0.0))
     p = Point(0.0, 3e-4) if family == "tangency" else Point(3e-4, 1e-4)
     assert query(((0.0, 0.0), (1e-3, 0.0), (0.0, 1e-3)), p) == query(TINY, p)
+
+
+@pytest.mark.parametrize(
+    "vertices, slope, case",
+    [
+        ([[0, 0], [4, 0], [2, 3]], Slope.vertical(), "no_solution:top"),
+        ([[0, 0], [4, 1], [1, 3]], Slope.finite(0.0), "no_solution:right"),
+    ],
+    ids=["vertical_at_top", "flat_at_right"],
+)
+def test_a_slope_aimed_exactly_at_a_vertex_has_no_solution(vertices, slope, case):
+    # From p = (2, 1) the slope aims exactly at the vertex: L_V and both of its terms are 0
+    # in the caller's frame, so the band's <= excludes it (a strict < would solve it).
+    assert world.solve_point_slope(vertices, Point(2.0, 1.0), slope) == (case, ())
+
+
+def test_a_slope_off_a_vertex_straight_above_is_solved():
+    # The direction (1, 1e300) misses the top vertex (2, 3) above p = (2, 1): L_top is its
+    # term a (3 - 1), tiny but nonzero, and its other term b (2 - 2) is 0, so it is all of
+    # the band's measure and far outside the band.  The unique ellipse is returned, tucked
+    # against the edge (through the unit map, the query was excluded as aiming at the top).
+    (sol,) = world.solve_point_slope([[0, 0], [4, 0], [2, 3]], Point(2.0, 1.0), Slope.finite(1e300)).solutions
+    assert all(0.0 < v < 1.0 for v in sol.param)
+
+
+def test_a_pixel_triangle_slope_5e8_off_a_vertex_direction_is_solved():
+    # The benchmark's slope_tangency seed 0, block 14 query: its world slope is 5.5e-8 of
+    # its terms off the top vertex's direction, outside the band 1e-9 (|r| + |v|), so one
+    # ellipse exists.  The band, applied to the slope's unit image, read it as excluded.
+    tri = [[360.2177792456809, 434.03787348731015], [69.38492244175765, 208.69957399172023],
+           [105.33015846044313, 248.17898447136577]]
+    p = Point(113.18865002393092, 245.06799618789418)
+    report = world.solve_point_slope(tri, p, Slope.finite(-0.39587596628387595))
+    assert report.case == "unique"
+    (sol,) = report.solutions
+    assert all(0.0 < v < 1.0 for v in sol.param)
+    assert term_residual(sol.conic, p) < 1e-9
