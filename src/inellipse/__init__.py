@@ -14,11 +14,11 @@ The package namespace is the query API: the world queries
 types, and the oracle.  A unit-triangle answer is the world answer on
 ``UNIT_TRIANGLE``.  The world queries take each point into the unit frame
 once, as its barycentrics, check every input there, solve in closed form and
-carry the answers back as vertex combinations; the internals stay in their
-modules (the unit solvers in :mod:`~inellipse.two_points`,
-:mod:`~inellipse.point_slope` and :mod:`~inellipse.boundary`, the polynomials
-in :mod:`~inellipse.kernel`, the maps and conics in :mod:`~inellipse.affine`
-and :mod:`~inellipse.conic`, the defining equations in :mod:`~inellipse.equations`).  :mod:`inellipse.oracle`
+write the answers in world coordinates; the internals stay in their modules
+(the unit solvers in :mod:`~inellipse.two_points`, :mod:`~inellipse.point_slope`
+and :mod:`~inellipse.boundary`, the polynomials in :mod:`~inellipse.kernel`, the
+triangle and its map in :mod:`~inellipse.affine`, the conic writer in :mod:`~inellipse.conic`,
+the defining equations in :mod:`~inellipse.equations`).  :mod:`inellipse.oracle`
 provides an independent numerical witness for all of it.  The closed-form
 path imports no numpy; the oracle names load :mod:`inellipse.oracle` (and
 numpy) on first use, which ``from inellipse import *`` is.

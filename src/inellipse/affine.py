@@ -4,8 +4,8 @@ This module holds the validated :class:`Triangle` and the way into the unit
 frame: a point as its :func:`barycentrics`, which no translation term rounds at
 the vertices' scale.  No slope goes through a map: the point-slope query is
 solved on the caller's values (:mod:`inellipse.point_slope`).  No map is
-inverted either: results return as vertex combinations (:mod:`inellipse.world`)
-and conics as pull-backs along ``map_to_unit``.
+inverted, and no conic carried, either: results return as vertex combinations
+(:mod:`inellipse.world`), and conics are written on ``map_to_unit``'s rows.
 """
 
 from __future__ import annotations
@@ -55,10 +55,10 @@ class Triangle(_Vertices):
         area2 = ux * vy - vx * uy
         if abs(area2) <= _COLLINEAR_BAND * longest2:
             raise DegenerateTriangle(f"collinear vertices {a}, {b}, {c}")
-        # map_to_unit's columns are (vy, -uy) / area2 and (-vx, ux) / area2.  Each
-        # quadratic coefficient of a world conic is at most the squared 1-norm of a
-        # column (unit coefficients are below 1 in size), so that square bounds them:
-        # a thin triangle's squared edges can be normal floats while it is not.
+        # map_to_unit's columns are (vy, -uy) / area2 and (-vx, ux) / area2.  A world conic's quadratic
+        # part (w beta + t gamma)^2 - 4k beta gamma is positive definite, so A, B and |C| are below the
+        # larger squared 1-norm of a column (a convex form peaks at a vertex of the 1-norm ball): that
+        # square bounds them, while a thin triangle's squared edges can be normal floats.
         scale = k * max(abs(uy) + abs(vy), abs(ux) + abs(vx)) / abs(area2)
         if not math.isfinite(scale * scale):
             raise ValueError(

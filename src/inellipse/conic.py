@@ -5,8 +5,8 @@ printed xy coefficient is ``2c``); that convention keeps the classification
 determinants AB - C^2 and AE^2 + BD^2 + 4FC^2 - 2CDE - 4ABF in their
 textbook shape.  Coefficients are scale-equivalent: k*(a..f) with k != 0 is
 the same curve.  Besides the record, the module holds the exact real-ellipse
-test, transport through an affine map, the oracle's normalization and the
-CLI's printed coefficients.
+test, the one writer of an inscribed ellipse's world conic, the oracle's
+normalization and the CLI's printed coefficients.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .affine import AffineMap
 from .errors import DegenerateConic
 
 
@@ -67,29 +66,35 @@ def is_real_ellipse(conic: ConicCoeffs) -> bool:
     )
 
 
-def pull_back(conic: ConicCoeffs, h: AffineMap) -> ConicCoeffs:
-    """The conic through p iff h(p) lies on the input: Q(h(p)) as a conic in p.
+def inscribed(param, rows) -> ConicCoeffs:
+    """The world conic of the inscribed ellipse ``param`` = (w, t): F = l^2 - 4k beta gamma, with
+    l = wt - w beta - t gamma and k = wt(1 - w)(1 - t), Yiu's inconic of the perspector
+    (wt : w(1 - t) : (1 - w)t), on ``rows``, the world-to-barycentric functions
+    beta = m11 x + m12 y + tx and gamma = m21 x + m22 y + ty of ``affine.map_to_unit``.
 
-    This is the congruence H^T Q H of the homogeneous symmetric matrix by
-    H = [[m11, m12, tx], [m21, m22, ty], [0, 0, 1]], written out in floats in
-    the nested order H^T (Q H), which measured more accurate than expanding
-    each coefficient into monomials.
+    With l = l1 x + l2 y + l0 and g = w tx + t ty, three coefficients take another form of F,
+    each chosen against a 60-digit reference: C's wt - 2k as -wt(2wt - 2w - 2t + 1); D and E
+    with 2 l1 l0 as 2 l1 wt - 2 l1 g; and F(0) = l0^2 - 4k tx ty, which cancels far from a small
+    ellipse, as (w tx - t ty)^2 + 4wt(w + t - wt) tx ty - 2wt g + (wt)^2 where these terms are
+    the smaller (tx ty > 0, 2k tx ty > wt g).  On the unit triangle A to E are w^2, t^2,
+    -wt(2wt - 2w - 2t + 1), -2w^2 t and -2wt^2, bit for bit.
     """
-    a, b, c, d, e, f = conic
-    u1, v1, u2, v2, x0, y0 = h
-    # The quadratic part applied to the columns u = (u1, u2) and v = (v1, v2).
-    qu1, qu2 = a * u1 + c * u2, c * u1 + b * u2
-    qv1, qv2 = a * v1 + c * v2, c * v1 + b * v2
-    # Q's gradient at h(0) = (x0, y0).
-    gx = 2.0 * (a * x0 + c * y0) + d
-    gy = 2.0 * (c * x0 + b * y0) + e
+    (w, t), (m11, m12, m21, m22, tx, ty) = param, rows
+    wt, g = w * t, w * tx + t * ty
+    k4 = 4.0 * wt * (1.0 - w) * (1.0 - t)
+    l1, l2, l0, kb = -(w * m11 + t * m21), -(w * m12 + t * m22), wt - g, k4 * tx * ty
+    if tx * ty > 0.0 and kb > 2.0 * wt * g:
+        n0 = w * tx - t * ty
+        f = n0 * n0 + 4.0 * wt * (w + t * (1.0 - w)) * tx * ty - 2.0 * wt * g + wt * wt
+    else:
+        f = l0 * l0 - kb
     return tuple.__new__(ConicCoeffs, (
-        u1 * qu1 + u2 * qu2,
-        v1 * qv1 + v2 * qv2,
-        u1 * qv1 + u2 * qv2,
-        gx * u1 + gy * u2,
-        gx * v1 + gy * v2,
-        0.5 * (x0 * (gx + d) + y0 * (gy + e)) + f,
+        l1 * l1 - k4 * m11 * m21,
+        l2 * l2 - k4 * m12 * m22,
+        w * w * m11 * m12 + t * t * m21 * m22 - wt * (2.0 * wt - 2.0 * w - 2.0 * t + 1.0) * (m11 * m22 + m12 * m21),
+        2.0 * l1 * w * t - 2.0 * l1 * g - k4 * (m11 * ty + m21 * tx),
+        2.0 * l2 * t * w - 2.0 * l2 * g - k4 * (m12 * ty + m22 * tx),
+        f,
     ))
 
 

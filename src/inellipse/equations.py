@@ -1,7 +1,7 @@
 """The two defining equations of the inscribed family, written once.
 
-With Q(x, y) the inscribed conic of parameters (w, t) (see
-:func:`inellipse.kernel.unit_geometry`), the query families rest on
+With Q(x, y) the unit-triangle inscribed conic of parameters (w, t) (see
+:func:`inellipse.conic.inscribed`), the query families rest on
 
     through_point   Q(x, y) = 0                    the ellipse passes through (x, y),
     tangent         -(a Q_x + b Q_y) / 2 = 0       its tangent there runs along (a, b),

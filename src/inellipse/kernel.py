@@ -11,10 +11,10 @@ fixed interior point into this family and collecting powers of w yields a
 quadratic in w whose coefficients are polynomials in t; the two-point solver
 works entirely with those polynomials, built here.
 
-Every family's answer -- (w, t), conic, contacts, center -- is written once,
+Every family's unit answer -- (w, t), contacts, center -- is written once,
 as plain tuples, by :func:`unit_geometry` from the ellipse's perspector
 (Brianchon point) (P^2 : Q^2 : R^2), under the one edge rule for (w, t);
-:mod:`inellipse.world` builds the answer records from them.
+:mod:`inellipse.world` builds the answer records, its conic by ``conic.inscribed``.
 
 Polynomial conventions: dense coefficient records, highest degree first in
 the field names (c2, c1, c0), evaluated by Horner.  Points arrive checked:
@@ -75,10 +75,9 @@ _BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 def unit_geometry(perspector):
-    """``(param, conic, contacts, center)`` of the inscribed ellipse with perspector
+    """``(param, contacts, center)`` of the inscribed ellipse with perspector
     (P^2, Q^2, R^2), three non-negative floats in any common scale: each a ratio of
-    sums of them (the center interior to the medial triangle), but the conic, whose
-    :class:`~inellipse.conic.ConicCoeffs` are written from (w, t).  The one edge rule
+    sums of them (the center interior to the medial triangle).  The one edge rule
     reports a w or t rounded to 1.0 as ``_BELOW_ONE``, the float nearest it inside,
     and raises :class:`OutOfDomain` on zero or NaN, an underflowed answer.
     """
@@ -91,14 +90,6 @@ def unit_geometry(perspector):
     den_center = 2.0 * (p2 + q2 + r2)
     return (
         tuple.__new__(EllipseParam, (w, t)),
-        (
-            w * w,
-            t * t,
-            -w * t * (2.0 * w * t - 2.0 * w - 2.0 * t + 1.0),
-            -2.0 * w * w * t,
-            -2.0 * t * t * w,
-            t * t * w * w,
-        ),
         ((t, 0.0), (0.0, w), (r2 / hyp, q2 / hyp)),
         ((p2 + r2) / den_center, (p2 + q2) / den_center),
     )

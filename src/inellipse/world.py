@@ -4,17 +4,18 @@ A caller point enters once, as its :func:`~inellipse.affine.barycentrics`
 (alpha, beta, gamma), its unit image being (beta, gamma).  A slope goes through
 no map: :mod:`~inellipse.point_slope` solves it with the triangle and point as
 given, and returns its unit-frame direction for the residuals.  One transport,
-``_to_world``, carries every family's unit solutions back: the conic as its
-pull-back along ``fwd``, each contact and the center as the vertex combination
-a + x (b - a) + y (c - a), with no inverted map, to within a few ulps of the
-coordinate scale.  The (w, t) are affine invariants, reported unchanged.
+``_to_world``, carries every family's unit solutions back: each contact and the
+center as the vertex combination a + x (b - a) + y (c - a), with no inverted map,
+to within a few ulps of the coordinate scale.  The (w, t) are affine invariants,
+reported unchanged, and the conic is written from them on ``map_to_unit``'s rows.
 
-Built once per solution: the unit (w, t), conic, contacts and center, by one
-:func:`~inellipse.kernel.unit_geometry` call on its perspector (a kept
-two-point (w, t) enters as (wt, w(1 - t), (1 - w)t)), and the world conic, by
-one ``pull_back``.  This module alone builds answer records, unit-triangle
-answers included.  The unit steps return the report's case string, and each
-tangency point's contact index k, its residual being its distance to ``contacts[k]``.
+Built once per solution: the unit (w, t), contacts and center, by one
+:func:`~inellipse.kernel.unit_geometry` call on its perspector (a kept two-point
+(w, t) enters as (wt, w(1 - t), (1 - w)t) and is reported itself, its residuals
+computed at it), and the world conic, by one :func:`~inellipse.conic.inscribed`.
+This module alone builds answer records, unit-triangle answers included.  The
+unit steps return the report's case string, and each tangency point's contact
+index k, its residual being its distance to ``contacts[k]``.
 
 Checks, once per query and all here, each error naming the caller's values:
 the triangle (a :class:`~inellipse.affine.Triangle` unless given), ``as_point``
@@ -31,7 +32,7 @@ from typing import NamedTuple
 
 from . import boundary, point_slope, two_points
 from .affine import UNIT_TRIANGLE, AffineMap, Triangle, barycentrics, map_to_unit
-from .conic import ConicCoeffs, pull_back
+from .conic import ConicCoeffs, inscribed
 from .errors import AmbiguousClassification, CoincidentPoints, NotInterior, NotOnSide, VertexPoint
 from .geom import Point, Slope, as_point, as_slope, coincide
 from .kernel import EllipseParam, unit_geometry
@@ -56,18 +57,19 @@ class SolveReport(NamedTuple):
 
 
 def _to_world(tri, fwd, unit_solutions) -> tuple[WorldSolution, ...]:
-    # Per (unit_geometry(perspector), residuals): one pull_back, and each unit point (x, y)
-    # lands on a + x (b - a) + y (c - a), left to right as tests/helpers.py::unit_to_world,
+    # Per ((param, contacts, center), residuals): the conic and the contacts (t, 0) and (0, w) from param,
+    # and each unit point (x, y) lands on a + x (b - a) + y (c - a), left to right as tests/helpers.py::unit_to_world,
     # less the legs' zero terms (a +-0.0 term changes only a -0.0 sum, and none here is -0.0).
     # The points written out and the records built by tuple.__new__, without NamedTuple
     # __new__ frames, save 0.5-0.8 and 0.6 us per solution (CPython 3.11).
     (ax, ay), (bx, by), (cx, cy) = tri
     ux, uy, vx, vy = bx - ax, by - ay, cx - ax, cy - ay
     out = []
-    for (param, unit_conic, ((t, _), (_, w), (x3, y3)), (x4, y4)), residuals in unit_solutions:
+    for (param, (_, _, (x3, y3)), (x4, y4)), residuals in unit_solutions:
+        w, t = param
         out.append(tuple.__new__(WorldSolution, (
             param,
-            pull_back(unit_conic, fwd),
+            inscribed(param, fwd),
             (
                 tuple.__new__(Point, (ax + t * ux, ay + t * uy)),
                 tuple.__new__(Point, (ax + w * vx, ay + w * vy)),
@@ -123,7 +125,8 @@ def solve_two_points(tri: Triangle, p1: Point, p2: Point) -> SolveReport:
     case, kept = two_points.solve_two_points_unit(u1, u2)
     if kept is None:
         raise AmbiguousClassification(f"points {tuple(p1)}, {tuple(p2)} sit on {case[-1]} vertex lines at once")
-    unit = [(unit_geometry((w * t, w * (1.0 - t), (1.0 - w) * t)), residuals) for (w, t), residuals in kept]
+    # Each kept (w, t) is reported with its residuals; its perspector writes the third contact and the center.
+    unit = [((q, *unit_geometry((q.w * q.t, q.w * (1.0 - q.t), (1.0 - q.w) * q.t))[1:]), r) for q, r in kept]
     return tuple.__new__(SolveReport, (case, _to_world(tri, fwd, unit)))
 
 
@@ -148,7 +151,7 @@ def solve_tangency(tri: Triangle, q1: Point, q2: Point) -> SolveReport:
     q1, q2 = as_point(q1), as_point(q2)
     b1, b2 = barycentrics(tri, q1, q2)
     s1, s2 = _side_point(tri, q1, b1), _side_point(tri, q2, b2)
-    _, _, contacts, _ = geometry = unit_geometry(boundary.param_from_tangencies(s1, s2))
+    _, contacts, _ = geometry = unit_geometry(boundary.param_from_tangencies(s1, s2))
     (x1, y1), (x2, y2) = contacts[s1[0]], contacts[s2[0]]
     residuals = (max(abs(x1 - b1[1]), abs(y1 - b1[2])), max(abs(x2 - b2[1]), abs(y2 - b2[2])))
     return tuple.__new__(SolveReport, ("boundary_unique", _to_world(tri, fwd, ((geometry, residuals),))))

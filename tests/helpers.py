@@ -2,12 +2,12 @@
 
 All sampling is seeded by the caller, so every test run is reproducible.  The
 references (a conic's terms, gradient and centre, equality up to scale, the
-w-quadratic, the vertex slopes, the unit-to-world map, a numpy map inverse and
-the 60-digit perspector answers) are written here in their smallest form,
+w-quadratic, the vertex slopes, the unit-to-world map, the 60-digit perspector
+answers and the 60-digit world conic) are written here in their smallest form,
 apart from the package; the residuals reuse the full forms of
 :mod:`inellipse.equations`, which ``tests/test_equations.py`` derives
 symbolically, and the world answer of a unit solution is rebuilt from the
-kernel's unit geometry one step at a time.  The shims ``geometry_at``,
+kernel's unit geometry and the conic writer one step at a time.  The shims ``geometry_at``,
 ``unit_point_slope`` and ``unit_tangency`` reach the kernel's geometry of a
 (w, t), and the unit point-slope and tangency answers, through the package's
 own entry points; ``side_point`` reaches the world query's side test.
@@ -18,8 +18,8 @@ import math
 import numpy as np
 
 from inellipse import world
-from inellipse.affine import UNIT_TRIANGLE, AffineMap, Triangle, barycentrics, map_to_unit
-from inellipse.conic import pull_back
+from inellipse.affine import UNIT_TRIANGLE, Triangle, barycentrics, map_to_unit
+from inellipse.conic import inscribed
 from inellipse.equations import backward_error, tangent, through_point
 from inellipse.geom import Point, Slope
 from inellipse.kernel import unit_geometry
@@ -299,9 +299,11 @@ def param_perspector(w: float, t: float) -> tuple[float, float, float]:
 
 
 def geometry_at(w: float, t: float):
-    """``(conic, contacts, centre)`` of the kernel's unit geometry for the ellipse (w, t), written
-    from its perspector: the (w, t) the kernel writes them from lies within a few ulps of the input."""
-    return unit_geometry(param_perspector(w, t))[1:]
+    """``(conic, contacts, centre)`` of the ellipse (w, t) on the unit triangle: the kernel's contacts
+    and centre for its perspector, and the conic that :func:`~inellipse.conic.inscribed` writes on
+    the unit map's rows from the (w, t) the kernel reports, within a few ulps of the input."""
+    param, contacts, centre = unit_geometry(param_perspector(w, t))
+    return inscribed(param, map_to_unit(UNIT_TRIANGLE)), contacts, centre
 
 
 def unit_point_slope(p: Point, slope: Slope):
@@ -329,15 +331,16 @@ def unit_tangency(q1, q2):
     return solve_tangency(UNIT_TRIANGLE, q1, q2).solutions[0].param
 
 
-def reference_world_solution(tri: Triangle, perspector, residuals) -> WorldSolution:
-    """The world answer for a unit solution: the kernel's unit geometry for ``perspector``,
-    the conic's pull-back along ``map_to_unit(tri)``, and the contacts and centre
-    through :func:`unit_to_world`."""
-    param, conic, contacts, center = unit_geometry(perspector)
+def reference_world_solution(tri: Triangle, param, perspector, residuals) -> WorldSolution:
+    """The world answer reporting ``param`` = (w, t): the conic that
+    :func:`~inellipse.conic.inscribed` writes from it on ``map_to_unit(tri)``'s rows, the
+    contacts (t, 0) and (0, w) and the kernel's hypotenuse contact and centre for
+    ``perspector``, each through :func:`unit_to_world`."""
+    (w, t), (_, (_, _, hypotenuse), center) = param, unit_geometry(perspector)
     return WorldSolution(
         param,
-        pull_back(conic, map_to_unit(tri)),
-        tuple(Point(*unit_to_world(tri, c)) for c in contacts),
+        inscribed(param, map_to_unit(tri)),
+        tuple(Point(*unit_to_world(tri, c)) for c in ((t, 0.0), (0.0, w), hypotenuse)),
         Point(*unit_to_world(tri, center)),
         residuals,
     )
@@ -358,7 +361,27 @@ def world_direction(tri: Triangle, s) -> Slope:
     return Slope(a * (bx - ax) + b * (cx - ax), a * (by - ay) + b * (cy - ay))
 
 
-def inverse_map(m: AffineMap) -> AffineMap:
-    """The inverse affine map, from numpy's inverse of the homogeneous 3x3 matrix."""
-    (i11, i12, tx), (i21, i22, ty), _ = np.linalg.inv([[m.m11, m.m12, m.tx], [m.m21, m.m22, m.ty], [0.0, 0.0, 1.0]])
-    return AffineMap(float(i11), float(i12), float(i21), float(i22), float(tx), float(ty))
+def world_conic_reference(tri: Triangle, param) -> tuple:
+    """The world conic of the inscribed ellipse ``param`` = (w, t) of ``tri``, as six 60-digit
+    mpmath numbers in the scale of :func:`~inellipse.conic.inscribed` (the c field half the xy
+    coefficient).  Written apart from the package on the exact map of the exact triangle:
+    l^2 - 4k beta gamma with l = wt - w beta - t gamma and k = wt(1 - w)(1 - t), expanded on
+    the rows beta = orient(a, p, c) / K and gamma = orient(a, b, p) / K, K = orient(a, b, c)."""
+    import mpmath as mp
+
+    with mp.workdps(60):
+        (ax, ay), (bx, by), (cx, cy) = ((mp.mpf(v) for v in q) for q in tri)
+        area = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay)
+        # Each row and l as (d/dx, d/dy, value at the origin).
+        beta = ((cy - ay) / area, (ax - cx) / area, (ay * (cx - ax) - ax * (cy - ay)) / area)
+        gamma = ((ay - by) / area, (bx - ax) / area, (ax * (by - ay) - ay * (bx - ax)) / area)
+        w, t = (mp.mpf(v) for v in param)
+        k = w * t * (1 - w) * (1 - t)
+        l = [-w * b - t * g for b, g in zip(beta, gamma)]
+        l[2] += w * t
+
+        def half(i, j):
+            # Half the coefficient of the monomial product i j (x, y or 1) in l^2 - 4k beta gamma.
+            return l[i] * l[j] - 2 * k * (beta[i] * gamma[j] + beta[j] * gamma[i])
+
+        return (half(0, 0), half(1, 1), half(0, 1), 2 * half(0, 2), 2 * half(1, 2), half(2, 2))

@@ -20,7 +20,7 @@ from inellipse.affine import (
     barycentrics,
     map_to_unit,
 )
-from inellipse.conic import ConicCoeffs, pull_back
+from inellipse.conic import ConicCoeffs, inscribed
 from inellipse.errors import DegenerateTriangle
 from inellipse.geom import Point, Slope, as_point
 from inellipse.kernel import (
@@ -38,9 +38,7 @@ from inellipse.world import SolveReport, WorldSolution, solve_point_slope, solve
 
 from helpers import (
     conic_gradient,
-    geometry_at,
     interior_in_triangle,
-    inverse_map,
     random_generic_pair,
     random_param,
     random_triangle,
@@ -405,7 +403,7 @@ class TestSolverInvariance:
         rng = np.random.default_rng(84)
         for _ in range(25):
             tri = random_triangle(rng)
-            world_conic = pull_back(geometry_at(*random_param(rng))[0], map_to_unit(tri))
+            world_conic = inscribed(random_param(rng), map_to_unit(tri))
             assert verify_inscribed(world_conic, tri).passed
 
     def test_world_count_matches_unit_count(self):
@@ -522,7 +520,7 @@ def _query_path_records():
     # side, the vertical side and the hypotenuse.
     t1, t2, t3 = report.solutions[0].tangent_points
     return {
-        "pull_back": (pull_back(geometry_at(0.3, 0.6)[0], fwd), ConicCoeffs),
+        "inscribed": (inscribed((0.3, 0.6), fwd), ConicCoeffs),
         "tangency_points.t1": (t1, Point),
         "tangency_points.t2": (t2, Point),
         "tangency_points.t3": (t3, Point),

@@ -1,4 +1,4 @@
-"""Conic representation: the ellipse test, transport, normalization, printed coefficients.
+"""Conic representation: the ellipse test, the world writer, normalization, printed coefficients.
 
 Values, slopes and centres of the package's conics are checked against the
 test-side references in ``helpers``.
@@ -10,17 +10,23 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from inellipse.affine import AffineMap, Triangle
-from inellipse.conic import ConicCoeffs, full_coefficients, is_real_ellipse, normalize_conic, pull_back
+from inellipse.affine import UNIT_TRIANGLE, AffineMap, Triangle, map_to_unit
+from inellipse.conic import ConicCoeffs, full_coefficients, inscribed, is_real_ellipse, normalize_conic
 from inellipse.geom import Point
 from inellipse.kernel import EllipseParam
-from inellipse.oracle import verify_inscribed
 
-from helpers import conic_centre, conic_gradient, conic_terms, geometry_at, inverse_map, random_param, same_conic
+from helpers import (
+    conic_centre,
+    conic_gradient,
+    conic_terms,
+    geometry_at,
+    random_param,
+    random_triangle,
+    world_conic_reference,
+)
 
 UNIT_CIRCLE = ConicCoeffs(1.0, 1.0, 0.0, 0.0, 0.0, -1.0)
-# Inscribed-family member for w = t = 1/2 (contact at the side midpoints).
-STEINER_RAW = ConicCoeffs(0.25, 0.25, 0.125, -0.25, -0.25, 0.0625)
+UNIT_ROWS = map_to_unit(UNIT_TRIANGLE)
 
 
 def exact_det3_sign(conic) -> int:
@@ -90,7 +96,7 @@ class TestIsRealEllipse:
         for _ in range(300):
             m = random_map(rng)
             w, t = 10.0 ** rng.uniform(-9.0, -3.0, size=2)
-            assert is_real_ellipse(pull_back(geometry_at(w, t)[0], inverse_map(m)))
+            assert is_real_ellipse(inscribed((w, t), m))
 
     def test_non_finite(self):
         assert not is_real_ellipse(UNIT_CIRCLE._replace(f=math.nan))
@@ -129,60 +135,53 @@ class TestConicCenter:
 
 
 class TestTransformConic:
-    def test_identity(self):
-        out = pull_back(UNIT_CIRCLE, AffineMap(1.0, 0.0, 0.0, 1.0))
-        assert same_conic(out, UNIT_CIRCLE)
+    """The writer on a map's rows is the unit-triangle conic carried by that map."""
 
-    def test_axis_scale(self):
-        # x -> x / 2: the circle x^2 + y^2 = 1 pulls back to x^2 / 4 + y^2 = 1.
-        out = pull_back(UNIT_CIRCLE, AffineMap(0.5, 0.0, 0.0, 1.0))
-        assert same_conic(out, ConicCoeffs(1.0, 4.0, 0.0, 0.0, 0.0, -4.0))
+    def test_unit_triangle_scale(self):
+        # --raw prints this scale: on the unit triangle A = w*w and B = t*t, and C, D and E
+        # are the inscribed family's (kernel docstring), bit for bit.
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            w, t = random_param(rng)
+            a, b, c, d, e, f = inscribed((w, t), UNIT_ROWS)
+            assert (a, b, c, d, e) == (
+                w * w, t * t, -w * t * (2.0 * w * t - 2.0 * w - 2.0 * t + 1.0), -2.0 * w * w * t, -2.0 * t * t * w,
+            )
+            assert f == pytest.approx(t * t * w * w, rel=1e-15)
 
-    def test_doubled_triangle_tangency(self):
-        halve = AffineMap(0.5, 0.0, 0.0, 0.5)
-        out = pull_back(STEINER_RAW, halve)
-        tri = Triangle(Point(0, 0), Point(2, 0), Point(0, 2))
-        report = verify_inscribed(out, tri)
-        assert report.passed
-        contacts = sorted((round(c.contact.x, 9), round(c.contact.y, 9)) for c in report.sides)
-        assert contacts == [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
+    def test_every_form_is_the_same_polynomial(self):
+        # Run in 60-digit arithmetic on a triangle's exact rows, the writer agrees with
+        # l^2 - 4k beta gamma expanded apart from it, in both of its forms of F(0).
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(29)
+        forms = set()
+        with mp.workdps(60):
+            for _ in range(300):
+                shift = rng.uniform(-20.0, 20.0, size=2)
+                tri = Triangle(*(v + shift for v in random_triangle(rng)))
+                param = tuple(mp.mpf(v) for v in random_param(rng))
+                (ax, ay), (bx, by), (cx, cy) = ((mp.mpf(v) for v in q) for q in tri)
+                area = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay)
+                rows = (
+                    (cy - ay) / area, (ax - cx) / area, (ay - by) / area, (bx - ax) / area,
+                    (ay * (cx - ax) - ax * (cy - ay)) / area, (ax * (by - ay) - ay * (bx - ax)) / area,
+                )
+                got, want = inscribed(param, rows), world_conic_reference(tri, param)
+                assert max(abs(u - v) for u, v in zip(got, want)) <= mp.mpf(10) ** -45 * max(abs(v) for v in want)
+                (w, t), tx, ty = param, rows[4], rows[5]
+                forms.add(tx * ty > 0 and (1 - w) * (1 - t) * tx * ty > (w * tx + t * ty) / 2)
+        assert forms == {False, True}
 
     def test_scale_equivalence_of_action(self):
+        # The world conic's value at p is the unit conic's value at the row image of p.
         rng = np.random.default_rng(3)
         m = AffineMap(1.3, -0.4, 0.7, 2.1, 0.5, -1.0)
-        ratios = []
         for _ in range(20):
+            param = random_param(rng)
             p = Point(*rng.uniform(-2, 2, size=2))
-            num = sum(conic_terms(pull_back(UNIT_CIRCLE, inverse_map(m)), Point(*np.array(
-                [m.m11 * p.x + m.m12 * p.y + m.tx, m.m21 * p.x + m.m22 * p.y + m.ty]
-            ))))
-            den = sum(conic_terms(UNIT_CIRCLE, p))
-            ratios.append(num / den)
-        assert max(ratios) - min(ratios) < 1e-9 * max(abs(r) for r in ratios)
-
-    def test_matches_the_matrix_congruence(self):
-        rng = np.random.default_rng(17)
-        for _ in range(500):
-            conic = ConicCoeffs(*rng.uniform(-2.0, 2.0, size=6))
-            m = random_map(rng)
-            h = inverse_map(m)
-            hm = np.array([[h.m11, h.m12, h.tx], [h.m21, h.m22, h.ty], [0.0, 0.0, 1.0]])
-            a, b, c, d, e, f = conic
-            q = np.array([[a, c, d / 2.0], [c, b, e / 2.0], [d / 2.0, e / 2.0, f]])
-            r = hm.T @ q @ hm
-            want = (r[0, 0], r[1, 1], r[0, 1], 2.0 * r[0, 2], 2.0 * r[1, 2], r[2, 2])
-            got = pull_back(conic, h)
-            scale = max(abs(v) for v in want)
-            assert max(abs(u - v) for u, v in zip(got, want)) <= 1e-13 * scale
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(19)
-        for _ in range(500):
-            conic = ConicCoeffs(*rng.uniform(-2.0, 2.0, size=6))
-            m = random_map(rng)
-            back = pull_back(pull_back(conic, inverse_map(m)), m)
-            scale = max(abs(v) for v in conic)
-            assert max(abs(u - v) for u, v in zip(back, conic)) <= 1e-12 * scale
+            image = Point(m.m11 * p.x + m.m12 * p.y + m.tx, m.m21 * p.x + m.m22 * p.y + m.ty)
+            world, unit = conic_terms(inscribed(param, m), p), conic_terms(inscribed(param, UNIT_ROWS), image)
+            assert abs(sum(world) - sum(unit)) <= 1e-13 * max(abs(v) for v in (*world, *unit))
 
     def test_center_covariance(self):
         rng = np.random.default_rng(5)
@@ -191,10 +190,10 @@ class TestTransformConic:
             m = AffineMap(*vals)
             if abs(m.m11 * m.m22 - m.m12 * m.m21) < 0.1:
                 continue
-            x0, y0 = conic_centre(UNIT_CIRCLE)
-            moved = pull_back(UNIT_CIRCLE, inverse_map(m))
-            expected = Point(m.m11 * x0 + m.m12 * y0 + m.tx, m.m21 * x0 + m.m22 * y0 + m.ty)
-            assert conic_centre(moved) == pytest.approx(expected, abs=1e-9)
+            param = random_param(rng)
+            x, y = conic_centre(inscribed(param, m))
+            moved = Point(m.m11 * x + m.m12 * y + m.tx, m.m21 * x + m.m22 * y + m.ty)
+            assert moved == pytest.approx(conic_centre(inscribed(param, UNIT_ROWS)), abs=1e-9)
 
 
 class TestNormalization:

@@ -3,8 +3,9 @@
 The solvers and the oracle both evaluate :mod:`inellipse.equations`, so the
 oracle cannot catch a transcription error in it.  These tests are that
 check: each equation, in its full and its Jacobian-free form, must equal the
-expression obtained from the conic of ``kernel.unit_geometry((w, t))`` written
-with symbols.
+expression obtained from the inscribed conic l^2 - 4k xy, l = wt - wx - ty and
+k = wt(1 - w)(1 - t), the form ``conic.inscribed`` writes, on the unit triangle,
+whose barycentric rows are x and y, written with symbols.
 """
 
 import numpy as np
@@ -21,11 +22,8 @@ x, y, w, t, a, b, r = sp.symbols("x y w t a b r")
 
 
 def conic_q():
-    """Q(x, y) of the inscribed family, with the conic coefficients of kernel.unit_geometry."""
-    a, b = w * w, t * t
-    c = -w * t * (2 * w * t - 2 * w - 2 * t + 1)
-    d, e, f = -2 * w * w * t, -2 * t * t * w, t * t * w * w
-    return a * x * x + b * y * y + 2 * c * x * y + d * x + e * y + f
+    """Q(x, y) of the inscribed family on the unit triangle, whose barycentric rows are x and y."""
+    return sp.expand((w * t - w * x - t * y) ** 2 - 4 * w * t * (1 - w) * (1 - t) * x * y)
 
 
 Q = conic_q()

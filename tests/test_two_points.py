@@ -372,13 +372,13 @@ class TestCountsAndQuality:
         assert 0 < steps < 40 * 4
 
     def test_world_solve_builds_each_quadratic_and_conic_once(self, monkeypatch):
-        # Per solution of every family: one unit geometry (conic, contacts and
-        # center together) and one pull-back of its conic.
+        # Per solution of every family: one unit geometry (contacts and center
+        # together) and one world conic, written by conic.inscribed.
         # as_point runs once per caller point or slope, in world, and never on a unit image.
         from inellipse import affine, conic, geom, kernel, world
         from inellipse.geom import Slope
 
-        counted = {kernel: ("poly_q", "unit_geometry"), conic: ("pull_back",), geom: ("as_point",)}
+        counted = {kernel: ("poly_q", "unit_geometry"), conic: ("inscribed",), geom: ("as_point",)}
         calls = collections.Counter()
         for home, names in counted.items():
             for name in names:
@@ -410,7 +410,7 @@ class TestCountsAndQuality:
             # One quadratic, p1's, on the two-point path; the residuals come from the polish.
             assert calls["poly_q"] == (1 if len(cases) <= len(pairs) else 0)
             assert calls["unit_geometry"] == n
-            assert calls["pull_back"] == n
+            assert calls["inscribed"] == n
             assert calls["as_point"] == 2
         assert cases == [
             "generic_4", "generic_j_zero", "generic_j_zero", "vertex_line:right", "unique", "unique", "boundary_unique",

@@ -1,4 +1,4 @@
-"""World layer: transport of conics and centers from the unit triangle."""
+"""World layer: world conics written from (w, t), and contacts and centers carried from the unit triangle."""
 
 import importlib.util
 import math
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from inellipse import world
-from inellipse.affine import Triangle, UNIT_TRIANGLE, barycentrics
+from inellipse.affine import Triangle, UNIT_TRIANGLE, barycentrics, map_to_unit
 from inellipse.boundary import param_from_tangencies
 from inellipse.errors import (
     AmbiguousClassification,
@@ -21,7 +21,7 @@ from inellipse.errors import (
     NotOnSide,
     VertexPoint,
 )
-from inellipse.conic import is_real_ellipse
+from inellipse.conic import inscribed, is_real_ellipse
 from inellipse.geom import Point, Slope
 from inellipse.kernel import unit_geometry
 from inellipse.point_slope import residual_system13, solve_point_slope_unit
@@ -45,6 +45,7 @@ from helpers import (
     unit_image,
     unit_to_world,
     VERTEX_POINTS,
+    world_conic_reference,
     world_direction,
 )
 
@@ -97,13 +98,15 @@ def test_every_inscribed_conic_has_a_unique_center():
     # and C are polynomials of degree at most 2 in each of w and t, so AB - C^2 and
     # the factored form below, of degree at most 4 in each, are the same polynomial
     # once they agree on a 5 x 5 grid.  On the dyadic grid k/8 every perspector
-    # component, sum and coefficient is exact, so the kernel's conic is compared
-    # in exact rationals.
+    # component, sum and coefficient is exact, so the conic that conic.inscribed
+    # writes on the unit triangle from the kernel's (w, t) is compared in exact rationals.
     grid = [Fraction(k, 8) for k in range(1, 8)]
+    rows = map_to_unit(UNIT_TRIANGLE)
     for w in grid:
         for t in grid:
-            param, (a, b, c, _, _, _), _, _ = unit_geometry(param_perspector(float(w), float(t)))
+            param = unit_geometry(param_perspector(float(w), float(t)))[0]
             assert param == (w, t)
+            a, b, c, _, _, _ = inscribed(param, rows)
             det = Fraction(a) * Fraction(b) - Fraction(c) ** 2
             assert det == 4 * w**2 * t**2 * (1 - w) * (1 - t) * (w + t - w * t) > 0
 
@@ -129,8 +132,9 @@ def transport_queries(family, rng, make_triangle):
     """(triangle, world report, the reference world solutions) per query.
 
     The references start from a separate unit solve of the query's unit image, (beta, gamma)
-    of its barycentrics: its perspectors, freshly computed residuals, then
-    :func:`reference_world_solution`.
+    of its barycentrics: its reported (w, t) (a two-point one as kept, the others as the
+    kernel writes them from the perspector), perspectors and freshly computed residuals,
+    then :func:`reference_world_solution`.
     """
     if family == "two_points":
         pairs = [random_generic_pair(rng) for _ in range(4)] + [j_zero_pair(rng) for _ in range(4)]
@@ -140,7 +144,7 @@ def transport_queries(family, rng, make_triangle):
             p1, p2 = Point(*unit_to_world(tri, u1)), Point(*unit_to_world(tri, u2))
             v1, v2 = unit_image(tri, p1), unit_image(tri, p2)
             params = [q for q, _ in solve_two_points_unit(v1, v2)[1]]
-            unit = [(param_perspector(*q), pair_residuals(v1, v2, q)) for q in params]
+            unit = [(q, param_perspector(*q), pair_residuals(v1, v2, q)) for q in params]
             yield tri, world.solve_two_points(tri, p1, p2), unit
     elif family == "point_slope":
         for i in range(8):
@@ -152,7 +156,7 @@ def transport_queries(family, rng, make_triangle):
             v = Point(*bary[1:])
             _, q, v_slope = solve_point_slope_unit(tri, p, bary, slope)
             param = unit_geometry(q)[0]
-            yield tri, world.solve_point_slope(tri, p, slope), [(q, slope_residuals(v, v_slope, param))]
+            yield tri, world.solve_point_slope(tri, p, slope), [(param, q, slope_residuals(v, v_slope, param))]
     else:
         for i in range(9):
             tri = make_triangle()
@@ -160,11 +164,11 @@ def transport_queries(family, rng, make_triangle):
             u1, u2 = unit_image(tri, q1), unit_image(tri, q2)
             s1, s2 = side_point(q1, tri), side_point(q2, tri)
             q = param_from_tangencies(s1, s2)
-            contacts = unit_geometry(q)[2]
+            param, contacts, _ = unit_geometry(q)
             residuals = tuple(
                 max(abs(contacts[k][0] - u.x), abs(contacts[k][1] - u.y)) for (k, _), u in ((s1, u1), (s2, u2))
             )
-            yield tri, world.solve_tangency(tri, q1, q2), [(q, residuals)]
+            yield tri, world.solve_tangency(tri, q1, q2), [(param, q, residuals)]
 
 
 @pytest.mark.parametrize("kind", ["unit", "box", "pixel"])
@@ -173,7 +177,7 @@ def test_solutions_equal_a_fresh_transport(family, kind):
     # One _to_world serves every family.  Every float of each world solution --
     # param, conic, contacts, centre and residuals -- must equal, by ==, the
     # reference built from a separate unit solve: the kernel's unit geometry for
-    # its perspector, its conic's pull-back and unit_to_world.
+    # its perspector, the conic written from its (w, t) and unit_to_world.
     rng = np.random.default_rng({"unit": 4101, "box": 4102, "pixel": 4103}[kind])
     make_triangle = {
         "unit": lambda: UNIT_TRIANGLE,
@@ -183,7 +187,7 @@ def test_solutions_equal_a_fresh_transport(family, kind):
     cases = set()
     for tri, report, unit in transport_queries(family, rng, make_triangle):
         cases.add(report.case.split(":")[0])
-        expected = tuple(reference_world_solution(tri, q, residuals) for q, residuals in unit)
+        expected = tuple(reference_world_solution(tri, *solution) for solution in unit)
         assert len(report.solutions) == len(expected) > 0
         for got, want in zip(report.solutions, expected):
             assert type(got) is WorldSolution
@@ -193,6 +197,77 @@ def test_solutions_equal_a_fresh_transport(family, kind):
         "point_slope": {"unique"},
         "tangency": {"boundary_unique"},
     }[family]
+
+
+@pytest.mark.parametrize("kind", ["unit", "box", "pixel"])
+def test_two_point_residuals_belong_to_the_reported_param(kind):
+    # The backward errors recomputed at each reported two-point (w, t), on the points'
+    # unit images, equal the reported residuals bit for bit: the kept (w, t) is reported.
+    # Written again from its perspector, it once moved by up to 3 ulp on about a third
+    # of the answers, away from the (w, t) its residuals belong to.
+    rng = np.random.default_rng({"unit": 4401, "box": 4402, "pixel": 4403}[kind])
+    make_triangle = {
+        "unit": lambda: UNIT_TRIANGLE,
+        "box": lambda: random_triangle(rng),
+        "pixel": lambda: pixel_triangle(rng),
+    }[kind]
+    pairs = [random_generic_pair(rng) for _ in range(24)] + [j_zero_pair(rng) for _ in range(8)]
+    pairs += [random_vertex_pair(rng, v) for v in VERTEX_POINTS for _ in range(4)]
+    for u1, u2 in pairs:
+        tri = make_triangle()
+        p1, p2 = Point(*unit_to_world(tri, u1)), Point(*unit_to_world(tri, u2))
+        v1, v2 = unit_image(tri, p1), unit_image(tri, p2)
+        for sol in world.solve_two_points(tri, p1, p2).solutions:
+            assert pair_residuals(v1, v2, sol.param) == sol.residuals, (tri, p1, p2, sol.param)
+
+
+# Per triangle kind and shift, the worst world-conic error of the draws below, rounded up
+# to two digits: the largest coefficient error over the largest coefficient.  The
+# congruence of a unit-frame conic that the writer replaced reached 2.0e-12 here on the
+# unit triangle at 1e6, 6.5e-14 on box triangles at 1e4 and 3.7e-14 on pixel ones at 0.
+CONIC_ERROR_BOUNDS = {
+    ("unit", 0.0): 1.6e-16, ("unit", 1e4): 5.5e-16, ("unit", 1e6): 3.0e-14,
+    ("box", 0.0): 2.4e-15, ("box", 1e4): 2.7e-15, ("box", 1e6): 1.5e-15,
+    ("pixel", 0.0): 1.9e-14, ("pixel", 1e4): 3.7e-15, ("pixel", 1e6): 1.8e-15,
+}
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e4, 1e6])
+@pytest.mark.parametrize("kind", ["unit", "box", "pixel"])
+def test_world_conics_match_the_60_digit_reference(kind, shift):
+    # The benchmark's seeded queries of every family, on the triangle and points moved by
+    # (shift, shift): each world conic is within the kind's bound of the 60-digit reference
+    # on the exact map of the exact triangle (tests/helpers.py::world_conic_reference).
+    # The worst case at 1e6 is a near-excluded slope's ellipse, (w, t) ~ 9e-17, whose
+    # F(0) = l0^2 - 4k tx ty would cancel to 1.1e-11: the writer takes its other form there.
+    mp = pytest.importorskip("mpmath")
+    gen = load_workload_gen()
+    rng = random.Random(f"conic/{kind}/{shift}")
+    classes = [
+        (gen.pair_query, "generic"), (gen.pair_query, "j_zero"), (gen.pair_query, "vertex_line"),
+        (gen.slope_query, "finite"), (gen.slope_query, "vertical"), (gen.slope_query, "near_excluded"),
+        (gen.tangency_query, "any"),
+    ]
+    worst, solved = 0.0, 0
+    for i in range(70):
+        make, cls = classes[i % len(classes)]
+        q = make(rng, cls, kind, i // len(classes), rng.random())
+        tri = Triangle(*((x + shift, y + shift) for x, y in q["triangle"]))
+        points = [Point(q[k][0] + shift, q[k][1] + shift) for k in ("p1", "p2", "p") if k in q]
+        if q["family"] == "point_slope":
+            points.append(Slope.vertical() if q["slope"] == "vertical" else Slope.finite(q["slope"]))
+        try:
+            report = getattr(world, f"solve_{q['family']}")(tri, *points)
+        except GeometryError:
+            continue  # moved by the shift, a vertex-line pair can round onto the near-vertex-line count failure
+        solved += 1
+        for sol in report.solutions:
+            ref = world_conic_reference(tri, sol.param)
+            with mp.workdps(60):
+                error = max(abs(mp.mpf(g) - r) for g, r in zip(sol.conic, ref)) / max(abs(r) for r in ref)
+            worst = max(worst, float(error))
+    assert solved >= 60
+    assert worst <= CONIC_ERROR_BOUNDS[kind, shift]
 
 
 @pytest.mark.parametrize("kind", ["unit", "box", "pixel"])
@@ -304,8 +379,9 @@ def test_contacts_and_centers_match_the_exact_vertex_combination(kind):
         for family, *query in queries:
             report = getattr(world, f"solve_{family}")(tri, *query)
             for sol, perspector in zip(report.solutions, kernel_perspectors(tri, family, *query), strict=True):
-                _, _, contacts, center = unit_geometry(perspector)
-                units = (*contacts, center)
+                # The contacts t and w are the reported (w, t)'s, the others the kernel's.
+                (w, t), (_, (_, _, hypotenuse), center) = sol.param, unit_geometry(perspector)
+                units = ((t, 0.0), (0.0, w), hypotenuse, center)
                 for got, u in zip((*sol.tangent_points, sol.center), units):
                     exact = exact_vertex_combination(tri, u)
                     worst = max(worst, max(float(abs(Fraction(g) - e)) for g, e in zip(got, exact)) / scale)
@@ -329,12 +405,6 @@ def outcome(solve):
         return repr(solve())
     except GeometryError as exc:
         return f"{type(exc).__name__}: {exc}"
-
-
-def unit_two_points(p1, p2):
-    # Each kept (w, t) reaches the kernel as its perspector, which writes the reported (w, t).
-    case, kept = solve_two_points_unit(p1, p2)
-    return case, [(unit_geometry(param_perspector(*q))[0], r) for q, r in kept]
 
 
 def unit_point_slope(p, slope):
@@ -368,7 +438,7 @@ def test_unit_solvers_agree_with_the_world_path_on_the_unit_triangle(family):
         q = make(rng, classes[i % len(classes)], "unit", i // len(classes), rng.random())
         if family == "two_points":
             p1, p2 = Point(*q["p1"]), Point(*q["p2"])
-            unit = outcome(lambda: unit_two_points(p1, p2))
+            unit = outcome(lambda: solve_two_points_unit(p1, p2))
             answer = outcome(lambda: world_answer(world.solve_two_points(UNIT_TRIANGLE, p1, p2)))
         elif family == "point_slope":
             p = Point(*q["p"])
